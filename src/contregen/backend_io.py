@@ -1,0 +1,117 @@
+"""I/O shared by the generation and retrieval backends: the append-only
+JSONL cache and POST with bounded retries."""
+
+from __future__ import annotations
+
+import json
+import logging
+import threading
+import time
+from pathlib import Path
+from typing import Callable, Optional
+
+import requests
+
+from contregen.errors import CacheCorruptionError, ReplayMissError
+
+logger = logging.getLogger(__name__)
+
+
+class JsonlCache:
+    """Append-only JSONL file of {"key", <context fields>, <value field>} lines.
+
+    A key is appended at most once. A bad line inside the file is a hard
+    error; an unterminated final line that does not parse (an append cut
+    short) is dropped with a warning and cut off before the next append.
+    Subclasses give the key function and the record shape: the value field,
+    its decoder, the context fields recorded beside it (taken from the
+    arguments of the computation) and the replay-miss message.
+    """
+
+    value_field: str
+    decode: Callable[[object], object]
+    context: Callable[..., dict]
+    miss_message: str  # formatted with the context fields
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._entries: dict[str, object] = {}
+        self._lock = threading.Lock()
+        self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
+        if self.path.exists():
+            self._load()
+
+    def _load(self) -> None:
+        line = ""
+        with self.path.open("r", encoding="utf-8", newline="\n") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line)
+                    self._entries[entry["key"]] = self.decode(entry[self.value_field])
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.endswith("\n"):
+                        raise CacheCorruptionError(
+                            f"{self.path}:{line_no}: unreadable cache entry ({exc})")
+                    logger.warning("%s:%d: dropping torn final line", self.path, line_no)
+                    self._repair = (self.path.stat().st_size - len(line.encode("utf-8")), "")
+                    return
+        if line and not line.endswith("\n"):
+            self._repair = (self.path.stat().st_size, "\n")
+
+    def get(self, key: str):
+        return self._entries.get(key)
+
+    def put(self, key: str, value, **context) -> None:
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = value
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a", encoding="utf-8") as fh:
+                if self._repair is not None:
+                    fh.truncate(self._repair[0])
+                    fh.write(self._repair[1])
+                    self._repair = None
+                fh.write(json.dumps({"key": key, **context, self.value_field: value},
+                                    ensure_ascii=False) + "\n")
+
+    def lookup(self, key: str, strict: bool, compute: Callable, *args):
+        """The cached value for key. On a miss, strict (replay) mode raises
+        ReplayMissError; otherwise compute(*args) is appended and returned."""
+        value = self.get(key)
+        if value is not None:
+            return value
+        context = self.context(*args)
+        if strict:
+            raise ReplayMissError(self.miss_message.format(**context))
+        value = compute(*args)
+        self.put(key, value, **context)
+        return value
+
+
+def post_with_retries(session: requests.Session, url: str, payload: dict, headers: dict,
+                      timeout: float, max_retries: int,
+                      error: Callable[[str], Exception]) -> requests.Response:
+    """The first HTTP 200 response to a JSON POST. Connection errors, 429 and
+    5xx are retried, max_retries attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
+    between them; on failure raises error(reason of the last attempt)."""
+    reason = "no attempt made"
+    for attempt in range(max_retries):
+        if attempt:
+            time.sleep(0.5 * 2 ** (attempt - 1))
+        try:
+            response = session.post(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            reason = str(exc)
+            continue
+        if response.status_code == 200:
+            return response
+        reason = f"HTTP {response.status_code}"
+        if response.status_code not in (429, 500, 502, 503, 504):
+            break
+    raise error(reason)
+
+
+__all__ = ["JsonlCache", "post_with_retries"]

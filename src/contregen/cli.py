@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +35,9 @@ from contregen.errors import (
 from contregen.metrics import MetricReport, evaluate_run, render_table, to_structured
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import (
+    CHOICES,
+    INT_FLOORS,
+    RunConfig,
     canonical_json,
     diff_traces,
     load_config,
@@ -68,42 +72,26 @@ def _add_format(parser) -> None:
                         default="table", help="output rendering")
 
 
+# Every RunConfig field but the bool ones (replay comes from the subcommand)
+# is a flag: --<field name without "_path", "_" -> "-">.
+_RUN_FLAGS = {name: hint for name, hint in typing.get_type_hints(RunConfig).items()
+              if hint is not bool}
+
+
 def _add_run_flags(parser) -> None:
     parser.add_argument("--config", help="YAML config file")
-    parser.add_argument("--method",
-                        choices=("contregen", "retgen", "iterretgen", "selfask"))
-    parser.add_argument("--corpus", dest="corpus_path")
-    parser.add_argument("--queries", dest="queries_path")
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--topk", type=int)
-    parser.add_argument("--max-depth", dest="max_depth", type=int)
-    parser.add_argument("--max-plan-size", dest="max_plan_size", type=int)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--char-budget", dest="char_budget", type=int)
-    parser.add_argument("--adapter", choices=("scripted", "openai"))
-    parser.add_argument("--fixtures", dest="fixtures_path")
-    parser.add_argument("--model")
-    parser.add_argument("--retriever-backend", dest="retriever_backend",
-                        choices=("lexical", "remote"))
-    parser.add_argument("--remote-endpoint", dest="remote_endpoint")
-    parser.add_argument("--template-dir", dest="template_dir")
-    parser.add_argument("--cache-dir", dest="cache_dir")
-    parser.add_argument("--parallel", type=int)
-    parser.add_argument("--seed-tag", dest="seed_tag")
+    for name, hint in _RUN_FLAGS.items():
+        flag = "--" + name.removesuffix("_path").replace("_", "-")
+        if hint is int:
+            parser.add_argument(flag, dest=name, type=int,
+                                help=f"integer >= {INT_FLOORS[name]}")
+        else:
+            parser.add_argument(flag, dest=name, choices=CHOICES.get(name))
 
 
-_CONFIG_KEYS = (
-    "method", "corpus_path", "queries_path", "out_dir", "topk", "max_depth",
-    "max_plan_size", "max_iterations", "char_budget", "adapter",
-    "fixtures_path", "model", "retriever_backend", "remote_endpoint",
-    "template_dir", "cache_dir", "parallel", "seed_tag",
-)
-
-
-def _config_from_args(args, replay: bool):
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    overrides["replay"] = replay
-    return load_config(args.config, overrides)
+def _config_from_args(args) -> RunConfig:
+    overrides = {name: getattr(args, name) for name in _RUN_FLAGS}
+    return load_config(args.config, {**overrides, "replay": args.replay})
 
 
 def _cmd_ingest(args) -> int:
@@ -139,7 +127,8 @@ def _cmd_build_wikihow(args) -> int:
     return 0
 
 
-def _run_summary(trace, args) -> int:
+def _cmd_run(args) -> int:
+    trace = run(_config_from_args(args))
     failed = sum(1 for q in trace.queries.values() if q.error is not None)
     summary = {
         "queries": len(trace.queries),
@@ -153,14 +142,6 @@ def _run_summary(trace, args) -> int:
         _emit(f"ran {summary['queries']} queries ({failed} failed); "
               f"artifacts in {summary['out_dir']}", None)
     return 0
-
-
-def _cmd_run(args) -> int:
-    return _run_summary(run(_config_from_args(args, replay=False)), args)
-
-
-def _cmd_replay(args) -> int:
-    return _run_summary(run(_config_from_args(args, replay=True)), args)
 
 
 def _report_from_dict(data: dict) -> MetricReport:
@@ -334,16 +315,13 @@ def build_parser() -> _Parser:
     _add_format(p)
     p.set_defaults(func=_cmd_build_wikihow)
 
-    p = sub.add_parser("run", help="run a method over a query set")
-    _add_run_flags(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("replay",
-                       help="re-run strictly from caches; any miss is an error")
-    _add_run_flags(p)
-    _add_format(p)
-    p.set_defaults(func=_cmd_replay)
+    for name, replay, text in (
+            ("run", False, "run a method over a query set"),
+            ("replay", True, "re-run strictly from caches; any miss is an error")):
+        p = sub.add_parser(name, help=text)
+        _add_run_flags(p)
+        _add_format(p)
+        p.set_defaults(func=_cmd_run, replay=replay)
 
     p = sub.add_parser("eval", help="score a finished run")
     p.add_argument("--trace", required=True)

@@ -10,6 +10,7 @@ File formats (both UTF-8, one JSON object per line):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -90,6 +91,14 @@ class CorpusStore:
 
     def ids(self) -> list[str]:
         return list(self._order)
+
+    def fingerprint(self) -> str:
+        """sha256 over the (id, text) pairs in id order, NUL-separated."""
+        digest = hashlib.sha256()
+        for pid in sorted(self._by_id):
+            text = self._by_id[pid].text
+            digest.update(b"%s\0%s\0" % (pid.encode("utf-8"), text.encode("utf-8")))
+        return digest.hexdigest()
 
 
 def ingest_corpus(path: str | Path) -> CorpusStore:

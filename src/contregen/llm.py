@@ -14,8 +14,6 @@ import json
 import logging
 import math
 import re
-import threading
-import time
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
@@ -23,14 +21,8 @@ from typing import Callable, Mapping, Optional, Protocol
 
 import requests
 
-from contregen.errors import (
-    CacheCorruptionError,
-    ConfigError,
-    FixtureMissError,
-    LlmBackendError,
-    ReplayMissError,
-    TemplateRenderError,
-)
+from contregen.backend_io import JsonlCache, post_with_retries
+from contregen.errors import ConfigError, FixtureMissError, LlmBackendError, TemplateRenderError
 
 logger = logging.getLogger(__name__)
 
@@ -61,8 +53,6 @@ KEY_SLOT: dict[PromptRole, str] = {
 }
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
-_EXEMPLAR_SEPARATOR = "=== example ==="
-_TASK_SEPARATOR = "=== task ==="
 
 
 @dataclass(frozen=True)
@@ -78,15 +68,6 @@ class PromptTemplate:
 
     def slot_names(self) -> frozenset[str]:
         return frozenset(_PLACEHOLDER_RE.findall(self.text))
-
-    @property
-    def one_shot_exemplar(self) -> Optional[str]:
-        if _EXEMPLAR_SEPARATOR not in self.text:
-            return None
-        after = self.text.split(_EXEMPLAR_SEPARATOR, 1)[1]
-        if _TASK_SEPARATOR in after:
-            after = after.split(_TASK_SEPARATOR, 1)[0]
-        return after.strip()
 
     def render(self, slots: Mapping[str, str]) -> str:
         def fill(match: re.Match) -> str:
@@ -193,65 +174,34 @@ class OpenAiChatAdapter:
             "temperature": 0.0,
             "max_tokens": 1024,
         }
-        headers = {"Authorization": f"Bearer {self._api_key}"}
-        last_error: Optional[str] = None
-        for attempt in range(self._max_retries):
-            try:
-                response = self._session.post(self._endpoint, json=payload,
-                                              headers=headers, timeout=self._timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    try:
-                        return response.json()["choices"][0]["message"]["content"]
-                    except (ValueError, KeyError, IndexError) as exc:
-                        raise LlmBackendError(
-                            f"malformed completion response: {exc}") from exc
-                last_error = f"HTTP {response.status_code}"
-                if response.status_code not in (429, 500, 502, 503, 504):
-                    break
-            time.sleep(0.5 * 2 ** attempt)
-        raise LlmBackendError(f"generation backend failed ({role.value}): {last_error}")
+        response = post_with_retries(
+            self._session, self._endpoint, payload,
+            {"Authorization": f"Bearer {self._api_key}"}, self._timeout, self._max_retries,
+            lambda reason: LlmBackendError(
+                f"generation backend failed ({role.value}): {reason}"))
+        try:
+            return response.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError) as exc:
+            raise LlmBackendError(f"malformed completion response: {exc}") from exc
 
 
-class LlmCache:
-    """Append-only JSONL cache keyed by hash(adapter-id, role, full prompt)."""
+class LlmCache(JsonlCache):
+    """Model responses keyed by hash(adapter-id, role, full prompt)."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        self._entries[entry["key"]] = str(entry["response"])
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise CacheCorruptionError(
-                            f"{self.path}:{line_no}: unreadable cache entry ({exc})")
+    value_field = "response"
+    decode = staticmethod(str)
+    miss_message = "generation cache has no entry for role {role}"
+    # own attributes: perfbench wraps and restores them on each cache class
+    __init__, get, put = JsonlCache.__init__, JsonlCache.get, JsonlCache.put
 
     @staticmethod
     def key(adapter_id: str, role: str, prompt: str) -> str:
         material = json.dumps([adapter_id, role, prompt], ensure_ascii=True)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def get(self, key: str) -> Optional[str]:
-        return self._entries.get(key)
-
-    def put(self, key: str, role: str, prompt: str, response: str) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = response
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"key": key, "role": role, "prompt": prompt,
-                                     "response": response}, ensure_ascii=False))
-                fh.write("\n")
+    @staticmethod
+    def context(role: PromptRole, prompt: str, slots: Mapping[str, str]) -> dict:
+        return {"role": role.value, "prompt": prompt}
 
 
 class CachingAdapter:
@@ -268,16 +218,8 @@ class CachingAdapter:
         return self.inner.backend_calls
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
-        key = self.cache.key(self.adapter_id, role.value, prompt)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        if self.strict:
-            raise ReplayMissError(
-                f"generation cache has no entry for role {role.value}")
-        response = self.inner.complete(role, prompt, slots)
-        self.cache.put(key, role.value, prompt, response)
-        return response
+        return self.cache.lookup(self.cache.key(self.adapter_id, role.value, prompt),
+                                 self.strict, self.inner.complete, role, prompt, slots)
 
 
 @dataclass(frozen=True)

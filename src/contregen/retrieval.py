@@ -14,23 +14,16 @@ import json
 import logging
 import math
 import re
-import threading
-import time
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Protocol
 
 import requests
 
 from contregen._kernels import bm25_accumulate
+from contregen.backend_io import JsonlCache, post_with_retries
 from contregen.corpus import CorpusStore, Passage
-from contregen.errors import (
-    CacheCorruptionError,
-    DataError,
-    ReplayMissError,
-    RetrieverUnavailableError,
-)
+from contregen.errors import DataError, RetrieverUnavailableError
 
 logger = logging.getLogger(__name__)
 
@@ -48,19 +41,6 @@ def tokenize(text: str) -> list[str]:
 def normalize_query(query_text: str) -> str:
     """Cache normalization: strip, collapse whitespace, lowercase."""
     return " ".join(query_text.lower().split())
-
-
-@dataclass(frozen=True)
-class RetrieverConfig:
-    topk: int = 5
-    backend: str = "lexical"  # or "remote"
-    remote_endpoint: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.topk < 1:
-            raise ValueError("topk must be >= 1")
-        if self.backend not in ("lexical", "remote"):
-            raise ValueError(f"unknown retrieval backend: {self.backend}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +66,7 @@ class RetrievalCall:
 class Retriever(Protocol):
     backend_id: str
     backend_calls: int
+    corpus_fingerprint: str  # part of every retrieval cache key
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult: ...
 
@@ -105,6 +86,7 @@ class LexicalIndex:
         self._corpus = corpus
         self.doc_ids: list[str] = sorted(corpus.ids())
         self.backend_calls = 0
+        self.corpus_fingerprint = corpus.fingerprint()
 
         lens = array("i")
         postings_tmp: dict[str, tuple[list[int], list[int]]] = {}
@@ -158,16 +140,15 @@ class LexicalIndex:
         return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
 
 
-def build_index(corpus: CorpusStore) -> LexicalIndex:
-    return LexicalIndex(corpus)
-
-
 class RemoteRetriever:
     """Client for a remote dense retriever: POST {query, topk} -> [{id, score}].
 
     The auth token, when required, comes from the environment (never from
-    configuration files).
+    configuration files). The remote corpus cannot be fingerprinted from
+    here, so its cache entries are keyed by the endpoint alone.
     """
+
+    corpus_fingerprint = ""
 
     def __init__(self, endpoint: str, token: Optional[str] = None,
                  timeout: float = 30.0, max_retries: int = 3,
@@ -187,26 +168,12 @@ class RemoteRetriever:
         headers = {"Content-Type": "application/json"}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
-        last_error: Optional[str] = None
-        for attempt in range(self._max_retries):
-            try:
-                response = self._session.post(
-                    self.endpoint,
-                    json={"query": query_text, "topk": topk},
-                    headers=headers,
-                    timeout=self._timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code == 200:
-                    return self._parse(query_text, response)
-                last_error = f"HTTP {response.status_code}"
-                if response.status_code not in (429, 500, 502, 503, 504):
-                    break
-            time.sleep(0.5 * 2 ** attempt)
-        raise RetrieverUnavailableError(
-            f"remote retriever {self.endpoint} unreachable: {last_error}")
+        response = post_with_retries(
+            self._session, self.endpoint, {"query": query_text, "topk": topk}, headers,
+            self._timeout, self._max_retries,
+            lambda reason: RetrieverUnavailableError(
+                f"remote retriever {self.endpoint} unreachable: {reason}"))
+        return self._parse(query_text, response)
 
     def _parse(self, query_text: str, response: requests.Response) -> RetrievalResult:
         try:
@@ -221,51 +188,30 @@ class RemoteRetriever:
         return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
 
 
-class RetrievalCache:
-    """Append-only JSONL cache keyed by hash(backend-id, normalized query, topk)."""
+class RetrievalCache(JsonlCache):
+    """Hit lists keyed by hash(backend-id, corpus fingerprint, normalized query, topk)."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._entries: dict[str, tuple[tuple[str, float], ...]] = {}
-        self._lock = threading.Lock()
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        key = entry["key"]
-                        hits = tuple((str(i), float(s)) for i, s in entry["hits"])
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise CacheCorruptionError(
-                            f"{self.path}:{line_no}: unreadable cache entry ({exc})")
-                    self._entries[key] = hits
+    value_field = "hits"
+    miss_message = "retrieval cache has no entry for query {query!r} (topk={topk})"
+    # own attributes: perfbench wraps and restores them on each cache class
+    __init__, get, put = JsonlCache.__init__, JsonlCache.get, JsonlCache.put
 
     @staticmethod
-    def key(backend_id: str, query_text: str, topk: int) -> str:
-        material = json.dumps([backend_id, normalize_query(query_text), topk])
+    def decode(hits) -> tuple[tuple[str, float], ...]:
+        return tuple((str(pid), float(score)) for pid, score in hits)
+
+    @staticmethod
+    def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int) -> str:
+        material = json.dumps([backend_id, corpus_fingerprint, normalize_query(query_text), topk])
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-    def get(self, key: str) -> Optional[tuple[tuple[str, float], ...]]:
-        return self._entries.get(key)
+    @staticmethod
+    def context(backend: Retriever, query_text: str, topk: int) -> dict:
+        return {"backend": backend.backend_id, "query": query_text, "topk": topk}
 
-    def put(self, key: str, query_text: str, topk: int, backend_id: str,
-            hits: tuple[tuple[str, float], ...]) -> None:
-        with self._lock:
-            if key in self._entries:
-                return
-            self._entries[key] = hits
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps({
-                    "key": key,
-                    "backend": backend_id,
-                    "query": query_text,
-                    "topk": topk,
-                    "hits": [[pid, score] for pid, score in hits],
-                }, ensure_ascii=False))
-                fh.write("\n")
+
+def _retrieve_hits(backend: Retriever, query_text: str, topk: int):
+    return backend.retrieve(query_text, topk).hits
 
 
 def cached_retrieve(cache: RetrievalCache, backend: Retriever, query_text: str,
@@ -274,17 +220,9 @@ def cached_retrieve(cache: RetrievalCache, backend: Retriever, query_text: str,
 
     strict mode (replay) errors on a miss instead of touching the backend.
     """
-    key = cache.key(backend.backend_id, query_text, topk)
-    hits = cache.get(key)
-    if hits is not None:
-        return RetrievalResult(query_text=query_text, hits=hits,
-                               backend=backend.backend_id)
-    if strict:
-        raise ReplayMissError(
-            f"retrieval cache has no entry for query {query_text!r} (topk={topk})")
-    result = backend.retrieve(query_text, topk)
-    cache.put(key, query_text, topk, backend.backend_id, result.hits)
-    return result
+    key = cache.key(backend.backend_id, backend.corpus_fingerprint, query_text, topk)
+    hits = cache.lookup(key, strict, _retrieve_hits, backend, query_text, topk)
+    return RetrievalResult(query_text=query_text, hits=hits, backend=backend.backend_id)
 
 
 class RetrieverHandle:
@@ -332,9 +270,7 @@ __all__ = [
     "RetrievalCall",
     "RetrievalResult",
     "Retriever",
-    "RetrieverConfig",
     "RetrieverHandle",
-    "build_index",
     "cached_retrieve",
     "normalize_query",
     "tokenize",

@@ -48,9 +48,51 @@ from contregen.tree import TreeConfig, build_tree, collect_passages, export_tree
 
 logger = logging.getLogger(__name__)
 
-_METHODS = ("contregen", "retgen", "iterretgen", "selfask")
 
-_NODE_PATH_RE = re.compile(r"^$|^0(\.\d+)*$|^(retgen|iterretgen|selfask)(\.(\d+|final))?$")
+def _run_tree(config: RunConfig, gateway: LlmGateway, handle: RetrieverHandle,
+              query: str, section: QueryRun) -> None:
+    tree_config = TreeConfig(max_depth=config.max_depth,
+                             max_plan_size=config.max_plan_size, topk=config.topk)
+    root = build_tree(gateway, handle, query, tree_config)
+    section.answer = synthesize(gateway, root, handle.text,
+                                char_budget=config.char_budget).answer
+    section.retrieved_ids = tuple(collect_passages(root, dedup=config.dedup_passages))
+    section.tree = export_tree(root)
+
+
+def _record_chain(section: QueryRun, run: baselines.BaselineRun) -> None:
+    section.answer = run.answer
+    section.retrieved_ids = run.retrieved_ids
+    section.rounds = [list(state.accumulated_ids) for state in run.rounds]
+
+
+# Method name -> runner(config, gateway, handle, query, section). Runners look
+# the engine functions up at call time and pass the query as the third
+# positional argument, so wrappers installed on them see every query.
+METHODS = {
+    "contregen": _run_tree,
+    "retgen": lambda config, gateway, handle, query, section: _record_chain(
+        section, baselines.run_retgen(gateway, handle, query, config.topk)),
+    "iterretgen": lambda config, gateway, handle, query, section: _record_chain(
+        section, baselines.run_iterretgen(gateway, handle, query, config.topk,
+                                          config.max_iterations)),
+    "selfask": lambda config, gateway, handle, query, section: _record_chain(
+        section, baselines.run_selfask(gateway, handle, query, config.topk,
+                                       config.max_iterations)),
+}
+
+# Tree calls sit at "" or "0", "0.1", ...; chain calls at "<method>[.<round>|.final]".
+_NODE_PATH_RE = re.compile(r"^$|^0(\.\d+)*$|^(%s)(\.(\d+|final))?$" % "|".join(
+    name for name, runner in METHODS.items() if runner is not _run_tree))
+
+# Allowed values and integer floors of RunConfig fields, for validate() and the CLI.
+CHOICES = {
+    "method": tuple(METHODS),
+    "adapter": ("scripted", "openai"),
+    "retriever_backend": ("lexical", "remote"),
+}
+INT_FLOORS = {"topk": 1, "max_depth": 0, "max_plan_size": 1, "max_iterations": 1,
+              "char_budget": 1, "parallel": 1}
 
 
 @dataclass(frozen=True)
@@ -65,10 +107,10 @@ class RunConfig:
     dedup_passages: bool = True
     max_iterations: int = 5
     char_budget: int = SUMMARY_CHAR_BUDGET
-    adapter: str = "scripted"            # scripted | openai
+    adapter: str = "scripted"
     fixtures_path: Optional[str] = None
     model: str = ""
-    retriever_backend: str = "lexical"   # lexical | remote
+    retriever_backend: str = "lexical"
     remote_endpoint: Optional[str] = None
     template_dir: Optional[str] = None
     cache_dir: Optional[str] = None
@@ -77,22 +119,17 @@ class RunConfig:
     seed_tag: str = ""
 
     def validate(self) -> None:
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method: {self.method}")
-        if self.adapter not in ("scripted", "openai"):
-            raise ConfigError(f"unknown adapter: {self.adapter}")
-        if self.retriever_backend not in ("lexical", "remote"):
-            raise ConfigError(f"unknown retriever backend: {self.retriever_backend}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name.replace('_', ' ')}: {getattr(self, name)}")
         if self.adapter == "scripted" and not self.fixtures_path:
             raise ConfigError("scripted adapter needs fixtures_path")
         if self.adapter == "openai" and not self.model:
             raise ConfigError("openai adapter needs a model name")
         if self.retriever_backend == "remote" and not self.remote_endpoint:
             raise ConfigError("remote retriever needs remote_endpoint")
-        for name in ("topk", "max_depth", "max_plan_size", "max_iterations",
-                     "char_budget", "parallel"):
+        for name, floor in INT_FLOORS.items():
             value = getattr(self, name)
-            floor = 0 if name == "max_depth" else 1
             if not isinstance(value, int) or value < floor:
                 raise ConfigError(f"{name} must be an integer >= {floor}")
 
@@ -238,30 +275,7 @@ def _run_one(config: RunConfig, record: QueryRecord, adapter: Adapter,
                              on_call=section.retrieval_calls.append,
                              strict_replay=config.replay)
     try:
-        if config.method == "contregen":
-            tree_config = TreeConfig(max_depth=config.max_depth,
-                                     max_plan_size=config.max_plan_size,
-                                     topk=config.topk,
-                                     dedup_passages=config.dedup_passages)
-            root = build_tree(gateway, handle, record.query, tree_config)
-            result = synthesize(gateway, root, handle.text,
-                                char_budget=config.char_budget)
-            section.answer = result.answer
-            section.retrieved_ids = tuple(
-                collect_passages(root, dedup=config.dedup_passages))
-            section.tree = export_tree(root)
-        else:
-            if config.method == "retgen":
-                run = baselines.run_retgen(gateway, handle, record.query, config.topk)
-            elif config.method == "iterretgen":
-                run = baselines.run_iterretgen(gateway, handle, record.query,
-                                               config.topk, config.max_iterations)
-            else:
-                run = baselines.run_selfask(gateway, handle, record.query,
-                                            config.topk, config.max_iterations)
-            section.answer = run.answer
-            section.retrieved_ids = run.retrieved_ids
-            section.rounds = [list(state.accumulated_ids) for state in run.rounds]
+        METHODS[config.method](config, gateway, handle, record.query, section)
     except ContregenError as exc:
         logger.error("query %s failed: %s", record.id, exc)
         section.error = f"{type(exc).__name__}: {exc}"
@@ -390,6 +404,9 @@ def diff_traces(a, b) -> list[str]:
 
 
 __all__ = [
+    "CHOICES",
+    "INT_FLOORS",
+    "METHODS",
     "QueryRun",
     "RunConfig",
     "RunTrace",

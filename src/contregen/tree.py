@@ -25,7 +25,6 @@ class TreeConfig:
     max_depth: int = 2
     max_plan_size: int = 5
     topk: int = 5
-    dedup_passages: bool = True
 
     def __post_init__(self) -> None:
         if self.max_depth < 0:

@@ -15,14 +15,14 @@ from contregen.analysis import (
     split_reachability,
 )
 from contregen.corpus import CorpusStore, Passage, QueryRecord
-from contregen.retrieval import RetrieverHandle, build_index, tokenize
+from contregen.retrieval import LexicalIndex, RetrieverHandle, tokenize
 
 from oracles import bm25_rank, reachable_from
 
 
 def _handle(texts: dict[str, str]) -> RetrieverHandle:
     store = CorpusStore(Passage(id=pid, text=text) for pid, text in texts.items())
-    return RetrieverHandle(build_index(store), store)
+    return RetrieverHandle(LexicalIndex(store), store)
 
 
 def _query(qid, text, gold):

@@ -1,6 +1,12 @@
 import json
+import typing
 
-from contregen.cli import dispatch
+import pytest
+
+from contregen.cli import _config_from_args, build_parser, dispatch
+from contregen.errors import ConfigError, DataError
+from contregen.llm import LlmCall
+from contregen.runtrace import METHODS, QueryRun, RunConfig, RunTrace
 
 from conftest import (
     ROOT_QUERY,
@@ -233,3 +239,60 @@ def test_out_flag_writes_file(planted, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""  # routed to the file instead
     assert "q-planted" in report_path.read_text(encoding="utf-8")
+
+
+# The run flags as spelled before they were derived from RunConfig:
+# (flag, RunConfig field, a non-default value).
+_RUN_FLAG_SPELLINGS = [
+    ("--method", "method", "selfask"),
+    ("--corpus", "corpus_path", "c.jsonl"),
+    ("--queries", "queries_path", "q.jsonl"),
+    ("--out-dir", "out_dir", "runs/elsewhere"),
+    ("--topk", "topk", 7),
+    ("--max-depth", "max_depth", 0),
+    ("--max-plan-size", "max_plan_size", 2),
+    ("--max-iterations", "max_iterations", 3),
+    ("--char-budget", "char_budget", 99),
+    ("--adapter", "adapter", "openai"),
+    ("--fixtures", "fixtures_path", "other.json"),
+    ("--model", "model", "other-model"),
+    ("--retriever-backend", "retriever_backend", "remote"),
+    ("--remote-endpoint", "remote_endpoint", "http://other.test"),
+    ("--template-dir", "template_dir", "templates"),
+    ("--cache-dir", "cache_dir", "cache"),
+    ("--parallel", "parallel", 4),
+    ("--seed-tag", "seed_tag", "s1"),
+]
+
+
+@pytest.mark.parametrize("flag, field, value", _RUN_FLAG_SPELLINGS)
+def test_run_flag_sets_its_config_field(flag, field, value):
+    hints = typing.get_type_hints(RunConfig)
+    settable = {name for name, hint in hints.items() if hint is not bool}
+    assert settable == {name for _, name, _ in _RUN_FLAG_SPELLINGS}
+    base = {"fixtures_path": "f.json", "model": "m", "remote_endpoint": "http://r.test"}
+    argv = ["run", "--fixtures", "f.json", "--model", "m",
+            "--remote-endpoint", "http://r.test", flag, str(value)]
+    config = _config_from_args(build_parser().parse_args(argv))
+    assert config == RunConfig(**{**base, field: value})
+
+
+def _accepts(action) -> bool:
+    try:
+        action()
+    except (ConfigError, DataError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", [*METHODS, "bogus"])
+def test_method_names_come_from_the_registry(name):
+    known = name in METHODS
+    assert _accepts(lambda: build_parser().parse_args(["run", "--method", name])) == known
+    assert _accepts(RunConfig(method=name, fixtures_path="f.json").validate) == known
+    # chain methods record calls under their own name, the tree method under "0..."
+    call = LlmCall(role="plan", prompt="", response="", node_path=f"{name}.final",
+                   approx_tokens=0)
+    trace = RunTrace(RunConfig(fixtures_path="f.json"))
+    assert _accepts(lambda: trace.add_query(
+        QueryRun(query_id="q", method=name, llm_calls=[call]))) == (known and name != "contregen")

@@ -29,7 +29,8 @@ def test_all_roles_have_templates_with_exemplars():
     templates = load_templates()
     assert set(templates) == set(PromptRole)
     for role, template in templates.items():
-        assert template.one_shot_exemplar, role
+        exemplar = template.text.partition("=== example ===")[2].partition("=== task ===")[0]
+        assert exemplar.strip(), role
         assert KEY_SLOT[role] in template.slot_names(), role
 
 
@@ -151,6 +152,19 @@ def test_llm_cache_corruption_is_loud(tmp_path):
         LlmCache(path)
     assert ":2:" in str(err.value)
 
+    # a torn final line (no newline) is dropped and cut off before the next append
+    path.write_text('{"key": "k", "response": "ok"}\n{"key": "k2", "resp')
+    cache = LlmCache(path)
+    assert cache.get("k") == "ok" and cache.get("k2") is None
+    cache.put("k3", "fresh", role="plan", prompt="p")
+    reloaded = LlmCache(path)
+    assert reloaded.get("k") == "ok" and reloaded.get("k3") == "fresh"
+
+    # a complete final line that lacks its newline is kept and terminated
+    path.write_text('{"key": "k", "response": "ok"}')
+    LlmCache(path).put("k2", "more", role="plan", prompt="p")
+    assert LlmCache(path).get("k") == "ok" and LlmCache(path).get("k2") == "more"
+
 
 class _FakeResponse:
     def __init__(self, status_code, payload):
@@ -186,19 +200,21 @@ def test_openai_adapter_success():
 
 
 def test_openai_adapter_retries_then_fails(monkeypatch):
-    import contregen.llm as llm_module
-    monkeypatch.setattr(llm_module.time, "sleep", lambda s: None)
+    import contregen.backend_io as backend_io
+    sleeps = []
+    monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse(500, {})] * 3)
     adapter = OpenAiChatAdapter(model="m1", api_key="k", session=session,
                                 max_retries=3)
     with pytest.raises(LlmBackendError):
         adapter.complete(PromptRole.PLAN, "p", {})
     assert len(session.posts) == 3
+    assert sleeps == [0.5, 1.0]  # no sleep after the final attempt
 
 
 def test_openai_adapter_gives_up_on_client_error(monkeypatch):
-    import contregen.llm as llm_module
-    monkeypatch.setattr(llm_module.time, "sleep", lambda s: None)
+    import contregen.backend_io as backend_io
+    monkeypatch.setattr(backend_io.time, "sleep", lambda s: None)
     session = _FakeSession([_FakeResponse(401, {})])
     adapter = OpenAiChatAdapter(model="m1", api_key="bad", session=session)
     with pytest.raises(LlmBackendError):

@@ -117,8 +117,22 @@ def test_cache_round_trip_and_persistence(tmp_path):
 
 
 def test_cache_key_distinguishes_topk_and_backend():
-    assert RetrievalCache.key("lexical", "q", 3) != RetrievalCache.key("lexical", "q", 4)
-    assert RetrievalCache.key("lexical", "q", 3) != RetrievalCache.key("remote:x", "q", 3)
+    key = RetrievalCache.key
+    assert key("lexical", "fp", "q", 3) != key("lexical", "fp", "q", 4)
+    assert key("lexical", "fp", "q", 3) != key("remote:x", "fp", "q", 3)
+    assert key("lexical", "fp", "q", 3) != key("lexical", "fp2", "q", 3)
+
+
+def test_cache_never_serves_another_corpus(tmp_path):
+    cache_path = tmp_path / "ret.jsonl"
+    corpus_a = _store({"p1": "alpha beta", "p2": "gamma delta"})
+    corpus_b = _store({"p1": "gamma delta", "p2": "alpha beta"})  # texts swapped
+    assert cached_retrieve(RetrievalCache(cache_path), LexicalIndex(corpus_a),
+                           "alpha", 1).hit_ids() == ("p1",)
+    index_b = LexicalIndex(corpus_b)
+    served = cached_retrieve(RetrievalCache(cache_path), index_b, "alpha", 1)
+    assert served.hits == index_b.retrieve("alpha", 1).hits
+    assert served.hit_ids() == ("p2",)
 
 
 def test_cache_corruption_is_loud(tmp_path):
@@ -127,6 +141,14 @@ def test_cache_corruption_is_loud(tmp_path):
     with pytest.raises(CacheCorruptionError) as err:
         RetrievalCache(path)
     assert ":2:" in str(err.value)
+
+    # a torn final line (no newline) is dropped and cut off before the next append
+    path.write_text('{"key": "k", "hits": [["p1", 1.0]]}\n{"key": "k2", "hi')
+    cache = RetrievalCache(path)
+    assert cache.get("k") == (("p1", 1.0),) and cache.get("k2") is None
+    cache.put("k3", (("p2", 2.0),), backend="lexical", query="q", topk=1)
+    reloaded = RetrievalCache(path)
+    assert reloaded.get("k") == (("p1", 1.0),) and reloaded.get("k3") == (("p2", 2.0),)
 
 
 def test_strict_replay_miss(tmp_path):
@@ -174,19 +196,21 @@ def test_remote_retriever_parses_hits(monkeypatch):
 
 
 def test_remote_retriever_retries_then_fails(monkeypatch):
-    import contregen.retrieval as retrieval_module
-    monkeypatch.setattr(retrieval_module.time, "sleep", lambda s: None)
+    import contregen.backend_io as backend_io
+    sleeps = []
+    monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse(503, {}), _FakeResponse(503, {}),
                             _FakeResponse(503, {})])
     remote = RemoteRetriever("http://retriever.test", session=session, max_retries=3)
     with pytest.raises(RetrieverUnavailableError):
         remote.retrieve("q", 1)
     assert len(session.requests) == 3
+    assert sleeps == [0.5, 1.0]  # no sleep after the final attempt
 
 
 def test_remote_retriever_bad_payload(monkeypatch):
-    import contregen.retrieval as retrieval_module
-    monkeypatch.setattr(retrieval_module.time, "sleep", lambda s: None)
+    import contregen.backend_io as backend_io
+    monkeypatch.setattr(backend_io.time, "sleep", lambda s: None)
     session = _FakeSession([_FakeResponse(200, {"unexpected": True})])
     remote = RemoteRetriever("http://retriever.test", session=session)
     with pytest.raises(RetrieverUnavailableError):
