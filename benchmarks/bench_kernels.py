@@ -28,8 +28,9 @@ def _time(fn, repeats: int = 3) -> float:
 
 def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
     rng = random.Random(seed)
-    doc_lens = array("i", [rng.randint(20, 400) for _ in range(docs)])
+    doc_lens = [rng.randint(20, 400) for _ in range(docs)]
     avgdl = sum(doc_lens) / docs
+    doc_norms = array("d", [1.2 * (1.0 - 0.75 + 0.75 * (dl / avgdl)) for dl in doc_lens])
     postings = []
     for _ in range(terms):
         chosen = sorted(rng.sample(range(docs), postings_per_term))
@@ -42,7 +43,7 @@ def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
     def run(accumulate):
         scores = array("d", [0.0]) * docs
         for doc_idx, tfs, idf in postings:
-            accumulate(scores, doc_idx, tfs, doc_lens, idf, 1.2, 0.75, avgdl)
+            accumulate(scores, doc_idx, tfs, doc_norms, idf, 1.2)
         return scores
 
     results = {"pure": _time(lambda: run(fallback.bm25_accumulate))}

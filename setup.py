@@ -1,22 +1,13 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
 # -ffp-contract=off keeps the compiled kernels bit-identical to the pure-Python
 # fallback (no fused multiply-add contraction).
-extensions = [
-    Extension(
-        "contregen._kernels._core",
-        ["src/contregen/_kernels/_core.pyx"],
-        extra_compile_args=["-O2", "-ffp-contract=off"],
-    )
-]
-
 setup(
-    ext_modules=cythonize(extensions, compiler_directives={"language_level": "3"})
-    if cythonize
-    else [],
+    ext_modules=[
+        Extension(
+            "contregen._kernels._core",
+            ["src/contregen/_kernels/_core.c"],
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+        )
+    ],
 )

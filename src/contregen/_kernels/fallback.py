@@ -1,7 +1,7 @@
 """Pure-Python kernels, used when the compiled extension is unavailable.
 
-Same signatures and the same IEEE-double operation order as
-``_core.pyx``; the two backends must return bit-identical results.
+Same signatures and the same IEEE-double operation order as ``_core.c``;
+the two backends must return bit-identical results.
 """
 
 from __future__ import annotations
@@ -10,15 +10,17 @@ from array import array
 
 
 def bm25_accumulate(scores: array, doc_indices: array, tfs: array,
-                    doc_lens: array, idf: float, k1: float, b: float,
-                    avgdl: float) -> None:
-    """Add one query term's BM25 contribution to every posting's document."""
-    for i in range(len(doc_indices)):
-        d = doc_indices[i]
-        tf = tfs[i]
-        num = tf * (k1 + 1.0)
-        denom = tf + k1 * (1.0 - b + b * (doc_lens[d] / avgdl))
-        scores[d] += idf * (num / denom)
+                    doc_norms: array, idf: float, k1: float) -> None:
+    """Add one query term's BM25 contribution to every posting's document.
+
+    ``doc_norms[d]`` is the document's length normalization
+    ``k1 * (1 - b + b * dl / avgdl)``, computed once at index build.
+    """
+    if len(tfs) != len(doc_indices):
+        raise ValueError("doc_indices and tfs differ in length")
+    k1_plus_1 = k1 + 1.0
+    for d, tf in zip(doc_indices, tfs):
+        scores[d] += idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
 
 
 def lcs_length(left: array, right: array) -> int:

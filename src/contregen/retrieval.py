@@ -10,6 +10,7 @@ scoring > 0 are returned, so a query with no term overlap yields no hits.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import math
@@ -38,9 +39,9 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def normalize_query(query_text: str) -> str:
-    """Cache normalization: strip, collapse whitespace, lowercase."""
-    return " ".join(query_text.lower().split())
+def normalize_query(query_text: str, case_sensitive: bool = False) -> str:
+    """Cache normalization: strip, collapse whitespace, lowercase unless case_sensitive."""
+    return " ".join((query_text if case_sensitive else query_text.lower()).split())
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,7 @@ class Retriever(Protocol):
     backend_id: str
     backend_calls: int
     corpus_fingerprint: str  # part of every retrieval cache key
+    case_sensitive: bool  # whether queries differing only in case may rank differently
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult: ...
 
@@ -79,6 +81,7 @@ class LexicalIndex:
     """
 
     backend_id = "lexical"
+    case_sensitive = False  # the tokenizer lowercases
 
     def __init__(self, corpus: CorpusStore) -> None:
         if len(corpus) == 0:
@@ -100,13 +103,15 @@ class LexicalIndex:
                 bucket = postings_tmp.setdefault(term, ([], []))
                 bucket[0].append(index)
                 bucket[1].append(tf)
-        self._doc_lens = lens
         self._postings: dict[str, tuple[array, array]] = {
             term: (array("i", docs), array("i", tfs))
             for term, (docs, tfs) in postings_tmp.items()
         }
         self.doc_count = len(self.doc_ids)
-        self.avgdl = sum(lens) / self.doc_count
+        self.avgdl = avgdl = sum(lens) / self.doc_count
+        # each document's BM25 length normalization, the denominator's constant part
+        self._doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
+                                      for dl in lens))
 
     @property
     def term_count(self) -> int:
@@ -132,12 +137,25 @@ class LexicalIndex:
             doc_indices, tfs = bucket
             df = len(doc_indices)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            bm25_accumulate(scores, doc_indices, tfs, self._doc_lens,
-                            idf, BM25_K1, BM25_B, self.avgdl)
-        candidates = [i for i in range(self.doc_count) if scores[i] > 0.0]
-        candidates.sort(key=lambda i: (-scores[i], i))
-        hits = tuple((self.doc_ids[i], scores[i]) for i in candidates[:topk])
+            bm25_accumulate(scores, doc_indices, tfs, self._doc_norms, idf, BM25_K1)
+        hits = tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
         return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
+
+
+def select_topk(scores: array, topk: int) -> list[int]:
+    """Indices of the topk highest positive scores, ordered by (-score, index).
+
+    A bounded heap finds the k-th largest score; only the indices scoring at
+    least that much (ties included) are sorted. The result equals the full sort
+    of every positive score cut to topk: selection only compares values.
+    """
+    kth = heapq.nlargest(topk, scores)[-1]
+    if kth > 0.0:
+        candidates = [i for i, s in enumerate(scores) if s >= kth]
+    else:  # fewer than topk documents score > 0: keep all of them
+        candidates = [i for i, s in enumerate(scores) if s > 0.0]
+    candidates.sort(key=lambda i: (-scores[i], i))
+    return candidates[:topk]
 
 
 class RemoteRetriever:
@@ -149,6 +167,7 @@ class RemoteRetriever:
     """
 
     corpus_fingerprint = ""
+    case_sensitive = True  # a dense encoder may read case
 
     def __init__(self, endpoint: str, token: Optional[str] = None,
                  timeout: float = 30.0, max_retries: int = 3,
@@ -201,8 +220,10 @@ class RetrievalCache(JsonlCache):
         return tuple((str(pid), float(score)) for pid, score in hits)
 
     @staticmethod
-    def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int) -> str:
-        material = json.dumps([backend_id, corpus_fingerprint, normalize_query(query_text), topk])
+    def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int,
+            case_sensitive: bool = False) -> str:
+        material = json.dumps([backend_id, corpus_fingerprint,
+                               normalize_query(query_text, case_sensitive), topk])
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     @staticmethod
@@ -220,7 +241,8 @@ def cached_retrieve(cache: RetrievalCache, backend: Retriever, query_text: str,
 
     strict mode (replay) errors on a miss instead of touching the backend.
     """
-    key = cache.key(backend.backend_id, backend.corpus_fingerprint, query_text, topk)
+    key = cache.key(backend.backend_id, backend.corpus_fingerprint, query_text, topk,
+                    backend.case_sensitive)
     hits = cache.lookup(key, strict, _retrieve_hits, backend, query_text, topk)
     return RetrievalResult(query_text=query_text, hits=hits, backend=backend.backend_id)
 
@@ -273,5 +295,6 @@ __all__ = [
     "RetrieverHandle",
     "cached_retrieve",
     "normalize_query",
+    "select_topk",
     "tokenize",
 ]

@@ -1,5 +1,6 @@
 import json
 import random
+from array import array
 
 import pytest
 
@@ -17,6 +18,7 @@ from contregen.retrieval import (
     RetrieverHandle,
     cached_retrieve,
     normalize_query,
+    select_topk,
     tokenize,
 )
 
@@ -38,6 +40,29 @@ def test_tokenize():
 
 def test_normalize_query():
     assert normalize_query("  The   CAT \n sat ") == "the cat sat"
+    assert normalize_query("  The   CAT \n sat ", case_sensitive=True) == "The CAT sat"
+
+
+def _full_sort_topk(scores, topk):
+    positive = [i for i in range(len(scores)) if scores[i] > 0.0]
+    return sorted(positive, key=lambda i: (-scores[i], i))[:topk]
+
+
+def test_select_topk_equals_full_sort():
+    rng = random.Random(3)
+    for case in range(600):
+        docs = rng.randint(1, 40)
+        # few distinct values, so ties sit at and straddle the k-th score
+        values = [0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0] if case % 2 else [0.0, 0.3, 1.1]
+        density = rng.choice((0.0, 0.1, 0.5, 1.0))  # all-zero up to all-positive
+        scores = array("d", [rng.choice(values) if rng.random() < density else 0.0
+                             for _ in range(docs)])
+        if case % 5 == 0:  # distinct values as well
+            scores = array("d", [s * rng.uniform(0.5, 1.5) for s in scores])
+        for topk in (1, 2, 3, 5, docs, docs + 7):
+            assert select_topk(scores, topk) == _full_sort_topk(scores, topk)
+    assert select_topk(array("d", [0.0, 0.0]), 3) == []
+    assert select_topk(array("d", [1.0, 2.0, 2.0, 2.0, 0.0]), 2) == [1, 2]
 
 
 def test_empty_corpus_rejected():
@@ -121,6 +146,12 @@ def test_cache_key_distinguishes_topk_and_backend():
     assert key("lexical", "fp", "q", 3) != key("lexical", "fp", "q", 4)
     assert key("lexical", "fp", "q", 3) != key("remote:x", "fp", "q", 3)
     assert key("lexical", "fp", "q", 3) != key("lexical", "fp2", "q", 3)
+
+
+def test_lexical_cache_key_is_stable():
+    # the key of a cache written before remote keys kept case; old caches must keep hitting
+    assert (RetrievalCache.key("lexical", "fp", "  The   CAT \n sat ", 5)
+            == "b78a0f884c82380edc7682549d37fabff9f17f7a745db0d85a3ec1df66e07d28")
 
 
 def test_cache_never_serves_another_corpus(tmp_path):
@@ -215,6 +246,23 @@ def test_remote_retriever_bad_payload(monkeypatch):
     remote = RemoteRetriever("http://retriever.test", session=session)
     with pytest.raises(RetrieverUnavailableError):
         remote.retrieve("q", 1)
+
+
+def test_cache_key_keeps_case_for_remote_only(tmp_path):
+    index = LexicalIndex(_store({"p1": "alpha beta"}))
+    lexical_cache = RetrievalCache(tmp_path / "lexical.jsonl")
+    cached_retrieve(lexical_cache, index, "Alpha Beta", 1)
+    cached_retrieve(lexical_cache, index, "alpha beta", 1)
+    assert index.backend_calls == 1
+
+    session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])] * 2)
+    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote_cache = RetrievalCache(tmp_path / "remote.jsonl")
+    cached_retrieve(remote_cache, remote, "Alpha Beta", 1)
+    cached_retrieve(remote_cache, remote, "  Alpha   Beta ", 1)  # whitespace still collapses
+    cached_retrieve(remote_cache, remote, "alpha beta", 1)
+    assert remote.backend_calls == 2
+    assert [r["json"]["query"] for r in session.requests] == ["Alpha Beta", "alpha beta"]
 
 
 def test_handle_records_calls_and_resolves_text():
