@@ -1,23 +1,12 @@
-"""Kernel backend selection: compiled extension if built, pure Python otherwise.
+"""Kernel backend selection: compiled extension if built, pure Python otherwise."""
 
-Set CONTREGEN_PURE_KERNELS=1 to force the fallback even when the extension
-is available (debugging, benchmarking the difference).
-"""
+try:
+    from contregen._kernels._core import bm25_accumulate, lcs_length
 
-import os
-
-if os.environ.get("CONTREGEN_PURE_KERNELS"):
+    BACKEND = "compiled"
+except ImportError:  # extension not built on this interpreter/platform
     from contregen._kernels.fallback import bm25_accumulate, lcs_length
 
     BACKEND = "pure"
-else:
-    try:
-        from contregen._kernels._core import bm25_accumulate, lcs_length
-
-        BACKEND = "compiled"
-    except ImportError:  # extension not built on this interpreter/platform
-        from contregen._kernels.fallback import bm25_accumulate, lcs_length
-
-        BACKEND = "pure"
 
 __all__ = ["BACKEND", "bm25_accumulate", "lcs_length"]

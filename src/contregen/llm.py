@@ -242,7 +242,6 @@ class LlmGateway:
         self.adapter = adapter
         self.templates = dict(templates) if templates is not None else load_templates()
         self.on_call = on_call
-        self.calls: list[LlmCall] = []
 
     def complete(self, role: PromptRole, slots: Mapping[str, str],
                  node_path: str = "") -> str:
@@ -251,7 +250,6 @@ class LlmGateway:
         call = LlmCall(role=role.value, prompt=prompt, response=response,
                        node_path=node_path,
                        approx_tokens=math.ceil((len(prompt) + len(response)) / 4))
-        self.calls.append(call)
         if self.on_call is not None:
             self.on_call(call)
         return response

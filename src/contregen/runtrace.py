@@ -350,11 +350,14 @@ def run(config: RunConfig) -> RunTrace:
 def load_trace(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"trace file not found: {path}")
     except ValueError as exc:
         raise DataError(f"trace file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise DataError(f"trace file {path} is not a JSON object")
+    return data
 
 
 def _as_dict(trace) -> dict:

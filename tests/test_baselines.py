@@ -145,8 +145,10 @@ def test_selfask_exhausts_rounds_then_finalizes():
 
 
 def test_selfask_history_carries_previous_followups():
-    gateway, handle, _ = _setup(selfask_fixtures())
-    run_selfask(gateway, handle, ROOT_QUERY, topk=5, max_iterations=5)
-    followup_calls = [c for c in gateway.calls if c.role == "baseline_followup"]
+    _, handle, adapter = _setup(selfask_fixtures())
+    calls = []
+    run_selfask(LlmGateway(adapter, on_call=calls.append), handle, ROOT_QUERY,
+                topk=5, max_iterations=5)
+    followup_calls = [c for c in calls if c.role == "baseline_followup"]
     assert f"Follow up: {SUB_B}" in followup_calls[1].prompt
     assert f"Follow up: {SUB_B}" not in followup_calls[0].prompt

@@ -1,3 +1,4 @@
+import argparse
 import json
 import typing
 
@@ -239,6 +240,76 @@ def test_out_flag_writes_file(planted, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""  # routed to the file instead
     assert "q-planted" in report_path.read_text(encoding="utf-8")
+
+
+def test_analyze_reach_topk_below_floor_is_usage_error(planted, capsys):
+    code = dispatch(["analyze-reach", "--corpus", str(planted["corpus"]),
+                     "--queries", str(planted["queries"]), "--topk", "0"])
+    assert code == 1
+    assert "error: topk must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--trace"],
+    ["export-tree", "--query", "q-planted", "--trace"],
+    ["diff", "--a", "{trace}", "--b"],
+])
+def test_non_object_trace_is_data_error(argv, tmp_path, capsys):
+    trace = tmp_path / "list.json"
+    trace.write_text("[]", encoding="utf-8")
+    argv = [arg.format(trace=trace) for arg in argv] + [str(trace)]
+    assert dispatch(argv) == 2
+    assert "is not a JSON object" in capsys.readouterr().err
+
+
+def _subcommand_dests() -> dict:
+    """Subcommand name -> the dests of its options."""
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.dest for a in p._actions} for name, p in subparsers.choices.items()}
+
+
+@pytest.mark.parametrize("command", sorted(
+    name for name, dests in _subcommand_dests().items() if "format" in dests))
+def test_every_format_command_prints_json_and_out_gets_stdout_bytes(
+        command, planted, tmp_path, capsys):
+    corpus, queries = str(planted["corpus"]), str(planted["queries"])
+    cache = str(tmp_path / "cache")
+    tree = str(_run_cli(planted, tmp_path, contregen_fixtures(),
+                        extra=("--cache-dir", cache)) / "trace.json")
+    rounds = str(_run_cli(planted, tmp_path, iterretgen_fixtures(),
+                          method="iterretgen") / "trace.json")
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text(json.dumps({"title": "how to t", "summary": "s", "methods": [
+        {"title": "m", "steps": ["step one", "step two"]}]}) + "\n", encoding="utf-8")
+    run_args = ["--corpus", corpus, "--queries", queries, "--cache-dir", cache,
+                "--fixtures", str(tmp_path / "contregen.json"),
+                "--out-dir", str(tmp_path / "again")]
+    argv = {
+        "ingest": ["--corpus", corpus],
+        "build-wikihow": ["--articles", str(articles),
+                          "--out-corpus", str(tmp_path / "wc.jsonl"),
+                          "--out-queries", str(tmp_path / "wq.jsonl")],
+        "run": run_args,
+        "replay": run_args,
+        "eval": ["--trace", tree],
+        "analyze-reach": ["--corpus", corpus, "--queries", queries, "--trace", tree],
+        "analyze-facets": ["--trace", tree, "--queries", queries],
+        "curve": ["--trace", rounds, "--queries", queries],
+        "export-tree": ["--trace", tree, "--query", "q-planted", "--dot"],
+        "diff": ["--a", tree, "--b", rounds],
+    }[command]
+    capsys.readouterr()
+    for fmt in ("table", "structured"):
+        assert dispatch([command, *argv, "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        if fmt == "structured":
+            json.loads(printed)
+        if "out" in _subcommand_dests()[command]:  # ingest's --out is the corpus
+            out_path = tmp_path / "reports" / f"{fmt}.out"
+            assert dispatch([command, *argv, "--format", fmt, "--out", str(out_path)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out_path.read_bytes() == printed.encode("utf-8")
 
 
 # The run flags as spelled before they were derived from RunConfig:

@@ -1,5 +1,4 @@
 import importlib.util
-import os
 import random
 import shlex
 import shutil
@@ -20,7 +19,6 @@ try:
 except ImportError:
     _core = None
 
-_FORCED_PURE = bool(os.environ.get("CONTREGEN_PURE_KERNELS"))
 _CORE_SOURCE = Path(_kernels.__file__).with_name("_core.c")
 K1, B = 1.2, 0.75
 
@@ -68,7 +66,7 @@ def _random_case(rng):
 
 def test_backend_constant_matches_import():
     assert _kernels.BACKEND in ("compiled", "pure")
-    if _core is not None and not _FORCED_PURE:
+    if _core is not None:
         assert _kernels.BACKEND == "compiled"
         assert _kernels.bm25_accumulate is _core.bm25_accumulate
     else:

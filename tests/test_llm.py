@@ -96,12 +96,13 @@ def test_scripted_adapter_from_file(tmp_path):
 
 def test_gateway_records_calls_and_token_estimate():
     adapter = ScriptedAdapter({"rewrite": {"sub": "rewritten form"}})
-    gateway = LlmGateway(adapter)
+    calls = []
+    gateway = LlmGateway(adapter, on_call=calls.append)
     response = gateway.complete(PromptRole.REWRITE,
                                 {"subquestion": "sub", "main_query": "main"},
                                 node_path="0.1")
     assert response == "rewritten form"
-    (call,) = gateway.calls
+    (call,) = calls
     assert call.role == "rewrite"
     assert call.node_path == "0.1"
     assert "sub" in call.prompt and "main" in call.prompt
@@ -110,11 +111,12 @@ def test_gateway_records_calls_and_token_estimate():
 
 def test_count_calls():
     adapter = ScriptedAdapter({"plan": {"q": "x"}, "rewrite": {"s": "y"}})
-    gateway = LlmGateway(adapter)
+    calls = []
+    gateway = LlmGateway(adapter, on_call=calls.append)
     gateway.complete(PromptRole.PLAN, {"query": "q", "main_query": "q", "passages": ""})
     gateway.complete(PromptRole.REWRITE, {"subquestion": "s", "main_query": "q"})
     gateway.complete(PromptRole.REWRITE, {"subquestion": "s", "main_query": "q"})
-    counts = count_calls(gateway.calls)
+    counts = count_calls(calls)
     assert counts["plan"] == 1
     assert counts["rewrite"] == 2
     assert counts["necessity"] == 0

@@ -10,17 +10,18 @@ def _built(fixtures=None):
     store = accounting_corpus()
     handle = RetrieverHandle(LexicalIndex(store), store)
     adapter = ScriptedAdapter(fixtures or accounting_fixtures())
-    gateway = LlmGateway(adapter)
+    calls = []
+    gateway = LlmGateway(adapter, on_call=calls.append)
     root = build_tree(gateway, handle, ACCT_ROOT, TreeConfig())
-    return root, gateway, handle
+    return root, gateway, handle, calls
 
 
 def test_postorder_roles_and_answer():
-    root, gateway, handle = _built()
-    before = len(gateway.calls)
+    root, gateway, handle, calls = _built()
+    before = len(calls)
     result = synthesize(gateway, root, handle.text)
     assert result.answer == "final synthesized answer"
-    synth_calls = gateway.calls[before:]
+    synth_calls = calls[before:]
     assert [c.role for c in synth_calls] == [
         "summarize_leaf", "summarize_leaf", "merge_intermediate",
         "summarize_leaf", "summarize_leaf", "merge_intermediate",
@@ -32,7 +33,7 @@ def test_postorder_roles_and_answer():
 
 
 def test_summaries_attached_to_nodes():
-    root, gateway, handle = _built()
+    root, gateway, handle, _ = _built()
     result = synthesize(gateway, root, handle.text)
     assert root.summary == result.answer
     assert root.children[0].summary == "merged branch one"
@@ -45,11 +46,11 @@ def test_summaries_attached_to_nodes():
 def test_single_node_tree_still_generates_root():
     fixtures = accounting_fixtures()
     fixtures["plan"][ACCT_ROOT] = "no breakdown"
-    root, gateway, handle = _built(fixtures)
+    root, gateway, handle, calls = _built(fixtures)
     assert root.is_leaf()
     result = synthesize(gateway, root, handle.text)
     assert result.answer == "final synthesized answer"
-    assert gateway.calls[-1].role == "generate_root"
+    assert calls[-1].role == "generate_root"
 
 
 def test_fold_merges_two_longest_first():
@@ -65,11 +66,11 @@ def test_fold_merges_two_longest_first():
         ACCT_S1: ["folded pair", "merged branch one"],
         ACCT_S2: "merged branch two",
     }
-    root, gateway, handle = _built(fixtures)
+    root, gateway, handle, calls = _built(fixtures)
     result = synthesize(gateway, root, handle.text, char_budget=100)
     assert result.answer == "final synthesized answer"
     assert result.fold_merges == 1
-    fold_call = next(c for c in gateway.calls
+    fold_call = next(c for c in calls
                      if c.role == "merge_intermediate" and "L" * 60 in c.prompt)
     assert "M" * 50 in fold_call.prompt  # the two longest went into the fold
     assert result.node_summaries["0.0"] == "merged branch one"
@@ -83,7 +84,7 @@ def test_single_overlong_summary_truncated_with_warning(caplog):
     # the root folds its two children first; the folded result is still too big
     fixtures["merge_intermediate"] = {ACCT_ROOT: "Z" * 200}
     fixtures["generate_root"] = {ACCT_ROOT: "root out"}
-    root, gateway, handle = _built(fixtures)
+    root, gateway, handle, _ = _built(fixtures)
     with caplog.at_level("WARNING"):
         result = synthesize(gateway, root, handle.text, char_budget=50)
     assert result.answer == "root out"

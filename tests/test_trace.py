@@ -298,3 +298,7 @@ def test_load_trace_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(DataError, match="not valid JSON"):
         load_trace(bad)
+    for text in ("[]", "3", "null"):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_trace(bad)

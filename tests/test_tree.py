@@ -29,13 +29,14 @@ def _build(fixtures=None, config=None):
     store = accounting_corpus()
     handle = RetrieverHandle(LexicalIndex(store), store)
     adapter = ScriptedAdapter(fixtures or accounting_fixtures())
-    gateway = LlmGateway(adapter)
+    calls = []
+    gateway = LlmGateway(adapter, on_call=calls.append)
     config = config or TreeConfig(max_depth=2, max_plan_size=5, topk=5)
-    return build_tree(gateway, handle, ACCT_ROOT, config), gateway, config
+    return build_tree(gateway, handle, ACCT_ROOT, config), calls, config
 
 
 def test_two_branch_structure():
-    root, gateway, config = _build()
+    root, _, config = _build()
     check_invariants(root, config)
     assert root.query == ACCT_ROOT
     assert root.path == "0"
@@ -52,8 +53,8 @@ def test_two_branch_structure():
 
 
 def test_depth_cap_means_no_plan_calls_at_leaves():
-    _, gateway, _ = _build()
-    plan_keys = [c.prompt for c in gateway.calls if c.role == "plan"]
+    _, calls, _ = _build()
+    plan_keys = [c.prompt for c in calls if c.role == "plan"]
     assert len(plan_keys) == 3  # root and the two branches, never the leaves
 
 
@@ -79,9 +80,9 @@ def test_relevance_rejection_keeps_probe_empty_nodes_out():
 def test_unparseable_plan_makes_leaf():
     fixtures = accounting_fixtures()
     fixtures["plan"][ACCT_ROOT] = "nothing structured here"
-    root, gateway, _ = _build(fixtures)
+    root, calls, _ = _build(fixtures)
     assert root.is_leaf()
-    assert len(gateway.calls) == 1
+    assert len(calls) == 1
 
 
 def test_max_plan_size_truncates_children():

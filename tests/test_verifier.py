@@ -77,11 +77,12 @@ def test_relevance_empty_probe_short_circuits():
 def test_relevance_consults_model_on_hits():
     handle = _handle({"p1": "alpha beta", "p2": "alpha gamma"})
     adapter = ScriptedAdapter({"relevance": {"alpha": "yes"}})
-    gateway = LlmGateway(adapter)
+    calls = []
+    gateway = LlmGateway(adapter, on_call=calls.append)
     relevant, hits = check_relevance(gateway, handle, "alpha", "main", topk=2)
     assert relevant is True
     assert {pid for pid, _ in hits} == {"p1", "p2"}
-    (call,) = gateway.calls
+    (call,) = calls
     assert "alpha beta" in call.prompt  # passages rendered into the prompt
 
 
