@@ -1,20 +1,79 @@
-"""I/O shared by the generation and retrieval backends: the append-only
-JSONL cache and POST with bounded retries."""
+"""All file and network I/O: data-file readers, the atomic writer, the
+append-only JSONL cache, and POST with bounded retries. Corpora, query sets,
+article dumps, fixture tables and traces are read, and every output written,
+only here; a bad input file is a DataError naming it (``path:line``, counting
+blank lines, for JSONL). Callers check the shape of each record."""
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Iterator, Optional
 
 import requests
 
-from contregen.errors import CacheCorruptionError, ReplayMissError
+from contregen.errors import CacheCorruptionError, DataError, MalformedRecordError, ReplayMissError
 
 logger = logging.getLogger(__name__)
+
+
+def read_jsonl(path: str | Path,
+               required: AbstractSet[str] = frozenset()) -> Iterator[tuple[int, dict]]:
+    """(physical line number, object) for each nonblank line of a JSONL file; a line
+    that is not a JSON object carrying every required key is a MalformedRecordError."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"input file not found: {path}")
+    with fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(str(path), line_no, f"invalid JSON ({exc.msg})")
+            if not isinstance(record, dict) or not record.keys() >= required:
+                raise MalformedRecordError(str(path), line_no, (
+                    f"record must carry {' and '.join(sorted(required))}" if required
+                    else "record must be a JSON object"))
+            yield line_no, record
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value of a whole file; what names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}")
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path through a temporary sibling renamed over it, creating
+    parent directories. A target that exists and is not a regular file (/dev/stdout,
+    a FIFO, a symlink) is written in place: a rename would replace it."""
+    path = Path(path)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class JsonlCache:
@@ -114,4 +173,4 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     raise error(reason)
 
 
-__all__ = ["JsonlCache", "post_with_retries"]
+__all__ = ["JsonlCache", "atomic_write", "post_with_retries", "read_json", "read_jsonl"]

@@ -14,9 +14,9 @@ import argparse
 import logging
 import sys
 import typing
-from pathlib import Path
 
 from contregen import analysis
+from contregen.backend_io import atomic_write
 from contregen.corpus import (
     build_wikihow_benchmark,
     ingest_corpus,
@@ -33,7 +33,7 @@ from contregen.errors import (
     DataError,
     FixtureMissError,
 )
-from contregen.metrics import MetricReport, evaluate_run, render_table, to_structured
+from contregen.metrics import evaluate_run, render_table
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import (
     CHOICES,
@@ -140,11 +140,10 @@ def _cmd_eval(args):
         retrieved = {qid: s.get("retrieved_ids", []) for qid, s in sections.items()}
         report = evaluate_run(records, answers, retrieved)
     elif trace.get("report"):
-        report = MetricReport(per_query=trace["report"].get("per_query", {}),
-                              aggregates=trace["report"].get("aggregates", {}))
+        report = trace["report"]
     else:
         raise DataError("trace carries no report; pass --queries to recompute")
-    return to_structured(report), render_table(report)
+    return report, render_table(report)
 
 
 def _cmd_analyze_reach(args):
@@ -206,8 +205,10 @@ def _cmd_curve(args):
         if not rounds or record is None or not record.gold_ids:
             logger.warning("query %s has no per-round data; skipped", qid)
             continue
-        curves[qid] = analysis.recall_curve([set(ids) for ids in rounds],
-                                            record.gold_ids)
+        try:
+            curves[qid] = analysis.recall_curve([set(ids) for ids in rounds], record.gold_ids)
+        except ValueError as exc:
+            raise DataError(f"{args.trace}: query {qid}: {exc}") from None
     if curves:
         # queries that stopped early carry their last value forward
         width = max(len(c) for c in curves.values())
@@ -307,9 +308,7 @@ def dispatch(argv) -> int:
             text = canonical_json(data)
         text = text if text.endswith("\n") else text + "\n"
         if getattr(args, "out", None):
-            path = Path(args.out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+            atomic_write(args.out, text)
         else:
             sys.stdout.write(text)
         return 0

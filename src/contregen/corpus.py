@@ -1,6 +1,7 @@
 """Passage corpus, evaluation queries, and the how-to benchmark builder.
 
-File formats (both UTF-8, one JSON object per line):
+File formats (both UTF-8, one JSON object per line, read and written
+through ``backend_io``):
 
 * passage file: ``{"id": str, "text": str, "meta": {str: str}}`` (meta optional)
 * query file: ``{"id": str, "query": str, "gold_ids": [str], "reference": str|null,
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from contregen.backend_io import atomic_write, read_json, read_jsonl
 from contregen.errors import DataError, DuplicateIdError, MalformedRecordError
 
 logger = logging.getLogger(__name__)
@@ -57,8 +59,7 @@ class CorpusStore:
     """Immutable-after-ingestion passage store; safe for concurrent readers."""
 
     def __init__(self, passages: Iterable[Passage] = ()) -> None:
-        self._by_id: dict[str, Passage] = {}
-        self._order: list[str] = []
+        self._by_id: dict[str, Passage] = {}  # in insertion order
         for passage in passages:
             self.add(passage)
 
@@ -68,17 +69,15 @@ class CorpusStore:
         if not passage.text.strip():
             raise DataError(f"passage {passage.id!r} has empty text")
         self._by_id[passage.id] = passage
-        self._order.append(passage.id)
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._by_id)
 
     def __contains__(self, passage_id: str) -> bool:
         return passage_id in self._by_id
 
     def __iter__(self) -> Iterator[Passage]:
-        for pid in self._order:
-            yield self._by_id[pid]
+        return iter(self._by_id.values())
 
     def get(self, passage_id: str) -> Passage:
         try:
@@ -90,7 +89,7 @@ class CorpusStore:
         return self.get(passage_id).text
 
     def ids(self) -> list[str]:
-        return list(self._order)
+        return list(self._by_id)
 
     def fingerprint(self) -> str:
         """sha256 over the (id, text) pairs in id order, NUL-separated."""
@@ -103,16 +102,8 @@ class CorpusStore:
 
 def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines are errors."""
-    path = Path(path)
     store = CorpusStore()
-    count = 0
-    for line_no, raw in enumerate(_lines(path), start=1):
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(str(path), line_no, f"invalid JSON ({exc.msg})")
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise MalformedRecordError(str(path), line_no, "record must carry id and text")
+    for line_no, record in read_jsonl(path, {"id", "text"}):
         meta = record.get("meta") or {}
         if not isinstance(meta, dict):
             raise MalformedRecordError(str(path), line_no, "meta must be an object")
@@ -121,42 +112,38 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
             raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
         store.add(Passage(id=str(record["id"]), text=text,
                           meta={str(k): str(v) for k, v in meta.items()}))
-        count += 1
-    if count == 0:
+    if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
     else:
-        logger.info("loaded %d passages from %s", count, path)
+        logger.info("loaded %d passages from %s", len(store), path)
     return store
 
 
+def _write_jsonl(objects: Iterable[dict], path: str | Path) -> int:
+    lines = [json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n" for obj in objects]
+    atomic_write(path, "".join(lines))
+    return len(lines)
+
+
 def write_passages(passages: Iterable[Passage], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for passage in passages:
-            fh.write(json.dumps(
-                {"id": passage.id, "text": passage.text, "meta": dict(passage.meta)},
-                ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    return _write_jsonl(({"id": passage.id, "text": passage.text, "meta": dict(passage.meta)}
+                         for passage in passages), path)
+
+
+# Optional query fields and the JSON type each must have when not null.
+_QUERY_FIELD_TYPES = {"gold_ids": (list, "a list"), "short_answers": (list, "a list"),
+                      "facet_of": (dict, "an object"), "reference": (str, "a string")}
 
 
 def load_queries(path: str | Path) -> list[QueryRecord]:
-    path = Path(path)
-    records: list[QueryRecord] = []
-    seen: set[str] = set()
-    for line_no, raw in enumerate(_lines(path), start=1):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecordError(str(path), line_no, f"invalid JSON ({exc.msg})")
-        if not isinstance(obj, dict) or "id" not in obj or "query" not in obj:
-            raise MalformedRecordError(str(path), line_no, "record must carry id and query")
+    records: dict[str, QueryRecord] = {}
+    for line_no, obj in read_jsonl(path, {"id", "query"}):
+        for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
+            if obj.get(name) is not None and not isinstance(obj[name], kind):
+                raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
         qid = str(obj["id"])
-        if qid in seen:
+        if qid in records:
             raise DuplicateIdError(qid)
-        seen.add(qid)
         gold = frozenset(str(g) for g in obj.get("gold_ids") or [])
         facet_of = obj.get("facet_of")
         if facet_of is not None:
@@ -167,35 +154,26 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
                     str(path), line_no,
                     f"facet_of keys not in gold_ids: {sorted(extra)}")
         short = obj.get("short_answers")
-        records.append(QueryRecord(
+        records[qid] = QueryRecord(
             id=qid,
             query=str(obj["query"]),
             gold_ids=gold,
             reference=obj.get("reference"),
             facet_of=facet_of,
             short_answers=tuple(str(s) for s in short) if short else None,
-        ))
-    return records
+        )
+    return list(records.values())
 
 
 def write_queries(records: Iterable[QueryRecord], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            obj = {
-                "id": record.id,
-                "query": record.query,
-                "gold_ids": sorted(record.gold_ids),
-                "reference": record.reference,
-                "facet_of": dict(record.facet_of) if record.facet_of else None,
-            }
-            if record.short_answers:
-                obj["short_answers"] = list(record.short_answers)
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    return _write_jsonl(({
+        "id": record.id,
+        "query": record.query,
+        "gold_ids": sorted(record.gold_ids),
+        "reference": record.reference,
+        "facet_of": dict(record.facet_of) if record.facet_of else None,
+        **({"short_answers": list(record.short_answers)} if record.short_answers else {}),
+    } for record in records), path)
 
 
 def validate_queries(records: Sequence[QueryRecord], store: CorpusStore) -> None:
@@ -215,26 +193,27 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
     which becomes one method titled as the article. An optional ``id`` field
     overrides the positional article id.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8").strip()
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}")
-    if not text:
-        return []
-    if text.startswith("["):
-        raw_records = json.loads(text)
+        array = read_json(path, "input file")
+    except DataError:  # missing, empty, or not one JSON document: JSONL
+        array = None
+    if isinstance(array, list):
+        records = [(f"{path}: item {index}", obj) for index, obj in enumerate(array)]
     else:
-        raw_records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        records = [(f"{path}:{line_no}", obj) for line_no, obj in read_jsonl(path)]
     dumps: list[ArticleDump] = []
-    for obj in raw_records:
+    for where, obj in records:
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: record must be a JSON object")
         title = str(obj.get("title", ""))
         summary = str(obj.get("summary", ""))
-        if "methods" in obj:
-            methods = [(str(m.get("title", title)), [str(s) for s in m.get("steps", [])])
-                       for m in obj["methods"]]
-        else:
-            methods = [(title, [str(s) for s in obj.get("steps", [])])]
+        raw_methods = obj.get("methods", [{"title": title, "steps": obj.get("steps", [])}])
+        if not isinstance(raw_methods, list) or not all(isinstance(m, dict) for m in raw_methods):
+            raise DataError(f"{where}: methods must be a list of objects")
+        if not all(isinstance(m.get("steps", []), list) for m in raw_methods):
+            raise DataError(f"{where}: steps must be a list")
+        methods = [(str(m.get("title", title)), [str(s) for s in m.get("steps", [])])
+                   for m in raw_methods]
         dumps.append(ArticleDump(title=title, summary=summary, methods=methods,
                                  article_id=str(obj["id"]) if "id" in obj else None))
     return dumps
@@ -285,17 +264,6 @@ def build_wikihow_benchmark(
             facet_of=facet_of,
         ))
     return passages, queries
-
-
-def _lines(path: Path) -> Iterator[str]:
-    try:
-        fh = path.open("r", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}")
-    with fh:
-        for line in fh:
-            if line.strip():
-                yield line
 
 
 __all__ = [

@@ -21,8 +21,14 @@ from typing import Callable, Mapping, Optional, Protocol
 
 import requests
 
-from contregen.backend_io import JsonlCache, post_with_retries
-from contregen.errors import ConfigError, FixtureMissError, LlmBackendError, TemplateRenderError
+from contregen.backend_io import JsonlCache, post_with_retries, read_json
+from contregen.errors import (
+    ConfigError,
+    DataError,
+    FixtureMissError,
+    LlmBackendError,
+    TemplateRenderError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -124,8 +130,13 @@ class ScriptedAdapter:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedAdapter":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        data = read_json(path, "fixture file")
+        if not isinstance(data, dict) or not all(isinstance(t, dict) for t in data.values()):
+            raise DataError(f"fixture file {path} must map role names to objects")
+        try:
+            return cls(data)
+        except ValueError as exc:  # an unknown role name
+            raise DataError(f"fixture file {path}: {exc}") from None
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         self.backend_calls += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import string
 from array import array
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from contregen._kernels import lcs_length
@@ -66,22 +65,17 @@ def string_em(short_answers: Sequence[str], long_answer: str) -> float:
     return hits / len(short_answers)
 
 
-@dataclass
-class MetricReport:
-    # query id -> {"recall": x, "rouge_l": y, "em": z or None}
-    per_query: dict[str, dict[str, Optional[float]]] = field(default_factory=dict)
-    aggregates: dict[str, float] = field(default_factory=dict)
-
-
 _METRIC_ORDER = ("recall", "rouge_l", "em")
 
 
 def evaluate_run(queries, answers: Mapping[str, str],
-                 retrieved: Mapping[str, Sequence[str]]) -> MetricReport:
-    """Score each query that has an answer; aggregates are plain means over
-    the queries where a metric applied. Queries with an empty gold set are
-    skipped for recall with a warning rather than failing the run."""
-    report = MetricReport()
+                 retrieved: Mapping[str, Sequence[str]]) -> dict:
+    """{"per_query": {query id: {"recall", "rouge_l", "em"}}, "aggregates":
+    {metric: mean}}. Each answered query is scored, None where a metric does
+    not apply; aggregates are plain means over the queries where it applied.
+    An empty gold set skips recall with a warning rather than failing the run."""
+    per_query: dict[str, dict[str, Optional[float]]] = {}
+    aggregates: dict[str, float] = {}
     for record in queries:
         if record.id not in answers:
             continue
@@ -91,24 +85,19 @@ def evaluate_run(queries, answers: Mapping[str, str],
         else:
             logger.warning("query %s has no gold passages; recall skipped", record.id)
             row["recall"] = None
-        if record.reference and normalize(record.reference):
-            row["rouge_l"] = rouge_l(answers[record.id], record.reference)
-        else:
-            row["rouge_l"] = None
-        if record.short_answers:
-            row["em"] = string_em(record.short_answers, answers[record.id])
-        else:
-            row["em"] = None
-        report.per_query[record.id] = row
+        row["rouge_l"] = (rouge_l(answers[record.id], record.reference)
+                          if record.reference and normalize(record.reference) else None)
+        row["em"] = (string_em(record.short_answers, answers[record.id])
+                     if record.short_answers else None)
+        per_query[record.id] = row
     for name in _METRIC_ORDER:
-        values = [row[name] for row in report.per_query.values()
-                  if row.get(name) is not None]
+        values = [row[name] for row in per_query.values() if row.get(name) is not None]
         if values:
-            report.aggregates[name] = sum(values) / len(values)
-    return report
+            aggregates[name] = sum(values) / len(values)
+    return {"per_query": per_query, "aggregates": aggregates}
 
 
-def render_table(report: MetricReport) -> str:
+def render_table(report: Mapping[str, dict]) -> str:
     """Fixed-width text table with a mean row, for terminal output."""
     header = f"{'query':<24} {'recall':>8} {'rouge_l':>8} {'em':>8}"
     rule = "-" * len(header)
@@ -117,28 +106,22 @@ def render_table(report: MetricReport) -> str:
     def fmt(value: Optional[float]) -> str:
         return f"{value:8.4f}" if value is not None else f"{'-':>8}"
 
-    for qid in sorted(report.per_query):
-        row = report.per_query[qid]
+    per_query, aggregates = report.get("per_query", {}), report.get("aggregates", {})
+    for qid in sorted(per_query):
+        row = per_query[qid]
         lines.append(f"{qid:<24} {fmt(row.get('recall'))} "
                      f"{fmt(row.get('rouge_l'))} {fmt(row.get('em'))}")
     lines.append(rule)
-    lines.append(f"{'mean':<24} {fmt(report.aggregates.get('recall'))} "
-                 f"{fmt(report.aggregates.get('rouge_l'))} "
-                 f"{fmt(report.aggregates.get('em'))}")
+    lines.append(f"{'mean':<24} {fmt(aggregates.get('recall'))} "
+                 f"{fmt(aggregates.get('rouge_l'))} {fmt(aggregates.get('em'))}")
     return "\n".join(lines)
 
 
-def to_structured(report: MetricReport) -> dict:
-    return {"per_query": report.per_query, "aggregates": report.aggregates}
-
-
 __all__ = [
-    "MetricReport",
     "evaluate_run",
     "normalize",
     "recall",
     "render_table",
     "rouge_l",
     "string_em",
-    "to_structured",
 ]

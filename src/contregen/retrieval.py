@@ -108,18 +108,10 @@ class LexicalIndex:
             for term, (docs, tfs) in postings_tmp.items()
         }
         self.doc_count = len(self.doc_ids)
-        self.avgdl = avgdl = sum(lens) / self.doc_count
+        avgdl = sum(lens) / self.doc_count
         # each document's BM25 length normalization, the denominator's constant part
         self._doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
                                       for dl in lens))
-
-    @property
-    def term_count(self) -> int:
-        return len(self._postings)
-
-    def df(self, term: str) -> int:
-        bucket = self._postings.get(term)
-        return len(bucket[0]) if bucket else 0
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
         if topk < 1:

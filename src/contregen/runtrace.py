@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Mapping, Optional
 import yaml
 
 from contregen import baselines
+from contregen.backend_io import atomic_write, read_json
 from contregen.corpus import CorpusStore, QueryRecord, ingest_corpus, load_queries, validate_queries
 from contregen.errors import ConfigError, ContregenError, DataError
 from contregen.llm import (
@@ -35,7 +35,7 @@ from contregen.llm import (
     ScriptedAdapter,
     load_templates,
 )
-from contregen.metrics import evaluate_run, to_structured
+from contregen.metrics import evaluate_run
 from contregen.retrieval import (
     LexicalIndex,
     RemoteRetriever,
@@ -119,6 +119,10 @@ class RunConfig:
     seed_tag: str = ""
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):  # typed as its default; Optional means Optional[str]
+            value, kind = getattr(self, f.name), str if f.default is None else type(f.default)
+            if type(value) is not kind and not (f.default is None and value is None):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, not {type(value).__name__}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name.replace('_', ' ')}: {getattr(self, name)}")
@@ -129,8 +133,7 @@ class RunConfig:
         if self.retriever_backend == "remote" and not self.remote_endpoint:
             raise ConfigError("remote retriever needs remote_endpoint")
         for name, floor in INT_FLOORS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < floor:
+            if getattr(self, name) < floor:
                 raise ConfigError(f"{name} must be an integer >= {floor}")
 
     def snapshot(self) -> dict:
@@ -237,19 +240,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _build_adapter(config: RunConfig) -> Adapter:
     if config.adapter == "scripted":
         return ScriptedAdapter.from_file(config.fixtures_path)
@@ -330,7 +320,7 @@ def run(config: RunConfig) -> RunTrace:
 
     answers = {qid: q.answer for qid, q in trace.queries.items() if q.error is None}
     retrieved = {qid: q.retrieved_ids for qid, q in trace.queries.items()}
-    report = to_structured(evaluate_run(records, answers, retrieved))
+    report = evaluate_run(records, answers, retrieved)
     trace.finalize(report)
     trace.backend_stats = {
         "llm_backend_calls": adapter.backend_calls,
@@ -348,15 +338,14 @@ def run(config: RunConfig) -> RunTrace:
 
 
 def load_trace(path: str | Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"trace file not found: {path}")
-    except ValueError as exc:
-        raise DataError(f"trace file {path} is not valid JSON: {exc}")
+    data = read_json(path, "trace file")
     if not isinstance(data, dict):
         raise DataError(f"trace file {path} is not a JSON object")
+    queries = data.get("queries", {})
+    if not isinstance(queries, dict) or not all(isinstance(s, dict) for s in queries.values()):
+        raise DataError(f"trace file {path}: queries must map query ids to objects")
+    if not isinstance(data.get("report") or {}, dict):
+        raise DataError(f"trace file {path}: report must be an object")
     return data
 
 

@@ -11,7 +11,7 @@ pre-order schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from contregen.errors import BackendError, DataError, TreeBuildError
 from contregen.llm import LlmGateway
@@ -157,13 +157,12 @@ def import_tree(data: dict) -> QueryTreeNode:
     return node
 
 
-def to_dot(root: QueryTreeNode, label: Callable[[QueryTreeNode], str] = None) -> str:
-    """Graph description (DOT) of the tree for external rendering."""
-    if label is None:
-        label = lambda node: node.query if len(node.query) <= 40 else node.query[:37] + "..."
+def to_dot(root: QueryTreeNode) -> str:
+    """Graph description (DOT) of the tree, queries cut to 40 characters as labels."""
     lines = ["digraph querytree {", "  rankdir=TB;"]
     for node in root.walk():
-        text = label(node).replace('"', r'\"')
+        label = node.query if len(node.query) <= 40 else node.query[:37] + "..."
+        text = label.replace('"', r'\"')
         lines.append(f'  "{node.path}" [label="{text}"];')
         for child in node.children:
             lines.append(f'  "{node.path}" -> "{child.path}";')

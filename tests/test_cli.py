@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
+import contregen
 from contregen.cli import _config_from_args, build_parser, dispatch
 from contregen.errors import ConfigError, DataError
 from contregen.llm import LlmCall
@@ -367,3 +372,149 @@ def test_method_names_come_from_the_registry(name):
     trace = RunTrace(RunConfig(fixtures_path="f.json"))
     assert _accepts(lambda: trace.add_query(
         QueryRun(query_id="q", method=name, llm_calls=[call]))) == (known and name != "contregen")
+
+
+_GOOD_ARTICLE = {"title": "how to t", "summary": "s",
+                 "methods": [{"title": "m", "steps": ["step one", "step two"]}]}
+_TRACE_WITHOUT_QUERIES = {"config": {}, "queries": {}, "report": None}
+
+# name -> (command, {input file name: content}); "{name}" in the command is the
+# path of that input file, "{corpus}", "{queries}" and "{tmp}" the planted
+# corpus, the planted queries and a fresh directory.
+_BAD_INPUTS = {
+    "articles-bad-json": (
+        "build-wikihow --articles {articles.jsonl} --out-corpus {tmp}/c.jsonl "
+        "--out-queries {tmp}/q.jsonl",
+        {"articles.jsonl": json.dumps(_GOOD_ARTICLE) + "\n{not json\n"}),
+    "articles-non-object-record": (
+        "build-wikihow --articles {articles.json} --out-corpus {tmp}/c.jsonl "
+        "--out-queries {tmp}/q.jsonl",
+        {"articles.json": json.dumps([_GOOD_ARTICLE, "just a string"])}),
+    "articles-string-steps": (
+        "build-wikihow --articles {articles.jsonl} --out-corpus {tmp}/c.jsonl "
+        "--out-queries {tmp}/q.jsonl",
+        {"articles.jsonl": json.dumps({"title": "t", "steps": "one long step"}) + "\n"}),
+    "queries-string-gold-ids": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": "x", "gold_ids": "p1"}) + "\n"}),
+    "queries-list-facet-of": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": "x", "gold_ids": ["p1"],
+                                      "facet_of": ["p1"]}) + "\n"}),
+    "queries-string-short-answers": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": "x", "gold_ids": ["p1"],
+                                      "short_answers": "alpha"}) + "\n"}),
+    "queries-number-reference": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": "x", "reference": 5}) + "\n"}),
+    "fixtures-bad-json": (
+        "run --corpus {corpus} --queries {queries} --fixtures {fx.json} --out-dir {tmp}/out",
+        {"fx.json": "{not json"}),
+    "fixtures-unknown-role": (
+        "run --corpus {corpus} --queries {queries} --fixtures {fx.json} --out-dir {tmp}/out",
+        {"fx.json": json.dumps({"plan": {}, "no_such_role": {}})}),
+    "fixtures-top-level-list": (
+        "run --corpus {corpus} --queries {queries} --fixtures {fx.json} --out-dir {tmp}/out",
+        {"fx.json": json.dumps([{"plan": {}}])}),
+    "trace-queries-list": (
+        "eval --trace {trace.json} --queries {queries}",
+        {"trace.json": json.dumps({"config": {}, "queries": [], "report": None})}),
+}
+
+
+def _planted_argv(command: str, files: dict, planted, tmp_path) -> tuple[list, dict]:
+    """The argv of a _BAD_INPUTS command with its input files written; also
+    returns the path of each input file by name."""
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / "in" / name
+        paths[name].parent.mkdir(exist_ok=True)
+        paths[name].write_text(content, encoding="utf-8")
+    names = {**paths, "corpus": planted["corpus"], "queries": planted["queries"],
+             "tmp": tmp_path / "fresh"}
+    argv = command.split()
+    for name, path in names.items():
+        argv = [arg.replace("{%s}" % name, str(path)) for arg in argv]
+    return argv, paths
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_malformed_input_is_one_data_error_naming_the_file(case, planted, tmp_path, capsys):
+    command, files = _BAD_INPUTS[case]
+    argv, paths = _planted_argv(command, files, planted, tmp_path)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("data error: ")
+    assert any(str(path) in line for path in paths.values())
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("ingest --corpus {corpus} --out {tmp}/a/b/corpus.jsonl", ["a/b/corpus.jsonl"]),
+    ("build-wikihow --articles {articles.jsonl} --out-corpus {tmp}/c/corpus.jsonl "
+     "--out-queries {tmp}/q/queries.jsonl", ["c/corpus.jsonl", "q/queries.jsonl"]),
+])
+def test_writes_create_missing_directories(command, outputs, planted, tmp_path, capsys):
+    files = {"articles.jsonl": json.dumps(_GOOD_ARTICLE) + "\n"}
+    argv, _ = _planted_argv(command, files, planted, tmp_path)
+    assert dispatch(argv) == 0
+    for output in outputs:
+        assert (tmp_path / "fresh" / output).read_text(encoding="utf-8").strip()
+
+
+def test_data_error_line_counts_blank_lines(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n\n  \nnot json\n",
+                      encoding="utf-8")
+    assert dispatch(["ingest", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {corpus}:4: invalid JSON (")
+
+
+def test_curve_over_non_nested_rounds_is_data_error(planted, tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"queries": {"q-planted": {
+        "rounds": [["a1", "b1"], ["a1"]]}}}), encoding="utf-8")
+    assert dispatch(["curve", "--trace", str(trace), "--queries", str(planted["queries"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "query q-planted" in err and "not a superset" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("corpus_path: 5", "corpus_path must be str, not int"),
+    ("topk: true", "topk must be int, not bool"),
+    ("template_dir: [t]", "template_dir must be str, not list"),
+    ("seed_tag: 7", "seed_tag must be str, not int"),
+    ("dedup_passages: 1", "dedup_passages must be bool, not int"),
+])
+def test_config_value_of_wrong_type_is_config_error(setting, message, planted, tmp_path,
+                                                    capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(setting + "\n", encoding="utf-8")
+    fixtures = write_fixture_file(tmp_path, contregen_fixtures())
+    argv = ["run", "--config", str(config), "--queries", str(planted["queries"]),
+            "--fixtures", str(fixtures), "--out-dir", str(tmp_path / "out")]
+    if not setting.startswith("corpus_path"):
+        argv += ["--corpus", str(planted["corpus"])]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_dev_stdout_prints(planted, tmp_path):
+    out_dir = _run_cli(planted, tmp_path, contregen_fixtures())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(contregen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "contregen.cli", "eval",
+            "--trace", str(out_dir / "trace.json"), "--format", "structured"]
+    printed = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    to_stdout = subprocess.run([*argv, "--out", "/dev/stdout"], env=env,
+                               capture_output=True, check=True).stdout
+    assert json.loads(printed)["per_query"]["q-planted"]["recall"] == 1.0
+    assert to_stdout == printed

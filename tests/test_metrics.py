@@ -4,14 +4,12 @@ import pytest
 
 from contregen.corpus import QueryRecord
 from contregen.metrics import (
-    MetricReport,
     evaluate_run,
     normalize,
     recall,
     render_table,
     rouge_l,
     string_em,
-    to_structured,
 )
 
 from oracles import lcs_len, recall_count, rouge_from_lcs
@@ -112,13 +110,11 @@ def test_evaluate_run_aggregates_are_means():
     answers = {"q1": "alpha beta", "q2": "unrelated text"}
     retrieved = {"q1": ["p1"], "q2": ["p3", "p9"]}
     report = evaluate_run(queries, answers, retrieved)
-    assert report.per_query["q1"]["recall"] == 0.5
-    assert report.per_query["q2"]["recall"] == 1.0
-    assert report.per_query["q1"]["rouge_l"] == 100.0
-    assert report.per_query["q2"]["rouge_l"] == 0.0
-    assert report.aggregates["recall"] == 0.75
-    assert report.aggregates["rouge_l"] == 50.0
-    assert "em" not in report.aggregates  # no query carried short answers
+    assert report == {
+        "per_query": {"q1": {"recall": 0.5, "rouge_l": 100.0, "em": None},
+                      "q2": {"recall": 1.0, "rouge_l": 0.0, "em": None}},
+        "aggregates": {"recall": 0.75, "rouge_l": 50.0},  # no query carried short answers
+    }
 
 
 def test_evaluate_run_skips_unanswered_and_empty_gold(caplog):
@@ -128,25 +124,26 @@ def test_evaluate_run_skips_unanswered_and_empty_gold(caplog):
     ]
     with caplog.at_level("WARNING"):
         report = evaluate_run(queries, {"answered": "text"}, {"answered": []})
-    assert set(report.per_query) == {"answered"}
-    assert report.per_query["answered"]["recall"] is None
-    assert "recall" not in report.aggregates
+    assert set(report) == {"per_query", "aggregates"}
+    assert set(report["per_query"]) == {"answered"}
+    assert report["per_query"]["answered"]["recall"] is None
+    assert "recall" not in report["aggregates"]
     assert any("no gold passages" in r.message for r in caplog.records)
 
 
 def test_evaluate_run_em_only_with_short_answers():
     queries = [_record("q1", short=("alpha", "zeta"))]
     report = evaluate_run(queries, {"q1": "alpha appears"}, {"q1": ["p1"]})
-    assert report.per_query["q1"]["em"] == 0.5
-    assert report.aggregates["em"] == 0.5
+    assert report["per_query"]["q1"]["em"] == 0.5
+    assert report["aggregates"]["em"] == 0.5
 
 
 def test_render_table_shape():
-    report = MetricReport(
-        per_query={"q2": {"recall": 1.0, "rouge_l": 50.0, "em": None},
-                   "q1": {"recall": 0.5, "rouge_l": 25.0, "em": 1.0}},
-        aggregates={"recall": 0.75, "rouge_l": 37.5, "em": 1.0},
-    )
+    report = {
+        "per_query": {"q2": {"recall": 1.0, "rouge_l": 50.0, "em": None},
+                      "q1": {"recall": 0.5, "rouge_l": 25.0, "em": 1.0}},
+        "aggregates": {"recall": 0.75, "rouge_l": 37.5, "em": 1.0},
+    }
     table = render_table(report)
     lines = table.splitlines()
     assert lines[0].split() == ["query", "recall", "rouge_l", "em"]
@@ -156,10 +153,3 @@ def test_render_table_shape():
     assert "0.7500" in lines[-1]
     assert "       -" in table  # the missing em renders as a dash
 
-
-def test_structured_round_trip():
-    report = MetricReport(per_query={"q": {"recall": 1.0, "rouge_l": None, "em": None}},
-                          aggregates={"recall": 1.0})
-    data = to_structured(report)
-    assert data == {"per_query": {"q": {"recall": 1.0, "rouge_l": None, "em": None}},
-                    "aggregates": {"recall": 1.0}}

@@ -102,6 +102,17 @@ def test_atomic_write_creates_and_replaces(tmp_path):
     assert list(target.parent.iterdir()) == [target]  # no stray temp files
 
 
+def test_atomic_write_writes_through_a_link_in_place(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    atomic_write(link, "new")  # renaming over the link would replace it
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
 def _call(node_path):
     return LlmCall(role="plan", prompt="p", response="r",
                    node_path=node_path, approx_tokens=1)
