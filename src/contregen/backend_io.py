@@ -2,7 +2,10 @@
 append-only JSONL cache, and POST with bounded retries. Corpora, query sets,
 article dumps, fixture tables and traces are read, and every output written,
 only here; a bad input file is a DataError naming it (``path:line``, counting
-blank lines, for JSONL). Callers check the shape of each record."""
+blank lines, for JSONL), as is one that is missing, a directory, unreadable or
+not UTF-8. Callers check the shape of each record. ``requests`` is imported
+only when a POST is made, so a run that calls no network backend never loads
+it."""
 
 from __future__ import annotations
 
@@ -13,29 +16,47 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterator, Optional
-
-import requests
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterator, Optional
 
 from contregen.errors import CacheCorruptionError, DataError, MalformedRecordError, ReplayMissError
 
+if TYPE_CHECKING:
+    import requests
+
 logger = logging.getLogger(__name__)
+
+
+def _open_text(path: str | Path, what: str):
+    """path opened as UTF-8 text, bytes that are not UTF-8 escaped (see
+    _strict_utf8); what names the file in errors."""
+    try:
+        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise DataError(f"{what} not found: {path}")
+    except OSError as exc:  # a directory, no read permission, ...
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}")
+
+
+def _strict_utf8(text: str) -> str:
+    """text read with errors="surrogateescape", checked: UnicodeDecodeError
+    if it held bytes that are not UTF-8. Costs nothing on ASCII text."""
+    if not text.isascii():
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    return text
 
 
 def read_jsonl(path: str | Path,
                required: AbstractSet[str] = frozenset()) -> Iterator[tuple[int, dict]]:
     """(physical line number, object) for each nonblank line of a JSONL file; a line
     that is not a JSON object carrying every required key is a MalformedRecordError."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"input file not found: {path}")
-    with fh:
+    with _open_text(path, "input file") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(_strict_utf8(line))
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(str(path), line_no, f"not UTF-8 text ({exc.reason})")
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(str(path), line_no, f"invalid JSON ({exc.msg})")
             if not isinstance(record, dict) or not record.keys() >= required:
@@ -47,11 +68,12 @@ def read_jsonl(path: str | Path,
 
 def read_json(path: str | Path, what: str):
     """The JSON value of a whole file; what names the file in errors."""
+    with _open_text(path, what) as fh:
+        text = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"{what} not found: {path}")
+        return json.loads(_strict_utf8(text))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8 text ({exc.reason})")
     except ValueError as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
@@ -102,19 +124,21 @@ class JsonlCache:
 
     def _load(self) -> None:
         line = ""
-        with self.path.open("r", encoding="utf-8", newline="\n") as fh:
+        with self.path.open("r", encoding="utf-8", errors="surrogateescape",
+                            newline="\n") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                try:
-                    entry = json.loads(line)
+                try:  # UnicodeDecodeError is a ValueError
+                    entry = json.loads(_strict_utf8(line))
                     self._entries[entry["key"]] = self.decode(entry[self.value_field])
                 except (ValueError, KeyError, TypeError) as exc:
                     if line.endswith("\n"):
                         raise CacheCorruptionError(
                             f"{self.path}:{line_no}: unreadable cache entry ({exc})")
                     logger.warning("%s:%d: dropping torn final line", self.path, line_no)
-                    self._repair = (self.path.stat().st_size - len(line.encode("utf-8")), "")
+                    self._repair = (self.path.stat().st_size
+                                    - len(line.encode("utf-8", "surrogateescape")), "")
                     return
         if line and not line.endswith("\n"):
             self._repair = (self.path.stat().st_size, "\n")
@@ -156,6 +180,8 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     """The first HTTP 200 response to a JSON POST. Connection errors, 429 and
     5xx are retried, max_retries attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
     between them; on failure raises error(reason of the last attempt)."""
+    import requests  # deferred: only network backends pay for loading it
+
     reason = "no attempt made"
     for attempt in range(max_retries):
         if attempt:

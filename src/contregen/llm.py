@@ -14,12 +14,11 @@ import json
 import logging
 import math
 import re
+import threading
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol
 
 from contregen.backend_io import JsonlCache, post_with_retries, read_json
 from contregen.errors import (
@@ -29,6 +28,9 @@ from contregen.errors import (
     LlmBackendError,
     TemplateRenderError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -126,6 +128,7 @@ class ScriptedAdapter:
             PromptRole(role_name)  # reject unknown role keys up front
         self._fixtures = {role: dict(table) for role, table in fixtures.items()}
         self._cursors: dict[tuple[str, str], int] = {}
+        self._lock = threading.Lock()  # guards backend_calls and _cursors
         self.backend_calls = 0
 
     @classmethod
@@ -139,21 +142,22 @@ class ScriptedAdapter:
             raise DataError(f"fixture file {path}: {exc}") from None
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
-        self.backend_calls += 1
         key = str(slots.get(KEY_SLOT[role], ""))
         table = self._fixtures.get(role.value)
         value = table.get(key) if table is not None else None
-        if value is None:
-            raise FixtureMissError(
-                f"no fixture for role {role.value!r} with key {key!r}")
-        if isinstance(value, list):
-            cursor = self._cursors.get((role.value, key), 0)
-            if cursor >= len(value):
+        with self._lock:
+            self.backend_calls += 1
+            if value is None:
                 raise FixtureMissError(
-                    f"fixture list for role {role.value!r} key {key!r} exhausted "
-                    f"after {len(value)} responses")
-            self._cursors[(role.value, key)] = cursor + 1
-            return str(value[cursor])
+                    f"no fixture for role {role.value!r} with key {key!r}")
+            if isinstance(value, list):
+                cursor = self._cursors.get((role.value, key), 0)
+                if cursor >= len(value):
+                    raise FixtureMissError(
+                        f"fixture list for role {role.value!r} key {key!r} exhausted "
+                        f"after {len(value)} responses")
+                self._cursors[(role.value, key)] = cursor + 1
+                value = value[cursor]
         return str(value)
 
 
@@ -175,7 +179,10 @@ class OpenAiChatAdapter:
         self._endpoint = endpoint
         self._max_retries = max_retries
         self._timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # deferred: only network backends pay for loading it
+            session = requests.Session()
+        self._session = session
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         self.backend_calls += 1

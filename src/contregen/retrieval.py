@@ -5,6 +5,8 @@ ascii-alphanumeric runs), BM25 with k1=1.2, b=0.75, idf =
 ln(1 + (N - df + 0.5) / (df + 0.5)), duplicate query terms counted once in
 first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
+The index is built by its first retrieval, once, so a run served entirely
+from the cache builds none.
 """
 
 from __future__ import annotations
@@ -15,16 +17,18 @@ import json
 import logging
 import math
 import re
+import threading
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from contregen._kernels import bm25_accumulate
 from contregen.backend_io import JsonlCache, post_with_retries
 from contregen.corpus import CorpusStore, Passage
 from contregen.errors import DataError, RetrieverUnavailableError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -74,8 +78,12 @@ class Retriever(Protocol):
 
 
 class LexicalIndex:
-    """Inverted BM25 index over a corpus; immutable after build.
+    """Inverted BM25 index over a corpus, built on first use.
 
+    Construction checks the corpus and takes its fingerprint, which every
+    cache key needs. The postings and document norms are built by the first
+    retrieve, exactly once even when threads call it together, and never
+    change after. A run whose retrievals all come from the cache builds none.
     Internal document indices are assigned in ascending passage-id order, so
     sorting candidates by (-score, index) realizes the id tie-break.
     """
@@ -88,13 +96,20 @@ class LexicalIndex:
             raise DataError("cannot build an index over an empty corpus")
         self._corpus = corpus
         self.doc_ids: list[str] = sorted(corpus.ids())
+        self.doc_count = len(self.doc_ids)
         self.backend_calls = 0
         self.corpus_fingerprint = corpus.fingerprint()
+        self._lock = threading.Lock()  # guards backend_calls and the build
+        # (postings, doc norms), published together once both are complete
+        self._built: Optional[tuple[dict[str, tuple[array, array]], array]] = None
 
+    def _build(self) -> tuple[dict[str, tuple[array, array]], array]:
+        """The postings, term -> (document indices, term frequencies), and each
+        document's BM25 length normalization, the denominator's constant part."""
         lens = array("i")
         postings_tmp: dict[str, tuple[list[int], list[int]]] = {}
         for index, pid in enumerate(self.doc_ids):
-            tokens = tokenize(corpus.text(pid))
+            tokens = tokenize(self._corpus.text(pid))
             lens.append(len(tokens))
             counts: dict[str, int] = {}
             for token in tokens:
@@ -103,33 +118,36 @@ class LexicalIndex:
                 bucket = postings_tmp.setdefault(term, ([], []))
                 bucket[0].append(index)
                 bucket[1].append(tf)
-        self._postings: dict[str, tuple[array, array]] = {
-            term: (array("i", docs), array("i", tfs))
-            for term, (docs, tfs) in postings_tmp.items()
-        }
-        self.doc_count = len(self.doc_ids)
+        postings = {term: (array("i", docs), array("i", tfs))
+                    for term, (docs, tfs) in postings_tmp.items()}
         avgdl = sum(lens) / self.doc_count
-        # each document's BM25 length normalization, the denominator's constant part
-        self._doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
-                                      for dl in lens))
+        doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
+                                for dl in lens))
+        return postings, doc_norms
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
         if topk < 1:
             raise ValueError("topk must be >= 1")
-        self.backend_calls += 1
+        # every call takes the lock for the counter, so the build check rides
+        # inside it: the first caller builds, concurrent ones wait for it
+        with self._lock:
+            self.backend_calls += 1
+            if self._built is None:
+                self._built = self._build()
+        postings, doc_norms = self._built
         seen: set[str] = set()
         scores = array("d", [0.0]) * self.doc_count
         for term in tokenize(query_text):
             if term in seen:
                 continue
             seen.add(term)
-            bucket = self._postings.get(term)
+            bucket = postings.get(term)
             if bucket is None:
                 continue
             doc_indices, tfs = bucket
             df = len(doc_indices)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            bm25_accumulate(scores, doc_indices, tfs, self._doc_norms, idf, BM25_K1)
+            bm25_accumulate(scores, doc_indices, tfs, doc_norms, idf, BM25_K1)
         hits = tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
         return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
 
@@ -170,7 +188,10 @@ class RemoteRetriever:
         self._token = token
         self._timeout = timeout
         self._max_retries = max_retries
-        self._session = session or requests.Session()
+        if session is None:
+            import requests  # deferred: only network backends pay for loading it
+            session = requests.Session()
+        self._session = session
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
         if topk < 1:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -167,6 +169,28 @@ def planted(tmp_path):
             "facet_of": record.facet_of,
         }) + "\n")
     return {"corpus": corpus_path, "queries": queries_path, "dir": tmp_path}
+
+
+def run_together(threads: int, worker) -> None:
+    """worker(slot) for each slot in its own thread, all released at once by a
+    barrier, with the interpreter switching threads as often as it can."""
+    start = threading.Barrier(threads)
+
+    def body(slot):
+        start.wait(timeout=10)
+        worker(slot)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=body, args=(slot,)) for slot in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in pool)
 
 
 def write_fixture_file(tmp_path, fixtures: dict, name: str = "fixtures.json"):

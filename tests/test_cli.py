@@ -12,6 +12,7 @@ import contregen
 from contregen.cli import _config_from_args, build_parser, dispatch
 from contregen.errors import ConfigError, DataError
 from contregen.llm import LlmCall
+from contregen.retrieval import LexicalIndex
 from contregen.runtrace import METHODS, QueryRun, RunConfig, RunTrace
 
 from conftest import (
@@ -19,8 +20,12 @@ from conftest import (
     contregen_fixtures,
     iterretgen_fixtures,
     retgen_fixtures,
+    selfask_fixtures,
     write_fixture_file,
 )
+
+FIXTURES = {"contregen": contregen_fixtures, "retgen": retgen_fixtures,
+            "iterretgen": iterretgen_fixtures, "selfask": selfask_fixtures}
 
 
 def _run_cli(planted, tmp_path, fixtures, method="contregen", extra=()):
@@ -428,13 +433,17 @@ _BAD_INPUTS = {
 
 
 def _planted_argv(command: str, files: dict, planted, tmp_path) -> tuple[list, dict]:
-    """The argv of a _BAD_INPUTS command with its input files written; also
-    returns the path of each input file by name."""
+    """The argv of a _BAD_INPUTS command with its input files written (text,
+    bytes, or None for a directory); also returns the path of each by name."""
     paths = {}
     for name, content in files.items():
         paths[name] = tmp_path / "in" / name
         paths[name].parent.mkdir(exist_ok=True)
-        paths[name].write_text(content, encoding="utf-8")
+        if content is None:
+            paths[name].mkdir()
+        else:
+            paths[name].write_bytes(
+                content.encode("utf-8") if isinstance(content, str) else content)
     names = {**paths, "corpus": planted["corpus"], "queries": planted["queries"],
              "tmp": tmp_path / "fresh"}
     argv = command.split()
@@ -443,17 +452,79 @@ def _planted_argv(command: str, files: dict, planted, tmp_path) -> tuple[list, d
     return argv, paths
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_malformed_input_is_one_data_error_naming_the_file(case, planted, tmp_path, capsys):
-    command, files = _BAD_INPUTS[case]
-    argv, paths = _planted_argv(command, files, planted, tmp_path)
+def _one_data_error(argv, capsys) -> str:
+    """The single stderr line of a command that must fail as a data error."""
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert line.startswith("data error: ")
-    assert any(str(path) in line for path in paths.values())
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    return line
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_malformed_input_is_one_data_error_naming_the_file(case, planted, tmp_path, capsys):
+    command, files = _BAD_INPUTS[case]
+    argv, paths = _planted_argv(command, files, planted, tmp_path)
+    line = _one_data_error(argv, capsys)
+    assert any(str(path) in line for path in paths.values())
+
+
+_LATIN1_RECORD = b'{"id": "p1", "text": "caf\xe9 au lait"}\n'
+
+# (command, {input file name: bytes, or None for a directory}, what the error says)
+_UNREADABLE_INPUTS = {
+    "corpus-latin1": ("ingest --corpus {corpus.jsonl}", {"corpus.jsonl": _LATIN1_RECORD},
+                      "corpus.jsonl:1: not UTF-8 text"),
+    "corpus-directory": ("ingest --corpus {corpus.d}", {"corpus.d": None},
+                         "Is a directory"),
+    "articles-latin1": (
+        "build-wikihow --articles {articles.jsonl} --out-corpus {tmp}/c.jsonl "
+        "--out-queries {tmp}/q.jsonl", {"articles.jsonl": _LATIN1_RECORD},
+        "articles.jsonl:1: not UTF-8 text"),
+    "trace-directory": ("eval --trace {trace.d}", {"trace.d": None}, "Is a directory"),
+    "trace-latin1": ("eval --trace {trace.json}",
+                     {"trace.json": b'{"queries": {}, "note": "caf\xe9"}'},
+                     "is not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_INPUTS))
+def test_unreadable_input_is_one_data_error_naming_the_file(case, planted, tmp_path, capsys):
+    command, files, reason = _UNREADABLE_INPUTS[case]
+    argv, paths = _planted_argv(command, files, planted, tmp_path)
+    line = _one_data_error(argv, capsys)
+    assert any(str(path) in line for path in paths.values())
+    assert reason in line
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                    reason="file permissions do not stop root from reading")
+def test_input_without_read_permission_is_data_error(planted, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(planted["corpus"].read_bytes())
+    corpus.chmod(0)
+    try:
+        line = _one_data_error(["ingest", "--corpus", str(corpus)], capsys)
+    finally:
+        corpus.chmod(0o600)
+    assert str(corpus) in line and "Permission denied" in line
+
+
+def test_replay_over_non_utf8_cache_is_data_error_naming_the_line(planted, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _run_cli(planted, tmp_path, contregen_fixtures(), extra=("--cache-dir", str(cache)))
+    llm_cache = cache / "llm.jsonl"
+    lines = llm_cache.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"response"', b'"resp\xe9nse"')
+    llm_cache.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    line = _one_data_error(
+        ["replay", "--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+         "--fixtures", str(tmp_path / "contregen.json"), "--cache-dir", str(cache),
+         "--out-dir", str(tmp_path / "replayed")], capsys)
+    assert f"{llm_cache}:2: unreadable cache entry" in line
 
 
 @pytest.mark.parametrize("command, outputs", [
@@ -518,3 +589,88 @@ def test_out_dev_stdout_prints(planted, tmp_path):
                                capture_output=True, check=True).stdout
     assert json.loads(printed)["per_query"]["q-planted"]["recall"] == 1.0
     assert to_stdout == printed
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Every LexicalIndex._build call, by index."""
+    builds = []
+    real_build = LexicalIndex._build
+
+    def counted_build(self):
+        builds.append(self)
+        return real_build(self)
+
+    monkeypatch.setattr(LexicalIndex, "_build", counted_build)
+    return builds
+
+
+@pytest.mark.parametrize("method", sorted(FIXTURES))
+def test_cold_run_builds_the_index_once_and_replay_never(method, planted, tmp_path,
+                                                        index_builds, capsys):
+    cache = str(tmp_path / "cache")
+    out_dir = _run_cli(planted, tmp_path, FIXTURES[method](), method=method,
+                       extra=("--cache-dir", cache))
+    assert len(index_builds) == 1
+    cold = {name: (out_dir / name).read_bytes()
+            for name in ("trace.json", "report.json", "outputs.jsonl")}
+    assert dispatch(["replay", "--method", method,
+                     "--corpus", str(planted["corpus"]),
+                     "--queries", str(planted["queries"]),
+                     "--fixtures", str(tmp_path / f"{method}.json"),
+                     "--cache-dir", cache, "--out-dir", str(out_dir)]) == 0
+    assert len(index_builds) == 1  # the replay built none
+    assert {name: (out_dir / name).read_bytes() for name in cold} == cold
+
+
+def test_parallel_run_builds_the_index_once_and_matches_serial_bytes(
+        planted, tmp_path, index_builds, capsys):
+    queries = tmp_path / "many.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": f"q{n}", "query": ROOT_QUERY, "gold_ids": ["a1"]}) + "\n"
+        for n in range(8)), encoding="utf-8")
+    traces = []
+    for parallel in ("1", "4"):
+        out_dir = _run_cli({**planted, "queries": queries}, tmp_path, contregen_fixtures(),
+                           extra=("--parallel", parallel))
+        traces.append((out_dir / "trace.json").read_bytes())
+    assert len(index_builds) == 2  # one per run
+    assert traces[0] == traces[1]
+
+
+_IMPORT_PROBE = """
+import json, sys
+from contregen.cli import dispatch
+
+def network_modules():
+    return sorted({"requests", "urllib3", "charset_normalizer"} & set(sys.modules))
+
+seen = [network_modules()]
+assert dispatch(sys.argv[2:]) == 0
+seen.append(network_modules())
+if sys.argv[1] == "remote":
+    from contregen.retrieval import RemoteRetriever
+    RemoteRetriever("http://localhost:9/search")
+else:
+    from contregen.llm import OpenAiChatAdapter
+    OpenAiChatAdapter(model="m", api_key="k")
+seen.append(network_modules())
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("client", ["remote", "openai"])
+def test_requests_is_loaded_only_by_a_network_client(client, planted, tmp_path):
+    cache = str(tmp_path / "cache")
+    _run_cli(planted, tmp_path, contregen_fixtures(), extra=("--cache-dir", cache))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(contregen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    replay = ["replay", "--corpus", str(planted["corpus"]),
+              "--queries", str(planted["queries"]),
+              "--fixtures", str(tmp_path / "contregen.json"), "--cache-dir", cache,
+              "--out-dir", str(tmp_path / "replayed")]
+    printed = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, client, *replay],
+                             env=env, capture_output=True, check=True, timeout=60).stdout
+    after_import, after_replay, after_client = json.loads(printed.splitlines()[-1])
+    assert after_import == after_replay == []
+    assert "requests" in after_client

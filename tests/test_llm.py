@@ -24,6 +24,8 @@ from contregen.llm import (
     load_templates,
 )
 
+from conftest import run_together
+
 
 def test_all_roles_have_templates_with_exemplars():
     templates = load_templates()
@@ -72,6 +74,22 @@ def test_scripted_adapter_string_and_list():
         adapter.complete(PromptRole.BASELINE_GENERATE, "p", slots)
     assert "exhausted" in str(err.value)
     assert adapter.backend_calls == 5
+
+
+def test_scripted_adapter_serves_each_list_response_once_across_threads():
+    threads, calls = 16, 3000
+    responses = [f"r{n}" for n in range(threads * calls)]
+    adapter = ScriptedAdapter({"baseline_followup": {"q": responses}})
+    served = [[] for _ in range(threads)]
+
+    def worker(slot):
+        for _ in range(calls):
+            served[slot].append(
+                adapter.complete(PromptRole.BASELINE_FOLLOWUP, "p", {"query": "q"}))
+
+    run_together(threads, worker)
+    assert sorted(r for per_thread in served for r in per_thread) == sorted(responses)
+    assert adapter.backend_calls == threads * calls
 
 
 def test_scripted_adapter_misses_are_hard():
@@ -161,6 +179,17 @@ def test_llm_cache_corruption_is_loud(tmp_path):
     cache.put("k3", "fresh", role="plan", prompt="p")
     reloaded = LlmCache(path)
     assert reloaded.get("k") == "ok" and reloaded.get("k3") == "fresh"
+
+    # bytes that are not UTF-8 are corruption on a complete line, a torn tail
+    # (an append cut inside a multi-byte character) otherwise
+    path.write_bytes(b'{"key": "k", "response": "ok"}\n{"key": "k2", "response": "caf\xe9"}\n')
+    with pytest.raises(CacheCorruptionError, match=r"llm\.jsonl:2: .*utf-8"):
+        LlmCache(path)
+    path.write_bytes(b'{"key": "k", "response": "ok"}\n{"key": "k2", "response": "\xc3')
+    cache = LlmCache(path)
+    assert cache.get("k") == "ok" and cache.get("k2") is None
+    cache.put("k3", "caf\u00e9", role="plan", prompt="p")
+    assert LlmCache(path).get("k3") == "caf\u00e9"
 
     # a complete final line that lacks its newline is kept and terminated
     path.write_text('{"key": "k", "response": "ok"}')

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from array import array
 
 import pytest
@@ -22,6 +23,7 @@ from contregen.retrieval import (
     tokenize,
 )
 
+from conftest import run_together
 from oracles import bm25_rank
 
 
@@ -117,6 +119,34 @@ def test_backend_call_counter():
     index.retrieve("alpha", 1)
     index.retrieve("alpha", 1)
     assert index.backend_calls == 2
+
+
+def test_index_is_built_once_by_concurrent_first_retrievals(monkeypatch):
+    texts = {f"p{i}": f"alpha term{i % 7} beta{i % 3}" for i in range(200)}
+    query = "alpha term3 beta1"
+    expected = LexicalIndex(_store(texts)).retrieve(query, 5).hits
+    builds = []
+    real_build = LexicalIndex._build
+
+    def slow_counted_build(self):
+        builds.append(self)
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return real_build(self)
+
+    monkeypatch.setattr(LexicalIndex, "_build", slow_counted_build)
+    index = LexicalIndex(_store(texts))
+    assert builds == []
+    threads, calls = 8, 200
+    served = [set() for _ in range(threads)]
+
+    def worker(slot):
+        for _ in range(calls):
+            served[slot].add(index.retrieve(query, 5).hits)
+
+    run_together(threads, worker)
+    assert builds == [index]
+    assert index.backend_calls == threads * calls
+    assert served == [{expected}] * threads
 
 
 def test_topk_must_be_positive():
