@@ -27,6 +27,8 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
+    """Both BM25 kernels: the impacts an index build computes for every term,
+    and the accumulation of every term's impacts into one score array."""
     rng = random.Random(seed)
     doc_lens = [rng.randint(20, 400) for _ in range(docs)]
     avgdl = sum(doc_lens) / docs
@@ -40,17 +42,33 @@ def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
             rng.uniform(0.2, 6.0),
         ))
 
-    def run(accumulate):
-        scores = array("d", [0.0]) * docs
+    def impacts(kernels):
+        out = []
         for doc_idx, tfs, idf in postings:
-            accumulate(scores, doc_idx, tfs, doc_norms, idf, 1.2)
+            term_impacts = array("d", [0.0]) * len(doc_idx)
+            kernels.bm25_impacts(term_impacts, doc_idx, tfs, doc_norms, idf, 1.2)
+            out.append(term_impacts)
+        return out
+
+    pure_impacts = impacts(fallback)
+
+    def accumulate(kernels):
+        scores = array("d", [0.0]) * docs
+        for (doc_idx, _tfs, _idf), term_impacts in zip(postings, pure_impacts):
+            kernels.bm25_accumulate(scores, doc_idx, term_impacts)
         return scores
 
-    results = {"pure": _time(lambda: run(fallback.bm25_accumulate))}
+    results = {
+        "bm25_impacts": {"pure": _time(lambda: impacts(fallback))},
+        "bm25_accumulate": {"pure": _time(lambda: accumulate(fallback))},
+    }
     if _core is not None:
-        results["compiled"] = _time(lambda: run(_core.bm25_accumulate))
-        same = list(run(_core.bm25_accumulate)) == list(run(fallback.bm25_accumulate))
-        results["bit_exact"] = same
+        results["bm25_impacts"]["compiled"] = _time(lambda: impacts(_core))
+        results["bm25_impacts"]["bit_exact"] = (
+            [a.tobytes() for a in impacts(_core)] == [a.tobytes() for a in pure_impacts])
+        results["bm25_accumulate"]["compiled"] = _time(lambda: accumulate(_core))
+        results["bm25_accumulate"]["bit_exact"] = (
+            accumulate(_core).tobytes() == accumulate(fallback).tobytes())
     return results
 
 
@@ -70,8 +88,9 @@ def main() -> None:
     print(f"active kernel backend: {BACKEND}")
     print()
     bm25 = bench_bm25(docs=50_000, terms=40, postings_per_term=5_000)
-    print("bm25_accumulate (50k docs, 40 terms x 5k postings):")
-    _report(bm25)
+    for kernel, results in bm25.items():
+        print(f"{kernel} (50k docs, 40 terms x 5k postings):")
+        _report(results)
     lcs = bench_lcs(length=2_000, vocab=200)
     print("lcs_length (2000 x 2000 tokens):")
     _report(lcs)

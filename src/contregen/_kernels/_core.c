@@ -1,4 +1,9 @@
-/* Compiled hot loops: BM25 posting-list accumulation and LCS length.
+/* Compiled hot loops: BM25 impacts and accumulation, and LCS length.
+ *
+ * BM25 is split between index build and query time. At build, bm25_impacts
+ * computes each posting's score contribution once, from its term's idf, its
+ * term frequency and its document's length normalization; at query time
+ * bm25_accumulate adds one term's stored impacts into the score array.
  *
  * The arithmetic here must stay expression-for-expression identical to
  * contregen/_kernels/fallback.py: rankings are verified bit-exactly against a
@@ -7,8 +12,9 @@
  * not reorder the float operations.
  *
  * Arguments arrive through the buffer protocol (array("d") / array("i") or any
- * C-contiguous buffer of the same item type); every document index is checked
- * against the buffers it addresses before it is used.
+ * C-contiguous buffer of the same item type). Every document index is checked
+ * against the buffer it addresses before anything is written, so a rejected
+ * call leaves its output untouched.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,53 +43,63 @@ get_buffer(PyObject *obj, Py_buffer *view, char type, int writable,
     return 0;
 }
 
-PyDoc_STRVAR(bm25_accumulate_doc,
-"bm25_accumulate(scores, doc_indices, tfs, doc_norms, idf, k1)\n--\n\n"
-"Add one query term's BM25 contribution to every posting's document.\n\n"
-"doc_norms[d] is the document's length normalization\n"
-"k1 * (1 - b + b * dl / avgdl), computed once at index build.");
+/* 0 if every doc[i] lies in [0, limit); otherwise IndexError naming what. */
+static int
+check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (doc[i] < 0 || doc[i] >= limit) {
+            PyErr_Format(PyExc_IndexError, "document index %d out of range (%s %zd)",
+                         doc[i], what, limit);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+PyDoc_STRVAR(bm25_impacts_doc,
+"bm25_impacts(impacts, doc_indices, tfs, doc_norms, idf, k1)\n--\n\n"
+"Write each posting's BM25 contribution into impacts, at index build.\n\n"
+"impacts[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d])) for posting i\n"
+"(document d, term frequency tf); doc_norms[d] is the document's length\n"
+"normalization k1 * (1 - b + b * dl / avgdl).");
 
 static PyObject *
-bm25_accumulate(PyObject *module, PyObject *args)
+bm25_impacts(PyObject *module, PyObject *args)
 {
-    PyObject *scores_obj, *indices_obj, *tfs_obj, *norms_obj;
+    PyObject *impacts_obj, *indices_obj, *tfs_obj, *norms_obj;
     double idf, k1;
-    if (!PyArg_ParseTuple(args, "OOOOdd:bm25_accumulate", &scores_obj,
+    if (!PyArg_ParseTuple(args, "OOOOdd:bm25_impacts", &impacts_obj,
                           &indices_obj, &tfs_obj, &norms_obj, &idf, &k1))
         return NULL;
 
     PyObject *result = NULL;
-    Py_buffer scores, indices, tfs, norms;
-    if (get_buffer(scores_obj, &scores, 'd', 1, "scores") < 0)
+    Py_buffer impacts, indices, tfs, norms;
+    if (get_buffer(impacts_obj, &impacts, 'd', 1, "impacts") < 0)
         return NULL;
     if (get_buffer(indices_obj, &indices, 'i', 0, "doc_indices") < 0)
-        goto release_scores;
+        goto release_impacts;
     if (get_buffer(tfs_obj, &tfs, 'i', 0, "tfs") < 0)
         goto release_indices;
     if (get_buffer(norms_obj, &norms, 'd', 0, "doc_norms") < 0)
         goto release_tfs;
 
     Py_ssize_t n = indices.shape[0];
-    if (tfs.shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError, "doc_indices and tfs differ in length");
+    if (impacts.shape[0] != n || tfs.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "impacts, doc_indices and tfs differ in length");
         goto release_norms;
     }
-    double *score = (double *)scores.buf;
+    double *impact = (double *)impacts.buf;
     const int *doc = (const int *)indices.buf;
     const int *tf = (const int *)tfs.buf;
     const double *norm = (const double *)norms.buf;
-    Py_ssize_t n_scores = scores.shape[0], n_norms = norms.shape[0];
+    if (check_indices(doc, n, norms.shape[0], "doc_norms") < 0)
+        goto release_norms;
     double k1_plus_1 = k1 + 1.0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        int d = doc[i];
-        if (d < 0 || d >= n_scores || d >= n_norms) {
-            PyErr_Format(PyExc_IndexError,
-                         "document index %d out of range (scores %zd, doc_norms %zd)",
-                         d, n_scores, n_norms);
-            goto release_norms;
-        }
         double t = (double)tf[i];
-        score[d] += idf * (t * k1_plus_1 / (t + norm[d]));
+        impact[i] = idf * (t * k1_plus_1 / (t + norm[doc[i]]));
     }
     result = Py_NewRef(Py_None);
 
@@ -91,6 +107,50 @@ release_norms:
     PyBuffer_Release(&norms);
 release_tfs:
     PyBuffer_Release(&tfs);
+release_indices:
+    PyBuffer_Release(&indices);
+release_impacts:
+    PyBuffer_Release(&impacts);
+    return result;
+}
+
+PyDoc_STRVAR(bm25_accumulate_doc,
+"bm25_accumulate(scores, doc_indices, impacts)\n--\n\n"
+"Add one query term's precomputed impacts to its postings' documents.");
+
+static PyObject *
+bm25_accumulate(PyObject *module, PyObject *args)
+{
+    PyObject *scores_obj, *indices_obj, *impacts_obj;
+    if (!PyArg_ParseTuple(args, "OOO:bm25_accumulate", &scores_obj,
+                          &indices_obj, &impacts_obj))
+        return NULL;
+
+    PyObject *result = NULL;
+    Py_buffer scores, indices, impacts;
+    if (get_buffer(scores_obj, &scores, 'd', 1, "scores") < 0)
+        return NULL;
+    if (get_buffer(indices_obj, &indices, 'i', 0, "doc_indices") < 0)
+        goto release_scores;
+    if (get_buffer(impacts_obj, &impacts, 'd', 0, "impacts") < 0)
+        goto release_indices;
+
+    Py_ssize_t n = indices.shape[0];
+    if (impacts.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, "doc_indices and impacts differ in length");
+        goto release_impacts;
+    }
+    double *score = (double *)scores.buf;
+    const int *doc = (const int *)indices.buf;
+    const double *impact = (const double *)impacts.buf;
+    if (check_indices(doc, n, scores.shape[0], "scores") < 0)
+        goto release_impacts;
+    for (Py_ssize_t i = 0; i < n; i++)
+        score[doc[i]] += impact[i];
+    result = Py_NewRef(Py_None);
+
+release_impacts:
+    PyBuffer_Release(&impacts);
 release_indices:
     PyBuffer_Release(&indices);
 release_scores:
@@ -159,6 +219,7 @@ release:
 }
 
 static PyMethodDef core_methods[] = {
+    {"bm25_impacts", bm25_impacts, METH_VARARGS, bm25_impacts_doc},
     {"bm25_accumulate", bm25_accumulate, METH_VARARGS, bm25_accumulate_doc},
     {"lcs_length", lcs_length, METH_VARARGS, lcs_length_doc},
     {NULL, NULL, 0, NULL},
@@ -167,7 +228,7 @@ static PyMethodDef core_methods[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "contregen._kernels._core",
-    .m_doc = "Compiled BM25 accumulation and LCS kernels; see fallback.py.",
+    .m_doc = "Compiled BM25 impact, BM25 accumulation and LCS kernels; see fallback.py.",
     .m_size = 0,
     .m_methods = core_methods,
 };

@@ -9,18 +9,27 @@ from __future__ import annotations
 from array import array
 
 
-def bm25_accumulate(scores: array, doc_indices: array, tfs: array,
-                    doc_norms: array, idf: float, k1: float) -> None:
-    """Add one query term's BM25 contribution to every posting's document.
+def bm25_impacts(impacts: array, doc_indices: array, tfs: array,
+                 doc_norms: array, idf: float, k1: float) -> None:
+    """Write each posting's BM25 contribution into ``impacts``, at index build.
 
-    ``doc_norms[d]`` is the document's length normalization
-    ``k1 * (1 - b + b * dl / avgdl)``, computed once at index build.
+    ``impacts[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d]))`` for posting
+    ``i`` (document ``d``, term frequency ``tf``); ``doc_norms[d]`` is the
+    document's length normalization ``k1 * (1 - b + b * dl / avgdl)``.
     """
-    if len(tfs) != len(doc_indices):
-        raise ValueError("doc_indices and tfs differ in length")
+    if not len(impacts) == len(doc_indices) == len(tfs):
+        raise ValueError("impacts, doc_indices and tfs differ in length")
     k1_plus_1 = k1 + 1.0
-    for d, tf in zip(doc_indices, tfs):
-        scores[d] += idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
+    impacts[:] = array("d", [idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
+                             for d, tf in zip(doc_indices, tfs)])
+
+
+def bm25_accumulate(scores: array, doc_indices: array, impacts: array) -> None:
+    """Add one query term's precomputed impacts to its postings' documents."""
+    if len(impacts) != len(doc_indices):
+        raise ValueError("doc_indices and impacts differ in length")
+    for d, w in zip(doc_indices, impacts):
+        scores[d] += w
 
 
 def lcs_length(left: array, right: array) -> int:

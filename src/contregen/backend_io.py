@@ -26,12 +26,17 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-def _open_text(path: str | Path, what: str):
+def _open_text(path: str | Path, what: str, newline: Optional[str] = None,
+               missing_ok: bool = False):
     """path opened as UTF-8 text, bytes that are not UTF-8 escaped (see
-    _strict_utf8); what names the file in errors."""
+    _strict_utf8); what names the file in errors. A missing file is None
+    when missing_ok, else a DataError."""
     try:
-        return open(path, "r", encoding="utf-8", errors="surrogateescape")
+        return open(path, "r", encoding="utf-8", errors="surrogateescape",
+                    newline=newline)
     except FileNotFoundError:
+        if missing_ok:
+            return None
         raise DataError(f"{what} not found: {path}")
     except OSError as exc:  # a directory, no read permission, ...
         raise DataError(f"cannot read {what} {path}: {exc.strerror}")
@@ -101,7 +106,9 @@ def atomic_write(path: str | Path, text: str) -> None:
 class JsonlCache:
     """Append-only JSONL file of {"key", <context fields>, <value field>} lines.
 
-    A key is appended at most once. A bad line inside the file is a hard
+    A key is appended at most once. A missing file is created by the first
+    append; one that cannot be read (a directory, a path through a regular
+    file) is a DataError naming it. A bad line inside the file is a hard
     error; an unterminated final line that does not parse (an append cut
     short) is dropped with a warning and cut off before the next append.
     Subclasses give the key function and the record shape: the value field,
@@ -119,13 +126,14 @@ class JsonlCache:
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
         self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
-        if self.path.exists():
-            self._load()
+        self._load()
 
     def _load(self) -> None:
+        fh = _open_text(self.path, "cache file", newline="\n", missing_ok=True)
+        if fh is None:
+            return
         line = ""
-        with self.path.open("r", encoding="utf-8", errors="surrogateescape",
-                            newline="\n") as fh:
+        with fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -174,18 +182,44 @@ class JsonlCache:
         return value
 
 
+# The longest sleep a Retry-After header can ask for, so that a backend call's
+# sleeps stay bounded by (attempts - 1) times this.
+RETRY_AFTER_MAX_S = 10.0
+
+
+def _retry_after_s(value: Optional[str]) -> Optional[float]:
+    """The wait a Retry-After header value asks for, in seconds (delta-seconds
+    or an HTTP date); None when absent or unparseable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isdigit():
+        return float(value)
+    import email.utils  # deferred like requests: only a throttled POST needs it
+
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return when.timestamp() - time.time()
+
+
 def post_with_retries(session: requests.Session, url: str, payload: dict, headers: dict,
                       timeout: float, max_retries: int,
                       error: Callable[[str], Exception]) -> requests.Response:
     """The first HTTP 200 response to a JSON POST. Connection errors, 429 and
     5xx are retried, max_retries attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
-    between them; on failure raises error(reason of the last attempt)."""
+    between them; a 429 or 503 carrying Retry-After sleeps what it asks
+    instead, at most RETRY_AFTER_MAX_S. On failure raises error(reason of the
+    last attempt)."""
     import requests  # deferred: only network backends pay for loading it
 
     reason = "no attempt made"
+    delay = 0.0
     for attempt in range(max_retries):
         if attempt:
-            time.sleep(0.5 * 2 ** (attempt - 1))
+            time.sleep(delay)
+        delay = 0.5 * 2 ** attempt
         try:
             response = session.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
@@ -196,6 +230,10 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
         reason = f"HTTP {response.status_code}"
         if response.status_code not in (429, 500, 502, 503, 504):
             break
+        if response.status_code in (429, 503):
+            asked = _retry_after_s(response.headers.get("Retry-After"))
+            if asked is not None:
+                delay = min(max(asked, 0.0), RETRY_AFTER_MAX_S)
     raise error(reason)
 
 

@@ -6,7 +6,9 @@ ln(1 + (N - df + 0.5) / (df + 0.5)), duplicate query terms counted once in
 first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
-from the cache builds none.
+from the cache builds none. The build computes each posting's BM25 impact,
+its whole contribution to its document's score, so a retrieval only adds
+stored impacts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-from contregen._kernels import bm25_accumulate
+from contregen._kernels import bm25_accumulate, bm25_impacts
 from contregen.backend_io import JsonlCache, post_with_retries
 from contregen.corpus import CorpusStore, Passage
 from contregen.errors import DataError, RetrieverUnavailableError
@@ -81,9 +83,11 @@ class LexicalIndex:
     """Inverted BM25 index over a corpus, built on first use.
 
     Construction checks the corpus and takes its fingerprint, which every
-    cache key needs. The postings and document norms are built by the first
-    retrieve, exactly once even when threads call it together, and never
-    change after. A run whose retrievals all come from the cache builds none.
+    cache key needs. The postings, each carrying its BM25 impact
+    ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``, are built
+    by the first retrieve, exactly once even when threads call it together,
+    and never change after. A run whose retrievals all come from the cache
+    builds none.
     Internal document indices are assigned in ascending passage-id order, so
     sorting candidates by (-score, index) realizes the id tie-break.
     """
@@ -100,12 +104,11 @@ class LexicalIndex:
         self.backend_calls = 0
         self.corpus_fingerprint = corpus.fingerprint()
         self._lock = threading.Lock()  # guards backend_calls and the build
-        # (postings, doc norms), published together once both are complete
-        self._built: Optional[tuple[dict[str, tuple[array, array]], array]] = None
+        # the postings, published once complete
+        self._built: Optional[dict[str, tuple[array, array]]] = None
 
-    def _build(self) -> tuple[dict[str, tuple[array, array]], array]:
-        """The postings, term -> (document indices, term frequencies), and each
-        document's BM25 length normalization, the denominator's constant part."""
+    def _build(self) -> dict[str, tuple[array, array]]:
+        """The postings, term -> (document indices, BM25 impacts)."""
         lens = array("i")
         postings_tmp: dict[str, tuple[list[int], list[int]]] = {}
         for index, pid in enumerate(self.doc_ids):
@@ -118,12 +121,20 @@ class LexicalIndex:
                 bucket = postings_tmp.setdefault(term, ([], []))
                 bucket[0].append(index)
                 bucket[1].append(tf)
-        postings = {term: (array("i", docs), array("i", tfs))
-                    for term, (docs, tfs) in postings_tmp.items()}
         avgdl = sum(lens) / self.doc_count
+        # each document's length normalization, the denominator's constant part
         doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
                                 for dl in lens))
-        return postings, doc_norms
+        postings = {}
+        while postings_tmp:  # pop: each term's lists are freed once its arrays exist
+            term, (docs, tfs) = postings_tmp.popitem()
+            df = len(docs)
+            idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+            doc_indices = array("i", docs)
+            impacts = array("d", [0.0]) * df
+            bm25_impacts(impacts, doc_indices, array("i", tfs), doc_norms, idf, BM25_K1)
+            postings[term] = (doc_indices, impacts)
+        return postings
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
         if topk < 1:
@@ -134,7 +145,7 @@ class LexicalIndex:
             self.backend_calls += 1
             if self._built is None:
                 self._built = self._build()
-        postings, doc_norms = self._built
+        postings = self._built
         seen: set[str] = set()
         scores = array("d", [0.0]) * self.doc_count
         for term in tokenize(query_text):
@@ -142,12 +153,8 @@ class LexicalIndex:
                 continue
             seen.add(term)
             bucket = postings.get(term)
-            if bucket is None:
-                continue
-            doc_indices, tfs = bucket
-            df = len(doc_indices)
-            idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            bm25_accumulate(scores, doc_indices, tfs, doc_norms, idf, BM25_K1)
+            if bucket is not None:
+                bm25_accumulate(scores, *bucket)
         hits = tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
         return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
 

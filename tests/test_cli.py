@@ -527,6 +527,24 @@ def test_replay_over_non_utf8_cache_is_data_error_naming_the_line(planted, tmp_p
     assert f"{llm_cache}:2: unreadable cache entry" in line
 
 
+@pytest.mark.parametrize("case", ["cache-file-is-directory", "cache-dir-is-file"])
+def test_unusable_cache_path_is_data_error_naming_it(case, planted, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    if case == "cache-file-is-directory":
+        (cache / "llm.jsonl").mkdir(parents=True)
+        named, reason = cache / "llm.jsonl", "Is a directory"
+    else:
+        cache.write_text("a file, not a directory\n", encoding="utf-8")
+        named, reason = cache / "retrieval.jsonl", "Not a directory"
+    fixtures = write_fixture_file(tmp_path, contregen_fixtures())
+    line = _one_data_error(
+        ["run", "--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+         "--fixtures", str(fixtures), "--cache-dir", str(cache),
+         "--out-dir", str(tmp_path / "out")], capsys)
+    assert f"cannot read cache file {named}: {reason}" in line
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, outputs", [
     ("ingest --corpus {corpus} --out {tmp}/a/b/corpus.jsonl", ["a/b/corpus.jsonl"]),
     ("build-wikihow --articles {articles.jsonl} --out-corpus {tmp}/c/corpus.jsonl "

@@ -53,38 +53,46 @@ def _norms(doc_lens, avgdl):
     return array("d", [K1 * (1.0 - B + B * (dl / avgdl)) for dl in doc_lens])
 
 
-def _random_case(rng):
-    docs = rng.randint(1, 60)
-    doc_lens = [rng.randint(1, 120) for _ in range(docs)]
-    doc_norms = _norms(doc_lens, sum(doc_lens) / docs)
+def _random_norms(rng):
+    doc_lens = [rng.randint(1, 120) for _ in range(rng.randint(1, 60))]
+    return _norms(doc_lens, sum(doc_lens) / len(doc_lens))
+
+
+def _random_term(rng, docs):
+    """One term's postings over docs documents: (doc indices, tfs, idf)."""
     chosen = sorted(rng.sample(range(docs), rng.randint(1, docs)))
-    doc_idx = array("i", chosen)
     tfs = array("i", [rng.randint(1, 9) for _ in chosen])
-    idf = rng.uniform(0.01, 8.0)
-    return doc_norms, doc_idx, tfs, idf
+    return array("i", chosen), tfs, rng.uniform(0.01, 8.0)
 
 
 def test_backend_constant_matches_import():
-    assert _kernels.BACKEND in ("compiled", "pure")
-    if _core is not None:
-        assert _kernels.BACKEND == "compiled"
-        assert _kernels.bm25_accumulate is _core.bm25_accumulate
-    else:
-        assert _kernels.BACKEND == "pure"
-        assert _kernels.bm25_accumulate is fallback.bm25_accumulate
+    active = _core if _core is not None else fallback
+    assert _kernels.BACKEND == ("compiled" if _core is not None else "pure")
+    for name in ("bm25_impacts", "bm25_accumulate", "lcs_length"):
+        assert getattr(_kernels, name) is getattr(active, name)
+
+
+def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
+    impacts = array("d", [0.0]) * len(doc_idx)
+    kernels.bm25_impacts(impacts, doc_idx, tfs, doc_norms, idf, K1)
+    return impacts
 
 
 def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
     rng = random.Random(20240817)
     for _ in range(100):
-        doc_norms, doc_idx, tfs, idf = _random_case(rng)
+        doc_norms = _random_norms(rng)
         docs = len(doc_norms)
         a = array("d", [0.0]) * docs
         b = array("d", [0.0]) * docs
         # accumulate several terms so rounding differences would compound
         for _term in range(rng.randint(1, 5)):
-            compiled.bm25_accumulate(a, doc_idx, tfs, doc_norms, idf, K1)
-            fallback.bm25_accumulate(b, doc_idx, tfs, doc_norms, idf, K1)
+            doc_idx, tfs, idf = _random_term(rng, docs)
+            impacts_c = _impacts(compiled, doc_idx, tfs, doc_norms, idf)
+            impacts_p = _impacts(fallback, doc_idx, tfs, doc_norms, idf)
+            assert impacts_c.tobytes() == impacts_p.tobytes()
+            compiled.bm25_accumulate(a, doc_idx, impacts_c)
+            fallback.bm25_accumulate(b, doc_idx, impacts_p)
         assert a.tobytes() == b.tobytes()
     for _ in range(100):
         left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
@@ -93,36 +101,69 @@ def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
 
 
 def test_compiled_kernels_reject_bad_buffers(compiled):
-    scores = array("d", [0.0, 0.0])
     norms = array("d", [1.0, 1.0])
-    one = array("i", [1])
-    for bad in (2, -1):
-        with pytest.raises(IndexError):
-            compiled.bm25_accumulate(scores, array("i", [bad]), one, norms, 1.0, K1)
-    with pytest.raises(IndexError):  # doc_norms shorter than scores
-        compiled.bm25_accumulate(scores, array("i", [1]), one, norms[:1], 1.0, K1)
-    assert scores.tobytes() == array("d", [0.0, 0.0]).tobytes()
+    impacts = array("d", [7.0, 7.0, 7.0])
+    scores = array("d", [5.0, 5.0])
+    three = array("i", [1, 1, 1])
+    # an out-of-range index anywhere in the postings writes nothing at all
+    for bad in (2, -1, 2**31 - 1, -2**31):
+        for where in range(3):
+            doc_idx = array("i", [0, 1, 1])
+            doc_idx[where] = bad
+            with pytest.raises(IndexError):
+                compiled.bm25_impacts(impacts, doc_idx, three, norms, 1.0, K1)
+            with pytest.raises(IndexError):
+                compiled.bm25_accumulate(scores, doc_idx, impacts)
+    with pytest.raises(IndexError):  # doc_norms shorter than the documents indexed
+        compiled.bm25_impacts(impacts, array("i", [0, 1, 1]), three, norms[:1], 1.0, K1)
+    assert impacts.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
+    assert scores.tobytes() == array("d", [5.0, 5.0]).tobytes()
+    # bm25_accumulate checks only against scores: doc_norms no longer reaches it
+    compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]))
+    assert scores.tolist() == [5.0, 5.5]
+
+    two = array("i", [0, 1])
+    with pytest.raises(ValueError):  # impacts shorter than the postings
+        compiled.bm25_impacts(impacts[:2], array("i", [0, 1, 1]), three, norms, 1.0, K1)
+    with pytest.raises(ValueError):  # tfs shorter than the postings
+        compiled.bm25_impacts(impacts, array("i", [0, 1, 1]), two, norms, 1.0, K1)
     with pytest.raises(ValueError):
-        compiled.bm25_accumulate(scores, array("i", [0, 1]), one, norms, 1.0, K1)
-    with pytest.raises(TypeError):  # wrong item type
-        compiled.bm25_accumulate(scores, array("l", [0]), one, norms, 1.0, K1)
-    with pytest.raises(BufferError):  # read-only scores
-        compiled.bm25_accumulate(bytes(16), array("i", [0]), one, norms, 1.0, K1)
+        compiled.bm25_accumulate(scores, two, impacts)
+
+    with pytest.raises(TypeError):  # wrong item types
+        compiled.bm25_impacts(impacts, array("l", [0, 1, 1]), three, norms, 1.0, K1)
     with pytest.raises(TypeError):
-        compiled.lcs_length(array("d", [1.0]), one)
+        compiled.bm25_impacts(impacts, three, array("d", [1.0] * 3), norms, 1.0, K1)
+    with pytest.raises(TypeError):
+        compiled.bm25_impacts(array("f", [0.0] * 3), three, three, norms, 1.0, K1)
+    with pytest.raises(TypeError):
+        compiled.bm25_impacts(impacts, three, three, array("i", [1, 1]), 1.0, K1)
+    with pytest.raises(TypeError):
+        compiled.bm25_accumulate(scores, array("l", [0]), array("d", [1.0]))
+    with pytest.raises(TypeError):
+        compiled.bm25_accumulate(scores, array("i", [0]), array("f", [1.0]))
+    with pytest.raises(TypeError):
+        compiled.bm25_accumulate(array("i", [0, 0]), array("i", [0]), array("d", [1.0]))
+
+    with pytest.raises(BufferError):  # read-only outputs
+        compiled.bm25_impacts(bytes(24), three, three, norms, 1.0, K1)
+    with pytest.raises(BufferError):
+        compiled.bm25_accumulate(bytes(16), array("i", [0]), array("d", [1.0]))
+    with pytest.raises(TypeError):
+        compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
 
 def test_bm25_accumulate_matches_direct_formula():
     doc_lens = [10, 20, 30]
     avgdl = 20.0
-    scores = array("d", [0.0, 0.0, 0.0])
-    fallback.bm25_accumulate(scores, array("i", [0, 2]), array("i", [3, 1]),
-                             _norms(doc_lens, avgdl), 1.5, K1)
+    impacts = _impacts(fallback, array("i", [0, 2]), array("i", [3, 1]),
+                       _norms(doc_lens, avgdl), 1.5)
     expect0 = 1.5 * ((3 * (K1 + 1.0)) / (3 + K1 * (1.0 - B + B * (10 / avgdl))))
     expect2 = 1.5 * ((1 * (K1 + 1.0)) / (1 + K1 * (1.0 - B + B * (30 / avgdl))))
-    assert scores[0] == expect0
-    assert scores[1] == 0.0
-    assert scores[2] == expect2
+    assert impacts.tolist() == [expect0, expect2]
+    scores = array("d", [0.0, 0.0, 0.25])
+    fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts)
+    assert scores.tolist() == [expect0, 0.0, 0.25 + expect2]
 
 
 def test_lcs_length_matches_full_table_oracle():

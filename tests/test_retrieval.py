@@ -1,3 +1,4 @@
+import email.utils
 import json
 import random
 import time
@@ -84,6 +85,30 @@ def test_ranking_matches_oracle_small():
         for topk in (1, 2, 5):
             assert index.retrieve(query, topk).hits == tuple(
                 bm25_rank(texts, query, topk))
+
+
+def test_ranking_matches_oracle_on_zipf_corpus():
+    """Hits and float scores equal the exhaustive scorer's exactly: BM25 impacts
+    computed at build keep the per-term expression and the accumulation order."""
+    rng = random.Random(8128)
+    vocab = [f"w{rank}" for rank in range(1, 801)]
+    weights = [1.0 / rank ** 1.1 for rank in range(1, 801)]
+    texts = {f"p{i:04d}": " ".join(rng.choices(vocab, weights, k=rng.randint(3, 70)))
+             for i in range(rng.randint(300, 400))}
+    index = LexicalIndex(_store(texts))
+    queries = []
+    for n in range(50):
+        terms = rng.choices(vocab, weights, k=rng.randint(1, 6))
+        if n % 3 == 0:  # a repeated term, once in another case
+            terms += [terms[0], terms[0].upper()]
+        if n % 4 == 0:  # terms no passage holds
+            terms.insert(rng.randrange(len(terms) + 1), f"absent{n}")
+        queries.append(" ".join(terms))
+    queries += ["absent only", "w1", "w1 w1 w2 w3"]
+    for query in queries:
+        ranked = tuple(bm25_rank(texts, query, len(texts) + 3))  # the oracle cuts by slicing
+        for topk in (1, 5, len(texts) + 3):
+            assert index.retrieve(query, topk).hits == ranked[:topk]
 
 
 def test_zero_score_documents_never_returned():
@@ -221,9 +246,10 @@ def test_strict_replay_miss(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload):
+    def __init__(self, status_code, payload, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
 
     def json(self):
         if isinstance(self._payload, Exception):
@@ -267,6 +293,35 @@ def test_remote_retriever_retries_then_fails(monkeypatch):
         remote.retrieve("q", 1)
     assert len(session.requests) == 3
     assert sleeps == [0.5, 1.0]  # no sleep after the final attempt
+
+
+def test_retries_sleep_what_retry_after_asks_up_to_the_cap(monkeypatch):
+    import contregen.backend_io as backend_io
+    sleeps = []
+    monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
+    now = 1_700_000_000
+    monkeypatch.setattr(backend_io.time, "time", lambda: now)
+
+    def after(value):
+        return {"Retry-After": value}
+
+    session = _FakeSession([
+        _FakeResponse(429, {}, after("3")),
+        _FakeResponse(503, {}, after("7200")),  # capped
+        _FakeResponse(503, {}, after("Wed, 21 Oct 2015 07:28:00 GMT")),  # already past
+        _FakeResponse(429, {}, after(email.utils.formatdate(now + 5, usegmt=True))),
+        _FakeResponse(429, {}, after(email.utils.formatdate(now + 3600, usegmt=True))),
+        _FakeResponse(500, {}, after("1")),  # honoured only on 429 and 503
+        _FakeResponse(503, {}, after("soon")),  # unparseable
+        _FakeResponse(429, {}),
+        _FakeResponse(200, [{"id": "p1", "score": 1.0}]),
+    ])
+    response = backend_io.post_with_retries(session, "http://retriever.test", {}, {},
+                                            1.0, 9, RetrieverUnavailableError)
+    assert response.status_code == 200
+    cap = backend_io.RETRY_AFTER_MAX_S
+    # each unhonoured wait is the backoff, 0.5 s doubled per attempt made
+    assert sleeps == [3.0, cap, 0.0, 5.0, cap, 16.0, 32.0, 64.0]
 
 
 def test_remote_retriever_bad_payload(monkeypatch):
