@@ -1,6 +1,8 @@
 """Timing comparison of the compiled kernels against the pure-Python fallback.
 
-Run directly:  python3 benchmarks/bench_kernels.py
+Run from the repository root:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
+The compiled numbers need the extension built in place first
+(python3 setup.py build_ext --inplace); without it only the pure kernels run.
 """
 
 from __future__ import annotations

@@ -113,7 +113,10 @@ class JsonlCache:
     short) is dropped with a warning and cut off before the next append.
     Subclasses give the key function and the record shape: the value field,
     its decoder, the context fields recorded beside it (taken from the
-    arguments of the computation) and the replay-miss message.
+    arguments of the computation) and the replay-miss message. A strict
+    cache (replay) never computes: a miss is a ReplayMissError. An append
+    that cannot be written is a DataError naming the file, and the entry is
+    not kept.
     """
 
     value_field: str
@@ -121,8 +124,9 @@ class JsonlCache:
     context: Callable[..., dict]
     miss_message: str  # formatted with the context fields
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, strict: bool = False) -> None:
         self.path = Path(path)
+        self.strict = strict
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
         self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
@@ -158,24 +162,27 @@ class JsonlCache:
         with self._lock:
             if key in self._entries:
                 return
+            try:  # the repair is idempotent, so it is kept until an append lands
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                with self.path.open("a", encoding="utf-8") as fh:
+                    if self._repair is not None:
+                        fh.truncate(self._repair[0])
+                        fh.write(self._repair[1])
+                    fh.write(json.dumps({"key": key, **context, self.value_field: value},
+                                        ensure_ascii=False) + "\n")
+            except OSError as exc:  # a directory, a full disk, no write permission, ...
+                raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
+            self._repair = None
             self._entries[key] = value
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                if self._repair is not None:
-                    fh.truncate(self._repair[0])
-                    fh.write(self._repair[1])
-                    self._repair = None
-                fh.write(json.dumps({"key": key, **context, self.value_field: value},
-                                    ensure_ascii=False) + "\n")
 
-    def lookup(self, key: str, strict: bool, compute: Callable, *args):
-        """The cached value for key. On a miss, strict (replay) mode raises
+    def lookup(self, key: str, compute: Callable, *args):
+        """The cached value for key. On a miss a strict cache raises
         ReplayMissError; otherwise compute(*args) is appended and returned."""
         value = self.get(key)
         if value is not None:
             return value
         context = self.context(*args)
-        if strict:
+        if self.strict:
             raise ReplayMissError(self.miss_message.format(**context))
         value = compute(*args)
         self.put(key, value, **context)

@@ -26,23 +26,14 @@ _FOLLOWUP_RE = re.compile(r"^\s*follow\s*[- ]?up\s*:\s*(.+?)\s*$", re.IGNORECASE
 
 
 @dataclass(frozen=True)
-class IterationState:
-    round: int
-    current_query: str
-    accumulated_ids: tuple[str, ...]   # ordered, deduped, grows per round
-    current_response: str
-
-
-@dataclass(frozen=True)
 class BaselineRun:
-    method: str
-    query: str
     answer: str
     retrieved_ids: tuple[str, ...]
-    rounds: tuple[IterationState, ...]
+    # the accumulated ids (ordered, deduped) after each round
+    rounds: tuple[tuple[str, ...], ...]
 
     def per_round_sets(self) -> list[set[str]]:
-        return [set(state.accumulated_ids) for state in self.rounds]
+        return [set(ids) for ids in self.rounds]
 
 
 def _extend(accumulated: list[str], seen: set[str], new_ids) -> None:
@@ -66,10 +57,7 @@ def run_retgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
         {"query": query, "passages": _passages_block(retriever, ids)},
         node_path="retgen",
     )
-    state = IterationState(round=1, current_query=query,
-                           accumulated_ids=ids, current_response=answer)
-    return BaselineRun(method="retgen", query=query, answer=answer,
-                       retrieved_ids=ids, rounds=(state,))
+    return BaselineRun(answer=answer, retrieved_ids=ids, rounds=(ids,))
 
 
 def run_iterretgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
@@ -81,7 +69,7 @@ def run_iterretgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
         raise ValueError("max_iterations must be >= 1")
     accumulated: list[str] = []
     seen: set[str] = set()
-    rounds: list[IterationState] = []
+    rounds: list[tuple[str, ...]] = []
     response = ""
     for round_no in range(1, max_iterations + 1):
         current_query = query if round_no == 1 else f"{response} {query}"
@@ -93,11 +81,9 @@ def run_iterretgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
              "passages": _passages_block(retriever, result.hit_ids())},
             node_path=f"iterretgen.{round_no}",
         )
-        rounds.append(IterationState(round=round_no, current_query=current_query,
-                                     accumulated_ids=tuple(accumulated),
-                                     current_response=response))
-    return BaselineRun(method="iterretgen", query=query, answer=response,
-                       retrieved_ids=tuple(accumulated), rounds=tuple(rounds))
+        rounds.append(tuple(accumulated))
+    return BaselineRun(answer=response, retrieved_ids=tuple(accumulated),
+                       rounds=tuple(rounds))
 
 
 def parse_followup(response: str) -> Optional[str]:
@@ -133,7 +119,7 @@ def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
     seen: set[str] = set()
     _extend(accumulated, seen, retriever.retrieve(query, topk).hit_ids())
     history: list[str] = []
-    rounds: list[IterationState] = []
+    rounds: list[tuple[str, ...]] = []
     for round_no in range(1, max_iterations + 1):
         response = gateway.complete(
             PromptRole.BASELINE_FOLLOWUP,
@@ -143,28 +129,23 @@ def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
             node_path=f"selfask.{round_no}",
         )
         followup = parse_followup(response)
+        if followup is not None:
+            history.append(response.strip())
+            _extend(accumulated, seen, retriever.retrieve(followup, topk).hit_ids())
+        rounds.append(tuple(accumulated))
         if followup is None:
-            rounds.append(IterationState(round=round_no, current_query="",
-                                         accumulated_ids=tuple(accumulated),
-                                         current_response=response))
             break
-        history.append(response.strip())
-        _extend(accumulated, seen, retriever.retrieve(followup, topk).hit_ids())
-        rounds.append(IterationState(round=round_no, current_query=followup,
-                                     accumulated_ids=tuple(accumulated),
-                                     current_response=response))
     answer = gateway.complete(
         PromptRole.BASELINE_GENERATE,
         {"query": query, "passages": _passages_block(retriever, accumulated)},
         node_path="selfask.final",
     )
-    return BaselineRun(method="selfask", query=query, answer=answer,
-                       retrieved_ids=tuple(accumulated), rounds=tuple(rounds))
+    return BaselineRun(answer=answer, retrieved_ids=tuple(accumulated),
+                       rounds=tuple(rounds))
 
 
 __all__ = [
     "BaselineRun",
-    "IterationState",
     "STOP_MARKER",
     "parse_followup",
     "run_iterretgen",

@@ -223,12 +223,11 @@ class LlmCache(JsonlCache):
 
 
 class CachingAdapter:
-    """Wraps an adapter with the replay cache; strict mode forbids misses."""
+    """Wraps an adapter with the replay cache; a strict cache forbids misses."""
 
-    def __init__(self, inner: Adapter, cache: LlmCache, strict: bool = False) -> None:
+    def __init__(self, inner: Adapter, cache: LlmCache) -> None:
         self.inner = inner
         self.cache = cache
-        self.strict = strict
         self.adapter_id = inner.adapter_id
 
     @property
@@ -237,7 +236,7 @@ class CachingAdapter:
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         return self.cache.lookup(self.cache.key(self.adapter_id, role.value, prompt),
-                                 self.strict, self.inner.complete, role, prompt, slots)
+                                 self.inner.complete, role, prompt, slots)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from contregen.llm import LlmGateway, PromptRole
 
@@ -57,17 +56,12 @@ def _normalize(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-@dataclass(frozen=True)
-class Plan:
-    query: str
-    subquestions: tuple[str, ...]
-
-
 def propose_plan(gateway: LlmGateway, query: str, main_query: str,
                  passages_block: str, max_plan_size: int,
-                 node_path: str = "") -> Plan:
-    """One planning call; the parsed list is deduplicated, stripped of items
-    that merely restate the query being expanded, and truncated.
+                 node_path: str = "") -> tuple[str, ...]:
+    """The sub-questions of one planning call: the parsed list deduplicated,
+    stripped of items that merely restate the query being expanded, and
+    truncated.
 
     An unparseable response yields an empty plan (the node becomes a leaf)
     rather than an error.
@@ -91,12 +85,11 @@ def propose_plan(gateway: LlmGateway, query: str, main_query: str,
         kept.append(item)
         if len(kept) == max_plan_size:
             break
-    return Plan(query=query, subquestions=tuple(kept))
+    return tuple(kept)
 
 
 __all__ = [
     "PASSAGE_CHAR_BUDGET",
-    "Plan",
     "parse_numbered_list",
     "propose_plan",
     "render_passages",

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from contregen._kernels import bm25_accumulate, bm25_impacts
 from contregen.backend_io import JsonlCache, post_with_retries
-from contregen.corpus import CorpusStore, Passage
+from contregen.corpus import CorpusStore
 from contregen.errors import DataError, RetrieverUnavailableError
 
 if TYPE_CHECKING:
@@ -52,9 +52,7 @@ def normalize_query(query_text: str, case_sensitive: bool = False) -> str:
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    query_text: str
     hits: tuple[tuple[str, float], ...]
-    backend: str
 
     def hit_ids(self) -> tuple[str, ...]:
         return tuple(pid for pid, _ in self.hits)
@@ -156,7 +154,7 @@ class LexicalIndex:
             if bucket is not None:
                 bm25_accumulate(scores, *bucket)
         hits = tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
-        return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
+        return RetrievalResult(hits=hits)
 
 
 def select_topk(scores: array, topk: int) -> list[int]:
@@ -212,9 +210,9 @@ class RemoteRetriever:
             self._timeout, self._max_retries,
             lambda reason: RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} unreachable: {reason}"))
-        return self._parse(query_text, response)
+        return self._parse(response)
 
-    def _parse(self, query_text: str, response: requests.Response) -> RetrievalResult:
+    def _parse(self, response: requests.Response) -> RetrievalResult:
         try:
             payload = response.json()
         except ValueError as exc:
@@ -224,7 +222,7 @@ class RemoteRetriever:
         if not isinstance(items, list):
             raise RetrieverUnavailableError("remote retriever response is not a hit list")
         hits = tuple((str(item["id"]), float(item["score"])) for item in items)
-        return RetrievalResult(query_text=query_text, hits=hits, backend=self.backend_id)
+        return RetrievalResult(hits=hits)
 
 
 class RetrievalCache(JsonlCache):
@@ -256,15 +254,14 @@ def _retrieve_hits(backend: Retriever, query_text: str, topk: int):
 
 
 def cached_retrieve(cache: RetrievalCache, backend: Retriever, query_text: str,
-                    topk: int, strict: bool = False) -> RetrievalResult:
+                    topk: int) -> RetrievalResult:
     """Serve from cache when possible; identical result either way.
 
-    strict mode (replay) errors on a miss instead of touching the backend.
+    A strict cache (replay) errors on a miss instead of touching the backend.
     """
     key = cache.key(backend.backend_id, backend.corpus_fingerprint, query_text, topk,
                     backend.case_sensitive)
-    hits = cache.lookup(key, strict, _retrieve_hits, backend, query_text, topk)
-    return RetrievalResult(query_text=query_text, hits=hits, backend=backend.backend_id)
+    return RetrievalResult(hits=cache.lookup(key, _retrieve_hits, backend, query_text, topk))
 
 
 class RetrieverHandle:
@@ -276,31 +273,25 @@ class RetrieverHandle:
 
     def __init__(self, backend: Retriever, corpus: CorpusStore,
                  cache: Optional[RetrievalCache] = None,
-                 on_call: Optional[Callable[[RetrievalCall], None]] = None,
-                 strict_replay: bool = False) -> None:
+                 on_call: Optional[Callable[[RetrievalCall], None]] = None) -> None:
         self.backend = backend
         self.corpus = corpus
         self.cache = cache
         self.on_call = on_call
-        self.strict_replay = strict_replay
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
         if self.cache is not None:
-            result = cached_retrieve(self.cache, self.backend, query_text, topk,
-                                     strict=self.strict_replay)
+            result = cached_retrieve(self.cache, self.backend, query_text, topk)
         else:
             result = self.backend.retrieve(query_text, topk)
         if self.on_call is not None:
             self.on_call(RetrievalCall(query=query_text, topk=topk,
                                        hit_ids=result.hit_ids(),
-                                       backend=result.backend))
+                                       backend=self.backend.backend_id))
         return result
 
     def text(self, passage_id: str) -> str:
         return self.corpus.text(passage_id)
-
-    def passages(self, passage_ids) -> list[Passage]:
-        return [self.corpus.get(pid) for pid in passage_ids]
 
 
 __all__ = [

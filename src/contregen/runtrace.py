@@ -63,7 +63,7 @@ def _run_tree(config: RunConfig, gateway: LlmGateway, handle: RetrieverHandle,
 def _record_chain(section: QueryRun, run: baselines.BaselineRun) -> None:
     section.answer = run.answer
     section.retrieved_ids = run.retrieved_ids
-    section.rounds = [list(state.accumulated_ids) for state in run.rounds]
+    section.rounds = [list(ids) for ids in run.rounds]
 
 
 # Method name -> runner(config, gateway, handle, query, section). Runners look
@@ -262,8 +262,7 @@ def _run_one(config: RunConfig, record: QueryRecord, adapter: Adapter,
     section = QueryRun(query_id=record.id, method=config.method)
     gateway = LlmGateway(adapter, templates, on_call=section.llm_calls.append)
     handle = RetrieverHandle(backend, store, cache=retrieval_cache,
-                             on_call=section.retrieval_calls.append,
-                             strict_replay=config.replay)
+                             on_call=section.retrieval_calls.append)
     try:
         METHODS[config.method](config, gateway, handle, record.query, section)
     except ContregenError as exc:
@@ -297,9 +296,8 @@ def run(config: RunConfig) -> RunTrace:
     retrieval_cache = None
     if config.cache_dir:
         cache_dir = Path(config.cache_dir)
-        retrieval_cache = RetrievalCache(cache_dir / "retrieval.jsonl")
-        adapter = CachingAdapter(adapter, LlmCache(cache_dir / "llm.jsonl"),
-                                 strict=config.replay)
+        retrieval_cache = RetrievalCache(cache_dir / "retrieval.jsonl", strict=config.replay)
+        adapter = CachingAdapter(adapter, LlmCache(cache_dir / "llm.jsonl", strict=config.replay))
     elif config.replay:
         raise ConfigError("replay mode needs cache_dir")
 

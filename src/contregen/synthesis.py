@@ -28,83 +28,66 @@ def _block(summaries: list[str]) -> str:
 @dataclass
 class SynthesisResult:
     answer: str
-    node_summaries: dict[str, str]   # node path -> summary
     fold_merges: int
-    warnings: tuple[str, ...]
 
 
-class _Synthesizer:
-    def __init__(self, gateway: LlmGateway, lookup, char_budget: int) -> None:
-        self.gateway = gateway
-        self.lookup = lookup
-        self.char_budget = char_budget
-        self.node_summaries: dict[str, str] = {}
-        self.fold_merges = 0
-        self.warnings: list[str] = []
+def synthesize(gateway: LlmGateway, root: QueryTreeNode, lookup,
+               char_budget: int = SUMMARY_CHAR_BUDGET) -> SynthesisResult:
+    """Produce the final answer and set every node's summary; lookup maps a
+    passage id to its text."""
+    fold_merges = 0
 
-    def passages_block(self, node: QueryTreeNode) -> str:
-        return render_passages([self.lookup(pid) for pid, _ in node.retrieved])
+    def passages_block(node: QueryTreeNode) -> str:
+        return render_passages([lookup(pid) for pid, _ in node.retrieved])
 
-    def fold_children(self, node: QueryTreeNode, summaries: list[str]) -> list[str]:
+    def fold_children(node: QueryTreeNode, summaries: list[str]) -> list[str]:
         """Shrink the summary block under the budget by pairwise merging.
 
         Picks the two longest entries (ties resolved to the earlier index);
         the merged summary replaces the earlier one, keeping child order
         stable otherwise.
         """
-        summaries = list(summaries)
-        while len(_block(summaries)) > self.char_budget and len(summaries) >= 2:
+        nonlocal fold_merges
+        while len(_block(summaries)) > char_budget and len(summaries) >= 2:
             by_length = sorted(range(len(summaries)),
                                key=lambda i: (-len(summaries[i]), i))
             first, second = sorted(by_length[:2])
-            merged = self.gateway.complete(
+            merged = gateway.complete(
                 PromptRole.MERGE_INTERMEDIATE,
                 {"query": node.query, "passages": "",
                  "child_summaries": _block([summaries[first], summaries[second]])},
                 node_path=node.path,
             ).strip()
-            self.fold_merges += 1
+            fold_merges += 1
             summaries[first] = merged
             del summaries[second]
-        if summaries and len(_block(summaries)) > self.char_budget:
-            kept = self.char_budget
-            self.warnings.append(
-                f"summary at {node.path} still over budget after folding; truncated")
+        if summaries and len(_block(summaries)) > char_budget:
             logger.warning("hard-truncating an over-budget summary at %s", node.path)
-            summaries[0] = summaries[0][:kept]
+            summaries[0] = summaries[0][:char_budget]
         return summaries
 
-    def visit(self, node: QueryTreeNode, is_root: bool) -> str:
+    def visit(node: QueryTreeNode, is_root: bool) -> str:
         if node.is_leaf() and not is_root:
-            summary = self.gateway.complete(
+            summary = gateway.complete(
                 PromptRole.SUMMARIZE_LEAF,
-                {"query": node.query, "passages": self.passages_block(node)},
+                {"query": node.query, "passages": passages_block(node)},
                 node_path=node.path,
             ).strip()
         else:
-            child_summaries = [self.visit(child, False) for child in node.children]
-            child_summaries = self.fold_children(node, child_summaries)
+            child_summaries = fold_children(
+                node, [visit(child, False) for child in node.children])
             role = PromptRole.GENERATE_ROOT if is_root else PromptRole.MERGE_INTERMEDIATE
-            summary = self.gateway.complete(
+            summary = gateway.complete(
                 role,
-                {"query": node.query, "passages": self.passages_block(node),
+                {"query": node.query, "passages": passages_block(node),
                  "child_summaries": _block(child_summaries)},
                 node_path=node.path,
             ).strip()
         node.summary = summary
-        self.node_summaries[node.path] = summary
         return summary
 
-
-def synthesize(gateway: LlmGateway, root: QueryTreeNode, lookup,
-               char_budget: int = SUMMARY_CHAR_BUDGET) -> SynthesisResult:
-    """Produce the final answer; lookup maps a passage id to its text."""
-    worker = _Synthesizer(gateway, lookup, char_budget)
-    answer = worker.visit(root, is_root=True)
-    return SynthesisResult(answer=answer,
-                           node_summaries=worker.node_summaries,
-                           fold_merges=worker.fold_merges,
-                           warnings=tuple(worker.warnings))
+    answer = visit(root, is_root=True)
+    return SynthesisResult(answer=answer, fold_merges=fold_merges)
 
 
 __all__ = ["SUMMARY_CHAR_BUDGET", "SynthesisResult", "synthesize"]

@@ -77,7 +77,7 @@ def _expand(gateway: LlmGateway, retriever: RetrieverHandle,
     plan = propose_plan(gateway, node.query, main_query, passages_block,
                         config.max_plan_size, node_path=node.path)
     rejected: list[VerificationOutcome] = []
-    for subquestion in plan.subquestions:
+    for subquestion in plan:
         outcome = verify(gateway, retriever, subquestion, main_query,
                          config.topk, node_path=node.path)
         if not outcome.accepted:

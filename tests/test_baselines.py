@@ -12,6 +12,7 @@ from contregen.retrieval import LexicalIndex, RetrieverHandle
 from conftest import (
     FACET_A,
     GOLD_IDS,
+    ITERRETGEN_RESPONSES,
     ROOT_QUERY,
     SUB_B,
     SUB_C,
@@ -22,9 +23,9 @@ from conftest import (
 )
 
 
-def _setup(fixtures):
+def _setup(fixtures, on_retrieval=None):
     store = planted_corpus()
-    handle = RetrieverHandle(LexicalIndex(store), store)
+    handle = RetrieverHandle(LexicalIndex(store), store, on_call=on_retrieval)
     adapter = ScriptedAdapter(fixtures)
     return LlmGateway(adapter), handle, adapter
 
@@ -45,15 +46,15 @@ def test_parse_followup_unparseable_stops(caplog):
 
 
 def test_retgen_single_retrieval_single_call():
-    gateway, handle, adapter = _setup(retgen_fixtures())
+    retrievals = []
+    gateway, handle, adapter = _setup(retgen_fixtures(), retrievals.append)
     run = run_retgen(gateway, handle, ROOT_QUERY, topk=5)
     assert adapter.backend_calls == 1
     assert handle.backend.backend_calls == 1
-    assert run.method == "retgen"
     assert set(run.retrieved_ids) == set(FACET_A)  # only facet A overlaps
     assert run.answer == "Inspect fixtures and chargers closely."
-    assert len(run.rounds) == 1
-    assert run.rounds[0].current_query == ROOT_QUERY
+    assert run.rounds == (run.retrieved_ids,)
+    assert [c.query for c in retrievals] == [ROOT_QUERY]
 
 
 def test_retgen_generates_even_with_no_hits():
@@ -74,7 +75,8 @@ def test_iterretgen_reduces_to_retgen_at_one_iteration():
 
 
 def test_iterretgen_five_rounds_plateau():
-    gateway, handle, adapter = _setup(iterretgen_fixtures())
+    retrievals = []
+    gateway, handle, adapter = _setup(iterretgen_fixtures(), retrievals.append)
     run = run_iterretgen(gateway, handle, ROOT_QUERY, topk=5, max_iterations=5)
     assert adapter.backend_calls == 5
     assert handle.backend.backend_calls == 5
@@ -83,9 +85,8 @@ def test_iterretgen_five_rounds_plateau():
     sets = run.per_round_sets()
     assert all(s == set(FACET_A) for s in sets)
     # later rounds query with the previous response prepended
-    assert run.rounds[0].current_query == ROOT_QUERY
-    assert run.rounds[1].current_query == (
-        run.rounds[0].current_response + " " + ROOT_QUERY)
+    assert retrievals[0].query == ROOT_QUERY
+    assert retrievals[1].query == ITERRETGEN_RESPONSES[0] + " " + ROOT_QUERY
 
 
 def test_iterretgen_accumulated_sets_nested():
@@ -103,16 +104,17 @@ def test_iterretgen_rejects_zero_iterations():
 
 
 def test_selfask_covers_all_facets_by_round_three():
-    gateway, handle, adapter = _setup(selfask_fixtures())
+    retrievals = []
+    gateway, handle, adapter = _setup(selfask_fixtures(), retrievals.append)
     run = run_selfask(gateway, handle, ROOT_QUERY, topk=5, max_iterations=5)
     # 3 follow-up calls (B, C, stop) + 1 final generation
     assert adapter.backend_calls == 4
     # seed retrieval + one per answered follow-up
     assert handle.backend.backend_calls == 3
     assert set(run.retrieved_ids) == set(GOLD_IDS)
-    assert run.rounds[0].current_query == SUB_B
-    assert run.rounds[1].current_query == SUB_C
-    assert run.rounds[2].current_query == ""  # the stop round
+    # the seed, then one per round that asked a follow-up; the stop round none
+    assert [c.query for c in retrievals] == [ROOT_QUERY, SUB_B, SUB_C]
+    assert len(run.rounds) == 3
     sets = run.per_round_sets()
     assert sets[1] == set(GOLD_IDS)
     assert sets[2] == sets[1]

@@ -632,6 +632,8 @@ def test_cold_run_builds_the_index_once_and_replay_never(method, planted, tmp_pa
     assert len(index_builds) == 1
     cold = {name: (out_dir / name).read_bytes()
             for name in ("trace.json", "report.json", "outputs.jsonl")}
+    cached = {name: (tmp_path / "cache" / name).read_bytes()
+              for name in ("llm.jsonl", "retrieval.jsonl")}
     assert dispatch(["replay", "--method", method,
                      "--corpus", str(planted["corpus"]),
                      "--queries", str(planted["queries"]),
@@ -639,6 +641,8 @@ def test_cold_run_builds_the_index_once_and_replay_never(method, planted, tmp_pa
                      "--cache-dir", cache, "--out-dir", str(out_dir)]) == 0
     assert len(index_builds) == 1  # the replay built none
     assert {name: (out_dir / name).read_bytes() for name in cold} == cold
+    # the replay appended nothing to either cache
+    assert {name: (tmp_path / "cache" / name).read_bytes() for name in cached} == cached
 
 
 def test_parallel_run_builds_the_index_once_and_matches_serial_bytes(

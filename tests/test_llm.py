@@ -6,6 +6,7 @@ import pytest
 from contregen.errors import (
     CacheCorruptionError,
     ConfigError,
+    DataError,
     FixtureMissError,
     LlmBackendError,
     ReplayMissError,
@@ -151,7 +152,7 @@ def test_llm_cache_round_trip_and_strictness(tmp_path):
     assert inner.backend_calls == 1
 
     fresh_inner = ScriptedAdapter({})
-    strict = CachingAdapter(fresh_inner, LlmCache(cache_path), strict=True)
+    strict = CachingAdapter(fresh_inner, LlmCache(cache_path, strict=True))
     assert strict.complete(PromptRole.PLAN, "the prompt", slots) == "planned"
     with pytest.raises(ReplayMissError):
         strict.complete(PromptRole.PLAN, "another prompt", slots)
@@ -195,6 +196,15 @@ def test_llm_cache_corruption_is_loud(tmp_path):
     path.write_text('{"key": "k", "response": "ok"}')
     LlmCache(path).put("k2", "more", role="plan", prompt="p")
     assert LlmCache(path).get("k") == "ok" and LlmCache(path).get("k2") == "more"
+
+
+def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
+    path = tmp_path / "llm.jsonl"
+    cache = LlmCache(path)
+    path.mkdir()  # the file stops being appendable after the cache loaded
+    with pytest.raises(DataError, match=r"^cannot write cache file .*llm\.jsonl: "):
+        cache.put("k", "served", role="plan", prompt="p")
+    assert cache.get("k") is None  # an entry that was never written is not served
 
 
 class _FakeResponse:

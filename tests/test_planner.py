@@ -20,32 +20,29 @@ def _plan(response, query="the query", main="the main", limit=5):
 
 
 def test_plan_extracts_items_in_order():
-    plan = _plan("1. alpha\n2. beta\n3. gamma")
-    assert plan.subquestions == ("alpha", "beta", "gamma")
-    assert plan.query == "the query"
+    assert _plan("1. alpha\n2. beta\n3. gamma") == ("alpha", "beta", "gamma")
 
 
 def test_plan_deduplicates_case_insensitively():
-    plan = _plan("1. What is X?\n2. what  is x?\n3. other")
-    assert plan.subquestions == ("What is X?", "other")
+    assert _plan("1. What is X?\n2. what  is x?\n3. other") == ("What is X?", "other")
 
 
 def test_plan_drops_restated_queries():
     plan = _plan("1. The Query\n2. the main\n3. genuine question",
                  query="The Query", main="the main")
-    assert plan.subquestions == ("genuine question",)
+    assert plan == ("genuine question",)
 
 
 def test_plan_truncates_to_limit():
     response = "\n".join(f"{i}. item {i}" for i in range(1, 9))
     plan = _plan(response, limit=3)
-    assert plan.subquestions == ("item 1", "item 2", "item 3")
+    assert plan == ("item 1", "item 2", "item 3")
 
 
 def test_plan_unparseable_yields_empty(caplog):
     with caplog.at_level("WARNING"):
         plan = _plan("I cannot break this down further.")
-    assert plan.subquestions == ()
+    assert plan == ()
     assert any("no list items" in r.message for r in caplog.records)
 
 

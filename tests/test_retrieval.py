@@ -239,9 +239,9 @@ def test_cache_corruption_is_loud(tmp_path):
 
 def test_strict_replay_miss(tmp_path):
     index = LexicalIndex(_store({"p1": "alpha"}))
-    cache = RetrievalCache(tmp_path / "ret.jsonl")
+    cache = RetrievalCache(tmp_path / "ret.jsonl", strict=True)
     with pytest.raises(ReplayMissError):
-        cached_retrieve(cache, index, "alpha", 1, strict=True)
+        cached_retrieve(cache, index, "alpha", 1)
     assert index.backend_calls == 0
 
 
@@ -276,7 +276,7 @@ def test_remote_retriever_parses_hits(monkeypatch):
                              session=session)
     result = remote.retrieve("a query", 3)
     assert result.hits == (("p9", 2.5),)
-    assert result.backend == "remote:http://retriever.test/search"
+    assert remote.backend_id == "remote:http://retriever.test/search"
     sent = session.requests[0]
     assert sent["json"] == {"query": "a query", "topk": 3}
     assert sent["headers"]["Authorization"] == "Bearer tok"
@@ -356,7 +356,6 @@ def test_handle_records_calls_and_resolves_text():
     handle = RetrieverHandle(LexicalIndex(store), store, on_call=recorded.append)
     result = handle.retrieve("beta", 2)
     assert handle.text("p1") == "alpha beta"
-    assert [p.id for p in handle.passages(["p2", "p1"])] == ["p2", "p1"]
     assert len(recorded) == 1
     assert recorded[0].query == "beta"
     assert recorded[0].topk == 2

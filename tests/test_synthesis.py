@@ -38,9 +38,8 @@ def test_summaries_attached_to_nodes():
     assert root.summary == result.answer
     assert root.children[0].summary == "merged branch one"
     assert root.children[0].children[0].summary == f"summary of {ACCT_LEAVES[0]}"
-    assert set(result.node_summaries) == {n.path for n in root.walk()}
+    assert all(node.summary for node in root.walk())
     assert result.fold_merges == 0
-    assert result.warnings == ()
 
 
 def test_single_node_tree_still_generates_root():
@@ -73,7 +72,7 @@ def test_fold_merges_two_longest_first():
     fold_call = next(c for c in calls
                      if c.role == "merge_intermediate" and "L" * 60 in c.prompt)
     assert "M" * 50 in fold_call.prompt  # the two longest went into the fold
-    assert result.node_summaries["0.0"] == "merged branch one"
+    assert root.children[0].summary == "merged branch one"
 
 
 def test_single_overlong_summary_truncated_with_warning(caplog):
@@ -89,5 +88,4 @@ def test_single_overlong_summary_truncated_with_warning(caplog):
         result = synthesize(gateway, root, handle.text, char_budget=50)
     assert result.answer == "root out"
     assert result.fold_merges >= 1  # folding ran out of pairs first
-    assert result.warnings
-    assert any("over budget" in w for w in result.warnings)
+    assert any("over-budget summary at 0" in r.message for r in caplog.records)
