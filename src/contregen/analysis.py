@@ -35,11 +35,6 @@ class ReachSplit:
     nrep_ids: frozenset[str]
 
 
-def _probe_text(text: str, limit: int = PROBE_TOKEN_LIMIT) -> str:
-    tokens = tokenize(text)
-    return " ".join(tokens[:limit])
-
-
 def build_reach_graph(retriever: RetrieverHandle, query: QueryRecord,
                       topk: int) -> ReachabilityGraph:
     """One probe for the question plus one per gold passage; edges land only
@@ -53,7 +48,7 @@ def build_reach_graph(retriever: RetrieverHandle, query: QueryRecord,
         if pid in gold:
             edges.add((QUERY_SENTINEL, pid))
     for source in sorted(gold):
-        probe = _probe_text(retriever.text(source))
+        probe = " ".join(tokenize(retriever.text(source))[:PROBE_TOKEN_LIMIT])
         for target in retriever.retrieve(probe, topk).hit_ids():
             if target in gold and target != source:
                 edges.add((source, target))

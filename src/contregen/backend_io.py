@@ -164,7 +164,9 @@ class JsonlCache:
                 return
             try:  # the repair is idempotent, so it is kept until an append lands
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
+                # a lone surrogate cannot be UTF-8; it can stand only inside a
+                # JSON string, where backslashreplace writes it as its \u escape
+                with self.path.open("a", encoding="utf-8", errors="backslashreplace") as fh:
                     if self._repair is not None:
                         fh.truncate(self._repair[0])
                         fh.write(self._repair[1])

@@ -135,8 +135,11 @@ def _cmd_eval(args):
     if args.queries:
         records = load_queries(args.queries)
         sections = trace.get("queries", {})
-        answers = {qid: s["answer"] for qid, s in sections.items()
+        answers = {qid: s.get("answer") for qid, s in sections.items()
                    if s.get("error") is None}
+        for qid, answer in answers.items():
+            if answer is None:
+                raise DataError(f"trace file {args.trace}: query {qid} has no answer")
         retrieved = {qid: s.get("retrieved_ids", []) for qid, s in sections.items()}
         report = evaluate_run(records, answers, retrieved)
     elif trace.get("report"):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import logging
 import math
 import re
 import threading
@@ -31,8 +30,6 @@ from contregen.errors import (
 
 if TYPE_CHECKING:
     import requests
-
-logger = logging.getLogger(__name__)
 
 
 class PromptRole(str, enum.Enum):
@@ -198,9 +195,13 @@ class OpenAiChatAdapter:
             lambda reason: LlmBackendError(
                 f"generation backend failed ({role.value}): {reason}"))
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
-            raise LlmBackendError(f"malformed completion response: {exc}") from exc
+            content = response.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not str")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise LlmBackendError(
+                f"malformed completion response ({type(exc).__name__}: {exc})") from exc
+        return content
 
 
 class LlmCache(JsonlCache):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import logging
 import math
 import re
 import threading
@@ -31,8 +30,6 @@ from contregen.errors import DataError, RetrieverUnavailableError
 
 if TYPE_CHECKING:
     import requests
-
-logger = logging.getLogger(__name__)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -176,6 +173,9 @@ def select_topk(scores: array, topk: int) -> list[int]:
 class RemoteRetriever:
     """Client for a remote dense retriever: POST {query, topk} -> [{id, score}].
 
+    A reply of any other shape is a RetrieverUnavailableError, as an
+    unreachable endpoint is, so it fails its query and not the run.
+
     The auth token, when required, comes from the environment (never from
     configuration files). The remote corpus cannot be fingerprinted from
     here, so its cache entries are keyed by the endpoint alone.
@@ -210,18 +210,16 @@ class RemoteRetriever:
             self._timeout, self._max_retries,
             lambda reason: RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} unreachable: {reason}"))
-        return self._parse(response)
-
-    def _parse(self, response: requests.Response) -> RetrievalResult:
         try:
             payload = response.json()
-        except ValueError as exc:
+            items = payload["hits"] if isinstance(payload, dict) else payload
+            if not isinstance(items, list):
+                raise TypeError("not a hit list")
+            hits = tuple((str(item["id"]), float(item["score"])) for item in items)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverUnavailableError(
-                f"remote retriever returned invalid JSON: {exc}") from exc
-        items = payload.get("hits") if isinstance(payload, dict) else payload
-        if not isinstance(items, list):
-            raise RetrieverUnavailableError("remote retriever response is not a hit list")
-        hits = tuple((str(item["id"]), float(item["score"])) for item in items)
+                f"remote retriever {self.endpoint} returned a malformed reply "
+                f"({type(exc).__name__}: {exc})") from exc
         return RetrievalResult(hits=hits)
 
 
@@ -253,17 +251,6 @@ def _retrieve_hits(backend: Retriever, query_text: str, topk: int):
     return backend.retrieve(query_text, topk).hits
 
 
-def cached_retrieve(cache: RetrievalCache, backend: Retriever, query_text: str,
-                    topk: int) -> RetrievalResult:
-    """Serve from cache when possible; identical result either way.
-
-    A strict cache (replay) errors on a miss instead of touching the backend.
-    """
-    key = cache.key(backend.backend_id, backend.corpus_fingerprint, query_text, topk,
-                    backend.case_sensitive)
-    return RetrievalResult(hits=cache.lookup(key, _retrieve_hits, backend, query_text, topk))
-
-
 class RetrieverHandle:
     """What the engine components receive: retrieval plus passage-text lookup.
 
@@ -280,14 +267,19 @@ class RetrieverHandle:
         self.on_call = on_call
 
     def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
+        """Served from the cache when there is one (a strict cache errors on a
+        miss instead of touching the backend); the same result either way."""
+        backend = self.backend
         if self.cache is not None:
-            result = cached_retrieve(self.cache, self.backend, query_text, topk)
+            key = self.cache.key(backend.backend_id, backend.corpus_fingerprint, query_text,
+                                 topk, backend.case_sensitive)
+            result = RetrievalResult(hits=self.cache.lookup(
+                key, _retrieve_hits, backend, query_text, topk))
         else:
-            result = self.backend.retrieve(query_text, topk)
+            result = backend.retrieve(query_text, topk)
         if self.on_call is not None:
             self.on_call(RetrievalCall(query=query_text, topk=topk,
-                                       hit_ids=result.hit_ids(),
-                                       backend=self.backend.backend_id))
+                                       hit_ids=result.hit_ids(), backend=backend.backend_id))
         return result
 
     def text(self, passage_id: str) -> str:
@@ -304,7 +296,6 @@ __all__ = [
     "RetrievalResult",
     "Retriever",
     "RetrieverHandle",
-    "cached_retrieve",
     "normalize_query",
     "select_topk",
     "tokenize",

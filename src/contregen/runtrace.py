@@ -335,26 +335,64 @@ def run(config: RunConfig) -> RunTrace:
     return trace
 
 
+def _is(*kinds):
+    """A check that a value is of one of kinds; None among them admits null."""
+    types = tuple(type(None) if kind is None else kind for kind in kinds)
+    return lambda value: isinstance(value, types)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _dict_of(check):
+    return lambda value: isinstance(value, dict) and all(map(check, value.values()))
+
+
+# The fields a trace section may carry, in diff order: the check load_trace
+# makes, how it names a bad value, and what diff_traces says when two traces
+# differ in it (llm calls are compared one by one).
+_SECTION_FIELDS = {
+    "method": (_is(str), "a string", "method differs"),
+    "answer": (_is(str), "a string", "answer differs"),
+    "retrieved_ids": (_list_of(_is(str)), "a list of strings", "retrieved ids differ"),
+    "llm_calls": (_list_of(_is(dict)), "a list of objects", None),
+    "retrieval_calls": (_list_of(_is(dict)), "a list of objects", "retrieval calls differ"),
+    "tree": (_is(dict, None), "null or an object", "tree differs"),
+    "rounds": (lambda v: v is None or _list_of(_list_of(_is(str)))(v),
+               "null or a list of lists of strings", "rounds differ"),
+    "error": (_is(str, None), "null or a string", "error field differs"),
+}
+_SCORES = _dict_of(_is(int, float, None))
+
+
 def load_trace(path: str | Path) -> dict:
+    """A trace file as a dict. Every field present is checked for type (a
+    section may leave any out); a bad one is a DataError naming the file and
+    the query."""
     data = read_json(path, "trace file")
     if not isinstance(data, dict):
         raise DataError(f"trace file {path} is not a JSON object")
     queries = data.get("queries", {})
-    if not isinstance(queries, dict) or not all(isinstance(s, dict) for s in queries.values()):
+    if not _dict_of(_is(dict))(queries):
         raise DataError(f"trace file {path}: queries must map query ids to objects")
-    if not isinstance(data.get("report") or {}, dict):
+    for qid, section in queries.items():
+        for name, (valid, kind, _) in _SECTION_FIELDS.items():
+            if name in section and not valid(section[name]):
+                raise DataError(f"trace file {path}: query {qid}: {name} must be {kind}")
+    report = data.get("report")
+    if not _is(dict, None)(report):
         raise DataError(f"trace file {path}: report must be an object")
+    if report and not (_dict_of(_SCORES)(report.get("per_query", {}))
+                       and _SCORES(report.get("aggregates", {}))):
+        raise DataError(f"trace file {path}: report per_query must map query ids to "
+                        "objects of numbers, and aggregates must be an object of numbers")
     return data
 
 
-def _as_dict(trace) -> dict:
-    return trace.to_dict() if isinstance(trace, RunTrace) else trace
-
-
-def diff_traces(a, b) -> list[str]:
-    """Human-readable structural differences; empty exactly when the
-    canonical serializations are byte-identical."""
-    da, db = _as_dict(a), _as_dict(b)
+def diff_traces(da: dict, db: dict) -> list[str]:
+    """Human-readable structural differences between two trace dicts; empty
+    exactly when their canonical serializations are byte-identical."""
     if canonical_json(da) == canonical_json(db):
         return []
     diffs: list[str] = []
@@ -367,25 +405,16 @@ def diff_traces(a, b) -> list[str]:
             diffs.append(f"query {qid}: only in {where} trace")
             continue
         sa, sb = qa[qid], qb[qid]
-        if sa.get("answer") != sb.get("answer"):
-            diffs.append(f"query {qid}: answer differs")
-        calls_a, calls_b = sa.get("llm_calls", []), sb.get("llm_calls", [])
-        if len(calls_a) != len(calls_b):
-            diffs.append(f"query {qid}: {len(calls_a)} vs {len(calls_b)} llm calls")
-        for index, (ca, cb) in enumerate(zip(calls_a, calls_b)):
-            if ca != cb:
-                diffs.append(
-                    f"query {qid}: llm call {index} differs "
-                    f"(role={ca.get('role')}, node_path={ca.get('node_path')})")
-        ra, rb = sa.get("retrieval_calls", []), sb.get("retrieval_calls", [])
-        if canonical_json(ra) != canonical_json(rb):
-            diffs.append(f"query {qid}: retrieval calls differ")
-        if canonical_json(sa.get("tree")) != canonical_json(sb.get("tree")):
-            diffs.append(f"query {qid}: tree differs")
-        if sa.get("rounds") != sb.get("rounds"):
-            diffs.append(f"query {qid}: rounds differ")
-        if sa.get("error") != sb.get("error"):
-            diffs.append(f"query {qid}: error field differs")
+        for name, (_, _, differs) in _SECTION_FIELDS.items():
+            if differs is None:  # the llm calls, one by one
+                calls_a, calls_b = sa.get(name, []), sb.get(name, [])
+                if len(calls_a) != len(calls_b):
+                    diffs.append(f"query {qid}: {len(calls_a)} vs {len(calls_b)} llm calls")
+                diffs += [f"query {qid}: llm call {index} differs "
+                          f"(role={ca.get('role')}, node_path={ca.get('node_path')})"
+                          for index, (ca, cb) in enumerate(zip(calls_a, calls_b)) if ca != cb]
+            elif canonical_json(sa.get(name)) != canonical_json(sb.get(name)):
+                diffs.append(f"query {qid}: {differs}")
     if canonical_json(da.get("report")) != canonical_json(db.get("report")):
         diffs.append("report differs")
     if not diffs:

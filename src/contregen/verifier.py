@@ -50,67 +50,40 @@ class VerificationOutcome:
         return self.necessary and self.relevant
 
 
-def check_necessity_and_rewrite(gateway: LlmGateway, subquestion: str,
-                                main_query: str, node_path: str = "") -> tuple[bool, str]:
-    response = gateway.complete(
-        PromptRole.NECESSITY,
-        {"subquestion": subquestion, "main_query": main_query},
-        node_path=node_path,
-    )
+def _verdict(response: str, step: str, subject: str) -> bool:
+    """The model's yes/no, fail-closed: a reply that is not a clear yes is no."""
     verdict = parse_yes_no(response)
     if verdict is None:
-        logger.warning("unparseable necessity verdict for %r; treating as no",
-                       subquestion)
-    if not verdict:
-        return False, subquestion
-    rewritten = gateway.complete(
-        PromptRole.REWRITE,
-        {"subquestion": subquestion, "main_query": main_query},
-        node_path=node_path,
-    ).strip()
-    if not rewritten:
-        logger.warning("empty rewrite for %r; keeping the original form", subquestion)
-        rewritten = subquestion
-    return True, rewritten
-
-
-def check_relevance(gateway: LlmGateway, retriever: RetrieverHandle,
-                    rewritten: str, main_query: str, topk: int,
-                    node_path: str = "") -> tuple[bool, tuple[tuple[str, float], ...]]:
-    probe = retriever.retrieve(rewritten, topk)
-    if not probe.hits:
-        return False, ()
-    passages_block = render_passages([retriever.text(pid) for pid in probe.hit_ids()])
-    response = gateway.complete(
-        PromptRole.RELEVANCE,
-        {"subquestion": rewritten, "main_query": main_query,
-         "passages": passages_block},
-        node_path=node_path,
-    )
-    verdict = parse_yes_no(response)
-    if verdict is None:
-        logger.warning("unparseable relevance verdict for %r; treating as no",
-                       rewritten)
-    return bool(verdict), probe.hits
+        logger.warning("unparseable %s verdict for %r; treating as no", step, subject)
+    return bool(verdict)
 
 
 def verify(gateway: LlmGateway, retriever: RetrieverHandle, subquestion: str,
            main_query: str, topk: int, node_path: str = "") -> VerificationOutcome:
-    necessary, rewritten = check_necessity_and_rewrite(
-        gateway, subquestion, main_query, node_path=node_path)
-    if not necessary:
+    slots = {"subquestion": subquestion, "main_query": main_query}
+    response = gateway.complete(PromptRole.NECESSITY, slots, node_path=node_path)
+    if not _verdict(response, "necessity", subquestion):
         return VerificationOutcome(subquestion=subquestion, rewritten=subquestion,
                                    necessary=False, relevant=False, probe_hits=())
-    relevant, hits = check_relevance(
-        gateway, retriever, rewritten, main_query, topk, node_path=node_path)
+    rewritten = gateway.complete(PromptRole.REWRITE, slots, node_path=node_path).strip()
+    if not rewritten:
+        logger.warning("empty rewrite for %r; keeping the original form", subquestion)
+        rewritten = subquestion
+    hits = retriever.retrieve(rewritten, topk).hits
+    relevant = False
+    if hits:  # an empty probe is irrelevant without asking the model
+        passages_block = render_passages([retriever.text(pid) for pid, _ in hits])
+        response = gateway.complete(
+            PromptRole.RELEVANCE,
+            {"subquestion": rewritten, "main_query": main_query, "passages": passages_block},
+            node_path=node_path)
+        relevant = _verdict(response, "relevance", rewritten)
     return VerificationOutcome(subquestion=subquestion, rewritten=rewritten,
                                necessary=True, relevant=relevant, probe_hits=hits)
 
 
 __all__ = [
     "VerificationOutcome",
-    "check_necessity_and_rewrite",
-    "check_relevance",
     "parse_yes_no",
     "verify",
 ]

@@ -11,7 +11,7 @@ import pytest
 
 from contregen import analysis, baselines
 from contregen.corpus import ArticleDump, CorpusStore, Passage, build_wikihow_benchmark
-from contregen.llm import LlmGateway, PromptRole, ScriptedAdapter, count_calls, load_templates
+from contregen.llm import LlmGateway, ScriptedAdapter, count_calls, load_templates
 from contregen.metrics import recall, rouge_l
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import RunConfig, diff_traces, load_trace, run

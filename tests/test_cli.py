@@ -463,6 +463,76 @@ def _one_data_error(argv, capsys) -> str:
     return line
 
 
+def _trace_text(section: dict, report=None) -> str:
+    return json.dumps({"config": {}, "queries": {"q-planted": section}, "report": report})
+
+
+_SECTION = {"method": "retgen", "answer": "an answer", "retrieved_ids": ["a1"],
+            "tree": None, "rounds": [["a1"]], "error": None}
+
+# name -> (command, the trace file's text, what the error says); the commands
+# are read as in _BAD_INPUTS
+_BAD_TRACES = {
+    "eval-missing-answer": (
+        "eval --trace {trace.json} --queries {queries}",
+        _trace_text({"retrieved_ids": ["a1"]}), "query q-planted has no answer"),
+    "eval-number-retrieved-ids": (
+        "eval --trace {trace.json} --queries {queries}",
+        _trace_text({**_SECTION, "retrieved_ids": 5}),
+        "query q-planted: retrieved_ids must be a list of strings"),
+    "facets-number-retrieved-ids": (
+        "analyze-facets --trace {trace.json} --queries {queries}",
+        _trace_text({"retrieved_ids": 5}),
+        "query q-planted: retrieved_ids must be a list of strings"),
+    "reach-number-retrieved-ids": (
+        "analyze-reach --corpus {corpus} --queries {queries} --trace {trace.json}",
+        _trace_text({"retrieved_ids": [5]}),
+        "query q-planted: retrieved_ids must be a list of strings"),
+    "curve-number-rounds": (
+        "curve --trace {trace.json} --queries {queries}",
+        _trace_text({"rounds": 3}),
+        "query q-planted: rounds must be null or a list of lists of strings"),
+    "export-tree-list-tree": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text({**_SECTION, "tree": []}), "query q-planted: tree must be null or an object"),
+    "diff-number-error": (
+        "diff --a {trace.json} --b {trace.json}",
+        _trace_text({**_SECTION, "error": 5}), "query q-planted: error must be null or a string"),
+    "diff-number-method": (
+        "diff --a {trace.json} --b {trace.json}",
+        _trace_text({**_SECTION, "method": 5}), "query q-planted: method must be a string"),
+    "eval-number-per-query": (
+        "eval --trace {trace.json}", _trace_text(_SECTION, {"per_query": 3}),
+        "report per_query must map query ids to objects of numbers"),
+    "eval-string-score": (
+        "eval --trace {trace.json}",
+        _trace_text(_SECTION, {"per_query": {"q-planted": {"recall": "high"}}}),
+        "report per_query must map query ids to objects of numbers"),
+    "eval-list-aggregates": (
+        "eval --trace {trace.json}", _trace_text(_SECTION, {"per_query": {}, "aggregates": []}),
+        "aggregates must be an object of numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TRACES))
+def test_badly_typed_trace_field_is_one_data_error(case, planted, tmp_path, capsys):
+    command, text, reason = _BAD_TRACES[case]
+    argv, paths = _planted_argv(command, {"trace.json": text}, planted, tmp_path)
+    line = _one_data_error(argv, capsys)
+    assert str(paths["trace.json"]) in line
+    assert reason in line
+
+
+def test_diff_names_method_and_retrieved_ids(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(_trace_text(_SECTION), encoding="utf-8")
+    b.write_text(_trace_text({**_SECTION, "method": "iterretgen",
+                              "retrieved_ids": ["a1", "b1"]}), encoding="utf-8")
+    assert dispatch(["diff", "--a", str(a), "--b", str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "query q-planted: method differs", "query q-planted: retrieved ids differ"]
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_malformed_input_is_one_data_error_naming_the_file(case, planted, tmp_path, capsys):
     command, files = _BAD_INPUTS[case]

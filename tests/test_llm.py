@@ -207,6 +207,18 @@ def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
     assert cache.get("k") is None  # an entry that was never written is not served
 
 
+def test_llm_cache_writes_a_lone_surrogate_escaped(tmp_path):
+    path = tmp_path / "llm.jsonl"
+    LlmCache(path).put("k", "odd \ud800 text", role="plan", prompt="p")
+    LlmCache(path).put("k2", "caf\u00e9", role="plan", prompt="p")
+    first, second = path.read_bytes().splitlines()
+    assert b"\\ud800" in first  # escaped, as traces write it
+    assert second.decode("utf-8").endswith('"response": "caf\u00e9"}')  # others unchanged
+    reloaded = LlmCache(path)
+    assert reloaded.get("k") == "odd \ud800 text"
+    assert reloaded.get("k2") == "caf\u00e9"
+
+
 class _FakeResponse:
     def __init__(self, status_code, payload):
         self.status_code = status_code
@@ -238,6 +250,22 @@ def test_openai_adapter_success():
     assert sent["max_tokens"] == 1024
     assert sent["messages"] == [{"role": "user", "content": "prompt text"}]
     assert session.posts[0]["headers"]["Authorization"] == "Bearer secret"
+
+
+@pytest.mark.parametrize("payload", [
+    {"choices": None},
+    [{"message": {"content": "x"}}],
+    {"choices": []},
+    {"choices": [{"message": {}}]},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 7}}]},
+], ids=["null-choices", "top-level-list", "no-choice", "no-content", "null-content",
+        "number-content"])
+def test_openai_adapter_malformed_reply_is_backend_error(payload):
+    adapter = OpenAiChatAdapter(model="m1", api_key="k",
+                                session=_FakeSession([_FakeResponse(200, payload)]))
+    with pytest.raises(LlmBackendError, match="malformed completion response"):
+        adapter.complete(PromptRole.PLAN, "p", {})
 
 
 def test_openai_adapter_retries_then_fails(monkeypatch):

@@ -12,7 +12,7 @@ from contregen.metrics import (
     string_em,
 )
 
-from oracles import lcs_len, recall_count, rouge_from_lcs
+from oracles import recall_count, rouge_from_lcs
 
 
 def test_normalize():

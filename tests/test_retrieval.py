@@ -18,7 +18,6 @@ from contregen.retrieval import (
     RemoteRetriever,
     RetrievalCache,
     RetrieverHandle,
-    cached_retrieve,
     normalize_query,
     select_topk,
     tokenize,
@@ -33,6 +32,11 @@ def _store(texts: dict) -> CorpusStore:
     for pid in texts:
         store.add(Passage(id=pid, text=texts[pid], meta={}))
     return store
+
+
+def _cached(cache: RetrievalCache, backend, query_text: str, topk: int):
+    """backend's retrieval through a handle that serves it from cache."""
+    return RetrieverHandle(backend, CorpusStore(), cache=cache).retrieve(query_text, topk)
 
 
 def test_tokenize():
@@ -184,14 +188,14 @@ def test_cache_round_trip_and_persistence(tmp_path):
     index = LexicalIndex(_store({"p1": "alpha beta", "p2": "beta gamma"}))
     cache_path = tmp_path / "ret.jsonl"
     cache = RetrievalCache(cache_path)
-    first = cached_retrieve(cache, index, "beta", 2)
+    first = _cached(cache, index, "beta", 2)
     assert index.backend_calls == 1
-    second = cached_retrieve(cache, index, "  BETA ", 2)  # normalized same key
+    second = _cached(cache, index, "  BETA ", 2)  # normalized same key
     assert second.hits == first.hits
     assert index.backend_calls == 1  # served from cache
 
     reloaded = RetrievalCache(cache_path)
-    third = cached_retrieve(reloaded, index, "beta", 2)
+    third = _cached(reloaded, index, "beta", 2)
     assert third.hits == first.hits
     assert index.backend_calls == 1
 
@@ -213,10 +217,10 @@ def test_cache_never_serves_another_corpus(tmp_path):
     cache_path = tmp_path / "ret.jsonl"
     corpus_a = _store({"p1": "alpha beta", "p2": "gamma delta"})
     corpus_b = _store({"p1": "gamma delta", "p2": "alpha beta"})  # texts swapped
-    assert cached_retrieve(RetrievalCache(cache_path), LexicalIndex(corpus_a),
-                           "alpha", 1).hit_ids() == ("p1",)
+    assert _cached(RetrievalCache(cache_path), LexicalIndex(corpus_a),
+                   "alpha", 1).hit_ids() == ("p1",)
     index_b = LexicalIndex(corpus_b)
-    served = cached_retrieve(RetrievalCache(cache_path), index_b, "alpha", 1)
+    served = _cached(RetrievalCache(cache_path), index_b, "alpha", 1)
     assert served.hits == index_b.retrieve("alpha", 1).hits
     assert served.hit_ids() == ("p2",)
 
@@ -241,7 +245,7 @@ def test_strict_replay_miss(tmp_path):
     index = LexicalIndex(_store({"p1": "alpha"}))
     cache = RetrievalCache(tmp_path / "ret.jsonl", strict=True)
     with pytest.raises(ReplayMissError):
-        cached_retrieve(cache, index, "alpha", 1)
+        _cached(cache, index, "alpha", 1)
     assert index.backend_calls == 0
 
 
@@ -333,19 +337,43 @@ def test_remote_retriever_bad_payload(monkeypatch):
         remote.retrieve("q", 1)
 
 
+@pytest.mark.parametrize("payload", [
+    [{"id": "p1"}],
+    [3],
+    [{"id": "p1", "score": None}],
+    [{"id": "p1", "score": "x"}],
+    {"hits": {"id": "p1", "score": 1.0}},
+    "",
+    None,
+    ValueError("not JSON"),
+], ids=["no-score", "number-hit", "null-score", "string-score", "object-hits", "string",
+        "null", "not-json"])
+def test_remote_retriever_malformed_reply_is_unavailable(payload):
+    session = _FakeSession([_FakeResponse(200, payload)])
+    remote = RemoteRetriever("http://retriever.test", session=session)
+    with pytest.raises(RetrieverUnavailableError, match="malformed reply"):
+        remote.retrieve("q", 1)
+
+
+def test_remote_retriever_reads_hits_object():
+    session = _FakeSession([_FakeResponse(200, {"hits": [{"id": "p1", "score": 2}]})])
+    remote = RemoteRetriever("http://retriever.test", session=session)
+    assert remote.retrieve("q", 1).hits == (("p1", 2.0),)
+
+
 def test_cache_key_keeps_case_for_remote_only(tmp_path):
     index = LexicalIndex(_store({"p1": "alpha beta"}))
     lexical_cache = RetrievalCache(tmp_path / "lexical.jsonl")
-    cached_retrieve(lexical_cache, index, "Alpha Beta", 1)
-    cached_retrieve(lexical_cache, index, "alpha beta", 1)
+    _cached(lexical_cache, index, "Alpha Beta", 1)
+    _cached(lexical_cache, index, "alpha beta", 1)
     assert index.backend_calls == 1
 
     session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])] * 2)
     remote = RemoteRetriever("http://retriever.test", session=session)
     remote_cache = RetrievalCache(tmp_path / "remote.jsonl")
-    cached_retrieve(remote_cache, remote, "Alpha Beta", 1)
-    cached_retrieve(remote_cache, remote, "  Alpha   Beta ", 1)  # whitespace still collapses
-    cached_retrieve(remote_cache, remote, "alpha beta", 1)
+    _cached(remote_cache, remote, "Alpha Beta", 1)
+    _cached(remote_cache, remote, "  Alpha   Beta ", 1)  # whitespace still collapses
+    _cached(remote_cache, remote, "alpha beta", 1)
     assert remote.backend_calls == 2
     assert [r["json"]["query"] for r in session.requests] == ["Alpha Beta", "alpha beta"]
 

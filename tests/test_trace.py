@@ -190,6 +190,41 @@ def test_run_records_per_query_error_and_continues(planted, tmp_path):
     assert outputs[1]["error"] is not None
 
 
+class _StubReply:
+    status_code = 200
+    headers: dict = {}
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def json(self):
+        return self.payload
+
+
+class _StubSession:
+    """A requests session whose every POST answers 200 with one fixed payload."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return _StubReply(self.payload)
+
+
+def test_malformed_remote_reply_fails_the_query_not_the_run(planted, tmp_path, monkeypatch):
+    import requests
+    monkeypatch.setattr(requests, "Session", lambda: _StubSession([{"id": "a1"}]))
+    fixtures = write_fixture_file(tmp_path, retgen_fixtures())
+    config = RunConfig(method="retgen", corpus_path=str(planted["corpus"]),
+                       queries_path=str(planted["queries"]), out_dir=str(tmp_path / "out"),
+                       fixtures_path=str(fixtures), retriever_backend="remote",
+                       remote_endpoint="http://retriever.test")
+    run(config)
+    section = load_trace(tmp_path / "out" / "trace.json")["queries"]["q-planted"]
+    assert section["error"].startswith("RetrieverUnavailableError: remote retriever "
+                                       "http://retriever.test returned a malformed reply")
+
+
 def test_run_retgen_counts_logical_and_physical_calls(planted, tmp_path):
     queries = tmp_path / "queries.jsonl"
     _write_queries(queries, [

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from contregen.errors import LlmBackendError, TreeBuildError
-from contregen.llm import LlmGateway, PromptRole, ScriptedAdapter
+from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.tree import (
     TreeConfig,

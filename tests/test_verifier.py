@@ -1,12 +1,7 @@
 from contregen.corpus import CorpusStore, Passage
 from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.retrieval import LexicalIndex, RetrieverHandle
-from contregen.verifier import (
-    check_necessity_and_rewrite,
-    check_relevance,
-    parse_yes_no,
-    verify,
-)
+from contregen.verifier import parse_yes_no, verify
 
 
 def _handle(texts: dict) -> RetrieverHandle:
@@ -31,9 +26,9 @@ def test_parse_yes_no_variants():
 def test_necessity_no_skips_rewrite():
     adapter = ScriptedAdapter({"necessity": {"sub q": "no"}})
     gateway = LlmGateway(adapter)
-    necessary, rewritten = check_necessity_and_rewrite(gateway, "sub q", "main q")
-    assert necessary is False
-    assert rewritten == "sub q"
+    outcome = verify(gateway, _handle({"p1": "sub q"}), "sub q", "main q", topk=2)
+    assert outcome.necessary is False
+    assert outcome.rewritten == "sub q"
     assert adapter.backend_calls == 1  # no rewrite call
 
 
@@ -43,47 +38,55 @@ def test_necessity_yes_rewrites():
         "rewrite": {"sub q": "  standalone form  "},
     })
     gateway = LlmGateway(adapter)
-    necessary, rewritten = check_necessity_and_rewrite(gateway, "sub q", "main q")
-    assert necessary is True
-    assert rewritten == "standalone form"
+    outcome = verify(gateway, _handle({"p1": "alpha"}), "sub q", "main q", topk=2)
+    assert outcome.necessary is True
+    assert outcome.rewritten == "standalone form"
 
 
 def test_empty_rewrite_falls_back_to_original(caplog):
     adapter = ScriptedAdapter({"necessity": {"sub q": "yes"}, "rewrite": {"sub q": "  "}})
     gateway = LlmGateway(adapter)
     with caplog.at_level("WARNING"):
-        _, rewritten = check_necessity_and_rewrite(gateway, "sub q", "main q")
-    assert rewritten == "sub q"
+        outcome = verify(gateway, _handle({"p1": "alpha"}), "sub q", "main q", topk=2)
+    assert outcome.rewritten == "sub q"
+    assert "empty rewrite for 'sub q'; keeping the original form" in caplog.text
 
 
 def test_unparseable_necessity_fails_closed(caplog):
     adapter = ScriptedAdapter({"necessity": {"sub q": "perhaps"}})
     gateway = LlmGateway(adapter)
     with caplog.at_level("WARNING"):
-        necessary, _ = check_necessity_and_rewrite(gateway, "sub q", "main q")
-    assert necessary is False
+        outcome = verify(gateway, _handle({"p1": "sub q"}), "sub q", "main q", topk=2)
+    assert outcome.necessary is False
+    assert "unparseable necessity verdict for 'sub q'; treating as no" in caplog.text
 
 
 def test_relevance_empty_probe_short_circuits():
     handle = _handle({"p1": "alpha beta"})
-    adapter = ScriptedAdapter({})  # would raise on any call
+    adapter = ScriptedAdapter({"necessity": {"sub q": "yes"},
+                               "rewrite": {"sub q": "zeta theta"}})  # no relevance fixture
     gateway = LlmGateway(adapter)
-    relevant, hits = check_relevance(gateway, handle, "zeta theta", "main", topk=3)
-    assert relevant is False
-    assert hits == ()
-    assert adapter.backend_calls == 0
+    outcome = verify(gateway, handle, "sub q", "main", topk=3)
+    assert outcome.relevant is False
+    assert outcome.probe_hits == ()
+    assert adapter.backend_calls == 2  # necessity and rewrite only
 
 
-def test_relevance_consults_model_on_hits():
+def test_relevance_consults_model_on_hits(caplog):
     handle = _handle({"p1": "alpha beta", "p2": "alpha gamma"})
-    adapter = ScriptedAdapter({"relevance": {"alpha": "yes"}})
+    adapter = ScriptedAdapter({"necessity": {"sub q": "yes", "other q": "yes"},
+                               "rewrite": {"sub q": "alpha", "other q": "gamma"},
+                               "relevance": {"alpha": "yes", "gamma": "unsure"}})
     calls = []
     gateway = LlmGateway(adapter, on_call=calls.append)
-    relevant, hits = check_relevance(gateway, handle, "alpha", "main", topk=2)
-    assert relevant is True
-    assert {pid for pid, _ in hits} == {"p1", "p2"}
-    (call,) = calls
-    assert "alpha beta" in call.prompt  # passages rendered into the prompt
+    outcome = verify(gateway, handle, "sub q", "main", topk=2)
+    assert outcome.relevant is True
+    assert {pid for pid, _ in outcome.probe_hits} == {"p1", "p2"}
+    assert [call.role for call in calls] == ["necessity", "rewrite", "relevance"]
+    assert "alpha beta" in calls[-1].prompt  # passages rendered into the prompt
+    with caplog.at_level("WARNING"):
+        assert not verify(gateway, handle, "other q", "main", topk=2).relevant
+    assert "unparseable relevance verdict for 'gamma'; treating as no" in caplog.text
 
 
 def test_verify_full_acceptance():
