@@ -43,13 +43,12 @@ def build_reach_graph(retriever: RetrieverHandle, query: QueryRecord,
         raise ValueError("reachability needs a non-empty gold set")
     gold = frozenset(query.gold_ids)
     edges: set[tuple[str, str]] = set()
-    hits = retriever.retrieve(query.query, topk).hit_ids()
-    for pid in hits:
+    for pid, _ in retriever.retrieve(query.query, topk):
         if pid in gold:
             edges.add((QUERY_SENTINEL, pid))
     for source in sorted(gold):
         probe = " ".join(tokenize(retriever.text(source))[:PROBE_TOKEN_LIMIT])
-        for target in retriever.retrieve(probe, topk).hit_ids():
+        for target, _ in retriever.retrieve(probe, topk):
             if target in gold and target != source:
                 edges.add((source, target))
     return ReachabilityGraph(query_id=query.id, passage_ids=gold,

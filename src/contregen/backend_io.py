@@ -1,9 +1,10 @@
 """All file and network I/O: data-file readers, the atomic writer, the
 append-only JSONL cache, and POST with bounded retries. Corpora, query sets,
-article dumps, fixture tables and traces are read, and every output written,
-only here; a bad input file is a DataError naming it (``path:line``, counting
-blank lines, for JSONL), as is one that is missing, a directory, unreadable or
-not UTF-8. Callers check the shape of each record. ``requests`` is imported
+article dumps, fixture tables, traces, config files and prompt templates are
+read, and every output written, only here; a bad input file is a DataError
+naming it (``path:line``, counting blank lines, for JSONL), as is one that is
+missing, a directory, unreadable or not UTF-8. Callers check the shape of
+each record. ``requests`` is imported
 only when a POST is made, so a run that calls no network backend never loads
 it."""
 
@@ -71,14 +72,20 @@ def read_jsonl(path: str | Path,
             yield line_no, record
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON value of a whole file; what names the file in errors."""
+def read_text(path: str | Path, what: str) -> str:
+    """The whole of a UTF-8 text file; what names the file in errors."""
     with _open_text(path, what) as fh:
         text = fh.read()
     try:
-        return json.loads(_strict_utf8(text))
+        return _strict_utf8(text)
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} {path} is not UTF-8 text ({exc.reason})")
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value of a whole file; what names the file in errors."""
+    try:
+        return json.loads(read_text(path, what))
     except ValueError as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
@@ -112,16 +119,15 @@ class JsonlCache:
     error; an unterminated final line that does not parse (an append cut
     short) is dropped with a warning and cut off before the next append.
     Subclasses give the key function and the record shape: the value field,
-    its decoder, the context fields recorded beside it (taken from the
-    arguments of the computation) and the replay-miss message. A strict
-    cache (replay) never computes: a miss is a ReplayMissError. An append
-    that cannot be written is a DataError naming the file, and the entry is
-    not kept.
+    its decoder (which rejects a value of the wrong type) and the
+    replay-miss message; the caller of lookup gives the context fields
+    recorded beside the value. A strict cache (replay) never computes: a
+    miss is a ReplayMissError. An append that cannot be written is a
+    DataError naming the file, and the entry is not kept.
     """
 
     value_field: str
     decode: Callable[[object], object]
-    context: Callable[..., dict]
     miss_message: str  # formatted with the context fields
 
     def __init__(self, path: str | Path, strict: bool = False) -> None:
@@ -177,13 +183,13 @@ class JsonlCache:
             self._repair = None
             self._entries[key] = value
 
-    def lookup(self, key: str, compute: Callable, *args):
+    def lookup(self, key: str, context: dict, compute: Callable, *args):
         """The cached value for key. On a miss a strict cache raises
-        ReplayMissError; otherwise compute(*args) is appended and returned."""
+        ReplayMissError; otherwise compute(*args) is appended, with the
+        context fields beside it, and returned."""
         value = self.get(key)
         if value is not None:
             return value
-        context = self.context(*args)
         if self.strict:
             raise ReplayMissError(self.miss_message.format(**context))
         value = compute(*args)
@@ -191,8 +197,10 @@ class JsonlCache:
         return value
 
 
-# The longest sleep a Retry-After header can ask for, so that a backend call's
-# sleeps stay bounded by (attempts - 1) times this.
+# Attempts a backend call makes before it fails, and the longest sleep a
+# Retry-After header can ask for, so that a call's sleeps stay bounded by
+# (ATTEMPTS - 1) times this.
+ATTEMPTS = 3
 RETRY_AFTER_MAX_S = 10.0
 
 
@@ -214,10 +222,10 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
 
 
 def post_with_retries(session: requests.Session, url: str, payload: dict, headers: dict,
-                      timeout: float, max_retries: int,
+                      timeout: float,
                       error: Callable[[str], Exception]) -> requests.Response:
     """The first HTTP 200 response to a JSON POST. Connection errors, 429 and
-    5xx are retried, max_retries attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
+    5xx are retried, ATTEMPTS attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
     between them; a 429 or 503 carrying Retry-After sleeps what it asks
     instead, at most RETRY_AFTER_MAX_S. On failure raises error(reason of the
     last attempt)."""
@@ -225,7 +233,7 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
 
     reason = "no attempt made"
     delay = 0.0
-    for attempt in range(max_retries):
+    for attempt in range(ATTEMPTS):
         if attempt:
             time.sleep(delay)
         delay = 0.5 * 2 ** attempt
@@ -246,4 +254,5 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     raise error(reason)
 
 
-__all__ = ["JsonlCache", "atomic_write", "post_with_retries", "read_json", "read_jsonl"]
+__all__ = ["JsonlCache", "atomic_write", "post_with_retries", "read_json", "read_jsonl",
+           "read_text"]

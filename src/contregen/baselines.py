@@ -16,7 +16,7 @@ from typing import Optional
 
 from contregen.llm import LlmGateway, PromptRole
 from contregen.planner import render_passages
-from contregen.retrieval import RetrieverHandle
+from contregen.retrieval import Hits, RetrieverHandle
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +36,8 @@ class BaselineRun:
         return [set(ids) for ids in self.rounds]
 
 
-def _extend(accumulated: list[str], seen: set[str], new_ids) -> None:
-    for pid in new_ids:
+def _extend(accumulated: list[str], seen: set[str], hits: Hits) -> None:
+    for pid, _ in hits:
         if pid not in seen:
             seen.add(pid)
             accumulated.append(pid)
@@ -50,8 +50,7 @@ def _passages_block(retriever: RetrieverHandle, ids) -> str:
 def run_retgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
                topk: int) -> BaselineRun:
     """One retrieval with the question itself, one generation call."""
-    result = retriever.retrieve(query, topk)
-    ids = result.hit_ids()
+    ids = tuple(pid for pid, _ in retriever.retrieve(query, topk))
     answer = gateway.complete(
         PromptRole.BASELINE_GENERATE,
         {"query": query, "passages": _passages_block(retriever, ids)},
@@ -73,12 +72,12 @@ def run_iterretgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
     response = ""
     for round_no in range(1, max_iterations + 1):
         current_query = query if round_no == 1 else f"{response} {query}"
-        result = retriever.retrieve(current_query, topk)
-        _extend(accumulated, seen, result.hit_ids())
+        hits = retriever.retrieve(current_query, topk)
+        _extend(accumulated, seen, hits)
         response = gateway.complete(
             PromptRole.BASELINE_GENERATE,
             {"query": query,
-             "passages": _passages_block(retriever, result.hit_ids())},
+             "passages": _passages_block(retriever, [pid for pid, _ in hits])},
             node_path=f"iterretgen.{round_no}",
         )
         rounds.append(tuple(accumulated))
@@ -117,7 +116,7 @@ def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
         raise ValueError("max_iterations must be >= 1")
     accumulated: list[str] = []
     seen: set[str] = set()
-    _extend(accumulated, seen, retriever.retrieve(query, topk).hit_ids())
+    _extend(accumulated, seen, retriever.retrieve(query, topk))
     history: list[str] = []
     rounds: list[tuple[str, ...]] = []
     for round_no in range(1, max_iterations + 1):
@@ -131,7 +130,7 @@ def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
         followup = parse_followup(response)
         if followup is not None:
             history.append(response.strip())
-            _extend(accumulated, seen, retriever.retrieve(followup, topk).hit_ids())
+            _extend(accumulated, seen, retriever.retrieve(followup, topk))
         rounds.append(tuple(accumulated))
         if followup is None:
             break

@@ -222,13 +222,17 @@ def _cmd_curve(args):
 
 def _cmd_export_tree(args):
     sections = load_trace(args.trace).get("queries", {})
+    where = f"trace file {args.trace}: query {args.query}"
     if args.query not in sections:
-        raise DataError(f"trace has no query {args.query}")
+        raise DataError(f"{where}: no such query")
     tree_data = sections[args.query].get("tree")
     if tree_data is None:
-        raise DataError(f"query {args.query} has no tree (baseline run?)")
-    return tree_data, (to_dot(import_tree(tree_data)) if args.dot
-                       else canonical_json(tree_data))
+        raise DataError(f"{where}: no tree (baseline run?)")
+    try:
+        root = import_tree(tree_data)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    return tree_data, to_dot(root) if args.dot else canonical_json(tree_data)
 
 
 def _cmd_diff(args):

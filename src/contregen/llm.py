@@ -15,11 +15,10 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from importlib.resources import files
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol
 
-from contregen.backend_io import JsonlCache, post_with_retries, read_json
+from contregen.backend_io import JsonlCache, post_with_retries, read_json, read_text
 from contregen.errors import (
     ConfigError,
     DataError,
@@ -85,11 +84,12 @@ class PromptTemplate:
 
 
 def load_templates(override_dir: Optional[str | Path] = None) -> dict[PromptRole, PromptTemplate]:
-    """Load the packaged template assets, any of which an override dir may replace."""
+    """Load the packaged template assets, any of which an override dir may
+    replace; an override that cannot be read is a DataError naming it."""
     templates: dict[PromptRole, PromptTemplate] = {}
-    asset_root = files("contregen") / "templates"
+    asset_root = Path(__file__).with_name("templates")
     for role in PromptRole:
-        text = (asset_root / f"{role.value}.txt").read_text(encoding="utf-8")
+        text = read_text(asset_root / f"{role.value}.txt", "template file")
         templates[role] = PromptTemplate(role=role, text=text)
     if override_dir is not None:
         override = Path(override_dir)
@@ -99,7 +99,7 @@ def load_templates(override_dir: Optional[str | Path] = None) -> dict[PromptRole
             candidate = override / f"{role.value}.txt"
             if candidate.exists():
                 templates[role] = PromptTemplate(
-                    role=role, text=candidate.read_text(encoding="utf-8"))
+                    role=role, text=read_text(candidate, "template file"))
     return templates
 
 
@@ -162,20 +162,20 @@ class OpenAiChatAdapter:
     """Chat-completions client pinned to deterministic settings.
 
     temperature 0, 1024 max new tokens; the API key comes from the
-    environment via the caller, never from config files.
+    environment via the caller, never from config files. Each POST waits up
+    to TIMEOUT_S, with backend_io.ATTEMPTS attempts in all.
     """
+
+    TIMEOUT_S = 120.0
 
     def __init__(self, model: str, api_key: str,
                  endpoint: str = "https://api.openai.com/v1/chat/completions",
-                 max_retries: int = 3, timeout: float = 120.0,
                  session: Optional[requests.Session] = None) -> None:
         self.model = model
         self.adapter_id = f"openai:{model}"
         self.backend_calls = 0
         self._api_key = api_key
         self._endpoint = endpoint
-        self._max_retries = max_retries
-        self._timeout = timeout
         if session is None:
             import requests  # deferred: only network backends pay for loading it
             session = requests.Session()
@@ -191,7 +191,7 @@ class OpenAiChatAdapter:
         }
         response = post_with_retries(
             self._session, self._endpoint, payload,
-            {"Authorization": f"Bearer {self._api_key}"}, self._timeout, self._max_retries,
+            {"Authorization": f"Bearer {self._api_key}"}, self.TIMEOUT_S,
             lambda reason: LlmBackendError(
                 f"generation backend failed ({role.value}): {reason}"))
         try:
@@ -208,19 +208,20 @@ class LlmCache(JsonlCache):
     """Model responses keyed by hash(adapter-id, role, full prompt)."""
 
     value_field = "response"
-    decode = staticmethod(str)
     miss_message = "generation cache has no entry for role {role}"
     # own attributes: perfbench wraps and restores them on each cache class
     __init__, get, put = JsonlCache.__init__, JsonlCache.get, JsonlCache.put
 
     @staticmethod
+    def decode(response) -> str:
+        if not isinstance(response, str):
+            raise TypeError(f"response is {type(response).__name__}, not a string")
+        return response
+
+    @staticmethod
     def key(adapter_id: str, role: str, prompt: str) -> str:
         material = json.dumps([adapter_id, role, prompt], ensure_ascii=True)
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def context(role: PromptRole, prompt: str, slots: Mapping[str, str]) -> dict:
-        return {"role": role.value, "prompt": prompt}
 
 
 class CachingAdapter:
@@ -237,6 +238,7 @@ class CachingAdapter:
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         return self.cache.lookup(self.cache.key(self.adapter_id, role.value, prompt),
+                                 {"role": role.value, "prompt": prompt},
                                  self.inner.complete, role, prompt, slots)
 
 

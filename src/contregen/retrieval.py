@@ -18,6 +18,7 @@ import heapq
 import json
 import math
 import re
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -47,12 +48,25 @@ def normalize_query(query_text: str, case_sensitive: bool = False) -> str:
     return " ".join((query_text if case_sensitive else query_text.lower()).split())
 
 
-@dataclass(frozen=True)
-class RetrievalResult:
-    hits: tuple[tuple[str, float], ...]
+# A retrieval's result: (passage id, score) pairs, best first.
+Hits = tuple[tuple[str, float], ...]
 
-    def hit_ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.hits)
+
+def _checked_hits(pairs) -> Hits:
+    """(passage id, score) pairs read from outside (a remote reply, a cache
+    line) as hits. A ValueError unless every id is a string or an integer,
+    no id repeats, and every score is a finite number and not a boolean."""
+    hits = []
+    for pid, score in pairs:
+        if isinstance(pid, bool) or not isinstance(pid, (str, int)):
+            raise ValueError(f"passage id {pid!r} is not a string or an integer")
+        if (isinstance(score, bool) or not isinstance(score, (int, float))
+                or not -sys.float_info.max <= score <= sys.float_info.max):  # NaN fails too
+            raise ValueError(f"score {score!r} is not a finite number")
+        hits.append((str(pid), float(score)))
+    if len({pid for pid, _ in hits}) < len(hits):
+        raise ValueError("a passage id repeats")
+    return tuple(hits)
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,7 @@ class Retriever(Protocol):
     corpus_fingerprint: str  # part of every retrieval cache key
     case_sensitive: bool  # whether queries differing only in case may rank differently
 
-    def retrieve(self, query_text: str, topk: int) -> RetrievalResult: ...
+    def retrieve(self, query_text: str, topk: int) -> Hits: ...
 
 
 class LexicalIndex:
@@ -131,7 +145,7 @@ class LexicalIndex:
             postings[term] = (doc_indices, impacts)
         return postings
 
-    def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
+    def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:
             raise ValueError("topk must be >= 1")
         # every call takes the lock for the counter, so the build check rides
@@ -150,8 +164,7 @@ class LexicalIndex:
             bucket = postings.get(term)
             if bucket is not None:
                 bm25_accumulate(scores, *bucket)
-        hits = tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
-        return RetrievalResult(hits=hits)
+        return tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
 
 
 def select_topk(scores: array, topk: int) -> list[int]:
@@ -173,8 +186,10 @@ def select_topk(scores: array, topk: int) -> list[int]:
 class RemoteRetriever:
     """Client for a remote dense retriever: POST {query, topk} -> [{id, score}].
 
-    A reply of any other shape is a RetrieverUnavailableError, as an
-    unreachable endpoint is, so it fails its query and not the run.
+    Each POST waits up to TIMEOUT_S, with backend_io.ATTEMPTS attempts in
+    all. A reply of any other shape, with more than topk hits, a repeated id
+    or a score that is not a finite number, is a RetrieverUnavailableError,
+    as an unreachable endpoint is, so it fails its query and not the run.
 
     The auth token, when required, comes from the environment (never from
     configuration files). The remote corpus cannot be fingerprinted from
@@ -183,22 +198,20 @@ class RemoteRetriever:
 
     corpus_fingerprint = ""
     case_sensitive = True  # a dense encoder may read case
+    TIMEOUT_S = 30.0
 
     def __init__(self, endpoint: str, token: Optional[str] = None,
-                 timeout: float = 30.0, max_retries: int = 3,
                  session: Optional[requests.Session] = None) -> None:
         self.endpoint = endpoint
         self.backend_id = f"remote:{endpoint}"
         self.backend_calls = 0
         self._token = token
-        self._timeout = timeout
-        self._max_retries = max_retries
         if session is None:
             import requests  # deferred: only network backends pay for loading it
             session = requests.Session()
         self._session = session
 
-    def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
+    def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:
             raise ValueError("topk must be >= 1")
         self.backend_calls += 1
@@ -207,7 +220,7 @@ class RemoteRetriever:
             headers["Authorization"] = f"Bearer {self._token}"
         response = post_with_retries(
             self._session, self.endpoint, {"query": query_text, "topk": topk}, headers,
-            self._timeout, self._max_retries,
+            self.TIMEOUT_S,
             lambda reason: RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} unreachable: {reason}"))
         try:
@@ -215,12 +228,13 @@ class RemoteRetriever:
             items = payload["hits"] if isinstance(payload, dict) else payload
             if not isinstance(items, list):
                 raise TypeError("not a hit list")
-            hits = tuple((str(item["id"]), float(item["score"])) for item in items)
+            if len(items) > topk:
+                raise ValueError(f"{len(items)} hits for topk={topk}")
+            return _checked_hits((item["id"], item["score"]) for item in items)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} returned a malformed reply "
                 f"({type(exc).__name__}: {exc})") from exc
-        return RetrievalResult(hits=hits)
 
 
 class RetrievalCache(JsonlCache):
@@ -232,8 +246,10 @@ class RetrievalCache(JsonlCache):
     __init__, get, put = JsonlCache.__init__, JsonlCache.get, JsonlCache.put
 
     @staticmethod
-    def decode(hits) -> tuple[tuple[str, float], ...]:
-        return tuple((str(pid), float(score)) for pid, score in hits)
+    def decode(hits) -> Hits:
+        if not isinstance(hits, list):
+            raise TypeError("hits must be a list")
+        return _checked_hits(hits)
 
     @staticmethod
     def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int,
@@ -241,14 +257,6 @@ class RetrievalCache(JsonlCache):
         material = json.dumps([backend_id, corpus_fingerprint,
                                normalize_query(query_text, case_sensitive), topk])
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def context(backend: Retriever, query_text: str, topk: int) -> dict:
-        return {"backend": backend.backend_id, "query": query_text, "topk": topk}
-
-
-def _retrieve_hits(backend: Retriever, query_text: str, topk: int):
-    return backend.retrieve(query_text, topk).hits
 
 
 class RetrieverHandle:
@@ -266,21 +274,23 @@ class RetrieverHandle:
         self.cache = cache
         self.on_call = on_call
 
-    def retrieve(self, query_text: str, topk: int) -> RetrievalResult:
+    def retrieve(self, query_text: str, topk: int) -> Hits:
         """Served from the cache when there is one (a strict cache errors on a
-        miss instead of touching the backend); the same result either way."""
+        miss instead of touching the backend); the same hits either way."""
         backend = self.backend
         if self.cache is not None:
             key = self.cache.key(backend.backend_id, backend.corpus_fingerprint, query_text,
                                  topk, backend.case_sensitive)
-            result = RetrievalResult(hits=self.cache.lookup(
-                key, _retrieve_hits, backend, query_text, topk))
+            hits = self.cache.lookup(
+                key, {"backend": backend.backend_id, "query": query_text, "topk": topk},
+                backend.retrieve, query_text, topk)
         else:
-            result = backend.retrieve(query_text, topk)
+            hits = backend.retrieve(query_text, topk)
         if self.on_call is not None:
             self.on_call(RetrievalCall(query=query_text, topk=topk,
-                                       hit_ids=result.hit_ids(), backend=backend.backend_id))
-        return result
+                                       hit_ids=tuple(pid for pid, _ in hits),
+                                       backend=backend.backend_id))
+        return hits
 
     def text(self, passage_id: str) -> str:
         return self.corpus.text(passage_id)
@@ -289,11 +299,11 @@ class RetrieverHandle:
 __all__ = [
     "BM25_B",
     "BM25_K1",
+    "Hits",
     "LexicalIndex",
     "RemoteRetriever",
     "RetrievalCache",
     "RetrievalCall",
-    "RetrievalResult",
     "Retriever",
     "RetrieverHandle",
     "normalize_query",

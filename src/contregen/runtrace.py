@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 import yaml
 
 from contregen import baselines
-from contregen.backend_io import atomic_write, read_json
+from contregen.backend_io import atomic_write, read_json, read_text
 from contregen.corpus import CorpusStore, QueryRecord, ingest_corpus, load_queries, validate_queries
 from contregen.errors import ConfigError, ContregenError, DataError
 from contregen.llm import (
@@ -151,11 +151,10 @@ def load_config(path: Optional[str] = None,
     """Defaults, then the config file, then flag overrides."""
     values: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh) or {}
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        try:  # an unreadable file is a ConfigError, as a missing one is
+            loaded = yaml.safe_load(read_text(path, "config file")) or {}
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}")
         if not isinstance(loaded, dict):

@@ -60,7 +60,7 @@ def build_tree(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
                config: TreeConfig) -> QueryTreeNode:
     root = QueryTreeNode(query=query, original_query=query, depth=0, path="0")
     try:
-        root.retrieved = retriever.retrieve(query, config.topk).hits
+        root.retrieved = retriever.retrieve(query, config.topk)
         _expand(gateway, retriever, root, query, config)
     except BackendError as exc:
         raise TreeBuildError(f"tree build aborted for {query!r}: {exc}",
@@ -142,6 +142,8 @@ def export_tree(root: QueryTreeNode) -> dict:
 
 
 def import_tree(data: dict) -> QueryTreeNode:
+    """The tree export_tree wrote; a DataError if a field is missing or of
+    the wrong type, at any depth."""
     try:
         node = QueryTreeNode(
             query=data["query"],
@@ -151,9 +153,12 @@ def import_tree(data: dict) -> QueryTreeNode:
             retrieved=tuple((str(pid), float(score)) for pid, score in data["retrieved"]),
             summary=data.get("summary"),
         )
+        if not all(isinstance(text, str) for text in (node.query, node.original_query,
+                                                      node.path)):
+            raise TypeError("query, original_query and path must be strings")
         node.children = [import_tree(child) for child in data.get("children", [])]
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed tree export: {exc}") from exc
+        raise DataError(f"malformed tree export ({type(exc).__name__}: {exc})") from exc
     return node
 
 

@@ -69,7 +69,7 @@ def verify(gateway: LlmGateway, retriever: RetrieverHandle, subquestion: str,
     if not rewritten:
         logger.warning("empty rewrite for %r; keeping the original form", subquestion)
         rewritten = subquestion
-    hits = retriever.retrieve(rewritten, topk).hits
+    hits = retriever.retrieve(rewritten, topk)
     relevant = False
     if hits:  # an empty probe is irrelevant without asking the model
         passages_block = render_passages([retriever.text(pid) for pid, _ in hits])

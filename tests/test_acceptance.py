@@ -90,7 +90,7 @@ def test_criterion_2_retrieval_matches_exhaustive_oracle():
         for _ in range(2):
             query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
             topk = rng.randint(1, len(texts) + 5)
-            got = list(index.retrieve(query, topk).hits)
+            got = list(index.retrieve(query, topk))
             assert got == bm25_rank(texts, query, topk)  # ids, scores, tie-breaks
     _verdict(2, "BM25 ranking vs exhaustive oracle, 200 corpora", started, 30.0)
 

@@ -469,6 +469,9 @@ def _trace_text(section: dict, report=None) -> str:
 
 _SECTION = {"method": "retgen", "answer": "an answer", "retrieved_ids": ["a1"],
             "tree": None, "rounds": [["a1"]], "error": None}
+_TREE = {"query": "q", "original_query": "q", "depth": 0, "path": "0",
+         "retrieved": [["a1", 1.0]], "summary": None, "children": []}
+_TREE_WITHOUT_ORIGINAL = {k: v for k, v in _TREE.items() if k != "original_query"}
 
 # name -> (command, the trace file's text, what the error says); the commands
 # are read as in _BAD_INPUTS
@@ -495,6 +498,27 @@ _BAD_TRACES = {
     "export-tree-list-tree": (
         "export-tree --trace {trace.json} --query q-planted",
         _trace_text({**_SECTION, "tree": []}), "query q-planted: tree must be null or an object"),
+    "export-tree-no-original-query": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text({**_SECTION, "tree": _TREE_WITHOUT_ORIGINAL}),
+        "query q-planted: malformed tree export (KeyError: 'original_query')"),
+    "export-tree-dot-no-original-query": (
+        "export-tree --trace {trace.json} --query q-planted --dot",
+        _trace_text({**_SECTION, "tree": _TREE_WITHOUT_ORIGINAL}),
+        "query q-planted: malformed tree export (KeyError: 'original_query')"),
+    "export-tree-number-child": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text({**_SECTION, "tree": {**_TREE, "children": [5]}}),
+        "query q-planted: malformed tree export (TypeError: "),
+    "export-tree-dot-number-child": (
+        "export-tree --trace {trace.json} --query q-planted --dot",
+        _trace_text({**_SECTION, "tree": {**_TREE, "children": [5]}}),
+        "query q-planted: malformed tree export (TypeError: "),
+    "export-tree-dot-number-query": (
+        "export-tree --trace {trace.json} --query q-planted --dot",
+        _trace_text({**_SECTION, "tree": {**_TREE, "query": 5}}),
+        "query q-planted: malformed tree export (TypeError: query, original_query and path "
+        "must be strings)"),
     "diff-number-error": (
         "diff --a {trace.json} --b {trace.json}",
         _trace_text({**_SECTION, "error": 5}), "query q-planted: error must be null or a string"),
@@ -567,6 +591,31 @@ def test_unreadable_input_is_one_data_error_naming_the_file(case, planted, tmp_p
     line = _one_data_error(argv, capsys)
     assert any(str(path) in line for path in paths.values())
     assert reason in line
+
+
+@pytest.mark.parametrize("name, content, code, reason", [
+    ("run.yaml", None, 1, "error: cannot read config file {path}: Is a directory"),
+    ("run.yaml", b"topk: 5  # caf\xe9\n", 1, "error: config file {path} is not UTF-8 text"),
+    ("templates/plan.txt", None, 2, "data error: cannot read template file {path}: "
+                                    "Is a directory"),
+    ("templates/plan.txt", b"caf\xe9 {query}\n", 2,
+     "data error: template file {path} is not UTF-8 text"),
+], ids=["config-directory", "config-latin1", "template-directory", "template-latin1"])
+def test_unreadable_config_or_template_is_one_line_error_naming_it(
+        name, content, code, reason, planted, tmp_path, capsys):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    fixtures = write_fixture_file(tmp_path, contregen_fixtures())
+    named = ["--config", str(path)] if name == "run.yaml" else ["--template-dir", str(path.parent)]
+    assert dispatch(["run", *named, "--corpus", str(planted["corpus"]),
+                     "--queries", str(planted["queries"]), "--fixtures", str(fixtures),
+                     "--out-dir", str(tmp_path / "out")]) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(reason.format(path=path))
 
 
 @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,

@@ -1,9 +1,14 @@
-"""Every module-level import is used: an AST scan in place of a linter.
+"""AST scans in place of a linter.
 
-An import counts as module level when it sits in the module body or in an
-if/try block there (``if TYPE_CHECKING:``, a fallback import), not inside a
-function or class. Its name is used when the module loads it anywhere or
-lists it in ``__all__``; ``from __future__`` imports are skipped.
+Every module-level import is used. An import counts as module level when it
+sits in the module body or in an if/try block there (``if TYPE_CHECKING:``, a
+fallback import), not inside a function or class. Its name is used when the
+module loads it anywhere or lists it in ``__all__``; ``from __future__``
+imports are skipped.
+
+Only ``contregen.backend_io`` opens, reads or writes files: no other package
+module calls ``open`` or a method named ``open``, ``read_text``,
+``read_bytes``, ``write_text`` or ``write_bytes``.
 """
 
 import ast
@@ -72,3 +77,43 @@ def test_scan_flags_an_unused_import_and_spares_used_ones(tmp_path):
         "    import sys\n"
         "    return j.dumps(1)\n", encoding="utf-8")
     assert unused_imports(module) == [(2, "os")]
+
+
+_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_io_calls(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each call of open or of a file method in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((node.lineno, "open"))
+        elif isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS:
+            calls.append((node.lineno, func.attr))
+    return sorted(calls)
+
+
+def test_only_backend_io_touches_files():
+    package = ROOT / "src" / "contregen"
+    modules = sorted(path for path in package.rglob("*.py") if path.name != "backend_io.py")
+    assert len(modules) > 10  # the scan found the package
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in modules for line, name in file_io_calls(path)] == []
+
+
+def test_file_io_scan_flags_each_call_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from pathlib import Path\n"
+        "from contregen.backend_io import read_text\n"
+        "open('a')\n"
+        "Path('a').open()\n"
+        "Path('a').read_text()\n"
+        "Path('a').write_bytes(b'')\n"
+        "read_text('a', 'file')\n", encoding="utf-8")
+    assert file_io_calls(module) == [(3, "open"), (4, "open"), (5, "read_text"),
+                                     (6, "write_bytes")]

@@ -198,6 +198,15 @@ def test_llm_cache_corruption_is_loud(tmp_path):
     assert LlmCache(path).get("k") == "ok" and LlmCache(path).get("k2") == "more"
 
 
+@pytest.mark.parametrize("response", ["null", "5", "true", '["a"]', '{"text": "a"}'],
+                         ids=["null", "number", "boolean", "list", "object"])
+def test_llm_cache_entry_of_the_wrong_type_is_corruption(response, tmp_path):
+    path = tmp_path / "llm.jsonl"
+    path.write_text('{"key": "k", "response": "ok"}\n{"key": "k2", "response": %s}\n' % response)
+    with pytest.raises(CacheCorruptionError, match=r"llm\.jsonl:2: unreadable cache entry"):
+        LlmCache(path)
+
+
 def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
     path = tmp_path / "llm.jsonl"
     cache = LlmCache(path)
@@ -273,8 +282,7 @@ def test_openai_adapter_retries_then_fails(monkeypatch):
     sleeps = []
     monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse(500, {})] * 3)
-    adapter = OpenAiChatAdapter(model="m1", api_key="k", session=session,
-                                max_retries=3)
+    adapter = OpenAiChatAdapter(model="m1", api_key="k", session=session)
     with pytest.raises(LlmBackendError):
         adapter.complete(PromptRole.PLAN, "p", {})
     assert len(session.posts) == 3

@@ -87,7 +87,7 @@ def test_ranking_matches_oracle_small():
     index = LexicalIndex(_store(texts))
     for query in ("cat", "the cat mat", "dog chased", "nothing matches this"):
         for topk in (1, 2, 5):
-            assert index.retrieve(query, topk).hits == tuple(
+            assert index.retrieve(query, topk) == tuple(
                 bm25_rank(texts, query, topk))
 
 
@@ -112,34 +112,33 @@ def test_ranking_matches_oracle_on_zipf_corpus():
     for query in queries:
         ranked = tuple(bm25_rank(texts, query, len(texts) + 3))  # the oracle cuts by slicing
         for topk in (1, 5, len(texts) + 3):
-            assert index.retrieve(query, topk).hits == ranked[:topk]
+            assert index.retrieve(query, topk) == ranked[:topk]
 
 
 def test_zero_score_documents_never_returned():
     index = LexicalIndex(_store({"p1": "alpha beta", "p2": "gamma delta"}))
-    result = index.retrieve("alpha", 5)
-    assert result.hit_ids() == ("p1",)
-    assert index.retrieve("zeta", 5).hits == ()
+    assert [pid for pid, _ in index.retrieve("alpha", 5)] == ["p1"]
+    assert index.retrieve("zeta", 5) == ()
 
 
 def test_duplicate_query_terms_count_once():
     index = LexicalIndex(_store({"p1": "alpha beta", "p2": "alpha alpha"}))
-    assert index.retrieve("alpha", 5).hits == index.retrieve("alpha alpha alpha", 5).hits
+    assert index.retrieve("alpha", 5) == index.retrieve("alpha alpha alpha", 5)
 
 
 def test_ties_break_by_ascending_id():
     # identical texts give identical scores
     texts = {"z9": "same words here", "a1": "same words here", "m5": "same words here"}
     index = LexicalIndex(_store(texts))
-    assert index.retrieve("same words", 3).hit_ids() == ("a1", "m5", "z9")
+    assert [pid for pid, _ in index.retrieve("same words", 3)] == ["a1", "m5", "z9"]
 
 
 def test_topk_prefix_property():
     texts = {f"p{i}": f"common term{i} filler" for i in range(8)}
     index = LexicalIndex(_store(texts))
-    full = index.retrieve("common term3 term5", 8).hits
+    full = index.retrieve("common term3 term5", 8)
     for topk in range(1, 8):
-        assert index.retrieve("common term3 term5", topk).hits == full[:topk]
+        assert index.retrieve("common term3 term5", topk) == full[:topk]
 
 
 def test_backend_call_counter():
@@ -153,7 +152,7 @@ def test_backend_call_counter():
 def test_index_is_built_once_by_concurrent_first_retrievals(monkeypatch):
     texts = {f"p{i}": f"alpha term{i % 7} beta{i % 3}" for i in range(200)}
     query = "alpha term3 beta1"
-    expected = LexicalIndex(_store(texts)).retrieve(query, 5).hits
+    expected = LexicalIndex(_store(texts)).retrieve(query, 5)
     builds = []
     real_build = LexicalIndex._build
 
@@ -170,7 +169,7 @@ def test_index_is_built_once_by_concurrent_first_retrievals(monkeypatch):
 
     def worker(slot):
         for _ in range(calls):
-            served[slot].add(index.retrieve(query, 5).hits)
+            served[slot].add(index.retrieve(query, 5))
 
     run_together(threads, worker)
     assert builds == [index]
@@ -191,12 +190,12 @@ def test_cache_round_trip_and_persistence(tmp_path):
     first = _cached(cache, index, "beta", 2)
     assert index.backend_calls == 1
     second = _cached(cache, index, "  BETA ", 2)  # normalized same key
-    assert second.hits == first.hits
+    assert second == first
     assert index.backend_calls == 1  # served from cache
 
     reloaded = RetrievalCache(cache_path)
     third = _cached(reloaded, index, "beta", 2)
-    assert third.hits == first.hits
+    assert third == first
     assert index.backend_calls == 1
 
 
@@ -217,12 +216,12 @@ def test_cache_never_serves_another_corpus(tmp_path):
     cache_path = tmp_path / "ret.jsonl"
     corpus_a = _store({"p1": "alpha beta", "p2": "gamma delta"})
     corpus_b = _store({"p1": "gamma delta", "p2": "alpha beta"})  # texts swapped
-    assert _cached(RetrievalCache(cache_path), LexicalIndex(corpus_a),
-                   "alpha", 1).hit_ids() == ("p1",)
+    assert [pid for pid, _ in _cached(RetrievalCache(cache_path), LexicalIndex(corpus_a),
+                                      "alpha", 1)] == ["p1"]
     index_b = LexicalIndex(corpus_b)
     served = _cached(RetrievalCache(cache_path), index_b, "alpha", 1)
-    assert served.hits == index_b.retrieve("alpha", 1).hits
-    assert served.hit_ids() == ("p2",)
+    assert served == index_b.retrieve("alpha", 1)
+    assert [pid for pid, _ in served] == ["p2"]
 
 
 def test_cache_corruption_is_loud(tmp_path):
@@ -239,6 +238,24 @@ def test_cache_corruption_is_loud(tmp_path):
     cache.put("k3", (("p2", 2.0),), backend="lexical", query="q", topk=1)
     reloaded = RetrievalCache(path)
     assert reloaded.get("k") == (("p1", 1.0),) and reloaded.get("k3") == (("p2", 2.0),)
+
+
+@pytest.mark.parametrize("hits", [
+    '[[5, true]]',
+    '[["p1", "nan"]]',
+    '[["p1", NaN]]',
+    '[["p1", -Infinity]]',
+    '[["p1", "2.5"]]',
+    '[[null, 1.0]]',
+    '[["p1", 2.0], ["p1", 1.0]]',
+    '{}',
+], ids=["boolean-score", "nan-string-score", "nan-score", "infinite-score",
+        "numeric-string-score", "null-id", "repeated-id", "object"])
+def test_cache_entry_of_the_wrong_type_is_corruption(hits, tmp_path):
+    path = tmp_path / "ret.jsonl"
+    path.write_text('{"key": "k", "hits": [["p1", 1.0]]}\n{"key": "k2", "hits": %s}\n' % hits)
+    with pytest.raises(CacheCorruptionError, match=r"ret\.jsonl:2: unreadable cache entry"):
+        RetrievalCache(path)
 
 
 def test_strict_replay_miss(tmp_path):
@@ -278,8 +295,7 @@ def test_remote_retriever_parses_hits(monkeypatch):
     session = _FakeSession([_FakeResponse(200, [{"id": "p9", "score": 2.5}])])
     remote = RemoteRetriever("http://retriever.test/search", token="tok",
                              session=session)
-    result = remote.retrieve("a query", 3)
-    assert result.hits == (("p9", 2.5),)
+    assert remote.retrieve("a query", 3) == (("p9", 2.5),)
     assert remote.backend_id == "remote:http://retriever.test/search"
     sent = session.requests[0]
     assert sent["json"] == {"query": "a query", "topk": 3}
@@ -292,7 +308,7 @@ def test_remote_retriever_retries_then_fails(monkeypatch):
     monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse(503, {}), _FakeResponse(503, {}),
                             _FakeResponse(503, {})])
-    remote = RemoteRetriever("http://retriever.test", session=session, max_retries=3)
+    remote = RemoteRetriever("http://retriever.test", session=session)
     with pytest.raises(RetrieverUnavailableError):
         remote.retrieve("q", 1)
     assert len(session.requests) == 3
@@ -320,8 +336,9 @@ def test_retries_sleep_what_retry_after_asks_up_to_the_cap(monkeypatch):
         _FakeResponse(429, {}),
         _FakeResponse(200, [{"id": "p1", "score": 1.0}]),
     ])
+    monkeypatch.setattr(backend_io, "ATTEMPTS", 9)
     response = backend_io.post_with_retries(session, "http://retriever.test", {}, {},
-                                            1.0, 9, RetrieverUnavailableError)
+                                            1.0, RetrieverUnavailableError)
     assert response.status_code == 200
     cap = backend_io.RETRY_AFTER_MAX_S
     # each unhonoured wait is the backoff, 0.5 s doubled per attempt made
@@ -346,19 +363,27 @@ def test_remote_retriever_bad_payload(monkeypatch):
     "",
     None,
     ValueError("not JSON"),
+    [{"id": "a1", "score": "nan"}, {"id": "a1", "score": True}, {"id": "a2", "score": 1}],
+    [{"id": "p1", "score": float("nan")}],
+    [{"id": "p1", "score": float("inf")}],
+    [{"id": "p1", "score": True}],
+    [{"id": "p1", "score": "2.5"}],
+    [{"id": "p1", "score": 2.0}, {"id": "p1", "score": 1.0}],
+    [{"id": None, "score": 1.0}],
 ], ids=["no-score", "number-hit", "null-score", "string-score", "object-hits", "string",
-        "null", "not-json"])
+        "null", "not-json", "over-topk", "nan-score", "infinite-score", "boolean-score",
+        "numeric-string-score", "repeated-id", "null-id"])
 def test_remote_retriever_malformed_reply_is_unavailable(payload):
     session = _FakeSession([_FakeResponse(200, payload)])
     remote = RemoteRetriever("http://retriever.test", session=session)
     with pytest.raises(RetrieverUnavailableError, match="malformed reply"):
-        remote.retrieve("q", 1)
+        remote.retrieve("q", 2)
 
 
 def test_remote_retriever_reads_hits_object():
     session = _FakeSession([_FakeResponse(200, {"hits": [{"id": "p1", "score": 2}]})])
     remote = RemoteRetriever("http://retriever.test", session=session)
-    assert remote.retrieve("q", 1).hits == (("p1", 2.0),)
+    assert remote.retrieve("q", 1) == (("p1", 2.0),)
 
 
 def test_cache_key_keeps_case_for_remote_only(tmp_path):
@@ -382,10 +407,10 @@ def test_handle_records_calls_and_resolves_text():
     store = _store({"p1": "alpha beta", "p2": "beta gamma"})
     recorded = []
     handle = RetrieverHandle(LexicalIndex(store), store, on_call=recorded.append)
-    result = handle.retrieve("beta", 2)
+    hits = handle.retrieve("beta", 2)
     assert handle.text("p1") == "alpha beta"
     assert len(recorded) == 1
     assert recorded[0].query == "beta"
     assert recorded[0].topk == 2
-    assert recorded[0].hit_ids == result.hit_ids()
+    assert recorded[0].hit_ids == tuple(pid for pid, _ in hits)
     assert recorded[0].backend == "lexical"

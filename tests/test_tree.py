@@ -96,7 +96,7 @@ def test_children_reuse_probe_hits():
     store = accounting_corpus()
     handle = RetrieverHandle(LexicalIndex(store), store)
     for child in root.children:
-        assert child.retrieved == handle.retrieve(child.query, 5).hits
+        assert child.retrieved == handle.retrieve(child.query, 5)
 
 
 def test_collect_passages_preorder_dedup():
