@@ -116,8 +116,9 @@ class JsonlCache:
     A key is appended at most once. A missing file is created by the first
     append; one that cannot be read (a directory, a path through a regular
     file) is a DataError naming it. A bad line inside the file is a hard
-    error; an unterminated final line that does not parse (an append cut
-    short) is dropped with a warning and cut off before the next append.
+    error; an unterminated final line that does not parse as JSON (an append
+    cut short) is dropped with a warning and cut off before the next append,
+    while one that parses but holds a bad entry is a hard error too.
     Subclasses give the key function and the record shape: the value field,
     its decoder (which rejects a value of the wrong type) and the
     replay-miss message; the caller of lookup gives the context fields
@@ -149,8 +150,7 @@ class JsonlCache:
                     continue
                 try:  # UnicodeDecodeError is a ValueError
                     entry = json.loads(_strict_utf8(line))
-                    self._entries[entry["key"]] = self.decode(entry[self.value_field])
-                except (ValueError, KeyError, TypeError) as exc:
+                except ValueError as exc:
                     if line.endswith("\n"):
                         raise CacheCorruptionError(
                             f"{self.path}:{line_no}: unreadable cache entry ({exc})")
@@ -158,6 +158,11 @@ class JsonlCache:
                     self._repair = (self.path.stat().st_size
                                     - len(line.encode("utf-8", "surrogateescape")), "")
                     return
+                try:  # an append cut short never parses, so this line is whole
+                    self._entries[entry["key"]] = self.decode(entry[self.value_field])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheCorruptionError(
+                        f"{self.path}:{line_no}: unreadable cache entry ({exc})")
         if line and not line.endswith("\n"):
             self._repair = (self.path.stat().st_size, "\n")
 

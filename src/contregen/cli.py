@@ -124,7 +124,7 @@ def _cmd_run(args):
         "queries": len(trace.queries),
         "failed": failed,
         "out_dir": trace.config_snapshot["out_dir"],
-        "aggregates": (trace.report or {}).get("aggregates", {}),
+        "aggregates": trace.report["aggregates"],
     }
     return summary, (f"ran {summary['queries']} queries ({failed} failed); "
                      f"artifacts in {summary['out_dir']}")

@@ -81,10 +81,6 @@ METHODS = {
                                        config.max_iterations)),
 }
 
-# Tree calls sit at "" or "0", "0.1", ...; chain calls at "<method>[.<round>|.final]".
-_NODE_PATH_RE = re.compile(r"^$|^0(\.\d+)*$|^(%s)(\.(\d+|final))?$" % "|".join(
-    name for name, runner in METHODS.items() if runner is not _run_tree))
-
 # Allowed values and integer floors of RunConfig fields, for validate() and the CLI.
 CHOICES = {
     "method": tuple(METHODS),
@@ -184,32 +180,15 @@ class QueryRun:
     error: Optional[str] = None
 
 
+@dataclass
 class RunTrace:
-    """Append-only while running; immutable once finalized."""
+    """One run: the config snapshot, a section per query and the report, all
+    serialized by to_dict, plus physical backend call counts, which are not."""
 
-    def __init__(self, config: RunConfig) -> None:
-        self.config_snapshot = config.snapshot()
-        self.queries: dict[str, QueryRun] = {}
-        self.report: Optional[dict] = None
-        self.finalized = False
-        # physical counters, deliberately not serialized
-        self.backend_stats: dict[str, int] = {}
-
-    def add_query(self, run: QueryRun) -> None:
-        if self.finalized:
-            raise DataError("trace is finalized")
-        if run.query_id in self.queries:
-            raise DataError(f"duplicate query section: {run.query_id}")
-        for call in run.llm_calls:
-            if not _NODE_PATH_RE.match(call.node_path):
-                raise DataError(f"bad node path in trace: {call.node_path!r}")
-        self.queries[run.query_id] = run
-
-    def finalize(self, report: Optional[dict]) -> None:
-        if self.finalized:
-            raise DataError("trace already finalized")
-        self.report = report
-        self.finalized = True
+    config_snapshot: dict
+    queries: dict[str, QueryRun]
+    report: dict
+    backend_stats: dict[str, int]
 
     def to_dict(self) -> dict:
         return {
@@ -219,7 +198,11 @@ class RunTrace:
                     "method": q.method,
                     "answer": q.answer,
                     "retrieved_ids": list(q.retrieved_ids),
-                    "llm_calls": [dataclasses.asdict(c) for c in q.llm_calls],
+                    "llm_calls": [
+                        {"role": c.role, "prompt": c.prompt, "response": c.response,
+                         "node_path": c.node_path, "approx_tokens": c.approx_tokens}
+                        for c in q.llm_calls
+                    ],
                     "retrieval_calls": [
                         {"query": c.query, "topk": c.topk,
                          "hit_ids": list(c.hit_ids), "backend": c.backend}
@@ -300,7 +283,6 @@ def run(config: RunConfig) -> RunTrace:
     elif config.replay:
         raise ConfigError("replay mode needs cache_dir")
 
-    trace = RunTrace(config)
     ordered = sorted(records, key=lambda r: r.id)
     if config.parallel > 1:
         with ThreadPoolExecutor(max_workers=config.parallel) as pool:
@@ -312,24 +294,21 @@ def run(config: RunConfig) -> RunTrace:
         sections = [_run_one(config, rec, adapter, backend, store,
                              templates, retrieval_cache)
                     for rec in ordered]
-    for section in sections:
-        trace.add_query(section)
+    queries = {section.query_id: section for section in sections}
 
-    answers = {qid: q.answer for qid, q in trace.queries.items() if q.error is None}
-    retrieved = {qid: q.retrieved_ids for qid, q in trace.queries.items()}
+    answers = {qid: q.answer for qid, q in queries.items() if q.error is None}
+    retrieved = {qid: q.retrieved_ids for qid, q in queries.items()}
     report = evaluate_run(records, answers, retrieved)
-    trace.finalize(report)
-    trace.backend_stats = {
-        "llm_backend_calls": adapter.backend_calls,
-        "retrieval_backend_calls": backend.backend_calls,
-    }
+    trace = RunTrace(config_snapshot=config.snapshot(), queries=queries, report=report,
+                     backend_stats={"llm_backend_calls": adapter.backend_calls,
+                                    "retrieval_backend_calls": backend.backend_calls})
 
     out_dir = Path(config.out_dir)
     atomic_write(out_dir / "trace.json", canonical_json(trace.to_dict()) + "\n")
     atomic_write(out_dir / "report.json", canonical_json(report) + "\n")
     outputs = "".join(
         canonical_json({"id": qid, "answer": q.answer, "error": q.error}) + "\n"
-        for qid, q in sorted(trace.queries.items()))
+        for qid, q in sorted(queries.items()))
     atomic_write(out_dir / "outputs.jsonl", outputs)
     return trace
 
@@ -348,6 +327,17 @@ def _dict_of(check):
     return lambda value: isinstance(value, dict) and all(map(check, value.values()))
 
 
+# Tree calls sit at "" or "0", "0.1", ...; chain calls at "<method>[.<round>|.final]".
+_NODE_PATH_RE = re.compile(r"|0(\.[0-9]+)*|(%s)(\.([0-9]+|final))?" % "|".join(
+    name for name, runner in METHODS.items() if runner is not _run_tree))
+
+
+def _llm_call(call) -> bool:
+    """An object whose node_path, when present, is a tree or chain method path."""
+    path = call.get("node_path", "") if isinstance(call, dict) else None
+    return isinstance(path, str) and _NODE_PATH_RE.fullmatch(path) is not None
+
+
 # The fields a trace section may carry, in diff order: the check load_trace
 # makes, how it names a bad value, and what diff_traces says when two traces
 # differ in it (llm calls are compared one by one).
@@ -355,7 +345,8 @@ _SECTION_FIELDS = {
     "method": (_is(str), "a string", "method differs"),
     "answer": (_is(str), "a string", "answer differs"),
     "retrieved_ids": (_list_of(_is(str)), "a list of strings", "retrieved ids differ"),
-    "llm_calls": (_list_of(_is(dict)), "a list of objects", None),
+    "llm_calls": (_list_of(_llm_call),
+                  "a list of objects whose node_path is a tree or chain method path", None),
     "retrieval_calls": (_list_of(_is(dict)), "a list of objects", "retrieval calls differ"),
     "tree": (_is(dict, None), "null or an object", "tree differs"),
     "rounds": (lambda v: v is None or _list_of(_list_of(_is(str)))(v),

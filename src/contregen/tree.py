@@ -17,7 +17,7 @@ from contregen.errors import BackendError, DataError, TreeBuildError
 from contregen.llm import LlmGateway
 from contregen.planner import propose_plan, render_passages
 from contregen.retrieval import RetrieverHandle
-from contregen.verifier import VerificationOutcome, verify
+from contregen.verifier import verify
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class QueryTreeNode:
     retrieved: tuple[tuple[str, float], ...] = ()
     children: list["QueryTreeNode"] = field(default_factory=list)
     summary: Optional[str] = None
-    rejected: tuple[VerificationOutcome, ...] = ()
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -76,12 +75,10 @@ def _expand(gateway: LlmGateway, retriever: RetrieverHandle,
         [retriever.text(pid) for pid, _ in node.retrieved])
     plan = propose_plan(gateway, node.query, main_query, passages_block,
                         config.max_plan_size, node_path=node.path)
-    rejected: list[VerificationOutcome] = []
     for subquestion in plan:
         outcome = verify(gateway, retriever, subquestion, main_query,
                          config.topk, node_path=node.path)
         if not outcome.accepted:
-            rejected.append(outcome)
             continue
         child = QueryTreeNode(
             query=outcome.rewritten,
@@ -92,7 +89,6 @@ def _expand(gateway: LlmGateway, retriever: RetrieverHandle,
         )
         node.children.append(child)
         _expand(gateway, retriever, child, main_query, config)
-    node.rejected = tuple(rejected)
 
 
 def collect_passages(root: QueryTreeNode, dedup: bool = True) -> list[str]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 
@@ -18,6 +19,7 @@ import pytest
 
 from contregen.corpus import CorpusStore, Passage, QueryRecord
 from contregen.retrieval import tokenize
+from contregen.verifier import parse_yes_no
 
 ROOT_QUERY = "how to detect hidden cameras and microphones"
 
@@ -239,12 +241,27 @@ def accounting_fixtures() -> dict:
 # --- randomized tree blueprints (invariant fuzzing) -----------------------
 
 
+def rejected_subquestions(calls) -> dict[str, list[str]]:
+    """The sub-questions vetting turned down, in call order, by the path of the
+    node that planned them, read from the recorded necessity and relevance
+    calls: the planner's wording for an unnecessary one, the rewrite for an
+    irrelevant one."""
+    rejected: dict[str, list[str]] = {}
+    for call in calls:
+        if call.role in ("necessity", "relevance") and not parse_yes_no(call.response):
+            task = call.prompt.split("=== task ===")[-1]
+            (subquestion,) = re.findall(r"^Sub-question: (.*)$", task, re.MULTILINE)
+            rejected.setdefault(call.node_path, []).append(subquestion)
+    return rejected
+
+
 def random_blueprint(rng: random.Random, max_depth: int, max_plan_size: int):
     """A random accept/reject tree plus the scripted fixtures realizing it.
 
     Every query contains the token "shared" so relevance probes always hit
     against the accounting corpus. Returns (root_query, expected, fixtures)
-    where expected mirrors the accepted structure.
+    where expected mirrors the accepted structure, and lists at each node the
+    sub-questions it rejects as rejected_subquestions reads them.
     """
     counter = itertools.count()
     fixtures: dict = {"plan": {}, "necessity": {}, "rewrite": {},
@@ -252,7 +269,7 @@ def random_blueprint(rng: random.Random, max_depth: int, max_plan_size: int):
                       "merge_intermediate": {}, "generate_root": {}}
 
     def build(query: str, depth: int) -> dict:
-        node = {"query": query, "children": []}
+        node = {"query": query, "children": [], "rejected": []}
         if depth >= max_depth:
             return node
         plan_count = rng.randint(0, max_plan_size)
@@ -267,12 +284,14 @@ def random_blueprint(rng: random.Random, max_depth: int, max_plan_size: int):
             fate = rng.choice(["accept", "accept", "unnecessary", "irrelevant"])
             if fate == "unnecessary":
                 fixtures["necessity"][item] = "no"
+                node["rejected"].append(item)
                 continue
             fixtures["necessity"][item] = "yes"
             rewritten = f"shared rewritten {serial}"
             fixtures["rewrite"][item] = rewritten
             if fate == "irrelevant":
                 fixtures["relevance"][rewritten] = "no"
+                node["rejected"].append(rewritten)
                 continue
             fixtures["relevance"][rewritten] = "yes"
             node["children"].append(build(rewritten, depth + 1))

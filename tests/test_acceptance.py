@@ -30,6 +30,7 @@ from conftest import (
     planted_corpus,
     planted_query,
     random_blueprint,
+    rejected_subquestions,
     retgen_fixtures,
     write_fixture_file,
 )
@@ -44,17 +45,16 @@ def _verdict(number: int, label: str, started: float, limit: float) -> None:
     assert elapsed < limit, f"criterion {number} took {elapsed:.2f}s, limit {limit}s"
 
 
-def _match_blueprint(node, expected, config):
+def _match_blueprint(node, expected, config, rejected):
     assert node.query == expected["query"]
     assert node.depth <= config.max_depth
     assert len(node.children) <= config.max_plan_size
-    # accepted children appear in plan order under their rewritten queries
+    # accepted children appear in plan order under their rewritten queries,
+    # and the recorded calls turn down exactly the rest
     assert [c.query for c in node.children] == [c["query"] for c in expected["children"]]
-    for outcome in node.rejected:
-        assert not outcome.accepted
-        assert not (outcome.necessary and outcome.relevant)
+    assert rejected.get(node.path, []) == expected["rejected"]
     for child, child_expected in zip(node.children, expected["children"]):
-        _match_blueprint(child, child_expected, config)
+        _match_blueprint(child, child_expected, config, rejected)
 
 
 def test_criterion_1_tree_invariants_hold_on_randomized_builds():
@@ -68,10 +68,11 @@ def test_criterion_1_tree_invariants_hold_on_randomized_builds():
                             max_plan_size=rng.randint(1, 5))
         root_query, expected, fixtures = random_blueprint(
             rng, config.max_depth, config.max_plan_size)
-        gateway = LlmGateway(ScriptedAdapter(fixtures), TEMPLATES)
+        calls = []
+        gateway = LlmGateway(ScriptedAdapter(fixtures), TEMPLATES, on_call=calls.append)
         root = build_tree(gateway, handle, root_query, config)
         check_invariants(root, config)
-        _match_blueprint(root, expected, config)
+        _match_blueprint(root, expected, config, rejected_subquestions(calls))
     _verdict(1, "tree invariants, 1000 randomized builds", started, 10.0)
 
 

@@ -134,7 +134,7 @@ def test_selfask_early_stop_is_two_calls():
     assert len(run.rounds) == 1
 
 
-def test_selfask_exhausts_rounds_then_finalizes():
+def test_selfask_exhausts_rounds_then_answers():
     fixtures = {
         "baseline_followup": {ROOT_QUERY: [f"Follow up: {SUB_B}"] * 5},
         "baseline_generate": {ROOT_QUERY: "final"},

@@ -11,9 +11,8 @@ import pytest
 import contregen
 from contregen.cli import _config_from_args, build_parser, dispatch
 from contregen.errors import ConfigError, DataError
-from contregen.llm import LlmCall
 from contregen.retrieval import LexicalIndex
-from contregen.runtrace import METHODS, QueryRun, RunConfig, RunTrace
+from contregen.runtrace import METHODS, RunConfig, load_trace
 
 from conftest import (
     ROOT_QUERY,
@@ -367,16 +366,15 @@ def _accepts(action) -> bool:
 
 
 @pytest.mark.parametrize("name", [*METHODS, "bogus"])
-def test_method_names_come_from_the_registry(name):
+def test_method_names_come_from_the_registry(name, tmp_path):
     known = name in METHODS
     assert _accepts(lambda: build_parser().parse_args(["run", "--method", name])) == known
     assert _accepts(RunConfig(method=name, fixtures_path="f.json").validate) == known
     # chain methods record calls under their own name, the tree method under "0..."
-    call = LlmCall(role="plan", prompt="", response="", node_path=f"{name}.final",
-                   approx_tokens=0)
-    trace = RunTrace(RunConfig(fixtures_path="f.json"))
-    assert _accepts(lambda: trace.add_query(
-        QueryRun(query_id="q", method=name, llm_calls=[call]))) == (known and name != "contregen")
+    trace = tmp_path / "trace.json"
+    trace.write_text(_trace_text({"method": name, "llm_calls": [{"node_path": f"{name}.final"}]}),
+                     encoding="utf-8")
+    assert _accepts(lambda: load_trace(trace)) == (known and name != "contregen")
 
 
 _GOOD_ARTICLE = {"title": "how to t", "summary": "s",
@@ -522,6 +520,11 @@ _BAD_TRACES = {
     "diff-number-error": (
         "diff --a {trace.json} --b {trace.json}",
         _trace_text({**_SECTION, "error": 5}), "query q-planted: error must be null or a string"),
+    "diff-bad-node-path": (
+        "diff --a {trace.json} --b {trace.json}",
+        _trace_text({**_SECTION, "llm_calls": [{"role": "plan", "node_path": "retgen.x"}]}),
+        "query q-planted: llm_calls must be a list of objects whose node_path is a tree or "
+        "chain method path"),
     "diff-number-method": (
         "diff --a {trace.json} --b {trace.json}",
         _trace_text({**_SECTION, "method": 5}), "query q-planted: method must be a string"),

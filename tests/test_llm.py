@@ -198,11 +198,20 @@ def test_llm_cache_corruption_is_loud(tmp_path):
     assert LlmCache(path).get("k") == "ok" and LlmCache(path).get("k2") == "more"
 
 
-@pytest.mark.parametrize("response", ["null", "5", "true", '["a"]', '{"text": "a"}'],
-                         ids=["null", "number", "boolean", "list", "object"])
-def test_llm_cache_entry_of_the_wrong_type_is_corruption(response, tmp_path):
+_WRONG_RESPONSES = {"null": "null", "number": "5", "boolean": "true", "list": '["a"]',
+                    "object": '{"text": "a"}'}
+
+
+# an unterminated final line that parses is a whole line, not a torn append
+@pytest.mark.parametrize("response,end", [
+    *(pytest.param(value, "\n", id=name) for name, value in _WRONG_RESPONSES.items()),
+    *(pytest.param(value, "", id=f"{name}-unterminated")
+      for name, value in _WRONG_RESPONSES.items()),
+])
+def test_llm_cache_entry_of_the_wrong_type_is_corruption(response, end, tmp_path):
     path = tmp_path / "llm.jsonl"
-    path.write_text('{"key": "k", "response": "ok"}\n{"key": "k2", "response": %s}\n' % response)
+    path.write_text('{"key": "k", "response": "ok"}\n{"key": "k2", "response": %s}%s'
+                    % (response, end))
     with pytest.raises(CacheCorruptionError, match=r"llm\.jsonl:2: unreadable cache entry"):
         LlmCache(path)
 

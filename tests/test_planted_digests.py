@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from contregen.cli import dispatch
+from contregen.runtrace import load_trace
 
 from conftest import (
     contregen_fixtures,
@@ -77,3 +78,4 @@ def test_planted_artifacts_are_byte_identical_cold_and_under_replay(
         # the replay rewrites the same out-dir and must leave every byte as it was
         assert {**_digests(tmp_path / "out", OUTPUTS),
                 **_digests(tmp_path / f"cache-{method}", CACHES)} == DIGESTS[method], command
+        load_trace(tmp_path / "out" / "trace.json")  # every node path it wrote is one it reads

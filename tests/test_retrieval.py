@@ -240,20 +240,27 @@ def test_cache_corruption_is_loud(tmp_path):
     assert reloaded.get("k") == (("p1", 1.0),) and reloaded.get("k3") == (("p2", 2.0),)
 
 
-@pytest.mark.parametrize("hits", [
-    '[[5, true]]',
-    '[["p1", "nan"]]',
-    '[["p1", NaN]]',
-    '[["p1", -Infinity]]',
-    '[["p1", "2.5"]]',
-    '[[null, 1.0]]',
-    '[["p1", 2.0], ["p1", 1.0]]',
-    '{}',
-], ids=["boolean-score", "nan-string-score", "nan-score", "infinite-score",
-        "numeric-string-score", "null-id", "repeated-id", "object"])
-def test_cache_entry_of_the_wrong_type_is_corruption(hits, tmp_path):
+_WRONG_HITS = {
+    "boolean-score": '[[5, true]]',
+    "nan-string-score": '[["p1", "nan"]]',
+    "nan-score": '[["p1", NaN]]',
+    "infinite-score": '[["p1", -Infinity]]',
+    "numeric-string-score": '[["p1", "2.5"]]',
+    "null-id": '[[null, 1.0]]',
+    "repeated-id": '[["p1", 2.0], ["p1", 1.0]]',
+    "object": '{}',
+}
+
+
+# an unterminated final line that parses is a whole line, not a torn append
+@pytest.mark.parametrize("hits,end", [
+    *(pytest.param(value, "\n", id=name) for name, value in _WRONG_HITS.items()),
+    *(pytest.param(value, "", id=f"{name}-unterminated") for name, value in _WRONG_HITS.items()),
+])
+def test_cache_entry_of_the_wrong_type_is_corruption(hits, end, tmp_path):
     path = tmp_path / "ret.jsonl"
-    path.write_text('{"key": "k", "hits": [["p1", 1.0]]}\n{"key": "k2", "hits": %s}\n' % hits)
+    path.write_text('{"key": "k", "hits": [["p1", 1.0]]}\n{"key": "k2", "hits": %s}%s'
+                    % (hits, end))
     with pytest.raises(CacheCorruptionError, match=r"ret\.jsonl:2: unreadable cache entry"):
         RetrievalCache(path)
 

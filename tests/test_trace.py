@@ -6,10 +6,9 @@ import pytest
 
 from contregen.errors import ConfigError, DataError
 from contregen.llm import LlmCall
+from contregen.retrieval import RetrievalCall
 from contregen.runtrace import (
-    QueryRun,
     RunConfig,
-    RunTrace,
     atomic_write,
     canonical_json,
     diff_traces,
@@ -113,34 +112,36 @@ def test_atomic_write_writes_through_a_link_in_place(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
 
 
-def _call(node_path):
-    return LlmCall(role="plan", prompt="p", response="r",
-                   node_path=node_path, approx_tokens=1)
+def _trace_with_calls(path, *node_paths):
+    calls = [{"role": "plan", "prompt": "p", "response": "r", "node_path": node_path,
+              "approx_tokens": 1} for node_path in node_paths]
+    path.write_text(json.dumps({"config": {}, "queries": {"q": {"llm_calls": calls}},
+                                "report": None}), encoding="utf-8")
+    return path
 
 
-def test_trace_validates_node_paths():
-    config = RunConfig(fixtures_path="f")
-    trace = RunTrace(config)
-    good = QueryRun(query_id="q", method="contregen",
-                    llm_calls=[_call("0"), _call("0.2.10"), _call("retgen"),
-                               _call("iterretgen.3"), _call("selfask.final")])
-    trace.add_query(good)
-    for bad in ("1", "0.", "0..1", "tree", "retgen.x"):
-        with pytest.raises(DataError, match="bad node path"):
-            RunTrace(config).add_query(
-                QueryRun(query_id="q", method="contregen", llm_calls=[_call(bad)]))
+def test_trace_validates_node_paths(tmp_path):
+    good = _trace_with_calls(tmp_path / "good.json", "", "0", "0.2.10", "retgen",
+                             "iterretgen.3", "selfask.final")
+    assert len(load_trace(good)["queries"]["q"]["llm_calls"]) == 6
+    for bad in ("1", "0.", "0..1", "tree", "retgen.x", "contregen.final", "0\n", 0, None):
+        path = _trace_with_calls(tmp_path / "bad.json", bad)
+        with pytest.raises(DataError, match=r"bad\.json: query q: llm_calls must be"):
+            load_trace(path)
 
 
-def test_trace_lifecycle_guards():
-    trace = RunTrace(RunConfig(fixtures_path="f"))
-    trace.add_query(QueryRun(query_id="q", method="retgen"))
-    with pytest.raises(DataError, match="duplicate"):
-        trace.add_query(QueryRun(query_id="q", method="retgen"))
-    trace.finalize(report=None)
-    with pytest.raises(DataError, match="finalized"):
-        trace.add_query(QueryRun(query_id="r", method="retgen"))
-    with pytest.raises(DataError, match="finalized"):
-        trace.finalize(report=None)
+def test_trace_records_every_call_field(planted, tmp_path):
+    """A field added to LlmCall or RetrievalCall must reach trace.json."""
+    config = RunConfig(corpus_path=str(planted["corpus"]),
+                       queries_path=str(planted["queries"]),
+                       fixtures_path=str(write_fixture_file(planted["dir"],
+                                                            contregen_fixtures())),
+                       out_dir=str(tmp_path / "out"))
+    (section,) = run(config).to_dict()["queries"].values()
+    for name, kind in (("llm_calls", LlmCall), ("retrieval_calls", RetrievalCall)):
+        assert section[name]
+        assert all(set(call) == {f.name for f in dataclasses.fields(kind)}
+                   for call in section[name])
 
 
 def test_run_contregen_end_to_end(planted, tmp_path):

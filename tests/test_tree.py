@@ -22,6 +22,7 @@ from conftest import (
     ACCT_S2,
     accounting_corpus,
     accounting_fixtures,
+    rejected_subquestions,
 )
 
 
@@ -61,20 +62,18 @@ def test_depth_cap_means_no_plan_calls_at_leaves():
 def test_rejections_recorded_not_attached():
     fixtures = accounting_fixtures()
     fixtures["necessity"]["branch two item"] = "no"
-    root, _, config = _build(fixtures)
+    root, calls, _ = _build(fixtures)
     assert [c.query for c in root.children] == [ACCT_S1]
     assert root.children[0].path == "0.0"
-    (rejected,) = root.rejected
-    assert rejected.subquestion == "branch two item"
-    assert not rejected.accepted
+    assert rejected_subquestions(calls) == {"0": ["branch two item"]}
 
 
 def test_relevance_rejection_keeps_probe_empty_nodes_out():
     fixtures = accounting_fixtures()
     fixtures["relevance"][ACCT_S2] = "no"
-    root, _, _ = _build(fixtures)
+    root, calls, _ = _build(fixtures)
     assert [c.query for c in root.children] == [ACCT_S1]
-    assert root.rejected[0].rewritten == ACCT_S2
+    assert rejected_subquestions(calls) == {"0": [ACCT_S2]}
 
 
 def test_unparseable_plan_makes_leaf():
