@@ -29,8 +29,9 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
-    """Both BM25 kernels: the impacts an index build computes for every term,
-    and the accumulation of every term's impacts into one score array."""
+    """The BM25 kernels: the impacts an index build computes for every term,
+    the accumulation of every term's impacts into each backend's own score
+    buffer, and the top-10 selection over those scores."""
     rng = random.Random(seed)
     doc_lens = [rng.randint(20, 400) for _ in range(docs)]
     avgdl = sum(doc_lens) / docs
@@ -55,22 +56,29 @@ def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
     pure_impacts = impacts(fallback)
 
     def accumulate(kernels):
-        scores = array("d", [0.0]) * docs
+        scores = kernels.new_scores(docs)
         for (doc_idx, _tfs, _idf), term_impacts in zip(postings, pure_impacts):
             kernels.bm25_accumulate(scores, doc_idx, term_impacts)
         return scores
 
+    pure_scores = accumulate(fallback)
     results = {
         "bm25_impacts": {"pure": _time(lambda: impacts(fallback))},
         "bm25_accumulate": {"pure": _time(lambda: accumulate(fallback))},
+        "topk_indices": {"pure": _time(lambda: fallback.topk_indices(pure_scores, 10))},
     }
     if _core is not None:
         results["bm25_impacts"]["compiled"] = _time(lambda: impacts(_core))
         results["bm25_impacts"]["bit_exact"] = (
             [a.tobytes() for a in impacts(_core)] == [a.tobytes() for a in pure_impacts])
         results["bm25_accumulate"]["compiled"] = _time(lambda: accumulate(_core))
+        compiled_scores = accumulate(_core)
         results["bm25_accumulate"]["bit_exact"] = (
-            accumulate(_core).tobytes() == accumulate(fallback).tobytes())
+            compiled_scores.tobytes() == array("d", pure_scores).tobytes())
+        results["topk_indices"]["compiled"] = _time(
+            lambda: _core.topk_indices(compiled_scores, 10))
+        results["topk_indices"]["bit_exact"] = (
+            _core.topk_indices(compiled_scores, 10) == fallback.topk_indices(pure_scores, 10))
     return results
 
 

@@ -1,15 +1,20 @@
-/* Compiled hot loops: BM25 impacts and accumulation, and LCS length.
+/* Compiled hot loops: the score buffer, BM25 impacts and accumulation, top-k
+ * selection, and LCS length.
  *
  * BM25 is split between index build and query time. At build, bm25_impacts
  * computes each posting's score contribution once, from its term's idf, its
- * term frequency and its document's length normalization; at query time
- * bm25_accumulate adds one term's stored impacts into the score array.
+ * term frequency and its document's length normalization. At query time
+ * new_scores makes a zeroed array("d"), bm25_accumulate adds one term's stored
+ * impacts into it, and topk_indices picks the best k documents in one pass
+ * with a k-sized heap. The pure backend keeps its scores in a list instead;
+ * each backend picks the container its own loops run fastest on.
  *
  * The arithmetic here must stay expression-for-expression identical to
  * contregen/_kernels/fallback.py: rankings are verified bit-exactly against a
  * brute-force scorer, and the pure and compiled backends must be
  * interchangeable. Build with -ffp-contract=off (no fused multiply-add) and do
- * not reorder the float operations.
+ * not reorder the float operations. Selection only compares scores, so its
+ * result is exact.
  *
  * Arguments arrive through the buffer protocol (array("d") / array("i") or any
  * C-contiguous buffer of the same item type). Every document index is checked
@@ -55,6 +60,22 @@ check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
         }
     }
     return 0;
+}
+
+/* array("d", [0.0]), which new_scores repeats; made when the module loads. */
+static PyObject *zero_score;
+
+PyDoc_STRVAR(new_scores_doc,
+"new_scores(n)\n--\n\n"
+"A zeroed score buffer for n documents, as bm25_accumulate fills it.");
+
+static PyObject *
+new_scores(PyObject *module, PyObject *args)
+{
+    Py_ssize_t n;
+    if (!PyArg_ParseTuple(args, "n:new_scores", &n))
+        return NULL;
+    return PySequence_Repeat(zero_score, n);
 }
 
 PyDoc_STRVAR(bm25_impacts_doc,
@@ -158,6 +179,117 @@ release_scores:
     return result;
 }
 
+/* A document and its score, as the selection heap holds them. */
+typedef struct {
+    double score;
+    Py_ssize_t index;
+} scored;
+
+/* a ranks below b in the order (-score, index): a lower score, or an equal
+ * score at a higher index. The heap keeps its lowest-ranked entry on top. */
+static inline int
+ranks_below(scored a, scored b)
+{
+    return a.score < b.score || (a.score == b.score && a.index > b.index);
+}
+
+static void
+sift_up(scored *heap, Py_ssize_t at)
+{
+    scored item = heap[at];
+    while (at > 0) {
+        Py_ssize_t parent = (at - 1) / 2;
+        if (!ranks_below(item, heap[parent]))
+            break;
+        heap[at] = heap[parent];
+        at = parent;
+    }
+    heap[at] = item;
+}
+
+static void
+sift_down(scored *heap, Py_ssize_t size, Py_ssize_t at)
+{
+    scored item = heap[at];
+    for (;;) {
+        Py_ssize_t child = 2 * at + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && ranks_below(heap[child + 1], heap[child]))
+            child++;
+        if (!ranks_below(heap[child], item))
+            break;
+        heap[at] = heap[child];
+        at = child;
+    }
+    heap[at] = item;
+}
+
+PyDoc_STRVAR(topk_indices_doc,
+"topk_indices(scores, k)\n--\n\n"
+"Indices of the k highest positive scores, ordered by (-score, index).");
+
+static PyObject *
+topk_indices(PyObject *module, PyObject *args)
+{
+    PyObject *scores_obj;
+    Py_ssize_t k;
+    if (!PyArg_ParseTuple(args, "On:topk_indices", &scores_obj, &k))
+        return NULL;
+    if (k < 1) {
+        PyErr_SetString(PyExc_ValueError, "k must be >= 1");
+        return NULL;
+    }
+    Py_buffer scores;
+    if (get_buffer(scores_obj, &scores, 'd', 0, "scores") < 0)
+        return NULL;
+
+    PyObject *result = NULL;
+    Py_ssize_t n = scores.shape[0];
+    Py_ssize_t cap = k < n ? k : n;
+    const double *score = (const double *)scores.buf;
+    scored *heap = PyMem_Malloc((size_t)cap * sizeof(scored));  /* 0 bytes is not NULL */
+    if (heap == NULL) {
+        PyErr_NoMemory();
+        goto release;
+    }
+    Py_ssize_t size = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        double s = score[i];
+        if (!(s > 0.0))
+            continue;
+        if (size < cap) {
+            heap[size] = (scored){s, i};
+            sift_up(heap, size++);
+        }
+        else if (s > heap[0].score) {
+            /* i is past every index in the heap: an equal score ranks below */
+            heap[0] = (scored){s, i};
+            sift_down(heap, size, 0);
+        }
+    }
+    result = PyList_New(size);
+    if (result == NULL)
+        goto free_heap;
+    /* popping the lowest-ranked entry first fills the list from its end */
+    while (size > 0) {
+        PyObject *index = PyLong_FromSsize_t(heap[0].index);
+        if (index == NULL) {
+            Py_CLEAR(result);
+            goto free_heap;
+        }
+        PyList_SET_ITEM(result, --size, index);
+        heap[0] = heap[size];
+        sift_down(heap, size, 0);
+    }
+
+free_heap:
+    PyMem_Free(heap);
+release:
+    PyBuffer_Release(&scores);
+    return result;
+}
+
 PyDoc_STRVAR(lcs_length_doc,
 "lcs_length(left, right)\n--\n\n"
 "Length of the longest common subsequence of two int-coded sequences.");
@@ -219,8 +351,10 @@ release:
 }
 
 static PyMethodDef core_methods[] = {
+    {"new_scores", new_scores, METH_VARARGS, new_scores_doc},
     {"bm25_impacts", bm25_impacts, METH_VARARGS, bm25_impacts_doc},
     {"bm25_accumulate", bm25_accumulate, METH_VARARGS, bm25_accumulate_doc},
+    {"topk_indices", topk_indices, METH_VARARGS, topk_indices_doc},
     {"lcs_length", lcs_length, METH_VARARGS, lcs_length_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -228,7 +362,8 @@ static PyMethodDef core_methods[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "contregen._kernels._core",
-    .m_doc = "Compiled BM25 impact, BM25 accumulation and LCS kernels; see fallback.py.",
+    .m_doc = "Compiled score buffer, BM25, top-k selection and LCS kernels; "
+             "see fallback.py.",
     .m_size = 0,
     .m_methods = core_methods,
 };
@@ -236,5 +371,14 @@ static struct PyModuleDef core_module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
+    if (zero_score == NULL) {
+        PyObject *array_module = PyImport_ImportModule("array");
+        if (array_module == NULL)
+            return NULL;
+        zero_score = PyObject_CallMethod(array_module, "array", "s[d]", "d", 0.0);
+        Py_DECREF(array_module);
+        if (zero_score == NULL)
+            return NULL;
+    }
     return PyModule_Create(&core_module);
 }

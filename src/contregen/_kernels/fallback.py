@@ -1,11 +1,14 @@
 """Pure-Python kernels, used when the compiled extension is unavailable.
 
 Same signatures and the same IEEE-double operation order as ``_core.c``;
-the two backends must return bit-identical results.
+the two backends must return bit-identical results. Only the score container
+differs: ``new_scores`` here makes a list, whose float objects ``scores[d] += w``
+updates without the boxing and unboxing an ``array("d")`` pays for each element.
 """
 
 from __future__ import annotations
 
+import heapq
 from array import array
 
 
@@ -24,12 +27,39 @@ def bm25_impacts(impacts: array, doc_indices: array, tfs: array,
                              for d, tf in zip(doc_indices, tfs)])
 
 
-def bm25_accumulate(scores: array, doc_indices: array, impacts: array) -> None:
-    """Add one query term's precomputed impacts to its postings' documents."""
+def new_scores(n: int) -> list[float]:
+    """A zeroed score buffer for n documents, as bm25_accumulate fills it."""
+    return [0.0] * n
+
+
+def bm25_accumulate(scores: list[float] | array, doc_indices: array,
+                    impacts: array) -> None:
+    """Add one query term's precomputed impacts to its postings' documents.
+
+    ``scores`` may be a list (what new_scores makes) or an ``array("d")``.
+    """
     if len(impacts) != len(doc_indices):
         raise ValueError("doc_indices and impacts differ in length")
     for d, w in zip(doc_indices, impacts):
         scores[d] += w
+
+
+def topk_indices(scores: list[float] | array, k: int) -> list[int]:
+    """Indices of the k highest positive scores, ordered by (-score, index).
+
+    A bounded heap finds the k-th largest score; only the indices scoring at
+    least that much (ties included) are sorted. The result equals the full sort
+    of every positive score cut to k: selection only compares values.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    kth = heapq.nlargest(k, scores)[-1] if len(scores) else 0.0
+    if kth > 0.0:
+        candidates = [i for i, s in enumerate(scores) if s >= kth]
+    else:  # fewer than k documents score > 0: keep all of them
+        candidates = [i for i, s in enumerate(scores) if s > 0.0]
+    candidates.sort(key=lambda i: (-scores[i], i))
+    return candidates[:k]
 
 
 def lcs_length(left: array, right: array) -> int:

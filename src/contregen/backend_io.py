@@ -159,7 +159,10 @@ class JsonlCache:
                                     - len(line.encode("utf-8", "surrogateescape")), "")
                     return
                 try:  # an append cut short never parses, so this line is whole
-                    self._entries[entry["key"]] = self.decode(entry[self.value_field])
+                    key = entry["key"]
+                    if not isinstance(key, str):  # no lookup could reach it
+                        raise TypeError(f"key {key!r} is not a string")
+                    self._entries[key] = self.decode(entry[self.value_field])
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheCorruptionError(
                         f"{self.path}:{line_no}: unreadable cache entry ({exc})")

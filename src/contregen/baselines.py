@@ -32,9 +32,6 @@ class BaselineRun:
     # the accumulated ids (ordered, deduped) after each round
     rounds: tuple[tuple[str, ...], ...]
 
-    def per_round_sets(self) -> list[set[str]]:
-        return [set(ids) for ids in self.rounds]
-
 
 def _extend(accumulated: list[str], seen: set[str], hits: Hits) -> None:
     for pid, _ in hits:

@@ -70,9 +70,6 @@ class PromptTemplate:
     role: PromptRole
     text: str
 
-    def slot_names(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.text))
-
     def render(self, slots: Mapping[str, str]) -> str:
         def fill(match: re.Match) -> str:
             name = match.group(1)
@@ -174,6 +171,7 @@ class OpenAiChatAdapter:
         self.model = model
         self.adapter_id = f"openai:{model}"
         self.backend_calls = 0
+        self._lock = threading.Lock()  # guards backend_calls
         self._api_key = api_key
         self._endpoint = endpoint
         if session is None:
@@ -182,7 +180,8 @@ class OpenAiChatAdapter:
         self._session = session
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
-        self.backend_calls += 1
+        with self._lock:
+            self.backend_calls += 1
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -275,17 +274,6 @@ class LlmGateway:
         return response
 
 
-def count_calls(calls) -> dict[str, int]:
-    """Per-role call counts plus a total, from an iterable of LlmCall."""
-    counts = {role.value: 0 for role in PromptRole}
-    total = 0
-    for call in calls:
-        counts[call.role] = counts.get(call.role, 0) + 1
-        total += 1
-    counts["total"] = total
-    return counts
-
-
 __all__ = [
     "Adapter",
     "CachingAdapter",
@@ -297,6 +285,5 @@ __all__ = [
     "PromptRole",
     "PromptTemplate",
     "ScriptedAdapter",
-    "count_calls",
     "load_templates",
 ]

@@ -8,13 +8,14 @@ scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
 from the cache builds none. The build computes each posting's BM25 impact,
 its whole contribution to its document's score, so a retrieval only adds
-stored impacts.
+stored impacts. The score buffer, the addition and the top-k selection are
+kernels (``contregen._kernels``): each backend keeps scores in the container
+its loops run fastest on.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-from contregen._kernels import bm25_accumulate, bm25_impacts
+from contregen._kernels import bm25_accumulate, bm25_impacts, new_scores, topk_indices
 from contregen.backend_io import JsonlCache, post_with_retries
 from contregen.corpus import CorpusStore
 from contregen.errors import DataError, RetrieverUnavailableError
@@ -98,7 +99,7 @@ class LexicalIndex:
     and never change after. A run whose retrievals all come from the cache
     builds none.
     Internal document indices are assigned in ascending passage-id order, so
-    sorting candidates by (-score, index) realizes the id tie-break.
+    the (-score, index) order of ``topk_indices`` realizes the id tie-break.
     """
 
     backend_id = "lexical"
@@ -156,7 +157,7 @@ class LexicalIndex:
                 self._built = self._build()
         postings = self._built
         seen: set[str] = set()
-        scores = array("d", [0.0]) * self.doc_count
+        scores = new_scores(self.doc_count)
         for term in tokenize(query_text):
             if term in seen:
                 continue
@@ -164,23 +165,7 @@ class LexicalIndex:
             bucket = postings.get(term)
             if bucket is not None:
                 bm25_accumulate(scores, *bucket)
-        return tuple((self.doc_ids[i], scores[i]) for i in select_topk(scores, topk))
-
-
-def select_topk(scores: array, topk: int) -> list[int]:
-    """Indices of the topk highest positive scores, ordered by (-score, index).
-
-    A bounded heap finds the k-th largest score; only the indices scoring at
-    least that much (ties included) are sorted. The result equals the full sort
-    of every positive score cut to topk: selection only compares values.
-    """
-    kth = heapq.nlargest(topk, scores)[-1]
-    if kth > 0.0:
-        candidates = [i for i, s in enumerate(scores) if s >= kth]
-    else:  # fewer than topk documents score > 0: keep all of them
-        candidates = [i for i, s in enumerate(scores) if s > 0.0]
-    candidates.sort(key=lambda i: (-scores[i], i))
-    return candidates[:topk]
+        return tuple((self.doc_ids[i], scores[i]) for i in topk_indices(scores, topk))
 
 
 class RemoteRetriever:
@@ -205,6 +190,7 @@ class RemoteRetriever:
         self.endpoint = endpoint
         self.backend_id = f"remote:{endpoint}"
         self.backend_calls = 0
+        self._lock = threading.Lock()  # guards backend_calls
         self._token = token
         if session is None:
             import requests  # deferred: only network backends pay for loading it
@@ -214,7 +200,8 @@ class RemoteRetriever:
     def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:
             raise ValueError("topk must be >= 1")
-        self.backend_calls += 1
+        with self._lock:
+            self.backend_calls += 1
         headers = {"Content-Type": "application/json"}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"
@@ -307,6 +294,5 @@ __all__ = [
     "Retriever",
     "RetrieverHandle",
     "normalize_query",
-    "select_topk",
     "tokenize",
 ]

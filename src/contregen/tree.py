@@ -105,25 +105,6 @@ def collect_passages(root: QueryTreeNode, dedup: bool = True) -> list[str]:
     return out
 
 
-def check_invariants(root: QueryTreeNode, config: TreeConfig) -> None:
-    """Raise AssertionError when the structural guarantees do not hold."""
-    assert root.depth == 0 and root.path == "0"
-    for node in root.walk():
-        assert node.depth <= config.max_depth
-        assert len(node.children) <= config.max_plan_size
-        assert len(node.retrieved) <= config.topk
-        ids = [pid for pid, _ in node.retrieved]
-        assert len(ids) == len(set(ids)), f"duplicate hits at {node.path}"
-        scores = [score for _, score in node.retrieved]
-        assert all(a >= b for a, b in zip(scores, scores[1:])), \
-            f"scores out of order at {node.path}"
-        if node.depth == config.max_depth:
-            assert node.is_leaf()
-        for index, child in enumerate(node.children):
-            assert child.depth == node.depth + 1
-            assert child.path == f"{node.path}.{index}"
-
-
 def export_tree(root: QueryTreeNode) -> dict:
     """JSON-ready nested structure; import_tree round-trips it."""
     return {
@@ -175,7 +156,6 @@ __all__ = [
     "QueryTreeNode",
     "TreeConfig",
     "build_tree",
-    "check_invariants",
     "collect_passages",
     "export_tree",
     "import_tree",

@@ -1,4 +1,5 @@
-"""Independent reference implementations used to check the real ones.
+"""Independent reference implementations used to check the real ones, and
+the checks and tallies only the tests read.
 
 Everything here is written the straightforward, slow way on purpose:
 per-document scoring loops, a full LCS table, a cubic closure. The BM25
@@ -11,7 +12,10 @@ from __future__ import annotations
 import math
 import re
 
+from contregen.llm import PromptRole
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 K1 = 1.2
 B = 0.75
@@ -101,3 +105,42 @@ def rouge_from_lcs(cand_tokens: list[str], ref_tokens: list[str]) -> float:
     p = lcs / len(cand_tokens)
     r = lcs / len(ref_tokens)
     return 100.0 * 2.0 * p * r / (p + r)
+
+
+def count_calls(calls) -> dict[str, int]:
+    """Per-role call counts, every role present, plus a total, from LlmCalls."""
+    counts = {role.value: 0 for role in PromptRole}
+    for call in calls:
+        counts[call.role] = counts.get(call.role, 0) + 1
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def slot_names(template) -> frozenset[str]:
+    """The {slot} placeholders a PromptTemplate's text names."""
+    return frozenset(_PLACEHOLDER_RE.findall(template.text))
+
+
+def per_round_sets(run) -> list[set[str]]:
+    """A BaselineRun's accumulated ids after each round, as sets."""
+    return [set(ids) for ids in run.rounds]
+
+
+def check_invariants(root, config) -> None:
+    """Raise AssertionError when a query tree breaks a structural guarantee
+    of its TreeConfig."""
+    assert root.depth == 0 and root.path == "0"
+    for node in root.walk():
+        assert node.depth <= config.max_depth
+        assert len(node.children) <= config.max_plan_size
+        assert len(node.retrieved) <= config.topk
+        ids = [pid for pid, _ in node.retrieved]
+        assert len(ids) == len(set(ids)), f"duplicate hits at {node.path}"
+        scores = [score for _, score in node.retrieved]
+        assert all(a >= b for a, b in zip(scores, scores[1:])), \
+            f"scores out of order at {node.path}"
+        if node.depth == config.max_depth:
+            assert node.is_leaf()
+        for index, child in enumerate(node.children):
+            assert child.depth == node.depth + 1
+            assert child.path == f"{node.path}.{index}"

@@ -11,12 +11,12 @@ import pytest
 
 from contregen import analysis, baselines
 from contregen.corpus import ArticleDump, CorpusStore, Passage, build_wikihow_benchmark
-from contregen.llm import LlmGateway, ScriptedAdapter, count_calls, load_templates
+from contregen.llm import LlmGateway, ScriptedAdapter, load_templates
 from contregen.metrics import recall, rouge_l
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import RunConfig, diff_traces, load_trace, run
 from contregen.synthesis import synthesize
-from contregen.tree import TreeConfig, build_tree, check_invariants, collect_passages
+from contregen.tree import TreeConfig, build_tree, collect_passages
 
 from conftest import (
     ACCT_ROOT,
@@ -34,7 +34,15 @@ from conftest import (
     retgen_fixtures,
     write_fixture_file,
 )
-from oracles import bm25_rank, reachable_from, recall_count, rouge_from_lcs
+from oracles import (
+    bm25_rank,
+    check_invariants,
+    count_calls,
+    per_round_sets,
+    reachable_from,
+    recall_count,
+    rouge_from_lcs,
+)
 
 TEMPLATES = load_templates()
 
@@ -146,7 +154,7 @@ def test_criterion_4_planted_facet_end_to_end():
     gateway = LlmGateway(ScriptedAdapter(iterretgen_fixtures()), TEMPLATES)
     chained = baselines.run_iterretgen(gateway, handle, ROOT_QUERY, topk=5,
                                        max_iterations=5)
-    curve = analysis.recall_curve(chained.per_round_sets(), record.gold_ids)
+    curve = analysis.recall_curve(per_round_sets(chained), record.gold_ids)
     assert len(curve) == 5
     assert all(value == len(FACET_A) / len(GOLD_IDS) for value in curve)  # plateau
     _verdict(4, "planted-facet recall 1.0 vs 1/3 plateau", started, 10.0)

@@ -21,6 +21,7 @@ from conftest import (
     retgen_fixtures,
     selfask_fixtures,
 )
+from oracles import per_round_sets
 
 
 def _setup(fixtures, on_retrieval=None):
@@ -82,7 +83,7 @@ def test_iterretgen_five_rounds_plateau():
     assert handle.backend.backend_calls == 5
     assert len(run.rounds) == 5
     # echo responses stay inside facet-A vocabulary, so the set never grows
-    sets = run.per_round_sets()
+    sets = per_round_sets(run)
     assert all(s == set(FACET_A) for s in sets)
     # later rounds query with the previous response prepended
     assert retrievals[0].query == ROOT_QUERY
@@ -92,7 +93,7 @@ def test_iterretgen_five_rounds_plateau():
 def test_iterretgen_accumulated_sets_nested():
     gateway, handle, _ = _setup(iterretgen_fixtures())
     run = run_iterretgen(gateway, handle, ROOT_QUERY, topk=5, max_iterations=4)
-    sets = run.per_round_sets()
+    sets = per_round_sets(run)
     for earlier, later in zip(sets, sets[1:]):
         assert earlier <= later
 
@@ -115,7 +116,7 @@ def test_selfask_covers_all_facets_by_round_three():
     # the seed, then one per round that asked a follow-up; the stop round none
     assert [c.query for c in retrievals] == [ROOT_QUERY, SUB_B, SUB_C]
     assert len(run.rounds) == 3
-    sets = run.per_round_sets()
+    sets = per_round_sets(run)
     assert sets[1] == set(GOLD_IDS)
     assert sets[2] == sets[1]
 

@@ -1,5 +1,7 @@
 import importlib.util
+import inspect
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from contregen import _kernels
+from contregen import _kernels, retrieval
 from contregen._kernels import fallback
+from contregen.corpus import CorpusStore, Passage
 
-from oracles import lcs_len
+from oracles import bm25_rank, lcs_len
 
 try:
     from contregen._kernels import _core
@@ -65,11 +68,29 @@ def _random_term(rng, docs):
     return array("i", chosen), tfs, rng.uniform(0.01, 8.0)
 
 
+_KERNELS = ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices", "lcs_length")
+
+
 def test_backend_constant_matches_import():
     active = _core if _core is not None else fallback
     assert _kernels.BACKEND == ("compiled" if _core is not None else "pure")
-    for name in ("bm25_impacts", "bm25_accumulate", "lcs_length"):
+    for name in _KERNELS:
         assert getattr(_kernels, name) is getattr(active, name)
+
+
+def test_backends_export_the_same_kernels():
+    """The compiled method table, read from source so that no compiler is
+    needed, names exactly the pure backend's public functions."""
+    source = _CORE_SOURCE.read_text(encoding="utf-8")
+    table = re.search(r"static PyMethodDef core_methods\[\] = \{(.*?)\n\};", source, re.S)
+    compiled_names = re.findall(r'\{"(\w+)", (\w+), METH_VARARGS, (\w+)_doc\}', table.group(1))
+    assert all(name == fn == doc for name, fn, doc in compiled_names), compiled_names
+    assert len(compiled_names) == table.group(1).count("METH_")
+    pure_names = {name for name, obj in vars(fallback).items()
+                  if inspect.isfunction(obj) and obj.__module__ == fallback.__name__
+                  and not name.startswith("_")}
+    assert {name for name, _, _ in compiled_names} == pure_names == set(_KERNELS)
+    assert set(_kernels.__all__) == {"BACKEND", *_KERNELS}
 
 
 def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
@@ -83,8 +104,11 @@ def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
     for _ in range(100):
         doc_norms = _random_norms(rng)
         docs = len(doc_norms)
-        a = array("d", [0.0]) * docs
-        b = array("d", [0.0]) * docs
+        a = compiled.new_scores(docs)
+        b = fallback.new_scores(docs)  # each backend's own container
+        c = array("d", [0.0]) * docs  # the pure kernel over an array as well
+        assert isinstance(a, array) and a.typecode == "d" and isinstance(b, list)
+        assert a.tobytes() == array("d", b).tobytes() == c.tobytes()
         # accumulate several terms so rounding differences would compound
         for _term in range(rng.randint(1, 5)):
             doc_idx, tfs, idf = _random_term(rng, docs)
@@ -93,7 +117,10 @@ def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
             assert impacts_c.tobytes() == impacts_p.tobytes()
             compiled.bm25_accumulate(a, doc_idx, impacts_c)
             fallback.bm25_accumulate(b, doc_idx, impacts_p)
-        assert a.tobytes() == b.tobytes()
+            fallback.bm25_accumulate(c, doc_idx, impacts_p)
+        assert a.tobytes() == array("d", b).tobytes() == c.tobytes()
+        for k in (1, 3, docs, docs + 2):
+            assert compiled.topk_indices(a, k) == fallback.topk_indices(b, k)
     for _ in range(100):
         left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         right = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
@@ -152,6 +179,24 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
     with pytest.raises(TypeError):
         compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
+    # top-k selection reads a 1-d buffer of doubles and nothing else
+    two_by_two = memoryview(array("d", [1.0] * 4)).cast("B").cast("d", (2, 2))
+    for bad in (array("f", [1.0, 2.0]), array("i", [1, 2]), array("l", [1, 2]),
+                bytes(16), [1.0, 2.0], two_by_two):
+        with pytest.raises(TypeError):
+            compiled.topk_indices(bad, 1)
+    with pytest.raises(BufferError):  # not contiguous
+        compiled.topk_indices(memoryview(array("d", [1.0, 2.0, 3.0]))[::2], 1)
+    for k in (0, -1, -2**40):
+        with pytest.raises(ValueError):
+            compiled.topk_indices(scores, k)
+        with pytest.raises(ValueError):
+            fallback.topk_indices(scores, k)
+    with pytest.raises(TypeError):
+        compiled.topk_indices(scores, 1.5)
+    with pytest.raises(TypeError):
+        compiled.new_scores(2.0)
+
 
 def test_bm25_accumulate_matches_direct_formula():
     doc_lens = [10, 20, 30]
@@ -164,6 +209,78 @@ def test_bm25_accumulate_matches_direct_formula():
     scores = array("d", [0.0, 0.0, 0.25])
     fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts)
     assert scores.tolist() == [expect0, 0.0, 0.25 + expect2]
+
+
+def _full_sort_topk(scores, topk):
+    positive = [i for i in range(len(scores)) if scores[i] > 0.0]
+    return sorted(positive, key=lambda i: (-scores[i], i))[:topk]
+
+
+def _random_scores(rng, case):
+    """Scores for one selection case, as a list: few distinct values, so ties
+    sit at and straddle the k-th score, from all zero up to all positive, with
+    negative zero and negative values among the non-positive ones."""
+    docs = rng.randint(1, 40)
+    values = [0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0] if case % 2 else [0.0, 0.3, 1.1]
+    density = rng.choice((0.0, 0.1, 0.5, 1.0))
+    zeros = (0.0, -0.0, -0.0, -1.5) if case % 3 == 0 else (0.0,)
+    scores = [rng.choice(values) if rng.random() < density else rng.choice(zeros)
+              for _ in range(docs)]
+    if case % 5 == 0:  # distinct values as well
+        scores = [s * rng.uniform(0.5, 1.5) for s in scores]
+    return scores
+
+
+def test_topk_indices_equals_full_sort():
+    rng = random.Random(3)
+    for case in range(600):
+        scores = _random_scores(rng, case)
+        docs = len(scores)
+        for topk in (1, 2, 3, 5, docs, docs + 7):
+            expected = _full_sort_topk(scores, topk)
+            assert fallback.topk_indices(scores, topk) == expected
+            assert fallback.topk_indices(array("d", scores), topk) == expected
+    for container in (list, lambda values: array("d", values)):
+        assert fallback.topk_indices(container([0.0, 0.0]), 3) == []
+        assert fallback.topk_indices(container([0.0, -0.0, -0.0]), 1) == []
+        assert fallback.topk_indices(container([1.0, 2.0, 2.0, 2.0, 0.0]), 2) == [1, 2]
+        assert fallback.topk_indices(container([]), 4) == []
+
+
+def test_topk_indices_compiled_equals_pure(compiled):
+    rng = random.Random(41)
+    for case in range(600):
+        scores = _random_scores(rng, case)
+        docs = len(scores)
+        for topk in (1, 2, 3, 5, docs - 1, docs, docs + 7, 2**40):
+            if topk < 1:
+                continue
+            pure = fallback.topk_indices(scores, topk)
+            assert compiled.topk_indices(array("d", scores), topk) == pure
+    for scores in ([], [0.0], [-0.0, 0.0, -0.0], [0.0, 5e-324, -5e-324], [float("inf"), 1.0],
+                   [1.0, 2.0, 2.0, 2.0, 0.0], [3.0] * 9):
+        for topk in (1, 2, 3, 20):
+            assert (compiled.topk_indices(array("d", scores), topk)
+                    == fallback.topk_indices(scores, topk))
+
+
+def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
+    """A whole retrieval on either backend's kernels: the same hits and the
+    same float scores as the exhaustive scorer."""
+    rng = random.Random(8128)
+    vocab = [f"w{rank}" for rank in range(1, 301)]
+    weights = [1.0 / rank ** 1.1 for rank in range(1, 301)]
+    texts = {f"p{i:04d}": " ".join(rng.choices(vocab, weights, k=rng.randint(3, 40)))
+             for i in range(200)}
+    store = CorpusStore(Passage(id=pid, text=text) for pid, text in texts.items())
+    queries = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 5))) for _ in range(40)]
+    for kernels in (fallback, compiled):
+        for name in ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices"):
+            monkeypatch.setattr(retrieval, name, getattr(kernels, name))
+        index = retrieval.LexicalIndex(store)
+        for query in queries + ["absent", "w1 w1 w2"]:
+            for topk in (1, 5, 250):
+                assert list(index.retrieve(query, topk)) == bm25_rank(texts, query, topk)
 
 
 def test_lcs_length_matches_full_table_oracle():

@@ -21,11 +21,11 @@ from contregen.llm import (
     PromptRole,
     PromptTemplate,
     ScriptedAdapter,
-    count_calls,
     load_templates,
 )
 
 from conftest import run_together
+from oracles import count_calls, slot_names
 
 
 def test_all_roles_have_templates_with_exemplars():
@@ -34,7 +34,7 @@ def test_all_roles_have_templates_with_exemplars():
     for role, template in templates.items():
         exemplar = template.text.partition("=== example ===")[2].partition("=== task ===")[0]
         assert exemplar.strip(), role
-        assert KEY_SLOT[role] in template.slot_names(), role
+        assert KEY_SLOT[role] in slot_names(template), role
 
 
 def test_render_fills_slots_single_pass():
@@ -216,6 +216,24 @@ def test_llm_cache_entry_of_the_wrong_type_is_corruption(response, end, tmp_path
         LlmCache(path)
 
 
+_NON_STRING_KEYS = {"number": "5", "null": "null", "float": "1.5", "boolean": "true"}
+
+
+# an entry filed under a key that is not a string could never be looked up
+@pytest.mark.parametrize("key,end", [
+    *(pytest.param(value, "\n", id=name) for name, value in _NON_STRING_KEYS.items()),
+    *(pytest.param(value, "", id=f"{name}-unterminated")
+      for name, value in _NON_STRING_KEYS.items()),
+])
+def test_llm_cache_key_that_is_not_a_string_is_corruption(key, end, tmp_path):
+    path = tmp_path / "llm.jsonl"
+    path.write_text('{"key": "k", "response": "ok"}\n{"key": %s, "response": "x"}%s'
+                    % (key, end))
+    with pytest.raises(CacheCorruptionError,
+                       match=r"llm\.jsonl:2: unreadable cache entry \(key .* is not a string\)"):
+        LlmCache(path)
+
+
 def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
     path = tmp_path / "llm.jsonl"
     cache = LlmCache(path)
@@ -268,6 +286,29 @@ def test_openai_adapter_success():
     assert sent["max_tokens"] == 1024
     assert sent["messages"] == [{"role": "user", "content": "prompt text"}]
     assert session.posts[0]["headers"]["Authorization"] == "Bearer secret"
+
+
+class _RepeatSession:
+    """Answers every POST with the same reply, from any thread."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.reply
+
+
+def test_openai_adapter_counts_every_call_across_threads():
+    threads, calls = 8, 200
+    adapter = OpenAiChatAdapter(model="m1", api_key="k", session=_RepeatSession(
+        _FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})))
+
+    def worker(slot):
+        for _ in range(calls):
+            assert adapter.complete(PromptRole.PLAN, "p", {}) == "x"
+
+    run_together(threads, worker)
+    assert adapter.backend_calls == threads * calls
 
 
 @pytest.mark.parametrize("payload", [

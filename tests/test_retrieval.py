@@ -2,7 +2,6 @@ import email.utils
 import json
 import random
 import time
-from array import array
 
 import pytest
 
@@ -19,7 +18,6 @@ from contregen.retrieval import (
     RetrievalCache,
     RetrieverHandle,
     normalize_query,
-    select_topk,
     tokenize,
 )
 
@@ -48,28 +46,6 @@ def test_tokenize():
 def test_normalize_query():
     assert normalize_query("  The   CAT \n sat ") == "the cat sat"
     assert normalize_query("  The   CAT \n sat ", case_sensitive=True) == "The CAT sat"
-
-
-def _full_sort_topk(scores, topk):
-    positive = [i for i in range(len(scores)) if scores[i] > 0.0]
-    return sorted(positive, key=lambda i: (-scores[i], i))[:topk]
-
-
-def test_select_topk_equals_full_sort():
-    rng = random.Random(3)
-    for case in range(600):
-        docs = rng.randint(1, 40)
-        # few distinct values, so ties sit at and straddle the k-th score
-        values = [0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0] if case % 2 else [0.0, 0.3, 1.1]
-        density = rng.choice((0.0, 0.1, 0.5, 1.0))  # all-zero up to all-positive
-        scores = array("d", [rng.choice(values) if rng.random() < density else 0.0
-                             for _ in range(docs)])
-        if case % 5 == 0:  # distinct values as well
-            scores = array("d", [s * rng.uniform(0.5, 1.5) for s in scores])
-        for topk in (1, 2, 3, 5, docs, docs + 7):
-            assert select_topk(scores, topk) == _full_sort_topk(scores, topk)
-    assert select_topk(array("d", [0.0, 0.0]), 3) == []
-    assert select_topk(array("d", [1.0, 2.0, 2.0, 2.0, 0.0]), 2) == [1, 2]
 
 
 def test_empty_corpus_rejected():
@@ -265,6 +241,24 @@ def test_cache_entry_of_the_wrong_type_is_corruption(hits, end, tmp_path):
         RetrievalCache(path)
 
 
+_NON_STRING_KEYS = {"number": "5", "null": "null", "float": "1.5", "boolean": "false"}
+
+
+# an entry filed under a key that is not a string could never be looked up
+@pytest.mark.parametrize("key,end", [
+    *(pytest.param(value, "\n", id=name) for name, value in _NON_STRING_KEYS.items()),
+    *(pytest.param(value, "", id=f"{name}-unterminated")
+      for name, value in _NON_STRING_KEYS.items()),
+])
+def test_cache_key_that_is_not_a_string_is_corruption(key, end, tmp_path):
+    path = tmp_path / "ret.jsonl"
+    path.write_text('{"key": "k", "hits": [["p1", 1.0]]}\n{"key": %s, "hits": []}%s'
+                    % (key, end))
+    with pytest.raises(CacheCorruptionError,
+                       match=r"ret\.jsonl:2: unreadable cache entry \(key .* is not a string\)"):
+        RetrievalCache(path)
+
+
 def test_strict_replay_miss(tmp_path):
     index = LexicalIndex(_store({"p1": "alpha"}))
     cache = RetrievalCache(tmp_path / "ret.jsonl", strict=True)
@@ -296,6 +290,29 @@ class _FakeSession:
         if isinstance(reply, Exception):
             raise reply
         return reply
+
+
+class _RepeatSession:
+    """Answers every POST with the same reply, from any thread."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.reply
+
+
+def test_remote_retriever_counts_every_call_across_threads():
+    threads, calls = 8, 200
+    remote = RemoteRetriever("http://retriever.test", session=_RepeatSession(
+        _FakeResponse(200, [{"id": "p1", "score": 1.0}])))
+
+    def worker(slot):
+        for _ in range(calls):
+            assert remote.retrieve("q", 1) == (("p1", 1.0),)
+
+    run_together(threads, worker)
+    assert remote.backend_calls == threads * calls
 
 
 def test_remote_retriever_parses_hits(monkeypatch):

@@ -8,7 +8,6 @@ from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.tree import (
     TreeConfig,
     build_tree,
-    check_invariants,
     collect_passages,
     export_tree,
     import_tree,
@@ -24,6 +23,7 @@ from conftest import (
     accounting_fixtures,
     rejected_subquestions,
 )
+from oracles import check_invariants
 
 
 def _build(fixtures=None, config=None):
