@@ -41,15 +41,15 @@ def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
         chosen = sorted(rng.sample(range(docs), postings_per_term))
         postings.append((
             array("i", chosen),
-            array("i", [rng.randint(1, 8) for _ in chosen]),
+            array("d", [rng.randint(1, 8) for _ in chosen]),
             rng.uniform(0.2, 6.0),
         ))
 
     def impacts(kernels):
         out = []
         for doc_idx, tfs, idf in postings:
-            term_impacts = array("d", [0.0]) * len(doc_idx)
-            kernels.bm25_impacts(term_impacts, doc_idx, tfs, doc_norms, idf, 1.2)
+            term_impacts = array("d", tfs)  # turned into impacts in place
+            kernels.bm25_impacts(term_impacts, doc_idx, doc_norms, idf, 1.2)
             out.append(term_impacts)
         return out
 

@@ -2,8 +2,8 @@
  * selection, and LCS length.
  *
  * BM25 is split between index build and query time. At build, bm25_impacts
- * computes each posting's score contribution once, from its term's idf, its
- * term frequency and its document's length normalization. At query time
+ * turns each posting's term frequency, in place, into its score contribution,
+ * from its term's idf and its document's length normalization. At query time
  * new_scores makes a zeroed array("d"), bm25_accumulate adds one term's stored
  * impacts into it, and topk_indices picks the best k documents in one pass
  * with a k-sized heap. The pure backend keeps its scores in a list instead;
@@ -79,59 +79,53 @@ new_scores(PyObject *module, PyObject *args)
 }
 
 PyDoc_STRVAR(bm25_impacts_doc,
-"bm25_impacts(impacts, doc_indices, tfs, doc_norms, idf, k1)\n--\n\n"
-"Write each posting's BM25 contribution into impacts, at index build.\n\n"
-"impacts[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d])) for posting i\n"
-"(document d, term frequency tf); doc_norms[d] is the document's length\n"
-"normalization k1 * (1 - b + b * dl / avgdl).");
+"bm25_impacts(weights, doc_indices, doc_norms, idf, k1)\n--\n\n"
+"Turn each posting's term frequency into its BM25 contribution, in place.\n\n"
+"weights[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d])) for posting i\n"
+"(document d, term frequency tf = weights[i] on entry); doc_norms[d] is the\n"
+"document's length normalization k1 * (1 - b + b * dl / avgdl).");
 
 static PyObject *
 bm25_impacts(PyObject *module, PyObject *args)
 {
-    PyObject *impacts_obj, *indices_obj, *tfs_obj, *norms_obj;
+    PyObject *weights_obj, *indices_obj, *norms_obj;
     double idf, k1;
-    if (!PyArg_ParseTuple(args, "OOOOdd:bm25_impacts", &impacts_obj,
-                          &indices_obj, &tfs_obj, &norms_obj, &idf, &k1))
+    if (!PyArg_ParseTuple(args, "OOOdd:bm25_impacts", &weights_obj,
+                          &indices_obj, &norms_obj, &idf, &k1))
         return NULL;
 
     PyObject *result = NULL;
-    Py_buffer impacts, indices, tfs, norms;
-    if (get_buffer(impacts_obj, &impacts, 'd', 1, "impacts") < 0)
+    Py_buffer weights, indices, norms;
+    if (get_buffer(weights_obj, &weights, 'd', 1, "weights") < 0)
         return NULL;
     if (get_buffer(indices_obj, &indices, 'i', 0, "doc_indices") < 0)
-        goto release_impacts;
-    if (get_buffer(tfs_obj, &tfs, 'i', 0, "tfs") < 0)
-        goto release_indices;
+        goto release_weights;
     if (get_buffer(norms_obj, &norms, 'd', 0, "doc_norms") < 0)
-        goto release_tfs;
+        goto release_indices;
 
     Py_ssize_t n = indices.shape[0];
-    if (impacts.shape[0] != n || tfs.shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError,
-                        "impacts, doc_indices and tfs differ in length");
+    if (weights.shape[0] != n) {
+        PyErr_SetString(PyExc_ValueError, "weights and doc_indices differ in length");
         goto release_norms;
     }
-    double *impact = (double *)impacts.buf;
+    double *weight = (double *)weights.buf;
     const int *doc = (const int *)indices.buf;
-    const int *tf = (const int *)tfs.buf;
     const double *norm = (const double *)norms.buf;
     if (check_indices(doc, n, norms.shape[0], "doc_norms") < 0)
         goto release_norms;
     double k1_plus_1 = k1 + 1.0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double t = (double)tf[i];
-        impact[i] = idf * (t * k1_plus_1 / (t + norm[doc[i]]));
+        double t = weight[i];
+        weight[i] = idf * (t * k1_plus_1 / (t + norm[doc[i]]));
     }
     result = Py_NewRef(Py_None);
 
 release_norms:
     PyBuffer_Release(&norms);
-release_tfs:
-    PyBuffer_Release(&tfs);
 release_indices:
     PyBuffer_Release(&indices);
-release_impacts:
-    PyBuffer_Release(&impacts);
+release_weights:
+    PyBuffer_Release(&weights);
     return result;
 }
 

@@ -12,19 +12,20 @@ import heapq
 from array import array
 
 
-def bm25_impacts(impacts: array, doc_indices: array, tfs: array,
-                 doc_norms: array, idf: float, k1: float) -> None:
-    """Write each posting's BM25 contribution into ``impacts``, at index build.
+def bm25_impacts(weights: array, doc_indices: array, doc_norms: array,
+                 idf: float, k1: float) -> None:
+    """Turn each posting's term frequency into its BM25 contribution, in place.
 
-    ``impacts[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d]))`` for posting
-    ``i`` (document ``d``, term frequency ``tf``); ``doc_norms[d]`` is the
-    document's length normalization ``k1 * (1 - b + b * dl / avgdl)``.
+    ``weights[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d]))`` for posting
+    ``i`` (document ``d``, term frequency ``tf = weights[i]`` on entry);
+    ``doc_norms[d]`` is the document's length normalization
+    ``k1 * (1 - b + b * dl / avgdl)``. A rejected call writes nothing.
     """
-    if not len(impacts) == len(doc_indices) == len(tfs):
-        raise ValueError("impacts, doc_indices and tfs differ in length")
+    if len(weights) != len(doc_indices):
+        raise ValueError("weights and doc_indices differ in length")
     k1_plus_1 = k1 + 1.0
-    impacts[:] = array("d", [idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
-                             for d, tf in zip(doc_indices, tfs)])
+    weights[:] = array("d", [idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
+                             for d, tf in zip(doc_indices, weights)])
 
 
 def new_scores(n: int) -> list[float]:

@@ -110,16 +110,21 @@ class Adapter(Protocol):
 class ScriptedAdapter:
     """Deterministic adapter fed from a fixture table: role -> key -> response.
 
-    The key is the value of the role's key slot. A response may be a single
-    string or a list consumed in call order (for iterative baselines). Any
+    The key is the value of the role's key slot. A response is a string, or a
+    list of strings consumed in call order (for iterative baselines). Any
     miss, including list exhaustion, is a hard error rather than a fallback.
     """
 
     adapter_id = "scripted"
 
     def __init__(self, fixtures: Mapping[str, Mapping[str, object]]) -> None:
-        for role_name in fixtures:
+        for role_name, table in fixtures.items():
             PromptRole(role_name)  # reject unknown role keys up front
+            for key, value in table.items():
+                if not (isinstance(value, str) or isinstance(value, list)
+                        and all(isinstance(item, str) for item in value)):
+                    raise ValueError(f"role {role_name!r} key {key!r}: the response must "
+                                     "be a string or a list of strings")
         self._fixtures = {role: dict(table) for role, table in fixtures.items()}
         self._cursors: dict[tuple[str, str], int] = {}
         self._lock = threading.Lock()  # guards backend_calls and _cursors
@@ -132,7 +137,7 @@ class ScriptedAdapter:
             raise DataError(f"fixture file {path} must map role names to objects")
         try:
             return cls(data)
-        except ValueError as exc:  # an unknown role name
+        except ValueError as exc:  # an unknown role name or a response of the wrong type
             raise DataError(f"fixture file {path}: {exc}") from None
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
@@ -152,7 +157,7 @@ class ScriptedAdapter:
                         f"after {len(value)} responses")
                 self._cursors[(role.value, key)] = cursor + 1
                 value = value[cursor]
-        return str(value)
+        return value
 
 
 class OpenAiChatAdapter:

@@ -6,11 +6,12 @@ ln(1 + (N - df + 0.5) / (df + 0.5)), duplicate query terms counted once in
 first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
-from the cache builds none. The build computes each posting's BM25 impact,
-its whole contribution to its document's score, so a retrieval only adds
-stored impacts. The score buffer, the addition and the top-k selection are
-kernels (``contregen._kernels``): each backend keeps scores in the container
-its loops run fastest on.
+from the cache builds none. The build appends each posting's term frequency
+to its term's arrays, then ``bm25_impacts`` turns it in place into its BM25
+impact, its whole contribution to its document's score, so a retrieval only
+adds stored impacts. The score buffer, the addition and the top-k selection
+are kernels (``contregen._kernels``): each backend keeps scores in the
+container its loops run fastest on.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import re
 import sys
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
@@ -54,9 +56,12 @@ Hits = tuple[tuple[str, float], ...]
 
 
 def _checked_hits(pairs) -> Hits:
-    """(passage id, score) pairs read from outside (a remote reply, a cache
-    line) as hits. A ValueError unless every id is a string or an integer,
-    no id repeats, and every score is a finite number and not a boolean."""
+    """A list of (passage id, score) pairs read from outside (a remote reply, a
+    cache line, a tree export) as hits. A TypeError unless it is a list, and a
+    ValueError unless every id is a string or an integer, no id repeats, and
+    every score is a finite number and not a boolean."""
+    if not isinstance(pairs, list):
+        raise TypeError("hits must be a list")
     hits = []
     for pid, score in pairs:
         if isinstance(pid, bool) or not isinstance(pid, (str, int)):
@@ -93,11 +98,12 @@ class LexicalIndex:
     """Inverted BM25 index over a corpus, built on first use.
 
     Construction checks the corpus and takes its fingerprint, which every
-    cache key needs. The postings, each carrying its BM25 impact
-    ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``, are built
-    by the first retrieve, exactly once even when threads call it together,
-    and never change after. A run whose retrievals all come from the cache
-    builds none.
+    cache key needs. The postings, per term an array of document indices and
+    one of weights (term frequencies, which ``bm25_impacts`` turns in place
+    into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``),
+    are built by the first retrieve, exactly once even when threads call it
+    together, and never change after. A run whose retrievals all come from the
+    cache builds none.
     Internal document indices are assigned in ascending passage-id order, so
     the (-score, index) order of ``topk_indices`` realizes the id tie-break.
     """
@@ -120,30 +126,24 @@ class LexicalIndex:
     def _build(self) -> dict[str, tuple[array, array]]:
         """The postings, term -> (document indices, BM25 impacts)."""
         lens = array("i")
-        postings_tmp: dict[str, tuple[list[int], list[int]]] = {}
+        postings: dict[str, tuple[array, array]] = {}
         for index, pid in enumerate(self.doc_ids):
             tokens = tokenize(self._corpus.text(pid))
             lens.append(len(tokens))
-            counts: dict[str, int] = {}
-            for token in tokens:
-                counts[token] = counts.get(token, 0) + 1
-            for term, tf in counts.items():
-                bucket = postings_tmp.setdefault(term, ([], []))
+            for term, tf in Counter(tokens).items():
+                bucket = postings.get(term)
+                if bucket is None:
+                    bucket = postings[term] = (array("i"), array("d"))
                 bucket[0].append(index)
                 bucket[1].append(tf)
         avgdl = sum(lens) / self.doc_count
         # each document's length normalization, the denominator's constant part
         doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
                                 for dl in lens))
-        postings = {}
-        while postings_tmp:  # pop: each term's lists are freed once its arrays exist
-            term, (docs, tfs) = postings_tmp.popitem()
-            df = len(docs)
+        for doc_indices, weights in postings.values():
+            df = len(doc_indices)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            doc_indices = array("i", docs)
-            impacts = array("d", [0.0]) * df
-            bm25_impacts(impacts, doc_indices, array("i", tfs), doc_norms, idf, BM25_K1)
-            postings[term] = (doc_indices, impacts)
+            bm25_impacts(weights, doc_indices, doc_norms, idf, BM25_K1)
         return postings
 
     def retrieve(self, query_text: str, topk: int) -> Hits:
@@ -156,12 +156,8 @@ class LexicalIndex:
             if self._built is None:
                 self._built = self._build()
         postings = self._built
-        seen: set[str] = set()
         scores = new_scores(self.doc_count)
-        for term in tokenize(query_text):
-            if term in seen:
-                continue
-            seen.add(term)
+        for term in dict.fromkeys(tokenize(query_text)):
             bucket = postings.get(term)
             if bucket is not None:
                 bm25_accumulate(scores, *bucket)
@@ -217,7 +213,7 @@ class RemoteRetriever:
                 raise TypeError("not a hit list")
             if len(items) > topk:
                 raise ValueError(f"{len(items)} hits for topk={topk}")
-            return _checked_hits((item["id"], item["score"]) for item in items)
+            return _checked_hits([(item["id"], item["score"]) for item in items])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} returned a malformed reply "
@@ -231,12 +227,7 @@ class RetrievalCache(JsonlCache):
     miss_message = "retrieval cache has no entry for query {query!r} (topk={topk})"
     # own attributes: perfbench wraps and restores them on each cache class
     __init__, get, put = JsonlCache.__init__, JsonlCache.get, JsonlCache.put
-
-    @staticmethod
-    def decode(hits) -> Hits:
-        if not isinstance(hits, list):
-            raise TypeError("hits must be a list")
-        return _checked_hits(hits)
+    decode = staticmethod(_checked_hits)
 
     @staticmethod
     def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int,

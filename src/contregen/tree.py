@@ -16,7 +16,7 @@ from typing import Optional
 from contregen.errors import BackendError, DataError, TreeBuildError
 from contregen.llm import LlmGateway
 from contregen.planner import propose_plan, render_passages
-from contregen.retrieval import RetrieverHandle
+from contregen.retrieval import RetrieverHandle, _checked_hits
 from contregen.verifier import verify
 
 
@@ -125,15 +125,22 @@ def import_tree(data: dict) -> QueryTreeNode:
         node = QueryTreeNode(
             query=data["query"],
             original_query=data["original_query"],
-            depth=int(data["depth"]),
+            depth=data["depth"],
             path=data["path"],
-            retrieved=tuple((str(pid), float(score)) for pid, score in data["retrieved"]),
+            retrieved=_checked_hits(data["retrieved"]),
             summary=data.get("summary"),
         )
         if not all(isinstance(text, str) for text in (node.query, node.original_query,
                                                       node.path)):
             raise TypeError("query, original_query and path must be strings")
-        node.children = [import_tree(child) for child in data.get("children", [])]
+        if isinstance(node.depth, bool) or not isinstance(node.depth, int):
+            raise TypeError("depth must be an integer")
+        if node.summary is not None and not isinstance(node.summary, str):
+            raise TypeError("summary must be null or a string")
+        children = data.get("children", [])
+        if not isinstance(children, list):
+            raise TypeError("children must be a list")
+        node.children = [import_tree(child) for child in children]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed tree export ({type(exc).__name__}: {exc})") from exc
     return node

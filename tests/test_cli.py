@@ -517,6 +517,32 @@ _BAD_TRACES = {
         _trace_text({**_SECTION, "tree": {**_TREE, "query": 5}}),
         "query q-planted: malformed tree export (TypeError: query, original_query and path "
         "must be strings)"),
+    "export-tree-object-children": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text({**_SECTION, "tree": {**_TREE, "children": {}}}),
+        "query q-planted: malformed tree export (TypeError: children must be a list)"),
+    "export-tree-object-retrieved": (
+        "export-tree --trace {trace.json} --query q-planted --dot",
+        _trace_text({**_SECTION, "tree": {**_TREE, "retrieved": {}}}),
+        "query q-planted: malformed tree export (TypeError: hits must be a list)"),
+    **{f"export-tree-{name}": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text({**_SECTION, "tree": {**_TREE, field: value}}),
+        f"query q-planted: malformed tree export ({reason})")
+       for name, field, value, reason in [
+           ("string-score", "retrieved", [["a1", "1.5"]],
+            "ValueError: score '1.5' is not a finite number"),
+           ("boolean-score", "retrieved", [["a1", True]],
+            "ValueError: score True is not a finite number"),
+           ("nan-string-score", "retrieved", [["a1", "nan"]],
+            "ValueError: score 'nan' is not a finite number"),
+           ("repeated-passage", "retrieved", [["a1", 1.0], ["a1", 0.5]],
+            "ValueError: a passage id repeats"),
+           ("fractional-depth", "depth", 2.7, "TypeError: depth must be an integer"),
+           ("string-depth", "depth", "3", "TypeError: depth must be an integer"),
+           ("boolean-depth", "depth", True, "TypeError: depth must be an integer"),
+           ("number-summary", "summary", 5, "TypeError: summary must be null or a string"),
+       ]},
     "diff-number-error": (
         "diff --a {trace.json} --b {trace.json}",
         _trace_text({**_SECTION, "error": 5}), "query q-planted: error must be null or a string"),

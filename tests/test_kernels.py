@@ -94,9 +94,10 @@ def test_backends_export_the_same_kernels():
 
 
 def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
-    impacts = array("d", [0.0]) * len(doc_idx)
-    kernels.bm25_impacts(impacts, doc_idx, tfs, doc_norms, idf, K1)
-    return impacts
+    """bm25_impacts run in place on a copy of tfs."""
+    weights = array("d", tfs)
+    kernels.bm25_impacts(weights, doc_idx, doc_norms, idf, K1)
+    return weights
 
 
 def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
@@ -129,7 +130,7 @@ def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
 
 def test_compiled_kernels_reject_bad_buffers(compiled):
     norms = array("d", [1.0, 1.0])
-    impacts = array("d", [7.0, 7.0, 7.0])
+    weights = array("d", [7.0, 7.0, 7.0])  # term frequencies, or impacts to add
     scores = array("d", [5.0, 5.0])
     three = array("i", [1, 1, 1])
     # an out-of-range index anywhere in the postings writes nothing at all
@@ -138,33 +139,31 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
             doc_idx = array("i", [0, 1, 1])
             doc_idx[where] = bad
             with pytest.raises(IndexError):
-                compiled.bm25_impacts(impacts, doc_idx, three, norms, 1.0, K1)
+                compiled.bm25_impacts(weights, doc_idx, norms, 1.0, K1)
             with pytest.raises(IndexError):
-                compiled.bm25_accumulate(scores, doc_idx, impacts)
+                compiled.bm25_accumulate(scores, doc_idx, weights)
     with pytest.raises(IndexError):  # doc_norms shorter than the documents indexed
-        compiled.bm25_impacts(impacts, array("i", [0, 1, 1]), three, norms[:1], 1.0, K1)
-    assert impacts.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
+        compiled.bm25_impacts(weights, array("i", [0, 1, 1]), norms[:1], 1.0, K1)
+    assert weights.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
     assert scores.tobytes() == array("d", [5.0, 5.0]).tobytes()
     # bm25_accumulate checks only against scores: doc_norms no longer reaches it
     compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]))
     assert scores.tolist() == [5.0, 5.5]
 
     two = array("i", [0, 1])
-    with pytest.raises(ValueError):  # impacts shorter than the postings
-        compiled.bm25_impacts(impacts[:2], array("i", [0, 1, 1]), three, norms, 1.0, K1)
-    with pytest.raises(ValueError):  # tfs shorter than the postings
-        compiled.bm25_impacts(impacts, array("i", [0, 1, 1]), two, norms, 1.0, K1)
+    with pytest.raises(ValueError):  # weights shorter than the postings
+        compiled.bm25_impacts(weights[:2], array("i", [0, 1, 1]), norms, 1.0, K1)
     with pytest.raises(ValueError):
-        compiled.bm25_accumulate(scores, two, impacts)
+        compiled.bm25_accumulate(scores, two, weights)
 
     with pytest.raises(TypeError):  # wrong item types
-        compiled.bm25_impacts(impacts, array("l", [0, 1, 1]), three, norms, 1.0, K1)
+        compiled.bm25_impacts(weights, array("l", [0, 1, 1]), norms, 1.0, K1)
     with pytest.raises(TypeError):
-        compiled.bm25_impacts(impacts, three, array("d", [1.0] * 3), norms, 1.0, K1)
+        compiled.bm25_impacts(array("f", [0.0] * 3), three, norms, 1.0, K1)
     with pytest.raises(TypeError):
-        compiled.bm25_impacts(array("f", [0.0] * 3), three, three, norms, 1.0, K1)
+        compiled.bm25_impacts(array("i", [1, 1, 1]), three, norms, 1.0, K1)
     with pytest.raises(TypeError):
-        compiled.bm25_impacts(impacts, three, three, array("i", [1, 1]), 1.0, K1)
+        compiled.bm25_impacts(weights, three, array("i", [1, 1]), 1.0, K1)
     with pytest.raises(TypeError):
         compiled.bm25_accumulate(scores, array("l", [0]), array("d", [1.0]))
     with pytest.raises(TypeError):
@@ -173,7 +172,7 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
         compiled.bm25_accumulate(array("i", [0, 0]), array("i", [0]), array("d", [1.0]))
 
     with pytest.raises(BufferError):  # read-only outputs
-        compiled.bm25_impacts(bytes(24), three, three, norms, 1.0, K1)
+        compiled.bm25_impacts(bytes(24), three, norms, 1.0, K1)
     with pytest.raises(BufferError):
         compiled.bm25_accumulate(bytes(16), array("i", [0]), array("d", [1.0]))
     with pytest.raises(TypeError):
@@ -198,10 +197,28 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
         compiled.new_scores(2.0)
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_rejected_bm25_impacts_leaves_the_term_frequencies(backend, request):
+    """However bm25_impacts rejects its postings, weights still holds the
+    caller's term frequencies: nothing is written before every check passes."""
+    kernels = fallback if backend == "pure" else request.getfixturevalue("compiled")
+    tfs = array("d", [3.0, 1.0, 2.0])
+    norms = array("d", [1.0, 1.0])
+    for error, doc_idx, doc_norms in [
+        (IndexError, array("i", [0, 1, 2]), norms),  # the last index is out of range
+        (IndexError, array("i", [0, 1, 1]), norms[:1]),  # doc_norms too short
+        (ValueError, array("i", [0, 1]), norms),  # fewer indices than weights
+    ]:
+        weights = array("d", tfs)
+        with pytest.raises(error):
+            kernels.bm25_impacts(weights, doc_idx, doc_norms, 1.0, K1)
+        assert weights.tobytes() == tfs.tobytes()
+
+
 def test_bm25_accumulate_matches_direct_formula():
     doc_lens = [10, 20, 30]
     avgdl = 20.0
-    impacts = _impacts(fallback, array("i", [0, 2]), array("i", [3, 1]),
+    impacts = _impacts(fallback, array("i", [0, 2]), array("d", [3.0, 1.0]),
                        _norms(doc_lens, avgdl), 1.5)
     expect0 = 1.5 * ((3 * (K1 + 1.0)) / (3 + K1 * (1.0 - B + B * (10 / avgdl))))
     expect2 = 1.5 * ((1 * (K1 + 1.0)) / (1 + K1 * (1.0 - B + B * (30 / avgdl))))

@@ -9,9 +9,16 @@ imports are skipped.
 Only ``contregen.backend_io`` opens, reads or writes files: no other package
 module calls ``open`` or a method named ``open``, ``read_text``,
 ``read_bytes``, ``write_text`` or ``write_bytes``.
+
+Every function, method and class of the package is read somewhere that
+ships or measures it: its name is loaded, as a name or an attribute, by a
+package module or a ``perfbench/`` file, or it is part of a perfbench target
+string (``"contregen.llm:LlmCache.get"``). Reads from ``tests/`` and entries
+in ``__all__`` do not count; dunder methods, which Python calls, are spared.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,3 +124,75 @@ def test_file_io_scan_flags_each_call_form(tmp_path):
         "read_text('a', 'file')\n", encoding="utf-8")
     assert file_io_calls(module) == [(3, "open"), (4, "open"), (5, "read_text"),
                                      (6, "write_bytes")]
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_TARGET_RE = re.compile(r"contregen(?:\.\w+)+:([\w.]+)")
+
+
+def _parse(path: Path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _read_names(tree) -> set[str]:
+    """The names a module reads: each name or attribute it loads, and each
+    part of a ``"module:Class.attr"`` target string it holds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            target = _TARGET_RE.fullmatch(node.value)
+            if target:
+                names.update(target.group(1).split("."))
+    return names
+
+
+def unread_definitions(package: list[Path], readers: list[Path]) -> list[tuple[Path, int, str]]:
+    """(path, line, name) of each function, method or class defined in a
+    package module whose name no package module and no reader reads."""
+    trees = {path: _parse(path) for path in package}
+    read = set().union(*map(_read_names, trees.values()),
+                       *(_read_names(_parse(path)) for path in readers))
+    return sorted((path, node.lineno, node.name)
+                  for path, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, _DEFINITIONS) and node.name not in read
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def test_every_package_definition_is_read_outside_the_tests():
+    package = sorted((ROOT / "src" / "contregen").rglob("*.py"))
+    readers = sorted((ROOT / "perfbench").rglob("*.py"))
+    assert len(package) > 10 and readers  # the scan found the package and perfbench
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in unread_definitions(package, readers)] == []
+
+
+def test_unread_scan_flags_definitions_only_all_lists(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "__all__ = ['exported']\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self.items = {}\n"
+        "    def get(self, key):\n"
+        "        return self.items[key]\n"
+        "    def traced(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return Store().get('k')\n"
+        "def exported():\n"
+        "    pass\n"
+        "class Unused:\n"
+        "    pass\n", encoding="utf-8")
+    caller = tmp_path / "caller.py"
+    caller.write_text("from sample import helper\nhelper()\n", encoding="utf-8")
+    bench = tmp_path / "bench.py"
+    bench.write_text("TARGETS = ['contregen.sample:Store.traced']\n", encoding="utf-8")
+    found = unread_definitions([module, caller], [bench])
+    assert [(line, name) for _, line, name in found] == [(9, "unused"), (13, "exported"),
+                                                         (15, "Unused")]

@@ -113,6 +113,16 @@ def test_scripted_adapter_from_file(tmp_path):
     assert adapter.complete(PromptRole.PLAN, "p", {"query": "q"}) == "resp"
 
 
+@pytest.mark.parametrize("response", [{"a": 1}, 5, True, None, [1, None], ["ok", 2]])
+def test_scripted_fixture_response_must_be_a_string_or_list_of_strings(tmp_path, response):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps({"plan": {"ok": "fine", "q": response}}))
+    with pytest.raises(DataError) as err:
+        ScriptedAdapter.from_file(path)
+    assert str(err.value) == (f"fixture file {path}: role 'plan' key 'q': the response must "
+                              "be a string or a list of strings")
+
+
 def test_gateway_records_calls_and_token_estimate():
     adapter = ScriptedAdapter({"rewrite": {"sub": "rewritten form"}})
     calls = []
