@@ -7,6 +7,7 @@ The compiled numbers need the extension built in place first
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from array import array
@@ -28,22 +29,21 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
+def bench_bm25(docs: int, dfs: tuple[int, ...], k: int, seed: int = 7):
     """The BM25 kernels: the impacts an index build computes for every term,
-    the accumulation of every term's impacts into each backend's own score
-    buffer, and the top-10 selection over those scores."""
+    and one retrieval of a Zipf-shaped query, one term in nearly every
+    document plus rarer ones, through each backend's pipeline: new_scores,
+    bm25_accumulate per term, topk_indices, then reading the k scores."""
     rng = random.Random(seed)
     doc_lens = [rng.randint(20, 400) for _ in range(docs)]
     avgdl = sum(doc_lens) / docs
     doc_norms = array("d", [1.2 * (1.0 - 0.75 + 0.75 * (dl / avgdl)) for dl in doc_lens])
     postings = []
-    for _ in range(terms):
-        chosen = sorted(rng.sample(range(docs), postings_per_term))
-        postings.append((
-            array("i", chosen),
-            array("d", [rng.randint(1, 8) for _ in chosen]),
-            rng.uniform(0.2, 6.0),
-        ))
+    for df in dfs:
+        chosen = sorted(rng.sample(range(docs), df))
+        idf = math.log(1.0 + (docs - df + 0.5) / (df + 0.5))
+        postings.append((array("i", chosen),
+                         array("d", [rng.randint(1, 8) for _ in chosen]), idf))
 
     def impacts(kernels):
         out = []
@@ -53,32 +53,25 @@ def bench_bm25(docs: int, terms: int, postings_per_term: int, seed: int = 7):
             out.append(term_impacts)
         return out
 
-    pure_impacts = impacts(fallback)
+    terms = [(doc_idx, term_impacts, max(term_impacts))
+             for (doc_idx, _tfs, _idf), term_impacts in zip(postings, impacts(fallback))]
 
-    def accumulate(kernels):
+    def retrieve(kernels):
         scores = kernels.new_scores(docs)
-        for (doc_idx, _tfs, _idf), term_impacts in zip(postings, pure_impacts):
-            kernels.bm25_accumulate(scores, doc_idx, term_impacts)
-        return scores
+        for term in terms:
+            kernels.bm25_accumulate(scores, *term)
+        return [(i, scores[i].hex()) for i in kernels.topk_indices(scores, k)]
 
-    pure_scores = accumulate(fallback)
     results = {
         "bm25_impacts": {"pure": _time(lambda: impacts(fallback))},
-        "bm25_accumulate": {"pure": _time(lambda: accumulate(fallback))},
-        "topk_indices": {"pure": _time(lambda: fallback.topk_indices(pure_scores, 10))},
+        "retrieve": {"pure": _time(lambda: retrieve(fallback))},
     }
     if _core is not None:
         results["bm25_impacts"]["compiled"] = _time(lambda: impacts(_core))
         results["bm25_impacts"]["bit_exact"] = (
-            [a.tobytes() for a in impacts(_core)] == [a.tobytes() for a in pure_impacts])
-        results["bm25_accumulate"]["compiled"] = _time(lambda: accumulate(_core))
-        compiled_scores = accumulate(_core)
-        results["bm25_accumulate"]["bit_exact"] = (
-            compiled_scores.tobytes() == array("d", pure_scores).tobytes())
-        results["topk_indices"]["compiled"] = _time(
-            lambda: _core.topk_indices(compiled_scores, 10))
-        results["topk_indices"]["bit_exact"] = (
-            _core.topk_indices(compiled_scores, 10) == fallback.topk_indices(pure_scores, 10))
+            [a.tobytes() for a in impacts(_core)] == [a.tobytes() for a in impacts(fallback)])
+        results["retrieve"]["compiled"] = _time(lambda: retrieve(_core))
+        results["retrieve"]["bit_exact"] = retrieve(_core) == retrieve(fallback)
     return results
 
 
@@ -97,10 +90,13 @@ def bench_lcs(length: int, vocab: int, seed: int = 11):
 def main() -> None:
     print(f"active kernel backend: {BACKEND}")
     print()
-    bm25 = bench_bm25(docs=50_000, terms=40, postings_per_term=5_000)
-    for kernel, results in bm25.items():
-        print(f"{kernel} (50k docs, 40 terms x 5k postings):")
-        _report(results)
+    dfs = (47_500, 5_000, 500, 50)
+    bm25 = bench_bm25(docs=50_000, dfs=dfs, k=10)
+    print(f"bm25_impacts (50k docs, terms in {', '.join(map(str, dfs))} of them):")
+    _report(bm25["bm25_impacts"])
+    print("retrieve, top 10 of the same terms as one query "
+          "(new_scores, bm25_accumulate, topk_indices):")
+    _report(bm25["retrieve"])
     lcs = bench_lcs(length=2_000, vocab=200)
     print("lcs_length (2000 x 2000 tokens):")
     _report(lcs)

@@ -6,8 +6,11 @@
  * from its term's idf and its document's length normalization. At query time
  * new_scores makes a zeroed array("d"), bm25_accumulate adds one term's stored
  * impacts into it, and topk_indices picks the best k documents in one pass
- * with a k-sized heap. The pure backend keeps its scores in a list instead;
- * each backend picks the container its own loops run fastest on.
+ * with a k-sized heap. bm25_accumulate also takes the term's largest impact,
+ * which the pure backend prunes with and this one ignores: at 50k documents
+ * the exhaustive pass here takes about 0.2 ms a retrieval, pruning driven
+ * from Python several times that. Each backend picks the score container
+ * its own loops run fastest on.
  *
  * The arithmetic here must stay expression-for-expression identical to
  * contregen/_kernels/fallback.py: rankings are verified bit-exactly against a
@@ -48,18 +51,25 @@ get_buffer(PyObject *obj, Py_buffer *view, char type, int writable,
     return 0;
 }
 
-/* 0 if every doc[i] lies in [0, limit); otherwise IndexError naming what. */
+/* 0 if every doc[i] lies in [0, limit); otherwise IndexError naming the first
+ * that does not. The scan has no branch but its loop's: a test that exits
+ * early made the check's speed swing with where the compiler placed it. A
+ * negative index, cast to unsigned, lies past any limit an int can reach. */
 static int
 check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
 {
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (doc[i] < 0 || doc[i] >= limit) {
-            PyErr_Format(PyExc_IndexError, "document index %d out of range (%s %zd)",
-                         doc[i], what, limit);
-            return -1;
-        }
-    }
-    return 0;
+    unsigned int end = limit > INT_MAX ? (unsigned int)INT_MAX + 1u : (unsigned int)limit;
+    unsigned int bad = 0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        bad |= (unsigned int)doc[i] >= end;
+    if (!bad)
+        return 0;
+    Py_ssize_t i = 0;
+    while ((unsigned int)doc[i] < end)
+        i++;
+    PyErr_Format(PyExc_IndexError, "document index %d out of range (%s %zd)",
+                 doc[i], what, limit);
+    return -1;
 }
 
 /* array("d", [0.0]), which new_scores repeats; made when the module loads. */
@@ -130,15 +140,18 @@ release_weights:
 }
 
 PyDoc_STRVAR(bm25_accumulate_doc,
-"bm25_accumulate(scores, doc_indices, impacts)\n--\n\n"
-"Add one query term's precomputed impacts to its postings' documents.");
+"bm25_accumulate(scores, doc_indices, impacts, bound)\n--\n\n"
+"Add one query term's precomputed impacts to its postings' documents.\n\n"
+"bound, the term's largest impact, is unused: adding every posting here\n"
+"costs less than pruning would.");
 
 static PyObject *
 bm25_accumulate(PyObject *module, PyObject *args)
 {
     PyObject *scores_obj, *indices_obj, *impacts_obj;
-    if (!PyArg_ParseTuple(args, "OOO:bm25_accumulate", &scores_obj,
-                          &indices_obj, &impacts_obj))
+    double bound;
+    if (!PyArg_ParseTuple(args, "OOOd:bm25_accumulate", &scores_obj,
+                          &indices_obj, &impacts_obj, &bound))
         return NULL;
 
     PyObject *result = NULL;

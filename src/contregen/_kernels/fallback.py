@@ -1,15 +1,28 @@
 """Pure-Python kernels, used when the compiled extension is unavailable.
 
-Same signatures and the same IEEE-double operation order as ``_core.c``;
-the two backends must return bit-identical results. Only the score container
-differs: ``new_scores`` here makes a list, whose float objects ``scores[d] += w``
-updates without the boxing and unboxing an ``array("d")`` pays for each element.
+Same signatures as ``_core.c``, and bit-identical results: ``bm25_impacts``
+keeps the compiled IEEE-double operation order, and every score selection
+returns is the query-order sum the compiled scatter makes. How a query is
+scored differs. ``new_scores`` makes a ``DeferredScores`` container,
+``bm25_accumulate`` only records each query term in it, and ``topk_indices``
+scores the recorded terms with exact MaxScore pruning (Turtle & Flood, 1995):
+it skips the postings of the terms whose largest impacts cannot lift a
+passage into the top k, which in Python costs far less than adding them all.
 """
 
 from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left
+from operator import itemgetter
+
+# Relative slack per query term on the pruning threshold; see topk_indices.
+_SLACK = 2.0 ** -40
+# A bisect into a term's postings costs about as much as reading this many.
+_BISECT_COST = 12
+# A term in more than 1/_DENSE of the documents adds up faster into a list.
+_DENSE = 8
 
 
 def bm25_impacts(weights: array, doc_indices: array, doc_norms: array,
@@ -19,47 +32,177 @@ def bm25_impacts(weights: array, doc_indices: array, doc_norms: array,
     ``weights[i] = idf * (tf * (k1 + 1) / (tf + doc_norms[d]))`` for posting
     ``i`` (document ``d``, term frequency ``tf = weights[i]`` on entry);
     ``doc_norms[d]`` is the document's length normalization
-    ``k1 * (1 - b + b * dl / avgdl)``. A rejected call writes nothing.
+    ``k1 * (1 - b + b * dl / avgdl)``. An index outside ``[0, len(doc_norms))``
+    is an IndexError. A rejected call writes nothing.
     """
     if len(weights) != len(doc_indices):
         raise ValueError("weights and doc_indices differ in length")
+    if doc_indices and (min(doc_indices) < 0 or max(doc_indices) >= len(doc_norms)):
+        raise IndexError(f"document index out of range (doc_norms {len(doc_norms)})")
     k1_plus_1 = k1 + 1.0
     weights[:] = array("d", [idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
                              for d, tf in zip(doc_indices, weights)])
 
 
-def new_scores(n: int) -> list[float]:
-    """A zeroed score buffer for n documents, as bm25_accumulate fills it."""
-    return [0.0] * n
+class DeferredScores:
+    """The pure score container: the query terms ``bm25_accumulate`` recorded,
+    in query order, then the exact scores ``topk_indices`` computed.
+    ``scores[i]`` is the score of each index that ``topk_indices`` returned."""
+
+    __slots__ = ("size", "terms", "exact")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.terms: list[tuple[array, array, float]] = []
+        self.exact: dict[int, float] | list[float] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> float:
+        return self.exact[index]
 
 
-def bm25_accumulate(scores: list[float] | array, doc_indices: array,
-                    impacts: array) -> None:
+def new_scores(n: int) -> DeferredScores:
+    """An empty score container for n documents, as bm25_accumulate fills it."""
+    return DeferredScores(n)
+
+
+def bm25_accumulate(scores: DeferredScores, doc_indices: array, impacts: array,
+                    bound: float) -> None:
     """Add one query term's precomputed impacts to its postings' documents.
 
-    ``scores`` may be a list (what new_scores makes) or an ``array("d")``.
+    ``doc_indices`` must ascend (the index build appends documents in order)
+    and ``bound`` must be ``max(impacts)``. Only the first and last index are
+    checked against the container's size. The term is recorded, in O(1);
+    ``topk_indices`` adds it up.
     """
     if len(impacts) != len(doc_indices):
         raise ValueError("doc_indices and impacts differ in length")
-    for d, w in zip(doc_indices, impacts):
-        scores[d] += w
+    if doc_indices and (doc_indices[0] < 0 or doc_indices[-1] >= scores.size):
+        raise IndexError(f"document index out of range (scores {scores.size})")
+    scores.terms.append((doc_indices, impacts, bound))
 
 
-def topk_indices(scores: list[float] | array, k: int) -> list[int]:
+def _scatter(terms: list, size: int) -> list[float]:
+    """Every document's score, adding each term's impacts in query order."""
+    acc = [0.0] * size
+    for doc_indices, impacts, _ in terms:
+        for d, w in zip(doc_indices, impacts):
+            acc[d] += w
+    return acc
+
+
+def _exact(terms: list, d: int) -> float:
+    """Document d's score, its impacts looked up and added in query order."""
+    score = 0.0
+    for doc_indices, impacts, _ in terms:
+        i = bisect_left(doc_indices, d)
+        if i < len(doc_indices) and doc_indices[i] == d:
+            score += impacts[i]
+    return score
+
+
+def _kth(scores, k: int) -> float:
+    """The k-th largest of scores; 0 when there are fewer than k."""
+    top = heapq.nlargest(k, scores)
+    return top[-1] if len(top) == k else 0.0
+
+
+def _candidates(terms: list, k: int, size: int) -> list[int] | None:
+    """A superset of the top k documents, in ascending order; None when a
+    term in more than 1/_DENSE of the documents cannot be skipped.
+
+    MaxScore: add up the terms in descending bound order until the bounds of
+    the rest sum below theta, the k-th best partial score less its slack, so
+    that no document not yet scored can reach the top k. Then, for each
+    remaining term, add its impacts to the candidates, raise theta and keep
+    the candidates that the terms after it can still lift to theta.
+    """
+    slack = 1.0 - len(terms) * _SLACK
+    order = sorted(terms, key=itemgetter(2), reverse=True)
+    rest = [0.0] * (len(order) + 1)  # rest[j]: the most terms j.. can add
+    for j in range(len(order) - 1, -1, -1):
+        rest[j] = rest[j + 1] + order[j][2]
+    partial: dict[int, float] = {}
+    theta = 0.0
+    j = 0
+    while j < len(order):
+        doc_indices, impacts, _ = order[j]
+        if _DENSE * len(doc_indices) > size:
+            return None
+        if partial:
+            get = partial.get
+            for d, w in zip(doc_indices, impacts):
+                partial[d] = get(d, 0.0) + w
+        else:
+            partial = dict(zip(doc_indices, impacts))
+        j += 1
+        if rest[j] < rest[0] - rest[j]:  # else theta cannot pass rest[j] yet
+            theta = _kth(partial.values(), k) * slack
+            if rest[j] < theta:
+                break
+    floor = theta - rest[j]
+    partial = {d: s for d, s in partial.items() if s >= floor}
+    for doc_indices, impacts, _ in order[j:]:
+        n = len(doc_indices)
+        if _BISECT_COST * len(partial) > n:
+            for d, w in zip(doc_indices, impacts):
+                if d in partial:
+                    partial[d] += w
+        else:
+            for d, s in partial.items():
+                i = bisect_left(doc_indices, d)
+                if i < n and doc_indices[i] == d:
+                    partial[d] = s + impacts[i]
+        j += 1
+        theta = _kth(partial.values(), k) * slack
+        floor = theta - rest[j]
+        partial = {d: s for d, s in partial.items() if s >= floor}
+    return sorted(partial)
+
+
+def _select(acc: list[float], k: int) -> list[int]:
+    """The documents scoring above 0 and at least the k-th best score."""
+    kth = _kth(acc, k) if k < len(acc) else 0.0
+    if kth > 0.0:
+        return [d for d, s in enumerate(acc) if s >= kth]
+    return [d for d, s in enumerate(acc) if s > 0.0]
+
+
+def topk_indices(scores: DeferredScores, k: int) -> list[int]:
     """Indices of the k highest positive scores, ordered by (-score, index).
 
-    A bounded heap finds the k-th largest score; only the indices scoring at
-    least that much (ties included) are sorted. The result equals the full sort
-    of every positive score cut to k: selection only compares values.
+    Every returned score is the exact query-order sum; pruning only decides
+    which documents get one. Exactness rests on three facts. Every impact is
+    above 0, so in real arithmetic a document's partial score plus the
+    bounds of the terms not yet added is at least its score, and the k
+    documents that set theta score at least their partial scores. A float
+    sum of T positive terms is within a factor 1 +- T * 2**-53 of the real
+    sum, in any order; theta's slack, T * 2**-40 for T terms, is far above
+    the few T * 2**-53 by which rounding can move these comparisons, so every
+    excluded document's exact score is strictly below the k-th best and
+    cannot tie into the top k. And the survivors are ranked on exact scores:
+    added up term by term in query order, or, when that would cost more than
+    adding every posting, read from a query-order scatter. When a term in
+    many documents cannot be skipped, that scatter scores every document and
+    selection reads it, as without pruning.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    kth = heapq.nlargest(k, scores)[-1] if len(scores) else 0.0
-    if kth > 0.0:
-        candidates = [i for i, s in enumerate(scores) if s >= kth]
-    else:  # fewer than k documents score > 0: keep all of them
-        candidates = [i for i, s in enumerate(scores) if s > 0.0]
-    candidates.sort(key=lambda i: (-scores[i], i))
+    terms = scores.terms
+    postings = sum(len(doc_indices) for doc_indices, _, _ in terms)
+    candidates = _candidates(terms, k, scores.size)
+    if candidates is None:
+        exact = _scatter(terms, scores.size)
+        candidates = _select(exact, k)
+    elif _BISECT_COST * len(candidates) * len(terms) > postings:  # lookups cost more
+        exact = _scatter(terms, scores.size)
+    else:
+        exact = {d: _exact(terms, d) for d in candidates}
+    # a stable sort keeps equal scores in ascending index order
+    candidates.sort(key=exact.__getitem__, reverse=True)
+    scores.exact = exact
     return candidates[:k]
 
 

@@ -9,9 +9,12 @@ The index is built by its first retrieval, once, so a run served entirely
 from the cache builds none. The build appends each posting's term frequency
 to its term's arrays, then ``bm25_impacts`` turns it in place into its BM25
 impact, its whole contribution to its document's score, so a retrieval only
-adds stored impacts. The score buffer, the addition and the top-k selection
-are kernels (``contregen._kernels``): each backend keeps scores in the
-container its loops run fastest on.
+adds stored impacts; each term also keeps its largest impact, its bound. The
+score container, the addition and the top-k selection are kernels
+(``contregen._kernels``): the compiled backend adds every posting into an
+array, the pure one defers scoring to selection, where the bounds let it skip
+the terms that cannot change the top k. Both return the same hits and
+scores.
 """
 
 from __future__ import annotations
@@ -58,18 +61,18 @@ Hits = tuple[tuple[str, float], ...]
 def _checked_hits(pairs) -> Hits:
     """A list of (passage id, score) pairs read from outside (a remote reply, a
     cache line, a tree export) as hits. A TypeError unless it is a list, and a
-    ValueError unless every id is a string or an integer, no id repeats, and
-    every score is a finite number and not a boolean."""
+    ValueError unless every id is a string, no id repeats, and every score is
+    a finite number and not a boolean."""
     if not isinstance(pairs, list):
         raise TypeError("hits must be a list")
     hits = []
     for pid, score in pairs:
-        if isinstance(pid, bool) or not isinstance(pid, (str, int)):
-            raise ValueError(f"passage id {pid!r} is not a string or an integer")
+        if not isinstance(pid, str):
+            raise ValueError(f"passage id {pid!r} is not a string")
         if (isinstance(score, bool) or not isinstance(score, (int, float))
                 or not -sys.float_info.max <= score <= sys.float_info.max):  # NaN fails too
             raise ValueError(f"score {score!r} is not a finite number")
-        hits.append((str(pid), float(score)))
+        hits.append((pid, float(score)))
     if len({pid for pid, _ in hits}) < len(hits):
         raise ValueError("a passage id repeats")
     return tuple(hits)
@@ -98,12 +101,12 @@ class LexicalIndex:
     """Inverted BM25 index over a corpus, built on first use.
 
     Construction checks the corpus and takes its fingerprint, which every
-    cache key needs. The postings, per term an array of document indices and
-    one of weights (term frequencies, which ``bm25_impacts`` turns in place
-    into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``),
-    are built by the first retrieve, exactly once even when threads call it
-    together, and never change after. A run whose retrievals all come from the
-    cache builds none.
+    cache key needs. The postings, per term an ascending array of document
+    indices, one of weights (term frequencies, which ``bm25_impacts`` turns in
+    place into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``)
+    and the largest impact, are built by the first retrieve, exactly once even
+    when threads call it together, and never change after. A run whose
+    retrievals all come from the cache builds none.
     Internal document indices are assigned in ascending passage-id order, so
     the (-score, index) order of ``topk_indices`` realizes the id tie-break.
     """
@@ -121,10 +124,10 @@ class LexicalIndex:
         self.corpus_fingerprint = corpus.fingerprint()
         self._lock = threading.Lock()  # guards backend_calls and the build
         # the postings, published once complete
-        self._built: Optional[dict[str, tuple[array, array]]] = None
+        self._built: Optional[dict[str, tuple[array, array, float]]] = None
 
-    def _build(self) -> dict[str, tuple[array, array]]:
-        """The postings, term -> (document indices, BM25 impacts)."""
+    def _build(self) -> dict[str, tuple[array, array, float]]:
+        """The postings, term -> (document indices, BM25 impacts, largest impact)."""
         lens = array("i")
         postings: dict[str, tuple[array, array]] = {}
         for index, pid in enumerate(self.doc_ids):
@@ -144,7 +147,8 @@ class LexicalIndex:
             df = len(doc_indices)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
             bm25_impacts(weights, doc_indices, doc_norms, idf, BM25_K1)
-        return postings
+        return {term: (doc_indices, impacts, max(impacts))
+                for term, (doc_indices, impacts) in postings.items()}
 
     def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:
@@ -168,8 +172,9 @@ class RemoteRetriever:
     """Client for a remote dense retriever: POST {query, topk} -> [{id, score}].
 
     Each POST waits up to TIMEOUT_S, with backend_io.ATTEMPTS attempts in
-    all. A reply of any other shape, with more than topk hits, a repeated id
-    or a score that is not a finite number, is a RetrieverUnavailableError,
+    all. An id may be a string or an integer, which stands for its decimal
+    string. A reply of any other shape, with more than topk hits, a repeated
+    id or a score that is not a finite number, is a RetrieverUnavailableError,
     as an unreachable endpoint is, so it fails its query and not the run.
 
     The auth token, when required, comes from the environment (never from
@@ -213,7 +218,10 @@ class RemoteRetriever:
                 raise TypeError("not a hit list")
             if len(items) > topk:
                 raise ValueError(f"{len(items)} hits for topk={topk}")
-            return _checked_hits([(item["id"], item["score"]) for item in items])
+            # a reply may number its passages: an integer id (not a boolean)
+            # stands for its decimal string
+            return _checked_hits([(str(item["id"]) if type(item["id"]) is int else item["id"],
+                                   item["score"]) for item in items])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} returned a malformed reply "

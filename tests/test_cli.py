@@ -538,6 +538,8 @@ _BAD_TRACES = {
             "ValueError: score 'nan' is not a finite number"),
            ("repeated-passage", "retrieved", [["a1", 1.0], ["a1", 0.5]],
             "ValueError: a passage id repeats"),
+           ("integer-id", "retrieved", [[5, 1.0]],
+            "ValueError: passage id 5 is not a string"),
            ("fractional-depth", "depth", 2.7, "TypeError: depth must be an integer"),
            ("string-depth", "depth", "3", "TypeError: depth must be an integer"),
            ("boolean-depth", "depth", True, "TypeError: depth must be an integer"),

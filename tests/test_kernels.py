@@ -62,8 +62,9 @@ def _random_norms(rng):
 
 
 def _random_term(rng, docs):
-    """One term's postings over docs documents: (doc indices, tfs, idf)."""
-    chosen = sorted(rng.sample(range(docs), rng.randint(1, docs)))
+    """One term's postings over docs documents: (doc indices, tfs, idf), in a
+    few of them or in up to all, so that the pure selection prunes some."""
+    chosen = sorted(rng.sample(range(docs), rng.randint(1, rng.choice((docs, docs // 8 + 1)))))
     tfs = array("i", [rng.randint(1, 9) for _ in chosen])
     return array("i", chosen), tfs, rng.uniform(0.01, 8.0)
 
@@ -100,6 +101,11 @@ def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
     return weights
 
 
+def _selected(kernels, scores, k):
+    """What a retrieval reads: the top-k indices and their scores, bit for bit."""
+    return [(i, scores[i].hex()) for i in kernels.topk_indices(scores, k)]
+
+
 def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
     rng = random.Random(20240817)
     for _ in range(100):
@@ -107,21 +113,19 @@ def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
         docs = len(doc_norms)
         a = compiled.new_scores(docs)
         b = fallback.new_scores(docs)  # each backend's own container
-        c = array("d", [0.0]) * docs  # the pure kernel over an array as well
-        assert isinstance(a, array) and a.typecode == "d" and isinstance(b, list)
-        assert a.tobytes() == array("d", b).tobytes() == c.tobytes()
+        assert isinstance(a, array) and a.typecode == "d" and a.tobytes() == bytes(8 * docs)
+        assert isinstance(b, fallback.DeferredScores) and len(b) == docs
+        assert _selected(compiled, a, docs) == _selected(fallback, b, docs) == []
         # accumulate several terms so rounding differences would compound
         for _term in range(rng.randint(1, 5)):
             doc_idx, tfs, idf = _random_term(rng, docs)
             impacts_c = _impacts(compiled, doc_idx, tfs, doc_norms, idf)
             impacts_p = _impacts(fallback, doc_idx, tfs, doc_norms, idf)
             assert impacts_c.tobytes() == impacts_p.tobytes()
-            compiled.bm25_accumulate(a, doc_idx, impacts_c)
-            fallback.bm25_accumulate(b, doc_idx, impacts_p)
-            fallback.bm25_accumulate(c, doc_idx, impacts_p)
-        assert a.tobytes() == array("d", b).tobytes() == c.tobytes()
+            compiled.bm25_accumulate(a, doc_idx, impacts_c, max(impacts_c))
+            fallback.bm25_accumulate(b, doc_idx, impacts_p, max(impacts_p))
         for k in (1, 3, docs, docs + 2):
-            assert compiled.topk_indices(a, k) == fallback.topk_indices(b, k)
+            assert _selected(compiled, a, k) == _selected(fallback, b, k)
     for _ in range(100):
         left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         right = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
@@ -138,23 +142,30 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
         for where in range(3):
             doc_idx = array("i", [0, 1, 1])
             doc_idx[where] = bad
-            with pytest.raises(IndexError):
+            # the message names the index out of range
+            message = rf"^document index {bad} out of range \({{}} 2\)$"
+            with pytest.raises(IndexError, match=message.format("doc_norms")):
                 compiled.bm25_impacts(weights, doc_idx, norms, 1.0, K1)
-            with pytest.raises(IndexError):
-                compiled.bm25_accumulate(scores, doc_idx, weights)
+            with pytest.raises(IndexError, match=message.format("scores")):
+                compiled.bm25_accumulate(scores, doc_idx, weights, 7.0)
     with pytest.raises(IndexError):  # doc_norms shorter than the documents indexed
         compiled.bm25_impacts(weights, array("i", [0, 1, 1]), norms[:1], 1.0, K1)
     assert weights.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
     assert scores.tobytes() == array("d", [5.0, 5.0]).tobytes()
     # bm25_accumulate checks only against scores: doc_norms no longer reaches it
-    compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]))
+    compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]), 0.5)
+    assert scores.tolist() == [5.0, 5.5]
+    with pytest.raises(TypeError):  # the bound is a required number
+        compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]))
+    with pytest.raises(TypeError):
+        compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]), "0.5")
     assert scores.tolist() == [5.0, 5.5]
 
     two = array("i", [0, 1])
     with pytest.raises(ValueError):  # weights shorter than the postings
         compiled.bm25_impacts(weights[:2], array("i", [0, 1, 1]), norms, 1.0, K1)
     with pytest.raises(ValueError):
-        compiled.bm25_accumulate(scores, two, weights)
+        compiled.bm25_accumulate(scores, two, weights, 7.0)
 
     with pytest.raises(TypeError):  # wrong item types
         compiled.bm25_impacts(weights, array("l", [0, 1, 1]), norms, 1.0, K1)
@@ -165,16 +176,16 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
     with pytest.raises(TypeError):
         compiled.bm25_impacts(weights, three, array("i", [1, 1]), 1.0, K1)
     with pytest.raises(TypeError):
-        compiled.bm25_accumulate(scores, array("l", [0]), array("d", [1.0]))
+        compiled.bm25_accumulate(scores, array("l", [0]), array("d", [1.0]), 1.0)
     with pytest.raises(TypeError):
-        compiled.bm25_accumulate(scores, array("i", [0]), array("f", [1.0]))
+        compiled.bm25_accumulate(scores, array("i", [0]), array("f", [1.0]), 1.0)
     with pytest.raises(TypeError):
-        compiled.bm25_accumulate(array("i", [0, 0]), array("i", [0]), array("d", [1.0]))
+        compiled.bm25_accumulate(array("i", [0, 0]), array("i", [0]), array("d", [1.0]), 1.0)
 
     with pytest.raises(BufferError):  # read-only outputs
         compiled.bm25_impacts(bytes(24), three, norms, 1.0, K1)
     with pytest.raises(BufferError):
-        compiled.bm25_accumulate(bytes(16), array("i", [0]), array("d", [1.0]))
+        compiled.bm25_accumulate(bytes(16), array("i", [0]), array("d", [1.0]), 1.0)
     with pytest.raises(TypeError):
         compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
@@ -190,7 +201,7 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
         with pytest.raises(ValueError):
             compiled.topk_indices(scores, k)
         with pytest.raises(ValueError):
-            fallback.topk_indices(scores, k)
+            fallback.topk_indices(fallback.new_scores(2), k)
     with pytest.raises(TypeError):
         compiled.topk_indices(scores, 1.5)
     with pytest.raises(TypeError):
@@ -215,6 +226,21 @@ def test_rejected_bm25_impacts_leaves_the_term_frequencies(backend, request):
         assert weights.tobytes() == tfs.tobytes()
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_negative_document_index_is_rejected(backend, request):
+    """A document index below 0 is an IndexError, never a write through
+    Python's wrap-around to the last document."""
+    kernels = fallback if backend == "pure" else request.getfixturevalue("compiled")
+    scores = kernels.new_scores(2)
+    with pytest.raises(IndexError):
+        kernels.bm25_accumulate(scores, array("i", [-1]), array("d", [1.0]), 1.0)
+    assert _selected(kernels, scores, 2) == []
+    weights = array("d", [1.0])
+    with pytest.raises(IndexError):
+        kernels.bm25_impacts(weights, array("i", [-1]), array("d", [1.0, 1.0]), 1.0, K1)
+    assert weights.tolist() == [1.0]
+
+
 def test_bm25_accumulate_matches_direct_formula():
     doc_lens = [10, 20, 30]
     avgdl = 20.0
@@ -223,9 +249,11 @@ def test_bm25_accumulate_matches_direct_formula():
     expect0 = 1.5 * ((3 * (K1 + 1.0)) / (3 + K1 * (1.0 - B + B * (10 / avgdl))))
     expect2 = 1.5 * ((1 * (K1 + 1.0)) / (1 + K1 * (1.0 - B + B * (30 / avgdl))))
     assert impacts.tolist() == [expect0, expect2]
-    scores = array("d", [0.0, 0.0, 0.25])
-    fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts)
-    assert scores.tolist() == [expect0, 0.0, 0.25 + expect2]
+    scores = fallback.new_scores(3)
+    fallback.bm25_accumulate(scores, array("i", [2]), array("d", [0.25]), 0.25)
+    fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts, max(impacts))
+    selected = [(i, scores[i]) for i in fallback.topk_indices(scores, 3)]
+    assert selected == [(0, expect0), (2, 0.25 + expect2)]  # document 1 scores 0
 
 
 def _full_sort_topk(scores, topk):
@@ -248,23 +276,38 @@ def _random_scores(rng, case):
     return scores
 
 
+def _pure_scores(scores, rng):
+    """A pure score container holding scores: each positive one is its
+    document's impact in one of a few terms, so it is also its exact sum."""
+    container = fallback.new_scores(len(scores))
+    terms = {}
+    for d, score in enumerate(scores):
+        if score > 0.0:
+            terms.setdefault(rng.randrange(3), []).append(d)
+    for docs in terms.values():
+        impacts = array("d", [scores[d] for d in docs])
+        fallback.bm25_accumulate(container, array("i", docs), impacts, max(impacts))
+    return container
+
+
 def test_topk_indices_equals_full_sort():
     rng = random.Random(3)
     for case in range(600):
         scores = _random_scores(rng, case)
+        container = _pure_scores(scores, rng)
         docs = len(scores)
         for topk in (1, 2, 3, 5, docs, docs + 7):
             expected = _full_sort_topk(scores, topk)
-            assert fallback.topk_indices(scores, topk) == expected
-            assert fallback.topk_indices(array("d", scores), topk) == expected
-    for container in (list, lambda values: array("d", values)):
-        assert fallback.topk_indices(container([0.0, 0.0]), 3) == []
-        assert fallback.topk_indices(container([0.0, -0.0, -0.0]), 1) == []
-        assert fallback.topk_indices(container([1.0, 2.0, 2.0, 2.0, 0.0]), 2) == [1, 2]
-        assert fallback.topk_indices(container([]), 4) == []
+            assert [(i, container[i]) for i in fallback.topk_indices(container, topk)] == [
+                (i, scores[i]) for i in expected]
+    for scores, topk, expected in [([0.0, 0.0], 3, []), ([0.0, -0.0, -0.0], 1, []),
+                                   ([1.0, 2.0, 2.0, 2.0, 0.0], 2, [1, 2]), ([], 4, [])]:
+        assert fallback.topk_indices(_pure_scores(scores, rng), topk) == expected
 
 
 def test_topk_indices_compiled_equals_pure(compiled):
+    """The compiled selection over raw scores, against the full sort that the
+    pure selection's tests hold it to."""
     rng = random.Random(41)
     for case in range(600):
         scores = _random_scores(rng, case)
@@ -272,13 +315,12 @@ def test_topk_indices_compiled_equals_pure(compiled):
         for topk in (1, 2, 3, 5, docs - 1, docs, docs + 7, 2**40):
             if topk < 1:
                 continue
-            pure = fallback.topk_indices(scores, topk)
-            assert compiled.topk_indices(array("d", scores), topk) == pure
+            expected = _full_sort_topk(scores, topk)
+            assert compiled.topk_indices(array("d", scores), topk) == expected
     for scores in ([], [0.0], [-0.0, 0.0, -0.0], [0.0, 5e-324, -5e-324], [float("inf"), 1.0],
                    [1.0, 2.0, 2.0, 2.0, 0.0], [3.0] * 9):
         for topk in (1, 2, 3, 20):
-            assert (compiled.topk_indices(array("d", scores), topk)
-                    == fallback.topk_indices(scores, topk))
+            assert compiled.topk_indices(array("d", scores), topk) == _full_sort_topk(scores, topk)
 
 
 def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
@@ -298,6 +340,79 @@ def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
         for query in queries + ["absent", "w1 w1 w2"]:
             for topk in (1, 5, 250):
                 assert list(index.retrieve(query, topk)) == bm25_rank(texts, query, topk)
+
+
+def _use_pure_kernels(monkeypatch):
+    for name in ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices"):
+        monkeypatch.setattr(retrieval, name, getattr(fallback, name))
+
+
+def _pruning_corpus(rng, passages):
+    """Passages that all hold "every", mostly hold the frequent f0-f3, and
+    hold up to three of the rare r0-r39; a passage repeats up to four times in
+    a row, so equal scores sit on and across the pruning threshold."""
+    texts = {}
+    while len(texts) < passages:
+        words = (["every"] + rng.choices(["f0", "f1", "f2", "f3"], k=rng.randint(1, 12))
+                 + rng.sample([f"r{i}" for i in range(40)], rng.randint(0, 3)))
+        text = " ".join(rng.sample(words, len(words)))
+        for _ in range(rng.choice((1, 1, 2, 4))):
+            texts[f"p{len(texts):04d}"] = text
+    return texts
+
+
+def test_pruned_retrieval_matches_exhaustive_oracle(monkeypatch):
+    """The pure selection skips terms, yet every hit and every float score is
+    the exhaustive scorer's, at k from 1 to past the corpus size."""
+    _use_pure_kernels(monkeypatch)
+    rng = random.Random(1995)
+    for _corpus in range(6):
+        texts = _pruning_corpus(rng, rng.randint(60, 240))
+        index = retrieval.LexicalIndex(CorpusStore(
+            Passage(id=pid, text=text) for pid, text in texts.items()))
+        n = len(texts)
+        for _query in range(25):
+            words = (rng.sample([f"r{i}" for i in range(40)], rng.randint(1, 3))
+                     + rng.sample(["every", "f0", "f1", "f2", "f3"], rng.randint(2, 3)))
+            words += rng.choice(([], [words[0]], ["absent"], [words[-1], "absent"]))
+            query = " ".join(rng.sample(words, len(words)))
+            ranking = bm25_rank(texts, query, n)
+            for topk in (1, 2, 5, n, n + 3):
+                assert list(index.retrieve(query, topk)) == ranking[:topk], (query, topk)
+
+
+def test_pure_selection_keeps_a_tie_that_rounding_splits():
+    """Both documents score (a + b) + c = 1.1 in query order, but added in
+    descending bound order document 0 has 1.0999999999999999 and document 1
+    1.1: only the threshold's slack keeps document 0, first on the tie."""
+    scores = fallback.new_scores(100)
+    for impacts in ([0.2, 0.1], [0.3, 0.3], [0.6, 0.7]):
+        fallback.bm25_accumulate(scores, array("i", [0, 1]), array("d", impacts), max(impacts))
+    assert [(i, scores[i]) for i in fallback.topk_indices(scores, 1)] == [(0, 1.1)]
+
+
+class _Unreadable(array):
+    """Postings that may be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the postings of a skippable term were read")
+
+
+def test_pure_selection_skips_a_term_in_every_passage(monkeypatch):
+    _use_pure_kernels(monkeypatch)
+    texts = {f"p{i:04d}": "every day" for i in range(1000)}
+    for i in (3, 10, 400, 401, 777, 901):
+        texts[f"p{i:04d}"] = "every rare day"
+    for i in (10, 55, 401, 998):
+        texts[f"p{i:04d}"] += " odd"
+    index = retrieval.LexicalIndex(CorpusStore(
+        Passage(id=pid, text=text) for pid, text in texts.items()))
+    assert index.retrieve("rare", 1)  # builds the index
+    doc_indices, impacts, bound = index._built["every"]
+    index._built["every"] = (_Unreadable("i", doc_indices), _Unreadable("d", impacts), bound)
+    for topk in (1, 2, 5):
+        query = "rare every odd"
+        assert list(index.retrieve(query, topk)) == bm25_rank(texts, query, topk)
 
 
 def test_lcs_length_matches_full_table_oracle():

@@ -223,6 +223,7 @@ _WRONG_HITS = {
     "infinite-score": '[["p1", -Infinity]]',
     "numeric-string-score": '[["p1", "2.5"]]',
     "null-id": '[[null, 1.0]]',
+    "integer-id": '[[5, 1.0]]',
     "repeated-id": '[["p1", 2.0], ["p1", 1.0]]',
     "object": '{}',
 }
@@ -394,14 +395,23 @@ def test_remote_retriever_bad_payload(monkeypatch):
     [{"id": "p1", "score": "2.5"}],
     [{"id": "p1", "score": 2.0}, {"id": "p1", "score": 1.0}],
     [{"id": None, "score": 1.0}],
+    [{"id": True, "score": 1.0}],
+    [{"id": 5, "score": 2.0}, {"id": "5", "score": 1.0}],
 ], ids=["no-score", "number-hit", "null-score", "string-score", "object-hits", "string",
         "null", "not-json", "over-topk", "nan-score", "infinite-score", "boolean-score",
-        "numeric-string-score", "repeated-id", "null-id"])
+        "numeric-string-score", "repeated-id", "null-id", "boolean-id",
+        "integer-and-string-id"])
 def test_remote_retriever_malformed_reply_is_unavailable(payload):
     session = _FakeSession([_FakeResponse(200, payload)])
     remote = RemoteRetriever("http://retriever.test", session=session)
     with pytest.raises(RetrieverUnavailableError, match="malformed reply"):
         remote.retrieve("q", 2)
+
+
+def test_remote_retriever_serves_an_integer_id_as_its_string():
+    session = _FakeSession([_FakeResponse(200, [{"id": 5, "score": 1.0}])])
+    remote = RemoteRetriever("http://retriever.test", session=session)
+    assert remote.retrieve("q", 1) == (("5", 1.0),)
 
 
 def test_remote_retriever_reads_hits_object():
