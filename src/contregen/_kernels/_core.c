@@ -1,16 +1,16 @@
-/* Compiled hot loops: the score buffer, BM25 impacts and accumulation, top-k
- * selection, and LCS length.
+/* Compiled hot loops: BM25 impacts, scoring with top-k selection, and LCS
+ * length.
  *
  * BM25 is split between index build and query time. At build, bm25_impacts
  * turns each posting's term frequency, in place, into its score contribution,
  * from its term's idf and its document's length normalization. At query time
- * new_scores makes a zeroed array("d"), bm25_accumulate adds one term's stored
- * impacts into it, and topk_indices picks the best k documents in one pass
- * with a k-sized heap. bm25_accumulate also takes the term's largest impact,
- * which the pure backend prunes with and this one ignores: at 50k documents
- * the exhaustive pass here takes about 0.2 ms a retrieval, pruning driven
- * from Python several times that. Each backend picks the score container
- * its own loops run fastest on.
+ * the container that fallback.py's new_scores makes records each term's
+ * stored impacts (bm25_accumulate), and topk_indices adds them all, in query
+ * order, into a zeroed buffer of its own, then picks the best k documents in
+ * one pass with a k-sized heap. Each term's largest impact, recorded beside
+ * it, lets the pure backend prune; this one ignores it: at 50k documents the
+ * exhaustive pass here takes about 0.2 ms a retrieval, pruning driven from
+ * Python several times that.
  *
  * The arithmetic here must stay expression-for-expression identical to
  * contregen/_kernels/fallback.py: rankings are verified bit-exactly against a
@@ -21,8 +21,8 @@
  *
  * Arguments arrive through the buffer protocol (array("d") / array("i") or any
  * C-contiguous buffer of the same item type). Every document index is checked
- * against the buffer it addresses before anything is written, so a rejected
- * call leaves its output untouched.
+ * against the buffer it addresses before anything is written through it, so a
+ * rejected call leaves its output untouched.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -70,22 +70,6 @@ check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
     PyErr_Format(PyExc_IndexError, "document index %d out of range (%s %zd)",
                  doc[i], what, limit);
     return -1;
-}
-
-/* array("d", [0.0]), which new_scores repeats; made when the module loads. */
-static PyObject *zero_score;
-
-PyDoc_STRVAR(new_scores_doc,
-"new_scores(n)\n--\n\n"
-"A zeroed score buffer for n documents, as bm25_accumulate fills it.");
-
-static PyObject *
-new_scores(PyObject *module, PyObject *args)
-{
-    Py_ssize_t n;
-    if (!PyArg_ParseTuple(args, "n:new_scores", &n))
-        return NULL;
-    return PySequence_Repeat(zero_score, n);
 }
 
 PyDoc_STRVAR(bm25_impacts_doc,
@@ -139,53 +123,6 @@ release_weights:
     return result;
 }
 
-PyDoc_STRVAR(bm25_accumulate_doc,
-"bm25_accumulate(scores, doc_indices, impacts, bound)\n--\n\n"
-"Add one query term's precomputed impacts to its postings' documents.\n\n"
-"bound, the term's largest impact, is unused: adding every posting here\n"
-"costs less than pruning would.");
-
-static PyObject *
-bm25_accumulate(PyObject *module, PyObject *args)
-{
-    PyObject *scores_obj, *indices_obj, *impacts_obj;
-    double bound;
-    if (!PyArg_ParseTuple(args, "OOOd:bm25_accumulate", &scores_obj,
-                          &indices_obj, &impacts_obj, &bound))
-        return NULL;
-
-    PyObject *result = NULL;
-    Py_buffer scores, indices, impacts;
-    if (get_buffer(scores_obj, &scores, 'd', 1, "scores") < 0)
-        return NULL;
-    if (get_buffer(indices_obj, &indices, 'i', 0, "doc_indices") < 0)
-        goto release_scores;
-    if (get_buffer(impacts_obj, &impacts, 'd', 0, "impacts") < 0)
-        goto release_indices;
-
-    Py_ssize_t n = indices.shape[0];
-    if (impacts.shape[0] != n) {
-        PyErr_SetString(PyExc_ValueError, "doc_indices and impacts differ in length");
-        goto release_impacts;
-    }
-    double *score = (double *)scores.buf;
-    const int *doc = (const int *)indices.buf;
-    const double *impact = (const double *)impacts.buf;
-    if (check_indices(doc, n, scores.shape[0], "scores") < 0)
-        goto release_impacts;
-    for (Py_ssize_t i = 0; i < n; i++)
-        score[doc[i]] += impact[i];
-    result = Py_NewRef(Py_None);
-
-release_impacts:
-    PyBuffer_Release(&impacts);
-release_indices:
-    PyBuffer_Release(&indices);
-release_scores:
-    PyBuffer_Release(&scores);
-    return result;
-}
-
 /* A document and its score, as the selection heap holds them. */
 typedef struct {
     double score;
@@ -232,68 +169,130 @@ sift_down(scored *heap, Py_ssize_t size, Py_ssize_t at)
     heap[at] = item;
 }
 
-PyDoc_STRVAR(topk_indices_doc,
-"topk_indices(scores, k)\n--\n\n"
-"Indices of the k highest positive scores, ordered by (-score, index).");
-
-static PyObject *
-topk_indices(PyObject *module, PyObject *args)
+/* Add each recorded term's impacts into score[0..n), in query order. A term's
+ * indices are all checked before any is added through. */
+static int
+scatter_terms(PyObject *terms, double *score, Py_ssize_t n)
 {
-    PyObject *scores_obj;
-    Py_ssize_t k;
-    if (!PyArg_ParseTuple(args, "On:topk_indices", &scores_obj, &k))
-        return NULL;
-    if (k < 1) {
-        PyErr_SetString(PyExc_ValueError, "k must be >= 1");
-        return NULL;
+    for (Py_ssize_t t = 0; t < PyTuple_GET_SIZE(terms); t++) {
+        PyObject *term = PyTuple_GET_ITEM(terms, t);
+        PyObject *indices_obj, *impacts_obj;
+        double bound;  /* parsed so that a bad one fails here too; unused */
+        /* a tuple's items, borrowed here, live as long as it does */
+        if (!PyTuple_Check(term)) {
+            PyErr_SetString(PyExc_TypeError, "a recorded term must be a tuple");
+            return -1;
+        }
+        if (!PyArg_Parse(term, "(OOd)", &indices_obj, &impacts_obj, &bound))
+            return -1;
+        Py_buffer indices, impacts;
+        if (get_buffer(indices_obj, &indices, 'i', 0, "doc_indices") < 0)
+            return -1;
+        if (get_buffer(impacts_obj, &impacts, 'd', 0, "impacts") < 0) {
+            PyBuffer_Release(&indices);
+            return -1;
+        }
+        int status = -1;
+        Py_ssize_t m = indices.shape[0];
+        const int *doc = (const int *)indices.buf;
+        const double *impact = (const double *)impacts.buf;
+        if (impacts.shape[0] != m)
+            PyErr_SetString(PyExc_ValueError, "doc_indices and impacts differ in length");
+        else if (check_indices(doc, m, n, "scores") == 0) {
+            for (Py_ssize_t i = 0; i < m; i++)
+                score[doc[i]] += impact[i];
+            status = 0;
+        }
+        PyBuffer_Release(&impacts);
+        PyBuffer_Release(&indices);
+        if (status < 0)
+            return -1;
     }
-    Py_buffer scores;
-    if (get_buffer(scores_obj, &scores, 'd', 0, "scores") < 0)
-        return NULL;
+    return 0;
+}
 
-    PyObject *result = NULL;
-    Py_ssize_t n = scores.shape[0];
+/* (index, score) pairs of the k highest positive of score[0..n), ordered by
+ * (-score, index). */
+static PyObject *
+select_topk(const double *score, Py_ssize_t n, Py_ssize_t k)
+{
     Py_ssize_t cap = k < n ? k : n;
-    const double *score = (const double *)scores.buf;
     scored *heap = PyMem_Malloc((size_t)cap * sizeof(scored));  /* 0 bytes is not NULL */
-    if (heap == NULL) {
-        PyErr_NoMemory();
-        goto release;
-    }
+    if (heap == NULL)
+        return PyErr_NoMemory();
     Py_ssize_t size = 0;
+    double threshold = 0.0;  /* a score must pass it to enter: 0, then the heap's lowest */
     for (Py_ssize_t i = 0; i < n; i++) {
         double s = score[i];
-        if (!(s > 0.0))
+        if (!(s > threshold))
             continue;
         if (size < cap) {
             heap[size] = (scored){s, i};
             sift_up(heap, size++);
         }
-        else if (s > heap[0].score) {
+        else {
             /* i is past every index in the heap: an equal score ranks below */
             heap[0] = (scored){s, i};
             sift_down(heap, size, 0);
         }
+        if (size == cap)
+            threshold = heap[0].score;
     }
-    result = PyList_New(size);
-    if (result == NULL)
-        goto free_heap;
+    PyObject *result = PyList_New(size);
     /* popping the lowest-ranked entry first fills the list from its end */
-    while (size > 0) {
-        PyObject *index = PyLong_FromSsize_t(heap[0].index);
-        if (index == NULL) {
+    while (result != NULL && size > 0) {
+        PyObject *pair = Py_BuildValue("(nd)", heap[0].index, heap[0].score);
+        if (pair == NULL) {
             Py_CLEAR(result);
-            goto free_heap;
+            break;
         }
-        PyList_SET_ITEM(result, --size, index);
+        PyList_SET_ITEM(result, --size, pair);
         heap[0] = heap[size];
         sift_down(heap, size, 0);
     }
-
-free_heap:
     PyMem_Free(heap);
-release:
-    PyBuffer_Release(&scores);
+    return result;
+}
+
+PyDoc_STRVAR(topk_indices_doc,
+"topk_indices(scores, k)\n--\n\n"
+"(index, score) pairs of the k highest positive scores, ordered by\n"
+"(-score, index), of the terms bm25_accumulate recorded in scores.");
+
+static PyObject *
+topk_indices(PyObject *module, PyObject *args)
+{
+    PyObject *container;
+    Py_ssize_t k;
+    if (!PyArg_ParseTuple(args, "On:topk_indices", &container, &k))
+        return NULL;
+    if (k < 1) {
+        PyErr_SetString(PyExc_ValueError, "k must be >= 1");
+        return NULL;
+    }
+    PyObject *size = PyObject_GetAttrString(container, "size");
+    Py_ssize_t n = size == NULL ? -1 : PyNumber_AsSsize_t(size, PyExc_OverflowError);
+    Py_XDECREF(size);
+    if (n < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "size must be >= 0");
+        return NULL;
+    }
+    /* a copy: nothing a buffer export runs can change the terms under the loop */
+    PyObject *recorded = PyObject_GetAttrString(container, "terms");
+    PyObject *terms = recorded == NULL ? NULL : PySequence_Tuple(recorded);
+    Py_XDECREF(recorded);
+    if (terms == NULL)
+        return NULL;
+
+    PyObject *result = NULL;
+    double *score = PyMem_Calloc((size_t)n, sizeof(double));  /* 0 bytes is not NULL */
+    if (score == NULL)
+        PyErr_NoMemory();
+    else if (scatter_terms(terms, score, n) == 0)
+        result = select_topk(score, n, k);
+    PyMem_Free(score);
+    Py_DECREF(terms);
     return result;
 }
 
@@ -358,9 +357,7 @@ release:
 }
 
 static PyMethodDef core_methods[] = {
-    {"new_scores", new_scores, METH_VARARGS, new_scores_doc},
     {"bm25_impacts", bm25_impacts, METH_VARARGS, bm25_impacts_doc},
-    {"bm25_accumulate", bm25_accumulate, METH_VARARGS, bm25_accumulate_doc},
     {"topk_indices", topk_indices, METH_VARARGS, topk_indices_doc},
     {"lcs_length", lcs_length, METH_VARARGS, lcs_length_doc},
     {NULL, NULL, 0, NULL},
@@ -369,8 +366,8 @@ static PyMethodDef core_methods[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "contregen._kernels._core",
-    .m_doc = "Compiled score buffer, BM25, top-k selection and LCS kernels; "
-             "see fallback.py.",
+    .m_doc = "Compiled BM25 impact, scoring with top-k selection, and LCS "
+             "kernels; see fallback.py.",
     .m_size = 0,
     .m_methods = core_methods,
 };
@@ -378,14 +375,5 @@ static struct PyModuleDef core_module = {
 PyMODINIT_FUNC
 PyInit__core(void)
 {
-    if (zero_score == NULL) {
-        PyObject *array_module = PyImport_ImportModule("array");
-        if (array_module == NULL)
-            return NULL;
-        zero_score = PyObject_CallMethod(array_module, "array", "s[d]", "d", 0.0);
-        Py_DECREF(array_module);
-        if (zero_score == NULL)
-            return NULL;
-    }
     return PyModule_Create(&core_module);
 }

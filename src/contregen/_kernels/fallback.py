@@ -1,13 +1,15 @@
-"""Pure-Python kernels, used when the compiled extension is unavailable.
+"""Pure-Python kernels, and the query score container both backends share.
 
-Same signatures as ``_core.c``, and bit-identical results: ``bm25_impacts``
-keeps the compiled IEEE-double operation order, and every score selection
-returns is the query-order sum the compiled scatter makes. How a query is
-scored differs. ``new_scores`` makes a ``DeferredScores`` container,
-``bm25_accumulate`` only records each query term in it, and ``topk_indices``
-scores the recorded terms with exact MaxScore pruning (Turtle & Flood, 1995):
-it skips the postings of the terms whose largest impacts cannot lift a
-passage into the top k, which in Python costs far less than adding them all.
+``bm25_impacts``, ``topk_indices`` and ``lcs_length`` have compiled twins in
+``_core.c`` with the same signatures and bit-identical results:
+``bm25_impacts`` keeps the compiled IEEE-double operation order, and every
+score ``topk_indices`` returns is the query-order sum the compiled scatter
+makes. ``new_scores`` and ``bm25_accumulate`` exist only here: the
+``DeferredScores`` container records a query's terms, and the active
+backend's ``topk_indices`` scores them. The compiled one adds every posting;
+this one uses exact MaxScore pruning (Turtle & Flood, 1995): it skips the
+postings of the terms whose largest impacts cannot lift a passage into the
+top k, which in Python costs far less than adding them all.
 """
 
 from __future__ import annotations
@@ -45,22 +47,15 @@ def bm25_impacts(weights: array, doc_indices: array, doc_norms: array,
 
 
 class DeferredScores:
-    """The pure score container: the query terms ``bm25_accumulate`` recorded,
-    in query order, then the exact scores ``topk_indices`` computed.
-    ``scores[i]`` is the score of each index that ``topk_indices`` returned."""
+    """A query's score container over ``size`` documents: the terms
+    ``bm25_accumulate`` recorded, in query order, as (document indices,
+    impacts, bound). Nothing is scored until ``topk_indices`` reads them."""
 
-    __slots__ = ("size", "terms", "exact")
+    __slots__ = ("size", "terms")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.terms: list[tuple[array, array, float]] = []
-        self.exact: dict[int, float] | list[float] = {}
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, index: int) -> float:
-        return self.exact[index]
 
 
 def new_scores(n: int) -> DeferredScores:
@@ -70,12 +65,12 @@ def new_scores(n: int) -> DeferredScores:
 
 def bm25_accumulate(scores: DeferredScores, doc_indices: array, impacts: array,
                     bound: float) -> None:
-    """Add one query term's precomputed impacts to its postings' documents.
+    """Record one query term: its postings' documents and precomputed impacts.
 
     ``doc_indices`` must ascend (the index build appends documents in order)
     and ``bound`` must be ``max(impacts)``. Only the first and last index are
-    checked against the container's size. The term is recorded, in O(1);
-    ``topk_indices`` adds it up.
+    checked against the container's size here, in O(1); the compiled
+    ``topk_indices`` checks every index before it adds any.
     """
     if len(impacts) != len(doc_indices):
         raise ValueError("doc_indices and impacts differ in length")
@@ -170,8 +165,9 @@ def _select(acc: list[float], k: int) -> list[int]:
     return [d for d, s in enumerate(acc) if s > 0.0]
 
 
-def topk_indices(scores: DeferredScores, k: int) -> list[int]:
-    """Indices of the k highest positive scores, ordered by (-score, index).
+def topk_indices(scores: DeferredScores, k: int) -> list[tuple[int, float]]:
+    """(index, score) pairs of the k highest positive scores, ordered by
+    (-score, index).
 
     Every returned score is the exact query-order sum; pruning only decides
     which documents get one. Exactness rests on three facts. Every impact is
@@ -202,8 +198,7 @@ def topk_indices(scores: DeferredScores, k: int) -> list[int]:
         exact = {d: _exact(terms, d) for d in candidates}
     # a stable sort keeps equal scores in ascending index order
     candidates.sort(key=exact.__getitem__, reverse=True)
-    scores.exact = exact
-    return candidates[:k]
+    return [(d, exact[d]) for d in candidates[:k]]
 
 
 def lcs_length(left: array, right: array) -> int:

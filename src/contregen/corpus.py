@@ -7,6 +7,9 @@ through ``backend_io``):
 * query file: ``{"id": str, "query": str, "gold_ids": [str], "reference": str|null,
   "facet_of": {passage_id: facet}|null}`` plus an optional ``short_answers``
   list used by the string-EM metric.
+
+An id (a passage's, a query's, a ``gold_ids`` item) may also be an integer,
+which stands for its decimal string.
 """
 
 from __future__ import annotations
@@ -100,6 +103,24 @@ class CorpusStore:
         return digest.hexdigest()
 
 
+def id_text(value: object) -> str:
+    """An id read from JSON: a string, or an integer (not a boolean) standing
+    for its decimal string. A ValueError for anything else."""
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise ValueError(f"id {value!r} is not a string or an integer")
+    return value
+
+
+def _record_id(value: object, path: str | Path, line_no: int, name: str) -> str:
+    try:
+        return id_text(value)
+    except ValueError:
+        raise MalformedRecordError(str(path), line_no,
+                                   f"{name} must be a string or an integer") from None
+
+
 def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines are errors."""
     store = CorpusStore()
@@ -110,7 +131,7 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
         text = record["text"]
         if not isinstance(text, str) or not text.strip():
             raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
-        store.add(Passage(id=str(record["id"]), text=text,
+        store.add(Passage(id=_record_id(record["id"], path, line_no, "id"), text=text,
                           meta={str(k): str(v) for k, v in meta.items()}))
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
@@ -141,10 +162,13 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
         for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
             if obj.get(name) is not None and not isinstance(obj[name], kind):
                 raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
-        qid = str(obj["id"])
+        qid = _record_id(obj["id"], path, line_no, "id")
         if qid in records:
             raise DuplicateIdError(qid)
-        gold = frozenset(str(g) for g in obj.get("gold_ids") or [])
+        if not isinstance(obj["query"], str):
+            raise MalformedRecordError(str(path), line_no, "query must be a string")
+        gold = frozenset(_record_id(g, path, line_no, "each gold_ids item")
+                         for g in obj.get("gold_ids") or [])
         facet_of = obj.get("facet_of")
         if facet_of is not None:
             facet_of = {str(k): str(v) for k, v in facet_of.items()}
@@ -156,7 +180,7 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
         short = obj.get("short_answers")
         records[qid] = QueryRecord(
             id=qid,
-            query=str(obj["query"]),
+            query=obj["query"],
             gold_ids=gold,
             reference=obj.get("reference"),
             facet_of=facet_of,
@@ -272,6 +296,7 @@ __all__ = [
     "Passage",
     "QueryRecord",
     "build_wikihow_benchmark",
+    "id_text",
     "ingest_corpus",
     "load_article_dumps",
     "load_queries",

@@ -9,12 +9,12 @@ The index is built by its first retrieval, once, so a run served entirely
 from the cache builds none. The build appends each posting's term frequency
 to its term's arrays, then ``bm25_impacts`` turns it in place into its BM25
 impact, its whole contribution to its document's score, so a retrieval only
-adds stored impacts; each term also keeps its largest impact, its bound. The
-score container, the addition and the top-k selection are kernels
-(``contregen._kernels``): the compiled backend adds every posting into an
-array, the pure one defers scoring to selection, where the bounds let it skip
-the terms that cannot change the top k. Both return the same hits and
-scores.
+adds stored impacts; each term also keeps its largest impact, its bound. A
+retrieval records its terms in one score container (``new_scores``,
+``bm25_accumulate``), and the active kernel backend's ``topk_indices``
+(``contregen._kernels``) scores them and returns (index, score) pairs: the
+compiled one adds every posting, the pure one lets the bounds skip the terms
+that cannot change the top k. Both return the same hits and scores.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from contregen._kernels import bm25_accumulate, bm25_impacts, new_scores, topk_indices
 from contregen.backend_io import JsonlCache, post_with_retries
-from contregen.corpus import CorpusStore
+from contregen.corpus import CorpusStore, id_text
 from contregen.errors import DataError, RetrieverUnavailableError
 
 if TYPE_CHECKING:
@@ -139,7 +139,8 @@ class LexicalIndex:
                     bucket = postings[term] = (array("i"), array("d"))
                 bucket[0].append(index)
                 bucket[1].append(tf)
-        avgdl = sum(lens) / self.doc_count
+        # with no token in any passage there are no postings, and any avgdl serves
+        avgdl = sum(lens) / self.doc_count or 1.0
         # each document's length normalization, the denominator's constant part
         doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
                                 for dl in lens))
@@ -165,7 +166,7 @@ class LexicalIndex:
             bucket = postings.get(term)
             if bucket is not None:
                 bm25_accumulate(scores, *bucket)
-        return tuple((self.doc_ids[i], scores[i]) for i in topk_indices(scores, topk))
+        return tuple((self.doc_ids[i], score) for i, score in topk_indices(scores, topk))
 
 
 class RemoteRetriever:
@@ -218,10 +219,7 @@ class RemoteRetriever:
                 raise TypeError("not a hit list")
             if len(items) > topk:
                 raise ValueError(f"{len(items)} hits for topk={topk}")
-            # a reply may number its passages: an integer id (not a boolean)
-            # stands for its decimal string
-            return _checked_hits([(str(item["id"]) if type(item["id"]) is int else item["id"],
-                                   item["score"]) for item in items])
+            return _checked_hits([(id_text(item["id"]), item["score"]) for item in items])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise RetrieverUnavailableError(
                 f"remote retriever {self.endpoint} returned a malformed reply "

@@ -161,7 +161,7 @@ def load_config(path: Optional[str] = None,
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(values) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
     config = RunConfig(**values)
     config.validate()
     return config

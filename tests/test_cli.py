@@ -415,6 +415,17 @@ _BAD_INPUTS = {
         "eval --trace {trace.json} --queries {queries.jsonl}",
         {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
          "queries.jsonl": json.dumps({"id": "q1", "query": "x", "reference": 5}) + "\n"}),
+    "corpus-null-id": (
+        "ingest --corpus {corpus.jsonl}",
+        {"corpus.jsonl": json.dumps({"id": None, "text": "some text"}) + "\n"}),
+    "queries-null-query": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": None}) + "\n"}),
+    "queries-boolean-gold-id": (
+        "eval --trace {trace.json} --queries {queries.jsonl}",
+        {"trace.json": json.dumps(_TRACE_WITHOUT_QUERIES),
+         "queries.jsonl": json.dumps({"id": "q1", "query": "x", "gold_ids": [True]}) + "\n"}),
     "fixtures-bad-json": (
         "run --corpus {corpus} --queries {queries} --fixtures {fx.json} --out-dir {tmp}/out",
         {"fx.json": "{not json"}),

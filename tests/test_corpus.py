@@ -103,6 +103,42 @@ def test_load_queries_and_validation(tmp_path):
     assert load_queries(out) == records
 
 
+@pytest.mark.parametrize("bad_id", [None, True, False, 1.5, [1], {"p": 1}])
+def test_ingest_rejects_an_id_that_is_not_a_string_or_an_integer(bad_id, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n"
+                    + json.dumps({"id": bad_id, "text": "also fine"}) + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        ingest_corpus(path)
+    assert str(err.value) == f"{path}:2: id must be a string or an integer"
+
+
+def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": 7, "text": "seven"}) + "\n")
+    assert ingest_corpus(corpus).ids() == ["7"]
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"id": 1, "query": "x", "gold_ids": [7, "p2"]}) + "\n")
+    (record,) = load_queries(queries)
+    assert (record.id, record.gold_ids) == ("1", frozenset({"7", "p2"}))
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    *(("query", value, "query must be a string") for value in (None, 5, True, ["x"], {"x": 1})),
+    *(("id", value, "id must be a string or an integer")
+      for value in (None, True, 2.0, ["q2"], {"q": 2})),
+    *(("gold_ids", ["p1", value], "each gold_ids item must be a string or an integer")
+      for value in (None, False, 3.5, ["p2"], {"p": 2})),
+])
+def test_load_queries_rejects_a_badly_typed_id_or_query(field, value, reason, tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_text(json.dumps({"id": "q1", "query": "fine"}) + "\n"
+                    + json.dumps({"id": "q2", "query": "x", field: value}) + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        load_queries(path)
+    assert str(err.value) == f"{path}:2: {reason}"
+
+
 def test_load_queries_rejects_facet_outside_gold(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text(json.dumps({

@@ -31,8 +31,9 @@ def compiled(tmp_path_factory):
     """The compiled kernels, built from ``_core.c`` into a temporary directory.
 
     Built with the interpreter's own compile and link flags plus the flags
-    setup.py adds, and loaded from there without touching ``sys.modules``, so
-    no extension lands in the source tree to switch the active backend.
+    setup.py adds, with every warning an error, and loaded from there without
+    touching ``sys.modules``, so no extension lands in the source tree to
+    switch the active backend.
     """
     link = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     include = sysconfig.get_paths()["include"]
@@ -43,7 +44,8 @@ def compiled(tmp_path_factory):
     out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     cmd = [*link, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
            *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-           "-O2", "-ffp-contract=off", f"-I{include}", str(_CORE_SOURCE), "-o", str(out)]
+           "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+           f"-I{include}", str(_CORE_SOURCE), "-o", str(out)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     spec = importlib.util.spec_from_file_location("_core", out)
@@ -69,7 +71,8 @@ def _random_term(rng, docs):
     return array("i", chosen), tfs, rng.uniform(0.01, 8.0)
 
 
-_KERNELS = ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices", "lcs_length")
+_KERNELS = ("bm25_impacts", "topk_indices", "lcs_length")  # one per backend
+_SHARED = ("new_scores", "bm25_accumulate")  # the score container's, from fallback.py
 
 
 def test_backend_constant_matches_import():
@@ -77,11 +80,14 @@ def test_backend_constant_matches_import():
     assert _kernels.BACKEND == ("compiled" if _core is not None else "pure")
     for name in _KERNELS:
         assert getattr(_kernels, name) is getattr(active, name)
+    for name in (*_SHARED, "DeferredScores"):
+        assert getattr(_kernels, name) is getattr(fallback, name)
 
 
 def test_backends_export_the_same_kernels():
     """The compiled method table, read from source so that no compiler is
-    needed, names exactly the pure backend's public functions."""
+    needed, names exactly the pure backend's kernels; the pure backend's
+    other public functions are the shared score container's."""
     source = _CORE_SOURCE.read_text(encoding="utf-8")
     table = re.search(r"static PyMethodDef core_methods\[\] = \{(.*?)\n\};", source, re.S)
     compiled_names = re.findall(r'\{"(\w+)", (\w+), METH_VARARGS, (\w+)_doc\}', table.group(1))
@@ -90,8 +96,9 @@ def test_backends_export_the_same_kernels():
     pure_names = {name for name, obj in vars(fallback).items()
                   if inspect.isfunction(obj) and obj.__module__ == fallback.__name__
                   and not name.startswith("_")}
-    assert {name for name, _, _ in compiled_names} == pure_names == set(_KERNELS)
-    assert set(_kernels.__all__) == {"BACKEND", *_KERNELS}
+    assert {name for name, _, _ in compiled_names} == set(_KERNELS)
+    assert pure_names == {*_KERNELS, *_SHARED}
+    assert set(_kernels.__all__) == {"BACKEND", "DeferredScores", *_KERNELS, *_SHARED}
 
 
 def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
@@ -103,40 +110,42 @@ def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
 
 def _selected(kernels, scores, k):
     """What a retrieval reads: the top-k indices and their scores, bit for bit."""
-    return [(i, scores[i].hex()) for i in kernels.topk_indices(scores, k)]
+    return [(i, score.hex()) for i, score in kernels.topk_indices(scores, k)]
 
 
-def test_bm25_accumulate_compiled_bitwise_equals_pure(compiled):
+def test_compiled_topk_bitwise_equals_pure_on_one_container(compiled):
     rng = random.Random(20240817)
     for _ in range(100):
         doc_norms = _random_norms(rng)
         docs = len(doc_norms)
-        a = compiled.new_scores(docs)
-        b = fallback.new_scores(docs)  # each backend's own container
-        assert isinstance(a, array) and a.typecode == "d" and a.tobytes() == bytes(8 * docs)
-        assert isinstance(b, fallback.DeferredScores) and len(b) == docs
-        assert _selected(compiled, a, docs) == _selected(fallback, b, docs) == []
-        # accumulate several terms so rounding differences would compound
+        scores = fallback.new_scores(docs)  # the container both backends read
+        assert _selected(compiled, scores, docs) == _selected(fallback, scores, docs) == []
+        # record several terms so rounding differences would compound
         for _term in range(rng.randint(1, 5)):
             doc_idx, tfs, idf = _random_term(rng, docs)
-            impacts_c = _impacts(compiled, doc_idx, tfs, doc_norms, idf)
-            impacts_p = _impacts(fallback, doc_idx, tfs, doc_norms, idf)
-            assert impacts_c.tobytes() == impacts_p.tobytes()
-            compiled.bm25_accumulate(a, doc_idx, impacts_c, max(impacts_c))
-            fallback.bm25_accumulate(b, doc_idx, impacts_p, max(impacts_p))
+            impacts = _impacts(compiled, doc_idx, tfs, doc_norms, idf)
+            assert impacts.tobytes() == _impacts(fallback, doc_idx, tfs, doc_norms, idf).tobytes()
+            fallback.bm25_accumulate(scores, doc_idx, impacts, max(impacts))
         for k in (1, 3, docs, docs + 2):
-            assert _selected(compiled, a, k) == _selected(fallback, b, k)
+            assert _selected(compiled, scores, k) == _selected(fallback, scores, k)
     for _ in range(100):
         left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         right = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         assert compiled.lcs_length(left, right) == fallback.lcs_length(left, right)
 
 
+def _container(size, *terms):
+    """A score container holding terms as given, past bm25_accumulate's checks."""
+    scores = fallback.new_scores(size)
+    scores.terms.extend(terms)
+    return scores
+
+
 def test_compiled_kernels_reject_bad_buffers(compiled):
     norms = array("d", [1.0, 1.0])
     weights = array("d", [7.0, 7.0, 7.0])  # term frequencies, or impacts to add
-    scores = array("d", [5.0, 5.0])
     three = array("i", [1, 1, 1])
+    good = (array("i", [1]), array("d", [0.5]), 0.5)
     # an out-of-range index anywhere in the postings writes nothing at all
     for bad in (2, -1, 2**31 - 1, -2**31):
         for where in range(3):
@@ -147,25 +156,30 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
             with pytest.raises(IndexError, match=message.format("doc_norms")):
                 compiled.bm25_impacts(weights, doc_idx, norms, 1.0, K1)
             with pytest.raises(IndexError, match=message.format("scores")):
-                compiled.bm25_accumulate(scores, doc_idx, weights, 7.0)
+                compiled.topk_indices(_container(2, good, (doc_idx, weights, 7.0)), 1)
     with pytest.raises(IndexError):  # doc_norms shorter than the documents indexed
         compiled.bm25_impacts(weights, array("i", [0, 1, 1]), norms[:1], 1.0, K1)
     assert weights.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
-    assert scores.tobytes() == array("d", [5.0, 5.0]).tobytes()
-    # bm25_accumulate checks only against scores: doc_norms no longer reaches it
-    compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]), 0.5)
-    assert scores.tolist() == [5.0, 5.5]
+    # topk_indices checks the indices only against the container's size
+    assert compiled.topk_indices(_container(2, good, good), 2) == [(1, 1.0)]
+    for size, error in ((-1, ValueError), ("2", TypeError), (2.0, TypeError)):
+        with pytest.raises(error):
+            compiled.topk_indices(_container(size, good), 1)
+    with pytest.raises(AttributeError):  # a raw score array is no container
+        compiled.topk_indices(array("d", [1.0]), 1)
     with pytest.raises(TypeError):  # the bound is a required number
-        compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]))
+        compiled.topk_indices(_container(2, good[:2]), 1)
     with pytest.raises(TypeError):
-        compiled.bm25_accumulate(scores, array("i", [1]), array("d", [0.5]), "0.5")
-    assert scores.tolist() == [5.0, 5.5]
+        compiled.topk_indices(_container(2, (*good[:2], "0.5")), 1)
+    for term in (list(good), 5):  # a term is a tuple
+        with pytest.raises(TypeError):
+            compiled.topk_indices(_container(2, term), 1)
 
     two = array("i", [0, 1])
     with pytest.raises(ValueError):  # weights shorter than the postings
         compiled.bm25_impacts(weights[:2], array("i", [0, 1, 1]), norms, 1.0, K1)
     with pytest.raises(ValueError):
-        compiled.bm25_accumulate(scores, two, weights, 7.0)
+        compiled.topk_indices(_container(2, (two, weights, 7.0)), 1)
 
     with pytest.raises(TypeError):  # wrong item types
         compiled.bm25_impacts(weights, array("l", [0, 1, 1]), norms, 1.0, K1)
@@ -175,37 +189,32 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
         compiled.bm25_impacts(array("i", [1, 1, 1]), three, norms, 1.0, K1)
     with pytest.raises(TypeError):
         compiled.bm25_impacts(weights, three, array("i", [1, 1]), 1.0, K1)
-    with pytest.raises(TypeError):
-        compiled.bm25_accumulate(scores, array("l", [0]), array("d", [1.0]), 1.0)
-    with pytest.raises(TypeError):
-        compiled.bm25_accumulate(scores, array("i", [0]), array("f", [1.0]), 1.0)
-    with pytest.raises(TypeError):
-        compiled.bm25_accumulate(array("i", [0, 0]), array("i", [0]), array("d", [1.0]), 1.0)
+    # a term's postings are 1-d buffers of ints and of doubles, and nothing else
+    two_by_two = memoryview(array("d", [1.0] * 4)).cast("B").cast("d", (2, 2))
+    for doc_idx, impacts in [(array("l", [0]), array("d", [1.0])),
+                             (array("i", [0]), array("f", [1.0])),
+                             (array("i", [0]), array("i", [1])),
+                             (array("d", [0.0]), array("d", [1.0])),
+                             ([0], array("d", [1.0])), (array("i", [0]), bytes(8)),
+                             (array("i", [0, 1]), two_by_two)]:
+        with pytest.raises(TypeError):
+            compiled.topk_indices(_container(2, (doc_idx, impacts, 1.0)), 1)
 
-    with pytest.raises(BufferError):  # read-only outputs
+    with pytest.raises(BufferError):  # a read-only output
         compiled.bm25_impacts(bytes(24), three, norms, 1.0, K1)
-    with pytest.raises(BufferError):
-        compiled.bm25_accumulate(bytes(16), array("i", [0]), array("d", [1.0]), 1.0)
+    with pytest.raises(BufferError):  # not contiguous
+        compiled.topk_indices(_container(
+            2, (memoryview(array("i", [0, 1, 1]))[::2], array("d", [1.0, 2.0]), 2.0)), 1)
     with pytest.raises(TypeError):
         compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
-    # top-k selection reads a 1-d buffer of doubles and nothing else
-    two_by_two = memoryview(array("d", [1.0] * 4)).cast("B").cast("d", (2, 2))
-    for bad in (array("f", [1.0, 2.0]), array("i", [1, 2]), array("l", [1, 2]),
-                bytes(16), [1.0, 2.0], two_by_two):
-        with pytest.raises(TypeError):
-            compiled.topk_indices(bad, 1)
-    with pytest.raises(BufferError):  # not contiguous
-        compiled.topk_indices(memoryview(array("d", [1.0, 2.0, 3.0]))[::2], 1)
     for k in (0, -1, -2**40):
         with pytest.raises(ValueError):
-            compiled.topk_indices(scores, k)
+            compiled.topk_indices(_container(2, good), k)
         with pytest.raises(ValueError):
-            fallback.topk_indices(fallback.new_scores(2), k)
+            fallback.topk_indices(_container(2, good), k)
     with pytest.raises(TypeError):
-        compiled.topk_indices(scores, 1.5)
-    with pytest.raises(TypeError):
-        compiled.new_scores(2.0)
+        compiled.topk_indices(_container(2, good), 1.5)
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
@@ -231,9 +240,9 @@ def test_negative_document_index_is_rejected(backend, request):
     """A document index below 0 is an IndexError, never a write through
     Python's wrap-around to the last document."""
     kernels = fallback if backend == "pure" else request.getfixturevalue("compiled")
-    scores = kernels.new_scores(2)
-    with pytest.raises(IndexError):
-        kernels.bm25_accumulate(scores, array("i", [-1]), array("d", [1.0]), 1.0)
+    scores = fallback.new_scores(2)
+    with pytest.raises(IndexError):  # and records nothing
+        fallback.bm25_accumulate(scores, array("i", [-1]), array("d", [1.0]), 1.0)
     assert _selected(kernels, scores, 2) == []
     weights = array("d", [1.0])
     with pytest.raises(IndexError):
@@ -252,7 +261,7 @@ def test_bm25_accumulate_matches_direct_formula():
     scores = fallback.new_scores(3)
     fallback.bm25_accumulate(scores, array("i", [2]), array("d", [0.25]), 0.25)
     fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts, max(impacts))
-    selected = [(i, scores[i]) for i in fallback.topk_indices(scores, 3)]
+    selected = fallback.topk_indices(scores, 3)
     assert selected == [(0, expect0), (2, 0.25 + expect2)]  # document 1 scores 0
 
 
@@ -298,29 +307,35 @@ def test_topk_indices_equals_full_sort():
         docs = len(scores)
         for topk in (1, 2, 3, 5, docs, docs + 7):
             expected = _full_sort_topk(scores, topk)
-            assert [(i, container[i]) for i in fallback.topk_indices(container, topk)] == [
-                (i, scores[i]) for i in expected]
+            assert fallback.topk_indices(container, topk) == [(i, scores[i]) for i in expected]
     for scores, topk, expected in [([0.0, 0.0], 3, []), ([0.0, -0.0, -0.0], 1, []),
                                    ([1.0, 2.0, 2.0, 2.0, 0.0], 2, [1, 2]), ([], 4, [])]:
-        assert fallback.topk_indices(_pure_scores(scores, rng), topk) == expected
+        assert [i for i, _ in fallback.topk_indices(_pure_scores(scores, rng), topk)] == expected
 
 
-def test_topk_indices_compiled_equals_pure(compiled):
-    """The compiled selection over raw scores, against the full sort that the
-    pure selection's tests hold it to."""
+def _one_term(scores):
+    """A container whose one term, in every document, gives each its score."""
+    container = fallback.new_scores(len(scores))
+    fallback.bm25_accumulate(container, array("i", range(len(scores))), array("d", scores),
+                             max(scores, default=0.0))
+    return container
+
+
+def test_topk_indices_on_one_term_equals_full_sort(compiled):
+    """Both selections over a single term's raw scores, against the full
+    sort: ties at the k-th score, all zeros, fewer positive scores than k, k
+    past the size, negative zero, the smallest subnormal and infinity."""
     rng = random.Random(41)
-    for case in range(600):
-        scores = _random_scores(rng, case)
+    cases = [_random_scores(rng, case) for case in range(600)]
+    cases += [[], [0.0], [-0.0, 0.0, -0.0], [0.0, 5e-324, -5e-324], [float("inf"), 1.0],
+              [1.0, 2.0, 2.0, 2.0, 0.0], [3.0] * 9]
+    for scores in cases:
+        container = _one_term(scores)
         docs = len(scores)
-        for topk in (1, 2, 3, 5, docs - 1, docs, docs + 7, 2**40):
-            if topk < 1:
-                continue
-            expected = _full_sort_topk(scores, topk)
-            assert compiled.topk_indices(array("d", scores), topk) == expected
-    for scores in ([], [0.0], [-0.0, 0.0, -0.0], [0.0, 5e-324, -5e-324], [float("inf"), 1.0],
-                   [1.0, 2.0, 2.0, 2.0, 0.0], [3.0] * 9):
-        for topk in (1, 2, 3, 20):
-            assert compiled.topk_indices(array("d", scores), topk) == _full_sort_topk(scores, topk)
+        for topk in {1, 2, 3, 5, 20, docs - 1, docs, docs + 7, 2**40} - {-1, 0}:
+            expected = [(i, scores[i]) for i in _full_sort_topk(scores, topk)]
+            assert compiled.topk_indices(container, topk) == expected
+            assert fallback.topk_indices(container, topk) == expected
 
 
 def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
@@ -334,7 +349,7 @@ def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
     store = CorpusStore(Passage(id=pid, text=text) for pid, text in texts.items())
     queries = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 5))) for _ in range(40)]
     for kernels in (fallback, compiled):
-        for name in ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices"):
+        for name in ("bm25_impacts", "topk_indices"):
             monkeypatch.setattr(retrieval, name, getattr(kernels, name))
         index = retrieval.LexicalIndex(store)
         for query in queries + ["absent", "w1 w1 w2"]:
@@ -343,7 +358,7 @@ def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
 
 
 def _use_pure_kernels(monkeypatch):
-    for name in ("new_scores", "bm25_impacts", "bm25_accumulate", "topk_indices"):
+    for name in ("bm25_impacts", "topk_indices"):
         monkeypatch.setattr(retrieval, name, getattr(fallback, name))
 
 
@@ -388,7 +403,7 @@ def test_pure_selection_keeps_a_tie_that_rounding_splits():
     scores = fallback.new_scores(100)
     for impacts in ([0.2, 0.1], [0.3, 0.3], [0.6, 0.7]):
         fallback.bm25_accumulate(scores, array("i", [0, 1]), array("d", impacts), max(impacts))
-    assert [(i, scores[i]) for i in fallback.topk_indices(scores, 1)] == [(0, 1.1)]
+    assert fallback.topk_indices(scores, 1) == [(0, 1.1)]
 
 
 class _Unreadable(array):

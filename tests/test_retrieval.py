@@ -53,6 +53,15 @@ def test_empty_corpus_rejected():
         LexicalIndex(CorpusStore())
 
 
+def test_index_without_any_token_returns_no_hits():
+    """No passage holds an ascii letter or digit: the index has no postings,
+    and every retrieval returns no hits."""
+    index = LexicalIndex(_store({"p1": "日本語のテキスト", "p2": "!!! ???"}))
+    for query in ("テキスト", "text p1", "!!!", ""):
+        assert index.retrieve(query, 3) == ()
+    assert index._built == {}
+
+
 def test_ranking_matches_oracle_small():
     texts = {
         "p1": "the cat sat on the mat",

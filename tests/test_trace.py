@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from contregen.cli import dispatch
 from contregen.errors import ConfigError, DataError
 from contregen.llm import LlmCall
 from contregen.retrieval import RetrievalCall
@@ -50,6 +51,20 @@ def test_load_config_unknown_key(tmp_path):
         load_config(str(config_path))
     with pytest.raises(ConfigError, match="unknown config keys"):
         load_config(None, {"fixtures_path": "f.json", "nope": 2})
+
+
+def test_load_config_non_string_key(tmp_path, capsys):
+    """A YAML key that is not a string is an unknown key like any other."""
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text("1: 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^unknown config keys: 1$"):
+        load_config(str(config_path))
+    config_path.write_text("fixtures_path: f.json\nzz: 1\n1: 2\nnull: 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^unknown config keys: 1, None, zz$"):
+        load_config(str(config_path))
+    config_path.write_text("1: 2\n", encoding="utf-8")
+    assert dispatch(["run", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: 1\n"
 
 
 def test_load_config_missing_or_malformed_file(tmp_path):
