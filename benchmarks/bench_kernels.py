@@ -32,9 +32,9 @@ def _time(fn, repeats: int = 3) -> float:
 def bench_bm25(docs: int, dfs: tuple[int, ...], k: int, seed: int = 7):
     """The BM25 kernels: the impacts an index build computes for every term,
     and one retrieval of a Zipf-shaped query, one term in nearly every
-    document plus rarer ones: new_scores and bm25_accumulate per term record
-    the query in the container both backends share, and each backend's
-    topk_indices scores it and returns the k best (index, score) pairs."""
+    document plus rarer ones: each backend's topk_indices(terms, n, k) takes
+    the query's (doc_indices, impacts, bound) tuples, scores them and returns
+    the k best (index, score) pairs."""
     rng = random.Random(seed)
     doc_lens = [rng.randint(20, 400) for _ in range(docs)]
     avgdl = sum(doc_lens) / docs
@@ -58,10 +58,7 @@ def bench_bm25(docs: int, dfs: tuple[int, ...], k: int, seed: int = 7):
              for (doc_idx, _tfs, _idf), term_impacts in zip(postings, impacts(fallback))]
 
     def retrieve(kernels):
-        scores = fallback.new_scores(docs)
-        for term in terms:
-            fallback.bm25_accumulate(scores, *term)
-        return [(i, score.hex()) for i, score in kernels.topk_indices(scores, k)]
+        return [(i, score.hex()) for i, score in kernels.topk_indices(terms, docs, k)]
 
     results = {
         "bm25_impacts": {"pure": _time(lambda: impacts(fallback))},
@@ -95,8 +92,7 @@ def main() -> None:
     bm25 = bench_bm25(docs=50_000, dfs=dfs, k=10)
     print(f"bm25_impacts (50k docs, terms in {', '.join(map(str, dfs))} of them):")
     _report(bm25["bm25_impacts"])
-    print("retrieve, top 10 of the same terms as one query "
-          "(new_scores, bm25_accumulate, each backend's topk_indices):")
+    print("retrieve, top 10 of the same terms as one query (each backend's topk_indices):")
     _report(bm25["retrieve"])
     lcs = bench_lcs(length=2_000, vocab=200)
     print("lcs_length (2000 x 2000 tokens):")

@@ -3,14 +3,14 @@
  *
  * BM25 is split between index build and query time. At build, bm25_impacts
  * turns each posting's term frequency, in place, into its score contribution,
- * from its term's idf and its document's length normalization. At query time
- * the container that fallback.py's new_scores makes records each term's
- * stored impacts (bm25_accumulate), and topk_indices adds them all, in query
- * order, into a zeroed buffer of its own, then picks the best k documents in
- * one pass with a k-sized heap. Each term's largest impact, recorded beside
- * it, lets the pure backend prune; this one ignores it: at 50k documents the
- * exhaustive pass here takes about 0.2 ms a retrieval, pruning driven from
- * Python several times that.
+ * from its term's idf and its document's length normalization. A query is one
+ * call, topk_indices(terms, n, k), on plain data: each query term's (document
+ * indices, impacts, bound) tuple and the document count. It adds every
+ * term's impacts, in query order, into a zeroed buffer of n of its own, then
+ * picks the best k documents in one pass with a k-sized heap. Each term's
+ * bound, its largest impact, lets the pure backend prune; this one ignores
+ * it: at 50k documents the exhaustive pass here takes about 0.2 ms a
+ * retrieval, pruning driven from Python several times that.
  *
  * The arithmetic here must stay expression-for-expression identical to
  * contregen/_kernels/fallback.py: rankings are verified bit-exactly against a
@@ -21,8 +21,9 @@
  *
  * Arguments arrive through the buffer protocol (array("d") / array("i") or any
  * C-contiguous buffer of the same item type). Every document index is checked
- * against the buffer it addresses before anything is written through it, so a
- * rejected call leaves its output untouched.
+ * against the buffer it addresses before anything is written through it.
+ * bm25_impacts checks them all first, so a rejected call leaves the caller's
+ * array untouched; topk_indices checks each as it adds, into its own buffer.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -51,12 +52,12 @@ get_buffer(PyObject *obj, Py_buffer *view, char type, int writable,
     return 0;
 }
 
-/* 0 if every doc[i] lies in [0, limit); otherwise IndexError naming the first
- * that does not. The scan has no branch but its loop's: a test that exits
+/* 0 if every doc[i] lies in [0, limit), limit being the length of doc_norms;
+ * otherwise IndexError naming the first that does not. The scan has no branch but its loop's: a test that exits
  * early made the check's speed swing with where the compiler placed it. A
  * negative index, cast to unsigned, lies past any limit an int can reach. */
 static int
-check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
+check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit)
 {
     unsigned int end = limit > INT_MAX ? (unsigned int)INT_MAX + 1u : (unsigned int)limit;
     unsigned int bad = 0;
@@ -67,8 +68,8 @@ check_indices(const int *doc, Py_ssize_t n, Py_ssize_t limit, const char *what)
     Py_ssize_t i = 0;
     while ((unsigned int)doc[i] < end)
         i++;
-    PyErr_Format(PyExc_IndexError, "document index %d out of range (%s %zd)",
-                 doc[i], what, limit);
+    PyErr_Format(PyExc_IndexError, "document index %d out of range (doc_norms %zd)",
+                 doc[i], limit);
     return -1;
 }
 
@@ -105,7 +106,7 @@ bm25_impacts(PyObject *module, PyObject *args)
     double *weight = (double *)weights.buf;
     const int *doc = (const int *)indices.buf;
     const double *norm = (const double *)norms.buf;
-    if (check_indices(doc, n, norms.shape[0], "doc_norms") < 0)
+    if (check_indices(doc, n, norms.shape[0]) < 0)
         goto release_norms;
     double k1_plus_1 = k1 + 1.0;
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -169,18 +170,21 @@ sift_down(scored *heap, Py_ssize_t size, Py_ssize_t at)
     heap[at] = item;
 }
 
-/* Add each recorded term's impacts into score[0..n), in query order. A term's
- * indices are all checked before any is added through. */
+/* Add each term's impacts into score[0..n), in query order, checking each
+ * index as it goes: score is the caller's scratch buffer, so what a rejected
+ * term already added is thrown away with it. */
 static int
 scatter_terms(PyObject *terms, double *score, Py_ssize_t n)
 {
+    /* a negative index, cast to unsigned, lies past any n an int can reach */
+    unsigned int end = n > INT_MAX ? (unsigned int)INT_MAX + 1u : (unsigned int)n;
     for (Py_ssize_t t = 0; t < PyTuple_GET_SIZE(terms); t++) {
         PyObject *term = PyTuple_GET_ITEM(terms, t);
         PyObject *indices_obj, *impacts_obj;
         double bound;  /* parsed so that a bad one fails here too; unused */
         /* a tuple's items, borrowed here, live as long as it does */
         if (!PyTuple_Check(term)) {
-            PyErr_SetString(PyExc_TypeError, "a recorded term must be a tuple");
+            PyErr_SetString(PyExc_TypeError, "a term must be a tuple");
             return -1;
         }
         if (!PyArg_Parse(term, "(OOd)", &indices_obj, &impacts_obj, &bound))
@@ -198,10 +202,15 @@ scatter_terms(PyObject *terms, double *score, Py_ssize_t n)
         const double *impact = (const double *)impacts.buf;
         if (impacts.shape[0] != m)
             PyErr_SetString(PyExc_ValueError, "doc_indices and impacts differ in length");
-        else if (check_indices(doc, m, n, "scores") == 0) {
-            for (Py_ssize_t i = 0; i < m; i++)
+        else {
+            Py_ssize_t i = 0;
+            for (; i < m && (unsigned int)doc[i] < end; i++)
                 score[doc[i]] += impact[i];
-            status = 0;
+            if (i == m)
+                status = 0;
+            else
+                PyErr_Format(PyExc_IndexError,
+                             "document index %d out of range (scores %zd)", doc[i], n);
         }
         PyBuffer_Release(&impacts);
         PyBuffer_Release(&indices);
@@ -255,33 +264,28 @@ select_topk(const double *score, Py_ssize_t n, Py_ssize_t k)
 }
 
 PyDoc_STRVAR(topk_indices_doc,
-"topk_indices(scores, k)\n--\n\n"
-"(index, score) pairs of the k highest positive scores, ordered by\n"
-"(-score, index), of the terms bm25_accumulate recorded in scores.");
+"topk_indices(terms, n, k)\n--\n\n"
+"(index, score) pairs of the k highest positive scores over n documents,\n"
+"ordered by (-score, index), of the query terms in terms: a sequence of\n"
+"(doc_indices, impacts, bound) tuples, added in query order.");
 
 static PyObject *
 topk_indices(PyObject *module, PyObject *args)
 {
-    PyObject *container;
-    Py_ssize_t k;
-    if (!PyArg_ParseTuple(args, "On:topk_indices", &container, &k))
+    PyObject *terms_obj;
+    Py_ssize_t n, k;
+    if (!PyArg_ParseTuple(args, "Onn:topk_indices", &terms_obj, &n, &k))
         return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "n must be >= 0");
+        return NULL;
+    }
     if (k < 1) {
         PyErr_SetString(PyExc_ValueError, "k must be >= 1");
         return NULL;
     }
-    PyObject *size = PyObject_GetAttrString(container, "size");
-    Py_ssize_t n = size == NULL ? -1 : PyNumber_AsSsize_t(size, PyExc_OverflowError);
-    Py_XDECREF(size);
-    if (n < 0) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_ValueError, "size must be >= 0");
-        return NULL;
-    }
     /* a copy: nothing a buffer export runs can change the terms under the loop */
-    PyObject *recorded = PyObject_GetAttrString(container, "terms");
-    PyObject *terms = recorded == NULL ? NULL : PySequence_Tuple(recorded);
-    Py_XDECREF(recorded);
+    PyObject *terms = PySequence_Tuple(terms_obj);
     if (terms == NULL)
         return NULL;
 

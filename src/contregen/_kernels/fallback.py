@@ -1,12 +1,11 @@
-"""Pure-Python kernels, and the query score container both backends share.
+"""Pure-Python kernels: ``bm25_impacts``, ``topk_indices`` and ``lcs_length``.
 
-``bm25_impacts``, ``topk_indices`` and ``lcs_length`` have compiled twins in
-``_core.c`` with the same signatures and bit-identical results:
-``bm25_impacts`` keeps the compiled IEEE-double operation order, and every
-score ``topk_indices`` returns is the query-order sum the compiled scatter
-makes. ``new_scores`` and ``bm25_accumulate`` exist only here: the
-``DeferredScores`` container records a query's terms, and the active
-backend's ``topk_indices`` scores them. The compiled one adds every posting;
+Each has a compiled twin in ``_core.c`` with the same signature and
+bit-identical results: ``bm25_impacts`` keeps the compiled IEEE-double
+operation order, and every score ``topk_indices`` returns is the query-order
+sum the compiled scatter makes. A retrieval is one ``topk_indices(terms, n,
+k)`` call on plain data: its query terms as (document indices, impacts,
+bound) tuples and the document count. The compiled one adds every posting;
 this one uses exact MaxScore pruning (Turtle & Flood, 1995): it skips the
 postings of the terms whose largest impacts cannot lift a passage into the
 top k, which in Python costs far less than adding them all.
@@ -44,39 +43,6 @@ def bm25_impacts(weights: array, doc_indices: array, doc_norms: array,
     k1_plus_1 = k1 + 1.0
     weights[:] = array("d", [idf * (tf * k1_plus_1 / (tf + doc_norms[d]))
                              for d, tf in zip(doc_indices, weights)])
-
-
-class DeferredScores:
-    """A query's score container over ``size`` documents: the terms
-    ``bm25_accumulate`` recorded, in query order, as (document indices,
-    impacts, bound). Nothing is scored until ``topk_indices`` reads them."""
-
-    __slots__ = ("size", "terms")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.terms: list[tuple[array, array, float]] = []
-
-
-def new_scores(n: int) -> DeferredScores:
-    """An empty score container for n documents, as bm25_accumulate fills it."""
-    return DeferredScores(n)
-
-
-def bm25_accumulate(scores: DeferredScores, doc_indices: array, impacts: array,
-                    bound: float) -> None:
-    """Record one query term: its postings' documents and precomputed impacts.
-
-    ``doc_indices`` must ascend (the index build appends documents in order)
-    and ``bound`` must be ``max(impacts)``. Only the first and last index are
-    checked against the container's size here, in O(1); the compiled
-    ``topk_indices`` checks every index before it adds any.
-    """
-    if len(impacts) != len(doc_indices):
-        raise ValueError("doc_indices and impacts differ in length")
-    if doc_indices and (doc_indices[0] < 0 or doc_indices[-1] >= scores.size):
-        raise IndexError(f"document index out of range (scores {scores.size})")
-    scores.terms.append((doc_indices, impacts, bound))
 
 
 def _scatter(terms: list, size: int) -> list[float]:
@@ -165,9 +131,14 @@ def _select(acc: list[float], k: int) -> list[int]:
     return [d for d, s in enumerate(acc) if s > 0.0]
 
 
-def topk_indices(scores: DeferredScores, k: int) -> list[tuple[int, float]]:
-    """(index, score) pairs of the k highest positive scores, ordered by
-    (-score, index).
+def topk_indices(terms: list, n: int, k: int) -> list[tuple[int, float]]:
+    """(index, score) pairs of the k highest positive scores over n documents,
+    ordered by (-score, index), of the query terms in ``terms``.
+
+    ``terms`` holds one (document indices, impacts, bound) tuple per query
+    term, in query order; the indices ascend and bound is the largest impact.
+    Unequal lengths are a ValueError, and a first index below 0 or a last at
+    or past n an IndexError; the compiled kernel checks every index.
 
     Every returned score is the exact query-order sum; pruning only decides
     which documents get one. Exactness rests on three facts. Every impact is
@@ -184,16 +155,22 @@ def topk_indices(scores: DeferredScores, k: int) -> list[tuple[int, float]]:
     many documents cannot be skipped, that scatter scores every document and
     selection reads it, as without pruning.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms = scores.terms
+    for doc_indices, impacts, _ in terms:
+        if len(impacts) != len(doc_indices):
+            raise ValueError("doc_indices and impacts differ in length")
+        if doc_indices and (doc_indices[0] < 0 or doc_indices[-1] >= n):
+            raise IndexError(f"document index out of range (scores {n})")
     postings = sum(len(doc_indices) for doc_indices, _, _ in terms)
-    candidates = _candidates(terms, k, scores.size)
+    candidates = _candidates(terms, k, n)
     if candidates is None:
-        exact = _scatter(terms, scores.size)
+        exact = _scatter(terms, n)
         candidates = _select(exact, k)
     elif _BISECT_COST * len(candidates) * len(terms) > postings:  # lookups cost more
-        exact = _scatter(terms, scores.size)
+        exact = _scatter(terms, n)
     else:
         exact = {d: _exact(terms, d) for d in candidates}
     # a stable sort keeps equal scores in ascending index order

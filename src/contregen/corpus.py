@@ -214,8 +214,10 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
 
     Two record shapes are accepted: ``{"title", "summary", "methods": [{"title",
     "steps"}]}`` and the single-method ``{"title", "summary", "steps": [...]}``,
-    which becomes one method titled as the article. An optional ``id`` field
-    overrides the positional article id.
+    which becomes one method titled as the article. An optional ``id`` field, a
+    string or an integer, overrides the positional article id. Every title,
+    summary and step must be a string; any other value is a DataError naming
+    the record.
     """
     try:
         array = read_json(path, "input file")
@@ -229,17 +231,24 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
     for where, obj in records:
         if not isinstance(obj, dict):
             raise DataError(f"{where}: record must be a JSON object")
-        title = str(obj.get("title", ""))
-        summary = str(obj.get("summary", ""))
+        title, summary = obj.get("title", ""), obj.get("summary", "")
         raw_methods = obj.get("methods", [{"title": title, "steps": obj.get("steps", [])}])
         if not isinstance(raw_methods, list) or not all(isinstance(m, dict) for m in raw_methods):
             raise DataError(f"{where}: methods must be a list of objects")
-        if not all(isinstance(m.get("steps", []), list) for m in raw_methods):
-            raise DataError(f"{where}: steps must be a list")
-        methods = [(str(m.get("title", title)), [str(s) for s in m.get("steps", [])])
-                   for m in raw_methods]
+        methods = [(m.get("title", title), m.get("steps", [])) for m in raw_methods]
+        if not all(isinstance(steps, list) and all(isinstance(step, str) for step in steps)
+                   for _, steps in methods):
+            raise DataError(f"{where}: steps must be a list of strings")
+        for name, value in (("title", title), ("summary", summary),
+                            *(("method title", method_title) for method_title, _ in methods)):
+            if not isinstance(value, str):
+                raise DataError(f"{where}: {name} must be a string")
+        try:
+            article_id = id_text(obj["id"]) if "id" in obj else None
+        except ValueError:
+            raise DataError(f"{where}: id must be a string or an integer") from None
         dumps.append(ArticleDump(title=title, summary=summary, methods=methods,
-                                 article_id=str(obj["id"]) if "id" in obj else None))
+                                 article_id=article_id))
     return dumps
 
 

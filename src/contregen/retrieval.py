@@ -10,11 +10,12 @@ from the cache builds none. The build appends each posting's term frequency
 to its term's arrays, then ``bm25_impacts`` turns it in place into its BM25
 impact, its whole contribution to its document's score, so a retrieval only
 adds stored impacts; each term also keeps its largest impact, its bound. A
-retrieval records its terms in one score container (``new_scores``,
-``bm25_accumulate``), and the active kernel backend's ``topk_indices``
-(``contregen._kernels``) scores them and returns (index, score) pairs: the
-compiled one adds every posting, the pure one lets the bounds skip the terms
-that cannot change the top k. Both return the same hits and scores.
+retrieval gathers its terms' (document indices, impacts, bound) tuples in a
+plain list and makes one call to the active kernel backend's
+``topk_indices(terms, n, k)`` (``contregen._kernels``), which scores them and
+returns (index, score) pairs: the compiled one adds every posting, the pure
+one lets the bounds skip the terms that cannot change the top k. Both return
+the same hits and scores.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
-from contregen._kernels import bm25_accumulate, bm25_impacts, new_scores, topk_indices
+from contregen._kernels import bm25_impacts, topk_indices
 from contregen.backend_io import JsonlCache, post_with_retries
 from contregen.corpus import CorpusStore, id_text
 from contregen.errors import DataError, RetrieverUnavailableError
@@ -52,6 +53,13 @@ def tokenize(text: str) -> list[str]:
 def normalize_query(query_text: str, case_sensitive: bool = False) -> str:
     """Cache normalization: strip, collapse whitespace, lowercase unless case_sensitive."""
     return " ".join((query_text if case_sensitive else query_text.lower()).split())
+
+
+def bm25_accumulate(terms: list, doc_indices: array, impacts: array, bound: float) -> None:
+    """Append one query term to the terms a retrieval scores. A call of its own
+    only because perfbench/tracer.py times it as the ``kernels.bm25`` layer;
+    once that times ``topk_indices`` (ROADMAP item 1), a comprehension does."""
+    terms.append((doc_indices, impacts, bound))
 
 
 # A retrieval's result: (passage id, score) pairs, best first.
@@ -161,12 +169,13 @@ class LexicalIndex:
             if self._built is None:
                 self._built = self._build()
         postings = self._built
-        scores = new_scores(self.doc_count)
+        terms: list[tuple[array, array, float]] = []
         for term in dict.fromkeys(tokenize(query_text)):
             bucket = postings.get(term)
             if bucket is not None:
-                bm25_accumulate(scores, *bucket)
-        return tuple((self.doc_ids[i], score) for i, score in topk_indices(scores, topk))
+                bm25_accumulate(terms, *bucket)
+        return tuple((self.doc_ids[i], score)
+                     for i, score in topk_indices(terms, self.doc_count, topk))
 
 
 class RemoteRetriever:

@@ -8,18 +8,66 @@ is asserted here at import of the fixture, not just assumed.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import random
 import re
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
 import threading
+from pathlib import Path
 
 import pytest
 
+from contregen import _kernels, retrieval
+from contregen._kernels import fallback
 from contregen.corpus import CorpusStore, Passage, QueryRecord
 from contregen.retrieval import tokenize
 from contregen.verifier import parse_yes_no
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernels, built from ``_core.c`` into a temporary directory.
+
+    Built with the interpreter's own compile and link flags plus the flags
+    setup.py adds, with every warning an error, and loaded from there without
+    touching ``sys.modules``, so no extension lands in the source tree to
+    switch the active backend.
+    """
+    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    include = sysconfig.get_paths()["include"]
+    if not link or shutil.which(link[0]) is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    if not Path(include, "Python.h").is_file():
+        pytest.skip("no Python.h to build the compiled kernels")
+    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [*link, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
+           *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+           "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+           f"-I{include}", str(Path(_kernels.__file__).with_name("_core.c")), "-o", str(out)]
+    build = subprocess.run(cmd, capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("_core", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernels(request, monkeypatch):
+    """One kernel backend, pure or compiled (skipped without a compiler), with
+    ``contregen.retrieval`` running its ``bm25_impacts`` and ``topk_indices``
+    for the test's duration."""
+    module = fallback if request.param == "pure" else request.getfixturevalue("compiled")
+    for name in ("bm25_impacts", "topk_indices"):
+        monkeypatch.setattr(retrieval, name, getattr(module, name))
+    return module
+
 
 ROOT_QUERY = "how to detect hidden cameras and microphones"
 

@@ -84,7 +84,7 @@ def test_criterion_1_tree_invariants_hold_on_randomized_builds():
     _verdict(1, "tree invariants, 1000 randomized builds", started, 10.0)
 
 
-def test_criterion_2_retrieval_matches_exhaustive_oracle():
+def test_criterion_2_retrieval_matches_exhaustive_oracle(kernels):
     master = random.Random(31_337)
     vocab = ["ant", "bat", "cat", "dot", "eel", "fig", "gem", "hat",
              "ink", "jar", "key", "log"]

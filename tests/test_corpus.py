@@ -121,6 +121,9 @@ def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
     queries.write_text(json.dumps({"id": 1, "query": "x", "gold_ids": [7, "p2"]}) + "\n")
     (record,) = load_queries(queries)
     assert (record.id, record.gold_ids) == ("1", frozenset({"7", "p2"}))
+    articles = tmp_path / "articles.jsonl"
+    articles.write_text(json.dumps({"id": 7, "title": "t", "steps": ["s"]}) + "\n")
+    assert load_article_dumps(articles)[0].article_id == "7"
 
 
 @pytest.mark.parametrize("field, value, reason", [
@@ -187,6 +190,30 @@ def test_load_article_dumps_both_shapes(tmp_path):
     jsonl.write_text("\n".join(json.dumps(a) for a in [
         _article("art1", "fix a bike", 2, 2)]))
     assert load_article_dumps(jsonl)[0].title == "fix a bike"
+
+
+_ARTICLE = {"id": "a1", "title": "how to x", "summary": "s", "steps": ["step one text"]}
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    *(("id", value, "id must be a string or an integer")
+      for value in (None, True, 1.5, ["a1"], {"a": 1})),
+    *(("title", value, "title must be a string") for value in (None, 5, ["t"])),
+    *(("summary", value, "summary must be a string") for value in (None, 5, False)),
+    *(("steps", value, "steps must be a list of strings")
+      for value in ("one long step", [None], ["step one", 5], [["step"]])),
+    ("methods", [{"title": None, "steps": ["x"]}], "method title must be a string"),
+    ("methods", [{"title": "m", "steps": ["x", 2.5]}], "steps must be a list of strings"),
+])
+def test_load_article_dumps_rejects_a_badly_typed_field(field, value, reason, tmp_path):
+    """An article field of the wrong type is a data error naming the record,
+    never text made of its Python repr (an id of null once became passage
+    None:0:0)."""
+    path = tmp_path / "articles.jsonl"
+    path.write_text(json.dumps(_ARTICLE) + "\n" + json.dumps({**_ARTICLE, field: value}) + "\n")
+    with pytest.raises(DataError) as err:
+        load_article_dumps(path)
+    assert str(err.value) == f"{path}:2: {reason}"
 
 
 def test_build_wikihow_ids_and_facets():

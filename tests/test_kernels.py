@@ -1,11 +1,6 @@
-import importlib.util
 import inspect
 import random
 import re
-import shlex
-import shutil
-import subprocess
-import sysconfig
 from array import array
 from pathlib import Path
 
@@ -26,34 +21,6 @@ _CORE_SOURCE = Path(_kernels.__file__).with_name("_core.c")
 K1, B = 1.2, 0.75
 
 
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled kernels, built from ``_core.c`` into a temporary directory.
-
-    Built with the interpreter's own compile and link flags plus the flags
-    setup.py adds, with every warning an error, and loaded from there without
-    touching ``sys.modules``, so no extension lands in the source tree to
-    switch the active backend.
-    """
-    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
-    include = sysconfig.get_paths()["include"]
-    if not link or shutil.which(link[0]) is None:
-        pytest.skip("no C compiler to build the compiled kernels")
-    if not Path(include, "Python.h").is_file():
-        pytest.skip("no Python.h to build the compiled kernels")
-    out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [*link, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
-           *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-           "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
-           f"-I{include}", str(_CORE_SOURCE), "-o", str(out)]
-    build = subprocess.run(cmd, capture_output=True, text=True)
-    assert build.returncode == 0, build.stderr
-    spec = importlib.util.spec_from_file_location("_core", out)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _norms(doc_lens, avgdl):
     return array("d", [K1 * (1.0 - B + B * (dl / avgdl)) for dl in doc_lens])
 
@@ -72,7 +39,6 @@ def _random_term(rng, docs):
 
 
 _KERNELS = ("bm25_impacts", "topk_indices", "lcs_length")  # one per backend
-_SHARED = ("new_scores", "bm25_accumulate")  # the score container's, from fallback.py
 
 
 def test_backend_constant_matches_import():
@@ -80,14 +46,11 @@ def test_backend_constant_matches_import():
     assert _kernels.BACKEND == ("compiled" if _core is not None else "pure")
     for name in _KERNELS:
         assert getattr(_kernels, name) is getattr(active, name)
-    for name in (*_SHARED, "DeferredScores"):
-        assert getattr(_kernels, name) is getattr(fallback, name)
 
 
 def test_backends_export_the_same_kernels():
     """The compiled method table, read from source so that no compiler is
-    needed, names exactly the pure backend's kernels; the pure backend's
-    other public functions are the shared score container's."""
+    needed, names exactly the pure backend's public functions."""
     source = _CORE_SOURCE.read_text(encoding="utf-8")
     table = re.search(r"static PyMethodDef core_methods\[\] = \{(.*?)\n\};", source, re.S)
     compiled_names = re.findall(r'\{"(\w+)", (\w+), METH_VARARGS, (\w+)_doc\}', table.group(1))
@@ -97,8 +60,17 @@ def test_backends_export_the_same_kernels():
                   if inspect.isfunction(obj) and obj.__module__ == fallback.__name__
                   and not name.startswith("_")}
     assert {name for name, _, _ in compiled_names} == set(_KERNELS)
-    assert pure_names == {*_KERNELS, *_SHARED}
-    assert set(_kernels.__all__) == {"BACKEND", "DeferredScores", *_KERNELS, *_SHARED}
+    assert pure_names == set(_KERNELS)
+    assert set(_kernels.__all__) == {"BACKEND", *_KERNELS}
+
+
+def test_compiled_signatures_name_the_pure_parameters(compiled):
+    """Each compiled kernel's signature, which CPython reads from the head of
+    its PyDoc_STRVAR docstring, names its pure twin's parameters in order."""
+    for name in _KERNELS:
+        assert getattr(compiled, name).__text_signature__ is not None, name
+        assert (list(inspect.signature(getattr(compiled, name)).parameters)
+                == list(inspect.signature(getattr(fallback, name)).parameters)), name
 
 
 def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
@@ -108,9 +80,9 @@ def _impacts(kernels, doc_idx, tfs, doc_norms, idf):
     return weights
 
 
-def _selected(kernels, scores, k):
+def _selected(kernels, terms, n, k):
     """What a retrieval reads: the top-k indices and their scores, bit for bit."""
-    return [(i, score.hex()) for i, score in kernels.topk_indices(scores, k)]
+    return [(i, score.hex()) for i, score in kernels.topk_indices(terms, n, k)]
 
 
 def test_compiled_topk_bitwise_equals_pure_on_one_container(compiled):
@@ -118,27 +90,21 @@ def test_compiled_topk_bitwise_equals_pure_on_one_container(compiled):
     for _ in range(100):
         doc_norms = _random_norms(rng)
         docs = len(doc_norms)
-        scores = fallback.new_scores(docs)  # the container both backends read
-        assert _selected(compiled, scores, docs) == _selected(fallback, scores, docs) == []
-        # record several terms so rounding differences would compound
+        terms = []  # the one terms list both backends read
+        assert (_selected(compiled, terms, docs, docs) == _selected(fallback, terms, docs, docs)
+                == [])
+        # several terms, so that rounding differences would compound
         for _term in range(rng.randint(1, 5)):
             doc_idx, tfs, idf = _random_term(rng, docs)
             impacts = _impacts(compiled, doc_idx, tfs, doc_norms, idf)
             assert impacts.tobytes() == _impacts(fallback, doc_idx, tfs, doc_norms, idf).tobytes()
-            fallback.bm25_accumulate(scores, doc_idx, impacts, max(impacts))
+            terms.append((doc_idx, impacts, max(impacts)))
         for k in (1, 3, docs, docs + 2):
-            assert _selected(compiled, scores, k) == _selected(fallback, scores, k)
+            assert _selected(compiled, terms, docs, k) == _selected(fallback, terms, docs, k)
     for _ in range(100):
         left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         right = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
         assert compiled.lcs_length(left, right) == fallback.lcs_length(left, right)
-
-
-def _container(size, *terms):
-    """A score container holding terms as given, past bm25_accumulate's checks."""
-    scores = fallback.new_scores(size)
-    scores.terms.extend(terms)
-    return scores
 
 
 def test_compiled_kernels_reject_bad_buffers(compiled):
@@ -146,7 +112,8 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
     weights = array("d", [7.0, 7.0, 7.0])  # term frequencies, or impacts to add
     three = array("i", [1, 1, 1])
     good = (array("i", [1]), array("d", [0.5]), 0.5)
-    # an out-of-range index anywhere in the postings writes nothing at all
+    # an out-of-range index anywhere in the postings is rejected; bm25_impacts
+    # writes nothing, topk_indices drops the buffer it added into
     for bad in (2, -1, 2**31 - 1, -2**31):
         for where in range(3):
             doc_idx = array("i", [0, 1, 1])
@@ -156,30 +123,28 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
             with pytest.raises(IndexError, match=message.format("doc_norms")):
                 compiled.bm25_impacts(weights, doc_idx, norms, 1.0, K1)
             with pytest.raises(IndexError, match=message.format("scores")):
-                compiled.topk_indices(_container(2, good, (doc_idx, weights, 7.0)), 1)
+                compiled.topk_indices([good, (doc_idx, weights, 7.0)], 2, 1)
     with pytest.raises(IndexError):  # doc_norms shorter than the documents indexed
         compiled.bm25_impacts(weights, array("i", [0, 1, 1]), norms[:1], 1.0, K1)
     assert weights.tobytes() == array("d", [7.0, 7.0, 7.0]).tobytes()
-    # topk_indices checks the indices only against the container's size
-    assert compiled.topk_indices(_container(2, good, good), 2) == [(1, 1.0)]
-    for size, error in ((-1, ValueError), ("2", TypeError), (2.0, TypeError)):
-        with pytest.raises(error):
-            compiled.topk_indices(_container(size, good), 1)
-    with pytest.raises(AttributeError):  # a raw score array is no container
-        compiled.topk_indices(array("d", [1.0]), 1)
+    # topk_indices checks the indices only against n
+    assert compiled.topk_indices((good, good), 2, 2) == [(1, 1.0)]
+    for n in ("2", 2.0):
+        with pytest.raises(TypeError):
+            compiled.topk_indices([good], n, 1)
+    for terms in (array("d", [1.0]), 5):  # a raw score array is no terms sequence
+        with pytest.raises(TypeError):
+            compiled.topk_indices(terms, 1, 1)
     with pytest.raises(TypeError):  # the bound is a required number
-        compiled.topk_indices(_container(2, good[:2]), 1)
+        compiled.topk_indices([good[:2]], 2, 1)
     with pytest.raises(TypeError):
-        compiled.topk_indices(_container(2, (*good[:2], "0.5")), 1)
+        compiled.topk_indices([(*good[:2], "0.5")], 2, 1)
     for term in (list(good), 5):  # a term is a tuple
         with pytest.raises(TypeError):
-            compiled.topk_indices(_container(2, term), 1)
+            compiled.topk_indices([term], 2, 1)
 
-    two = array("i", [0, 1])
     with pytest.raises(ValueError):  # weights shorter than the postings
         compiled.bm25_impacts(weights[:2], array("i", [0, 1, 1]), norms, 1.0, K1)
-    with pytest.raises(ValueError):
-        compiled.topk_indices(_container(2, (two, weights, 7.0)), 1)
 
     with pytest.raises(TypeError):  # wrong item types
         compiled.bm25_impacts(weights, array("l", [0, 1, 1]), norms, 1.0, K1)
@@ -198,30 +163,40 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
                              ([0], array("d", [1.0])), (array("i", [0]), bytes(8)),
                              (array("i", [0, 1]), two_by_two)]:
         with pytest.raises(TypeError):
-            compiled.topk_indices(_container(2, (doc_idx, impacts, 1.0)), 1)
+            compiled.topk_indices([(doc_idx, impacts, 1.0)], 2, 1)
 
     with pytest.raises(BufferError):  # a read-only output
         compiled.bm25_impacts(bytes(24), three, norms, 1.0, K1)
     with pytest.raises(BufferError):  # not contiguous
-        compiled.topk_indices(_container(
-            2, (memoryview(array("i", [0, 1, 1]))[::2], array("d", [1.0, 2.0]), 2.0)), 1)
+        compiled.topk_indices(
+            [(memoryview(array("i", [0, 1, 1]))[::2], array("d", [1.0, 2.0]), 2.0)], 2, 1)
     with pytest.raises(TypeError):
         compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
-    for k in (0, -1, -2**40):
-        with pytest.raises(ValueError):
-            compiled.topk_indices(_container(2, good), k)
-        with pytest.raises(ValueError):
-            fallback.topk_indices(_container(2, good), k)
     with pytest.raises(TypeError):
-        compiled.topk_indices(_container(2, good), 1.5)
+        compiled.topk_indices([good], 2, 1.5)
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_rejected_bm25_impacts_leaves_the_term_frequencies(backend, request):
+def test_topk_indices_rejects_bad_terms_on_both_backends(kernels):
+    """What each backend rejects of a topk_indices call: a count below 0, k
+    below 1, postings of unequal lengths, and a first index below 0 or a last
+    one at or past n. A term's other indices only the compiled one checks."""
+    good = (array("i", [0, 1]), array("d", [0.5, 0.25]), 0.5)
+    for n, k in ((-1, 1), (2, 0), (2, -1), (2, -2**40)):
+        with pytest.raises(ValueError):
+            kernels.topk_indices([good], n, k)
+    with pytest.raises(ValueError):
+        kernels.topk_indices([good, (array("i", [0, 1]), array("d", [7.0] * 3), 7.0)], 2, 1)
+    for doc_idx in ([-1, 1], [-2**31, 0], [0, 2], [1, 2**31 - 1]):
+        with pytest.raises(IndexError, match=r"out of range \(scores 2\)$"):
+            kernels.topk_indices([good, (array("i", doc_idx), array("d", [1.0, 1.0]), 1.0)], 2, 1)
+    assert kernels.topk_indices([], 0, 1) == []
+    assert kernels.topk_indices((good,), 2, 5) == [(0, 0.5), (1, 0.25)]
+
+
+def test_rejected_bm25_impacts_leaves_the_term_frequencies(kernels):
     """However bm25_impacts rejects its postings, weights still holds the
     caller's term frequencies: nothing is written before every check passes."""
-    kernels = fallback if backend == "pure" else request.getfixturevalue("compiled")
     tfs = array("d", [3.0, 1.0, 2.0])
     norms = array("d", [1.0, 1.0])
     for error, doc_idx, doc_norms in [
@@ -235,15 +210,11 @@ def test_rejected_bm25_impacts_leaves_the_term_frequencies(backend, request):
         assert weights.tobytes() == tfs.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_negative_document_index_is_rejected(backend, request):
+def test_negative_document_index_is_rejected(kernels):
     """A document index below 0 is an IndexError, never a write through
     Python's wrap-around to the last document."""
-    kernels = fallback if backend == "pure" else request.getfixturevalue("compiled")
-    scores = fallback.new_scores(2)
-    with pytest.raises(IndexError):  # and records nothing
-        fallback.bm25_accumulate(scores, array("i", [-1]), array("d", [1.0]), 1.0)
-    assert _selected(kernels, scores, 2) == []
+    with pytest.raises(IndexError):
+        kernels.topk_indices([(array("i", [-1]), array("d", [1.0]), 1.0)], 2, 1)
     weights = array("d", [1.0])
     with pytest.raises(IndexError):
         kernels.bm25_impacts(weights, array("i", [-1]), array("d", [1.0, 1.0]), 1.0, K1)
@@ -258,10 +229,10 @@ def test_bm25_accumulate_matches_direct_formula():
     expect0 = 1.5 * ((3 * (K1 + 1.0)) / (3 + K1 * (1.0 - B + B * (10 / avgdl))))
     expect2 = 1.5 * ((1 * (K1 + 1.0)) / (1 + K1 * (1.0 - B + B * (30 / avgdl))))
     assert impacts.tolist() == [expect0, expect2]
-    scores = fallback.new_scores(3)
-    fallback.bm25_accumulate(scores, array("i", [2]), array("d", [0.25]), 0.25)
-    fallback.bm25_accumulate(scores, array("i", [0, 2]), impacts, max(impacts))
-    selected = fallback.topk_indices(scores, 3)
+    terms = []
+    retrieval.bm25_accumulate(terms, array("i", [2]), array("d", [0.25]), 0.25)
+    retrieval.bm25_accumulate(terms, array("i", [0, 2]), impacts, max(impacts))
+    selected = fallback.topk_indices(terms, 3, 3)
     assert selected == [(0, expect0), (2, 0.25 + expect2)]  # document 1 scores 0
 
 
@@ -285,40 +256,39 @@ def _random_scores(rng, case):
     return scores
 
 
-def _pure_scores(scores, rng):
-    """A pure score container holding scores: each positive one is its
-    document's impact in one of a few terms, so it is also its exact sum."""
-    container = fallback.new_scores(len(scores))
-    terms = {}
+def _split_terms(scores, rng):
+    """Terms over len(scores) documents that give each its score: each
+    positive one is its document's impact in one of a few terms, so it is
+    also its exact sum."""
+    docs_of = {}
     for d, score in enumerate(scores):
         if score > 0.0:
-            terms.setdefault(rng.randrange(3), []).append(d)
-    for docs in terms.values():
+            docs_of.setdefault(rng.randrange(3), []).append(d)
+    terms = []
+    for docs in docs_of.values():
         impacts = array("d", [scores[d] for d in docs])
-        fallback.bm25_accumulate(container, array("i", docs), impacts, max(impacts))
-    return container
+        terms.append((array("i", docs), impacts, max(impacts)))
+    return terms
 
 
 def test_topk_indices_equals_full_sort():
     rng = random.Random(3)
     for case in range(600):
         scores = _random_scores(rng, case)
-        container = _pure_scores(scores, rng)
+        terms = _split_terms(scores, rng)
         docs = len(scores)
         for topk in (1, 2, 3, 5, docs, docs + 7):
             expected = _full_sort_topk(scores, topk)
-            assert fallback.topk_indices(container, topk) == [(i, scores[i]) for i in expected]
+            assert fallback.topk_indices(terms, docs, topk) == [(i, scores[i]) for i in expected]
     for scores, topk, expected in [([0.0, 0.0], 3, []), ([0.0, -0.0, -0.0], 1, []),
                                    ([1.0, 2.0, 2.0, 2.0, 0.0], 2, [1, 2]), ([], 4, [])]:
-        assert [i for i, _ in fallback.topk_indices(_pure_scores(scores, rng), topk)] == expected
+        selected = fallback.topk_indices(_split_terms(scores, rng), len(scores), topk)
+        assert [i for i, _ in selected] == expected
 
 
 def _one_term(scores):
-    """A container whose one term, in every document, gives each its score."""
-    container = fallback.new_scores(len(scores))
-    fallback.bm25_accumulate(container, array("i", range(len(scores))), array("d", scores),
-                             max(scores, default=0.0))
-    return container
+    """One term, in every document, that gives each its score."""
+    return [(array("i", range(len(scores))), array("d", scores), max(scores, default=0.0))]
 
 
 def test_topk_indices_on_one_term_equals_full_sort(compiled):
@@ -330,12 +300,12 @@ def test_topk_indices_on_one_term_equals_full_sort(compiled):
     cases += [[], [0.0], [-0.0, 0.0, -0.0], [0.0, 5e-324, -5e-324], [float("inf"), 1.0],
               [1.0, 2.0, 2.0, 2.0, 0.0], [3.0] * 9]
     for scores in cases:
-        container = _one_term(scores)
+        terms = _one_term(scores)
         docs = len(scores)
         for topk in {1, 2, 3, 5, 20, docs - 1, docs, docs + 7, 2**40} - {-1, 0}:
             expected = [(i, scores[i]) for i in _full_sort_topk(scores, topk)]
-            assert compiled.topk_indices(container, topk) == expected
-            assert fallback.topk_indices(container, topk) == expected
+            assert compiled.topk_indices(terms, docs, topk) == expected
+            assert fallback.topk_indices(terms, docs, topk) == expected
 
 
 def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
@@ -357,11 +327,6 @@ def test_lexical_index_compiled_equals_pure(compiled, monkeypatch):
                 assert list(index.retrieve(query, topk)) == bm25_rank(texts, query, topk)
 
 
-def _use_pure_kernels(monkeypatch):
-    for name in ("bm25_impacts", "topk_indices"):
-        monkeypatch.setattr(retrieval, name, getattr(fallback, name))
-
-
 def _pruning_corpus(rng, passages):
     """Passages that all hold "every", mostly hold the frequent f0-f3, and
     hold up to three of the rare r0-r39; a passage repeats up to four times in
@@ -376,10 +341,10 @@ def _pruning_corpus(rng, passages):
     return texts
 
 
-def test_pruned_retrieval_matches_exhaustive_oracle(monkeypatch):
+def test_pruned_retrieval_matches_exhaustive_oracle(kernels):
     """The pure selection skips terms, yet every hit and every float score is
-    the exhaustive scorer's, at k from 1 to past the corpus size."""
-    _use_pure_kernels(monkeypatch)
+    the exhaustive scorer's, at k from 1 to past the corpus size; so are the
+    compiled one's, which adds every posting."""
     rng = random.Random(1995)
     for _corpus in range(6):
         texts = _pruning_corpus(rng, rng.randint(60, 240))
@@ -400,10 +365,9 @@ def test_pure_selection_keeps_a_tie_that_rounding_splits():
     """Both documents score (a + b) + c = 1.1 in query order, but added in
     descending bound order document 0 has 1.0999999999999999 and document 1
     1.1: only the threshold's slack keeps document 0, first on the tie."""
-    scores = fallback.new_scores(100)
-    for impacts in ([0.2, 0.1], [0.3, 0.3], [0.6, 0.7]):
-        fallback.bm25_accumulate(scores, array("i", [0, 1]), array("d", impacts), max(impacts))
-    assert fallback.topk_indices(scores, 1) == [(0, 1.1)]
+    terms = [(array("i", [0, 1]), array("d", impacts), max(impacts))
+             for impacts in ([0.2, 0.1], [0.3, 0.3], [0.6, 0.7])]
+    assert fallback.topk_indices(terms, 100, 1) == [(0, 1.1)]
 
 
 class _Unreadable(array):
@@ -414,7 +378,7 @@ class _Unreadable(array):
 
 
 def test_pure_selection_skips_a_term_in_every_passage(monkeypatch):
-    _use_pure_kernels(monkeypatch)
+    monkeypatch.setattr(retrieval, "topk_indices", fallback.topk_indices)
     texts = {f"p{i:04d}": "every day" for i in range(1000)}
     for i in (3, 10, 400, 401, 777, 901):
         texts[f"p{i:04d}"] = "every rare day"

@@ -66,9 +66,14 @@ def _digests(directory, names) -> dict:
             for name in names}
 
 
-@pytest.mark.parametrize("method", sorted(FIXTURES))
+# each method on the pure kernels keeps its plain id, "[contregen]", and gains
+# a compiled case, "[contregen-compiled]"
+@pytest.mark.parametrize("method, kernels", [
+    *(pytest.param(method, "pure", id=method) for method in sorted(FIXTURES)),
+    *(pytest.param(method, "compiled", id=f"{method}-compiled") for method in sorted(FIXTURES)),
+], indirect=["kernels"])
 def test_planted_artifacts_are_byte_identical_cold_and_under_replay(
-        method, planted, tmp_path, monkeypatch):
+        method, kernels, planted, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_fixture_file(tmp_path, FIXTURES[method](), name=f"{method}.json")
     argv = ["--method", method, "--corpus", "corpus.jsonl", "--queries", "queries.jsonl",

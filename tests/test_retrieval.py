@@ -76,9 +76,10 @@ def test_ranking_matches_oracle_small():
                 bm25_rank(texts, query, topk))
 
 
-def test_ranking_matches_oracle_on_zipf_corpus():
-    """Hits and float scores equal the exhaustive scorer's exactly: BM25 impacts
-    computed at build keep the per-term expression and the accumulation order."""
+def test_ranking_matches_oracle_on_zipf_corpus(kernels):
+    """Hits and float scores equal the exhaustive scorer's exactly, on either
+    kernel backend: BM25 impacts computed at build keep the per-term
+    expression and the accumulation order."""
     rng = random.Random(8128)
     vocab = [f"w{rank}" for rank in range(1, 801)]
     weights = [1.0 / rank ** 1.1 for rank in range(1, 801)]
