@@ -93,21 +93,25 @@ def read_json(path: str | Path, what: str):
 def atomic_write(path: str | Path, text: str) -> None:
     """Write text to path through a temporary sibling renamed over it, creating
     parent directories. A target that exists and is not a regular file (/dev/stdout,
-    a FIFO, a symlink) is written in place: a rename would replace it."""
+    a FIFO, a symlink) is written in place: a rename would replace it. A path that
+    cannot be written is a DataError naming it."""
     path = Path(path)
-    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # a directory, a path through a regular file, a full disk, ...
+        raise DataError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 class JsonlCache:
@@ -124,7 +128,8 @@ class JsonlCache:
     replay-miss message; the caller of lookup gives the context fields
     recorded beside the value. A strict cache (replay) never computes: a
     miss is a ReplayMissError. An append that cannot be written is a
-    DataError naming the file, and the entry is not kept.
+    DataError naming the file, and the entry is not kept; any part of it that
+    landed is cut off before the next append.
     """
 
     value_field: str
@@ -172,37 +177,41 @@ class JsonlCache:
     def get(self, key: str):
         return self._entries.get(key)
 
-    def put(self, key: str, value, **context) -> None:
+    def put(self, key: str, value, **context):
+        """The value the cache holds for key: value, appended with the context
+        fields beside it, or an earlier put's value when that one landed first."""
         with self._lock:
             if key in self._entries:
-                return
+                return self._entries[key]
             try:  # the repair is idempotent, so it is kept until an append lands
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 # a lone surrogate cannot be UTF-8; it can stand only inside a
                 # JSON string, where backslashreplace writes it as its \u escape
                 with self.path.open("a", encoding="utf-8", errors="backslashreplace") as fh:
-                    if self._repair is not None:
+                    if self._repair is None:  # cut this append off if it lands in part
+                        self._repair = (fh.tell(), "")
+                    else:
                         fh.truncate(self._repair[0])
-                        fh.write(self._repair[1])
-                    fh.write(json.dumps({"key": key, **context, self.value_field: value},
-                                        ensure_ascii=False) + "\n")
+                    fh.write(self._repair[1] + json.dumps(
+                        {"key": key, **context, self.value_field: value},
+                        ensure_ascii=False) + "\n")
             except OSError as exc:  # a directory, a full disk, no write permission, ...
                 raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
             self._repair = None
             self._entries[key] = value
+            return value
 
     def lookup(self, key: str, context: dict, compute: Callable, *args):
         """The cached value for key. On a miss a strict cache raises
-        ReplayMissError; otherwise compute(*args) is appended, with the
-        context fields beside it, and returned."""
+        ReplayMissError; otherwise compute(*args) is put, with the context
+        fields beside it, and what put returns is returned, so concurrent
+        misses on one key all get the value the cache kept."""
         value = self.get(key)
         if value is not None:
             return value
         if self.strict:
             raise ReplayMissError(self.miss_message.format(**context))
-        value = compute(*args)
-        self.put(key, value, **context)
-        return value
+        return self.put(key, compute(*args), **context)
 
 
 # Attempts a backend call makes before it fails, and the longest sleep a

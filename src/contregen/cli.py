@@ -26,13 +26,7 @@ from contregen.corpus import (
     write_passages,
     write_queries,
 )
-from contregen.errors import (
-    BackendError,
-    ConfigError,
-    ContregenError,
-    DataError,
-    FixtureMissError,
-)
+from contregen.errors import BackendError, ConfigError, ContregenError, DataError
 from contregen.metrics import evaluate_run, render_table
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import (
@@ -325,7 +319,7 @@ def dispatch(argv) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FixtureMissError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except BackendError as exc:

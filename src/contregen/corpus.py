@@ -261,12 +261,17 @@ def build_wikihow_benchmark(
     ``{article_id}:{method_index}:{step_index}``; the method title is the
     facet label. The article title is the query and the author summary the
     reference output. Articles with no step paragraphs are skipped with a
-    warning.
+    warning. An article id, its own or ``a{position}``, that repeats an earlier
+    one is a DataError naming it.
     """
     passages: list[Passage] = []
     queries: list[QueryRecord] = []
+    first_at: dict[str, int] = {}
     for position, dump in enumerate(dumps):
         article_id = dump.article_id or f"a{position}"
+        if first_at.setdefault(article_id, position) != position:
+            raise DataError(f"article {position}: id {article_id} repeats the id of "
+                            f"article {first_at[article_id]}")
         gold: list[str] = []
         facet_of: dict[str, str] = {}
         for method_index, (method_title, steps) in enumerate(dump.methods):

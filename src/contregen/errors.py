@@ -22,15 +22,11 @@ class DataError(ContregenError):
 class MalformedRecordError(DataError):
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
 
 
 class DuplicateIdError(DataError):
     def __init__(self, duplicate_id: str) -> None:
         super().__init__(f"duplicate id: {duplicate_id}")
-        self.duplicate_id = duplicate_id
 
 
 class CacheCorruptionError(DataError):
@@ -54,20 +50,11 @@ class ReplayMissError(BackendError):
 
 
 class FixtureMissError(ContregenError):
-    """Scripted adapter has no fixture for a (role, key); a hard test failure,
-    deliberately outside BackendError so nothing downstream swallows it."""
+    """Scripted adapter has no fixture for a (role, key). Outside BackendError,
+    since no backend failed; a run records it against its query like any other
+    error."""
 
 
 class TemplateRenderError(ContregenError):
     def __init__(self, role: str, slot: str) -> None:
         super().__init__(f"unfilled slot {{{slot}}} rendering template for role {role}")
-        self.role = role
-        self.slot = slot
-
-
-class TreeBuildError(BackendError):
-    """Exploration aborted; carries the partial tree for diagnosis."""
-
-    def __init__(self, message: str, partial_root=None) -> None:
-        super().__init__(message)
-        self.partial_root = partial_root

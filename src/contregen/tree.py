@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from contregen.errors import BackendError, DataError, TreeBuildError
+from contregen.errors import DataError
 from contregen.llm import LlmGateway
 from contregen.planner import propose_plan, render_passages
 from contregen.retrieval import RetrieverHandle, _checked_hits
@@ -57,13 +57,10 @@ class QueryTreeNode:
 
 def build_tree(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
                config: TreeConfig) -> QueryTreeNode:
-    root = QueryTreeNode(query=query, original_query=query, depth=0, path="0")
-    try:
-        root.retrieved = retriever.retrieve(query, config.topk)
-        _expand(gateway, retriever, root, query, config)
-    except BackendError as exc:
-        raise TreeBuildError(f"tree build aborted for {query!r}: {exc}",
-                             partial_root=root) from exc
+    """The explored tree of query; an error from a backend propagates as raised."""
+    root = QueryTreeNode(query=query, original_query=query, depth=0, path="0",
+                         retrieved=retriever.retrieve(query, config.topk))
+    _expand(gateway, retriever, root, query, config)
     return root
 
 

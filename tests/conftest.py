@@ -19,6 +19,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,24 @@ def run_together(threads: int, worker) -> None:
     finally:
         sys.setswitchinterval(old_interval)
     assert not any(thread.is_alive() for thread in pool)
+
+
+class NumberingAdapter:
+    """A model that answers its nth call, counted from 0, with "answer n" after
+    a 50 ms wait, so that concurrent callers overlap and no two answers match."""
+
+    adapter_id = "numbering"
+
+    def __init__(self) -> None:
+        self.backend_calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, role, prompt, slots) -> str:
+        with self._lock:
+            number = self.backend_calls
+            self.backend_calls += 1
+        time.sleep(0.05)
+        return f"answer {number}"
 
 
 def write_fixture_file(tmp_path, fixtures: dict, name: str = "fixtures.json"):

@@ -16,6 +16,7 @@ from contregen.runtrace import METHODS, RunConfig, load_trace
 
 from conftest import (
     ROOT_QUERY,
+    NumberingAdapter,
     contregen_fixtures,
     iterretgen_fixtures,
     retgen_fixtures,
@@ -719,6 +720,55 @@ def test_writes_create_missing_directories(command, outputs, planted, tmp_path, 
         assert (tmp_path / "fresh" / output).read_text(encoding="utf-8").strip()
 
 
+def _article(title, steps, article_id=None):
+    return {"title": title, "summary": "s", "steps": steps,
+            **({} if article_id is None else {"id": article_id})}
+
+
+@pytest.mark.parametrize("articles, reason", [
+    ([_article("how to x", ["step one"]), _article("how to y", ["step two"], "a0")],
+     "article 1: id a0 repeats the id of article 0"),
+    ([_article("how to x", ["step one"], "a1"), _article("how to y", ["step two"])],
+     "article 1: id a1 repeats the id of article 0"),
+    ([_article("how to x", ["step one"], "x"), _article("how to y", ["step two"]),
+      _article("how to z", ["step three"], "x")],
+     "article 2: id x repeats the id of article 0"),
+], ids=["positional-then-explicit", "explicit-then-positional", "explicit-twice"])
+def test_build_wikihow_rejects_a_repeated_article_id(articles, reason, tmp_path, capsys):
+    path = tmp_path / "articles.jsonl"
+    path.write_text("".join(json.dumps(article) + "\n" for article in articles),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    line = _one_data_error(["build-wikihow", "--articles", str(path),
+                            "--out-corpus", str(out / "corpus.jsonl"),
+                            "--out-queries", str(out / "queries.jsonl")], capsys)
+    assert line == f"data error: {reason}"
+    assert not out.exists()  # nothing was written
+
+
+@pytest.mark.parametrize("case", ["ingest-out-is-a-directory", "ingest-out-under-a-file",
+                                  "run-out-dir-under-a-file"])
+def test_output_that_cannot_be_written_is_one_data_error(case, planted, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    ingest = ["ingest", "--corpus", str(planted["corpus"]), "--out"]
+    if case == "ingest-out-is-a-directory":
+        blocker.mkdir()
+        argv, named, reason = [*ingest, str(blocker)], blocker, "Is a directory"
+    elif case == "ingest-out-under-a-file":
+        blocker.write_text("a file, not a directory\n", encoding="utf-8")
+        named = blocker / "corpus.jsonl"
+        argv, reason = [*ingest, str(named)], "File exists"
+    else:
+        blocker.write_text("a file, not a directory\n", encoding="utf-8")
+        named, reason = blocker / "out" / "trace.json", "Not a directory"
+        argv = ["run", "--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+                "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+                "--out-dir", str(blocker / "out")]
+    line = _one_data_error(argv, capsys)
+    assert line == f"data error: cannot write output file {named}: {reason}"
+    assert [path.name for path in tmp_path.rglob(".*.tmp")] == []
+
+
 def test_data_error_line_counts_blank_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n\n  \nnot json\n",
@@ -819,6 +869,28 @@ def test_parallel_run_builds_the_index_once_and_matches_serial_bytes(
         traces.append((out_dir / "trace.json").read_bytes())
     assert len(index_builds) == 2  # one per run
     assert traces[0] == traces[1]
+
+
+def test_parallel_misses_on_one_question_replay_byte_identical(planted, tmp_path,
+                                                               monkeypatch, capsys):
+    """Two queries ask one question at once of a model that never repeats
+    itself: both record the answer the cache kept, so the replay matches."""
+    queries = tmp_path / "twins.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": f"q{n}", "query": ROOT_QUERY, "gold_ids": ["a1"]}) + "\n"
+        for n in range(2)), encoding="utf-8")
+    monkeypatch.setattr("contregen.runtrace._build_adapter", lambda config: NumberingAdapter())
+    cache = str(tmp_path / "cache")
+    out_dir = _run_cli({**planted, "queries": queries}, tmp_path, retgen_fixtures(),
+                       method="retgen", extra=("--parallel", "2", "--cache-dir", cache))
+    cold = (out_dir / "trace.json").read_bytes()
+    answers = {section["answer"] for section in json.loads(cold)["queries"].values()}
+    assert len(answers) == 1
+    assert dispatch(["replay", "--method", "retgen", "--parallel", "2",
+                     "--corpus", str(planted["corpus"]), "--queries", str(queries),
+                     "--fixtures", str(tmp_path / "retgen.json"),
+                     "--cache-dir", cache, "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "trace.json").read_bytes() == cold
 
 
 _IMPORT_PROBE = """

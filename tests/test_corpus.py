@@ -55,8 +55,7 @@ def test_ingest_reports_line_numbers(tmp_path):
     path.write_text('{"id": "p1", "text": "fine"}\nnot json\n')
     with pytest.raises(MalformedRecordError) as err:
         ingest_corpus(path)
-    assert err.value.line_no == 2
-    assert str(path) in str(err.value)
+    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_ingest_rejects_empty_text(tmp_path):

@@ -15,6 +15,10 @@ ships or measures it: its name is loaded, as a name or an attribute, by a
 package module or a ``perfbench/`` file, or it is part of a perfbench target
 string (``"contregen.llm:LlmCache.get"``). Reads from ``tests/`` and entries
 in ``__all__`` do not count; dunder methods, which Python calls, are spared.
+
+Every attribute a package class stores as ``self.<name> = ...`` is loaded as
+an attribute by a package module or a ``perfbench/`` file; reads from
+``tests/`` do not count.
 """
 
 import ast
@@ -196,3 +200,62 @@ def test_unread_scan_flags_definitions_only_all_lists(tmp_path):
     found = unread_definitions([module, caller], [bench])
     assert [(line, name) for _, line, name in found] == [(9, "unused"), (13, "exported"),
                                                          (15, "Unused")]
+
+
+def _attribute_reads(tree) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_attributes(package: list[Path], readers: list[Path]) -> list[tuple[Path, int, str]]:
+    """(path, line, "Class.name") of each ``self.<name>`` store in a package
+    class whose name no package module and no reader loads as an attribute.
+
+    Like unread_definitions it matches by name alone, so a stored attribute
+    that shares its name with one read anywhere else escapes it (such as
+    ``MalformedRecordError``'s ``path`` and ``reason`` or
+    ``TemplateRenderError``'s ``role``). Dataclass fields are declarations,
+    not stores, and are out of scope: some are read only through ``asdict``.
+    """
+    trees = {path: _parse(path) for path in package}
+    read = set().union(*map(_attribute_reads, trees.values()),
+                       *(_attribute_reads(_parse(path)) for path in readers))
+    return sorted((path, node.lineno, f"{cls.name}.{node.attr}")
+                  for path, tree in trees.items() for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "self"
+                  and node.attr not in read)
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    package = sorted((ROOT / "src" / "contregen").rglob("*.py"))
+    readers = sorted((ROOT / "perfbench").rglob("*.py"))
+    assert len(package) > 10 and readers  # the scan found the package and perfbench
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path, line, name in unread_attributes(package, readers)] == []
+
+
+def test_attribute_scan_flags_self_stores_nothing_reads(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "class Store:\n"
+        "    def __init__(self, items):\n"
+        "        self.items = items\n"
+        "        self.hits = 0\n"
+        "        self.traced = 0\n"
+        "        self.unread = None\n"
+        "    def get(self, key):\n"
+        "        self.hits += 1\n"
+        "        return self.items[key]\n"
+        "def reset(store):\n"
+        "    store.unread = None\n"
+        "@dataclass\n"
+        "class Row:\n"
+        "    seed: str = ''\n", encoding="utf-8")
+    bench = tmp_path / "bench.py"
+    bench.write_text("print(STORE.traced)\n", encoding="utf-8")
+    found = unread_attributes([module], [bench])
+    assert [(line, name) for _, line, name in found] == [
+        (5, "Store.hits"), (7, "Store.unread"), (9, "Store.hits")]

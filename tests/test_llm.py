@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,7 @@ from contregen.llm import (
     load_templates,
 )
 
-from conftest import run_together
+from conftest import NumberingAdapter, run_together
 from oracles import count_calls, slot_names
 
 
@@ -48,8 +51,7 @@ def test_render_missing_slot_raises():
     template = PromptTemplate(role=PromptRole.PLAN, text="needs {query} and {missing}")
     with pytest.raises(TemplateRenderError) as err:
         template.render({"query": "x"})
-    assert err.value.slot == "missing"
-    assert err.value.role == "plan"
+    assert str(err.value) == "unfilled slot {missing} rendering template for role plan"
 
 
 def test_template_override_dir(tmp_path):
@@ -251,6 +253,59 @@ def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
     with pytest.raises(DataError, match=r"^cannot write cache file .*llm\.jsonl: "):
         cache.put("k", "served", role="plan", prompt="p")
     assert cache.get("k") is None  # an entry that was never written is not served
+
+
+class _FullDisk:
+    """An append handle whose write lands the first half of its text, then
+    fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def __getattr__(self, name):  # tell, truncate
+        return getattr(self.fh, name)
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, monkeypatch):
+    path = tmp_path / "llm.jsonl"
+    cache = LlmCache(path)
+    cache.put("k1", "one", role="plan", prompt="p")
+    real_open = Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs:
+                        _FullDisk(real_open(self, *args, **kwargs)))
+    with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
+        cache.put("k2", "two", role="plan", prompt="p")
+    monkeypatch.undo()
+    assert not path.read_text(encoding="utf-8").endswith("\n")  # part of k2's line
+    cache.put("k3", "three", role="plan", prompt="p")
+    reloaded = LlmCache(path)
+    assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("one", None, "three")
+    assert len(path.read_bytes().splitlines()) == 2
+
+
+def test_concurrent_misses_on_one_key_get_the_value_the_cache_kept(tmp_path):
+    path = tmp_path / "llm.jsonl"
+    adapter = CachingAdapter(NumberingAdapter(), LlmCache(path))
+    answers = [None, None]
+
+    def worker(slot):
+        answers[slot] = adapter.complete(PromptRole.PLAN, "same prompt", {"query": "q"})
+
+    run_together(2, worker)
+    replay = CachingAdapter(NumberingAdapter(), LlmCache(path, strict=True))
+    kept = replay.complete(PromptRole.PLAN, "same prompt", {"query": "q"})
+    assert answers == [kept, kept]
 
 
 def test_llm_cache_writes_a_lone_surrogate_escaped(tmp_path):

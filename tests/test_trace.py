@@ -300,6 +300,20 @@ def test_replay_against_empty_cache_records_miss(planted, tmp_path):
     assert "cache has no entry" in trace.queries["q-planted"].error
 
 
+def test_replay_miss_is_recorded_alike_by_the_tree_and_a_baseline(planted, tmp_path):
+    errors = {}
+    for method, fixtures in (("contregen", contregen_fixtures()),
+                             ("retgen", retgen_fixtures())):
+        fixture_path = write_fixture_file(tmp_path, fixtures, f"{method}.json")
+        config = RunConfig(method=method, corpus_path=str(planted["corpus"]),
+                           queries_path=str(planted["queries"]),
+                           out_dir=str(tmp_path / method), fixtures_path=str(fixture_path),
+                           cache_dir=str(tmp_path / "empty_cache"), replay=True)
+        errors[method] = run(config).queries["q-planted"].error
+    assert errors == dict.fromkeys(("contregen", "retgen"), (
+        f"ReplayMissError: retrieval cache has no entry for query {ROOT_QUERY!r} (topk=5)"))
+
+
 def test_run_config_guards(planted, tmp_path):
     fixtures = write_fixture_file(planted["dir"], retgen_fixtures())
     base = RunConfig(method="retgen", corpus_path=str(planted["corpus"]),

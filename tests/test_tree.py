@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from contregen.errors import LlmBackendError, TreeBuildError
+from contregen.errors import LlmBackendError
 from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.tree import (
@@ -141,16 +141,13 @@ class _FailingAdapter:
         return self.inner.complete(role, prompt, slots)
 
 
-def test_backend_failure_wraps_with_partial_tree():
+def test_backend_failure_during_the_build_raises_the_backend_error():
     store = accounting_corpus()
     handle = RetrieverHandle(LexicalIndex(store), store)
     gateway = LlmGateway(_FailingAdapter(fail_after=7))
-    with pytest.raises(TreeBuildError) as err:
+    with pytest.raises(LlmBackendError) as err:
         build_tree(gateway, handle, ACCT_ROOT, TreeConfig())
-    partial = err.value.partial_root
-    assert partial is not None
-    assert partial.query == ACCT_ROOT
-    assert partial.retrieved  # root retrieval happened before the failure
+    assert str(err.value) == "backend went away"
 
 
 def test_config_validation():
