@@ -1,89 +1,57 @@
 """Diagnostic analyses of retrieval behavior.
 
-Reachability: for one query, probe the retriever with the question and with
-each gold passage's text; an edge A->B means A's probe returned B. Splitting
-gold into passages reachable from the question versus not explains where
-recall is lost. Facet coverage and per-iteration recall curves quantify the
+Reachability: for one query, probe the retriever with the question, then
+with the text of each gold passage it reaches, hop by hop. Splitting gold
+into passages reachable from the question versus not explains where recall
+is lost. Facet coverage and per-iteration recall curves quantify the
 breadth side of the comparison.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from contregen.corpus import QueryRecord
 from contregen.metrics import recall
 from contregen.retrieval import RetrieverHandle, tokenize
 
-QUERY_SENTINEL = "__query__"
-
 PROBE_TOKEN_LIMIT = 512
 
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
-    query_id: str
-    passage_ids: frozenset[str]
-    edges: frozenset[tuple[str, str]]  # source is a passage id or the sentinel
+def reachability(retriever: RetrieverHandle, query: QueryRecord,
+                 topk: int) -> tuple[frozenset[str], frozenset[str]]:
+    """The query's gold passages split into (reachable, not reachable).
 
-
-@dataclass(frozen=True)
-class ReachSplit:
-    rep_ids: frozenset[str]
-    nrep_ids: frozenset[str]
-
-
-def build_reach_graph(retriever: RetrieverHandle, query: QueryRecord,
-                      topk: int) -> ReachabilityGraph:
-    """One probe for the question plus one per gold passage; edges land only
-    on gold passages of this query and never on the probing passage itself."""
-    if not query.gold_ids:
-        raise ValueError("reachability needs a non-empty gold set")
+    The question is probed first, then the text of each gold passage as it is
+    reached, cut to PROBE_TOKEN_LIMIT tokens. A hit counts only when it lands
+    on a gold passage not reached yet, so hops go only to gold passages and a
+    passage reaching itself adds nothing. A gold passage never reached is
+    never probed: its hops could not change the split."""
     gold = frozenset(query.gold_ids)
-    edges: set[tuple[str, str]] = set()
-    for pid, _ in retriever.retrieve(query.query, topk):
-        if pid in gold:
-            edges.add((QUERY_SENTINEL, pid))
-    for source in sorted(gold):
-        probe = " ".join(tokenize(retriever.text(source))[:PROBE_TOKEN_LIMIT])
-        for target, _ in retriever.retrieve(probe, topk):
-            if target in gold and target != source:
-                edges.add((source, target))
-    return ReachabilityGraph(query_id=query.id, passage_ids=gold,
-                             edges=frozenset(edges))
-
-
-def split_reachability(graph: ReachabilityGraph) -> ReachSplit:
-    """Breadth-first reachability from the question sentinel."""
-    adjacency: dict[str, list[str]] = {}
-    for source, target in graph.edges:
-        adjacency.setdefault(source, []).append(target)
+    if not gold:
+        raise ValueError("reachability needs a non-empty gold set")
     reached: set[str] = set()
-    frontier = list(adjacency.get(QUERY_SENTINEL, ()))
-    while frontier:
-        node = frontier.pop()
-        if node in reached:
-            continue
-        reached.add(node)
-        frontier.extend(adjacency.get(node, ()))
-    rep = frozenset(reached & graph.passage_ids)
-    return ReachSplit(rep_ids=rep, nrep_ids=graph.passage_ids - rep)
+    probes = [query.query]
+    for probe in probes:  # grows as gold passages are reached, in hit order
+        for pid, _ in retriever.retrieve(probe, topk):
+            if pid in gold and pid not in reached:
+                reached.add(pid)
+                probes.append(" ".join(tokenize(retriever.text(pid))[:PROBE_TOKEN_LIMIT]))
+    rep = frozenset(reached)
+    return rep, gold - rep
 
 
-def recall_by_split(retrieved: Sequence[str],
-                    split: ReachSplit) -> tuple[Optional[float], Optional[float]]:
+def recall_by_split(retrieved: Sequence[str], rep: frozenset[str],
+                    nrep: frozenset[str]) -> tuple[Optional[float], Optional[float]]:
     """Recall over each class separately; an empty class yields None so it
     can be excluded from aggregation rather than counted as zero."""
-    if not split.rep_ids and not split.nrep_ids:
+    if not rep and not nrep:
         raise ValueError("both reachability classes are empty")
     retrieved_set = set(retrieved)
-    rep = (len(retrieved_set & split.rep_ids) / len(split.rep_ids)
-           if split.rep_ids else None)
-    nrep = (len(retrieved_set & split.nrep_ids) / len(split.nrep_ids)
-            if split.nrep_ids else None)
-    return rep, nrep
+    rep_recall = len(retrieved_set & rep) / len(rep) if rep else None
+    nrep_recall = len(retrieved_set & nrep) / len(nrep) if nrep else None
+    return rep_recall, nrep_recall
 
 
 def facet_coverage(retrieved: Sequence[str], facet_of: Mapping[str, str]) -> float:
@@ -122,13 +90,9 @@ def curve_csv(curves: Mapping[str, Sequence[float]]) -> str:
 
 __all__ = [
     "PROBE_TOKEN_LIMIT",
-    "QUERY_SENTINEL",
-    "ReachSplit",
-    "ReachabilityGraph",
-    "build_reach_graph",
     "curve_csv",
     "facet_coverage",
+    "reachability",
     "recall_by_split",
     "recall_curve",
-    "split_reachability",
 ]

@@ -10,6 +10,7 @@ it."""
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -101,7 +102,10 @@ def atomic_write(path: str | Path, text: str) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the parent is a regular file, not a directory
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)) from None
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -141,6 +145,8 @@ class JsonlCache:
         self.strict = strict
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
+        # key -> [its lock, the callers holding or waiting for it] while a miss computes
+        self._flights: dict[str, list] = {}
         self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
         self._load()
 
@@ -204,14 +210,28 @@ class JsonlCache:
     def lookup(self, key: str, context: dict, compute: Callable, *args):
         """The cached value for key. On a miss a strict cache raises
         ReplayMissError; otherwise compute(*args) is put, with the context
-        fields beside it, and what put returns is returned, so concurrent
-        misses on one key all get the value the cache kept."""
+        fields beside it, and returned. Concurrent misses on one key compute
+        once: the first caller computes while the others wait, then return
+        the value it kept; if its computation raises, the next one computes."""
         value = self.get(key)
         if value is not None:
             return value
         if self.strict:
             raise ReplayMissError(self.miss_message.format(**context))
-        return self.put(key, compute(*args), **context)
+        with self._lock:
+            flight = self._flights.setdefault(key, [threading.Lock(), 0])
+            flight[1] += 1
+        try:
+            with flight[0]:
+                value = self._entries.get(key)  # not self.get, which tracers count per lookup
+                if value is None:
+                    value = self.put(key, compute(*args), **context)
+                return value
+        finally:
+            with self._lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[key]
 
 
 # Attempts a backend call makes before it fails, and the longest sleep a

@@ -160,17 +160,15 @@ def _cmd_analyze_reach(args):
         if not record.gold_ids:
             logger.warning("query %s has no gold passages; skipped", record.id)
             continue
-        split = analysis.split_reachability(
-            analysis.build_reach_graph(handle, record, args.topk))
-        row = {"query": record.id, "rep": sorted(split.rep_ids),
-               "nrep": sorted(split.nrep_ids)}
+        rep, nrep = analysis.reachability(handle, record, args.topk)
+        row = {"query": record.id, "rep": sorted(rep), "nrep": sorted(nrep)}
         line = (f"{record.id}: reachable {len(row['rep'])} "
                 f"({', '.join(row['rep']) or 'none'}); "
                 f"non-reachable {len(row['nrep'])} "
                 f"({', '.join(row['nrep']) or 'none'})")
         if record.id in retrieved_by_query:
             row["rep_recall"], row["nrep_recall"] = analysis.recall_by_split(
-                retrieved_by_query[record.id], split)
+                retrieved_by_query[record.id], rep, nrep)
             line += (f"; recall rep={_fixed(row['rep_recall'])} "
                      f"nrep={_fixed(row['nrep_recall'])}")
         rows.append(row)

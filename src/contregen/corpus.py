@@ -5,8 +5,8 @@ through ``backend_io``):
 
 * passage file: ``{"id": str, "text": str, "meta": {str: str}}`` (meta optional)
 * query file: ``{"id": str, "query": str, "gold_ids": [str], "reference": str|null,
-  "facet_of": {passage_id: facet}|null}`` plus an optional ``short_answers``
-  list used by the string-EM metric.
+  "facet_of": {passage_id: str}|null}`` plus an optional ``short_answers``
+  list of str used by the string-EM metric.
 
 An id (a passage's, a query's, a ``gold_ids`` item) may also be an integer,
 which stands for its decimal string.
@@ -171,20 +171,25 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
                          for g in obj.get("gold_ids") or [])
         facet_of = obj.get("facet_of")
         if facet_of is not None:
-            facet_of = {str(k): str(v) for k, v in facet_of.items()}
+            if not all(isinstance(facet, str) for facet in facet_of.values()):
+                raise MalformedRecordError(str(path), line_no,
+                                           "each facet_of value must be a string")
             extra = set(facet_of) - gold
             if extra:
                 raise MalformedRecordError(
                     str(path), line_no,
                     f"facet_of keys not in gold_ids: {sorted(extra)}")
         short = obj.get("short_answers")
+        if short and not all(isinstance(answer, str) for answer in short):
+            raise MalformedRecordError(str(path), line_no,
+                                       "each short_answers item must be a string")
         records[qid] = QueryRecord(
             id=qid,
             query=obj["query"],
             gold_ids=gold,
             reference=obj.get("reference"),
             facet_of=facet_of,
-            short_answers=tuple(str(s) for s in short) if short else None,
+            short_answers=tuple(short) if short else None,
         )
     return list(records.values())
 

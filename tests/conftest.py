@@ -8,6 +8,7 @@ is asserted here at import of the fixture, not just assumed.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import itertools
 import json
@@ -31,6 +32,15 @@ from contregen.retrieval import tokenize
 from contregen.verifier import parse_yes_no
 
 
+def _setup_compile_args() -> list[str]:
+    """The extra_compile_args setup.py builds the compiled kernels with."""
+    setup = ast.parse(Path(__file__).resolve().parents[1].joinpath("setup.py").read_text())
+    for node in ast.walk(setup):
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
+            return ast.literal_eval(node.value)
+    raise AssertionError("setup.py passes no extra_compile_args")
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernels, built from ``_core.c`` into a temporary directory.
@@ -49,7 +59,7 @@ def compiled(tmp_path_factory):
     out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     cmd = [*link, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
            *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
-           "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+           *_setup_compile_args(), "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
            f"-I{include}", str(Path(_kernels.__file__).with_name("_core.c")), "-o", str(out)]
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
@@ -260,6 +270,40 @@ class NumberingAdapter:
             self.backend_calls += 1
         time.sleep(0.05)
         return f"answer {number}"
+
+
+QUESTION_NODE = "__query__"
+
+
+def random_digraph(rng: random.Random, max_nodes: int, max_edges: int):
+    """(nodes, edges): passage nodes n0, n1, ... and edges from a node or
+    QUESTION_NODE to a node, without self-loops."""
+    nodes = {f"n{i}" for i in range(rng.randint(1, max_nodes))}
+    pool = sorted(nodes | {QUESTION_NODE})
+    edges = set()
+    for _ in range(rng.randint(0, max_edges)):
+        source, target = rng.choice(pool), rng.choice(sorted(nodes))
+        if source != target:
+            edges.add((source, target))
+    return nodes, edges
+
+
+class DigraphRetriever:
+    """A retriever over a digraph: a passage's text is its node's name, and the
+    probe naming a node hits that node's out-edges. It records every probe."""
+
+    def __init__(self, edges) -> None:
+        self.hits: dict[str, list] = {}
+        for source, target in sorted(edges):
+            self.hits.setdefault(source, []).append((target, 1.0))
+        self.probes: list[str] = []
+
+    def retrieve(self, query_text: str, topk: int):
+        self.probes.append(query_text)
+        return self.hits.get(query_text, [])
+
+    def text(self, passage_id: str) -> str:
+        return passage_id
 
 
 def write_fixture_file(tmp_path, fixtures: dict, name: str = "fixtures.json"):

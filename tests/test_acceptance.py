@@ -10,7 +10,13 @@ import time
 import pytest
 
 from contregen import analysis, baselines
-from contregen.corpus import ArticleDump, CorpusStore, Passage, build_wikihow_benchmark
+from contregen.corpus import (
+    ArticleDump,
+    CorpusStore,
+    Passage,
+    QueryRecord,
+    build_wikihow_benchmark,
+)
 from contregen.llm import LlmGateway, ScriptedAdapter, load_templates
 from contregen.metrics import recall, rouge_l
 from contregen.retrieval import LexicalIndex, RetrieverHandle
@@ -22,7 +28,9 @@ from conftest import (
     ACCT_ROOT,
     FACET_A,
     GOLD_IDS,
+    QUESTION_NODE,
     ROOT_QUERY,
+    DigraphRetriever,
     accounting_corpus,
     accounting_fixtures,
     contregen_fixtures,
@@ -30,6 +38,7 @@ from conftest import (
     planted_corpus,
     planted_query,
     random_blueprint,
+    random_digraph,
     rejected_subquestions,
     retgen_fixtures,
     write_fixture_file,
@@ -109,24 +118,18 @@ def test_criterion_3_reachability_matches_closure_oracle():
     started = time.monotonic()
     for _ in range(100):
         rng = random.Random(master.randrange(2**32))
-        nodes = {f"n{i}" for i in range(rng.randint(1, 12))}
-        pool = sorted(nodes | {analysis.QUERY_SENTINEL})
-        edges = set()
-        for _ in range(rng.randint(0, 24)):
-            source, target = rng.choice(pool), rng.choice(sorted(nodes))
-            if source != target:
-                edges.add((source, target))
-        graph = analysis.ReachabilityGraph(query_id="q",
-                                           passage_ids=frozenset(nodes),
-                                           edges=frozenset(edges))
-        split = analysis.split_reachability(graph)
-        assert split.rep_ids == reachable_from(analysis.QUERY_SENTINEL, nodes, edges)
-        assert split.rep_ids | split.nrep_ids == nodes
+        nodes, edges = random_digraph(rng, max_nodes=12, max_edges=24)
+        retriever = DigraphRetriever(edges)
+        query = QueryRecord(id="q", query=QUESTION_NODE, gold_ids=frozenset(nodes))
+        rep, nrep = analysis.reachability(retriever, query, topk=5)
+        assert rep == reachable_from(QUESTION_NODE, nodes, edges)
+        assert rep | nrep == nodes
+        assert sorted(retriever.probes) == sorted([QUESTION_NODE, *rep])
 
         retrieved = {pid for pid in nodes if rng.random() < 0.5}
-        rep, nrep = analysis.recall_by_split(retrieved, split)
-        recombined = ((rep or 0.0) * len(split.rep_ids)
-                      + (nrep or 0.0) * len(split.nrep_ids)) / len(nodes)
+        rep_recall, nrep_recall = analysis.recall_by_split(retrieved, rep, nrep)
+        recombined = ((rep_recall or 0.0) * len(rep)
+                      + (nrep_recall or 0.0) * len(nrep)) / len(nodes)
         assert abs(recombined - recall(retrieved, nodes)) <= 1e-12
     _verdict(3, "reachability split vs closure oracle, 100 digraphs", started, 5.0)
 

@@ -4,25 +4,22 @@ import pytest
 
 from contregen.analysis import (
     PROBE_TOKEN_LIMIT,
-    QUERY_SENTINEL,
-    ReachabilityGraph,
-    ReachSplit,
-    build_reach_graph,
     curve_csv,
     facet_coverage,
+    reachability,
     recall_by_split,
     recall_curve,
-    split_reachability,
 )
 from contregen.corpus import CorpusStore, Passage, QueryRecord
 from contregen.retrieval import LexicalIndex, RetrieverHandle, tokenize
 
+from conftest import QUESTION_NODE, DigraphRetriever, random_digraph
 from oracles import bm25_rank, reachable_from
 
 
-def _handle(texts: dict[str, str]) -> RetrieverHandle:
+def _handle(texts: dict[str, str], on_call=None) -> RetrieverHandle:
     store = CorpusStore(Passage(id=pid, text=text) for pid, text in texts.items())
-    return RetrieverHandle(LexicalIndex(store), store)
+    return RetrieverHandle(LexicalIndex(store), store, on_call=on_call)
 
 
 def _query(qid, text, gold):
@@ -37,12 +34,10 @@ def test_chain_everything_reachable():
         "d2": "more filler noise here",
     }
     handle = _handle(texts)
-    graph = build_reach_graph(handle, _query("q", "alpha", ["a", "b"]), topk=5)
-    assert (QUERY_SENTINEL, "a") in graph.edges
-    assert ("a", "b") in graph.edges
-    split = split_reachability(graph)
-    assert split.rep_ids == {"a", "b"}
-    assert split.nrep_ids == frozenset()
+    assert [pid for pid, _ in handle.retrieve("alpha", 5)] == ["a"]  # b only through a
+    rep, nrep = reachability(handle, _query("q", "alpha", ["a", "b"]), topk=5)
+    assert rep == {"a", "b"}
+    assert nrep == frozenset()
 
 
 def test_isolated_gold_lands_in_nrep():
@@ -52,33 +47,43 @@ def test_isolated_gold_lands_in_nrep():
         "d1": "unrelated filler words",
     }
     handle = _handle(texts)
-    graph = build_reach_graph(handle, _query("q", "alpha", ["a", "c"]), topk=5)
-    split = split_reachability(graph)
-    assert split.rep_ids == {"a"}
-    assert split.nrep_ids == {"c"}
+    rep, nrep = reachability(handle, _query("q", "alpha", ["a", "c"]), topk=5)
+    assert rep == {"a"}
+    assert nrep == {"c"}
 
 
-def test_edges_are_gold_scoped_without_self_loops():
+def test_unreached_gold_is_never_probed():
     texts = {
-        "a": "alpha beta gamma",
-        "b": "beta gamma delta",
-        "x": "alpha beta gamma delta",  # matches everything but is not gold
+        "a": "alpha bridge beta",
+        "c": "zeta eta",
+        "d1": "unrelated filler words",
+    }
+    probes = []
+    handle = _handle(texts, on_call=lambda call: probes.append(call.query))
+    reachability(handle, _query("q", "alpha", ["a", "c"]), topk=5)
+    assert probes == ["alpha", "alpha bridge beta"]  # the question, then a; never c
+
+
+def test_a_non_gold_hit_carries_no_reach():
+    texts = {
+        "a": "alpha delta",
+        "x": "alpha bridge",  # the question hits it, and it would hit b, but it is not gold
+        "b": "bridge gamma",
     }
     handle = _handle(texts)
-    graph = build_reach_graph(handle, _query("q", "alpha beta", ["a", "b"]), topk=3)
-    for source, target in graph.edges:
-        assert target in {"a", "b"}
-        assert source in {"a", "b", QUERY_SENTINEL}
-        assert source != target
+    assert "b" in {pid for pid, _ in handle.retrieve(texts["x"], 3)}
+    rep, nrep = reachability(handle, _query("q", "alpha", ["a", "b"]), topk=3)
+    assert rep == {"a"}
+    assert nrep == {"b"}
 
 
 def test_empty_gold_rejected():
     handle = _handle({"a": "alpha"})
     with pytest.raises(ValueError):
-        build_reach_graph(handle, _query("q", "alpha", []), topk=3)
+        reachability(handle, _query("q", "alpha", []), topk=3)
 
 
-def test_graph_edges_match_probe_oracle():
+def test_split_matches_probe_oracle():
     rng = random.Random(909)
     vocab = ["ant", "bee", "cow", "dog", "eel", "fox", "gnu", "hen"]
     for _ in range(25):
@@ -87,18 +92,19 @@ def test_graph_edges_match_probe_oracle():
         gold = rng.sample(sorted(texts), rng.randint(1, 5))
         query_text = " ".join(rng.choices(vocab, k=3))
         handle = _handle(texts)
-        graph = build_reach_graph(handle, _query("q", query_text, gold), topk=4)
+        rep, nrep = reachability(handle, _query("q", query_text, gold), topk=4)
 
-        expected = set()
+        edges = set()
         for pid, _score in bm25_rank(texts, query_text, 4):
             if pid in gold:
-                expected.add((QUERY_SENTINEL, pid))
+                edges.add((QUESTION_NODE, pid))
         for source in gold:
             probe = " ".join(tokenize(texts[source])[:PROBE_TOKEN_LIMIT])
             for target, _score in bm25_rank(texts, probe, 4):
                 if target in gold and target != source:
-                    expected.add((source, target))
-        assert graph.edges == expected
+                    edges.add((source, target))
+        assert rep == reachable_from(QUESTION_NODE, set(gold), edges)
+        assert nrep == set(gold) - rep
 
 
 def test_probe_respects_token_limit():
@@ -109,47 +115,37 @@ def test_probe_respects_token_limit():
         "t": "linkterm linkterm",
     }
     handle = _handle(texts)
-    graph = build_reach_graph(handle, _query("q", "padnear", ["far", "near", "t"]),
-                              topk=5)
-    assert ("near", "t") in graph.edges
-    assert ("far", "t") not in graph.edges
+    assert "t" in {pid for pid, _ in handle.retrieve(texts["far"], 5)}  # uncut, far hits t
+    rep, _ = reachability(handle, _query("q", "padnear", ["near", "t"]), topk=5)
+    assert rep == {"near", "t"}
+    rep, nrep = reachability(handle, _query("q", "pad0", ["far", "t"]), topk=5)
+    assert rep == {"far"}
+    assert nrep == {"t"}
 
 
 def test_split_matches_closure_oracle_randomized():
     rng = random.Random(515)
     for _ in range(200):
-        nodes = {f"n{i}" for i in range(rng.randint(1, 8))}
-        pool = sorted(nodes | {QUERY_SENTINEL})
-        edges = set()
-        for _ in range(rng.randint(0, 14)):
-            source = rng.choice(pool)
-            target = rng.choice(sorted(nodes))
-            if source != target:
-                edges.add((source, target))
-        graph = ReachabilityGraph(query_id="q", passage_ids=frozenset(nodes),
-                                  edges=frozenset(edges))
-        split = split_reachability(graph)
-        oracle = reachable_from(QUERY_SENTINEL, nodes, edges)
-        assert split.rep_ids == oracle
-        assert split.nrep_ids == nodes - oracle
-        assert split.rep_ids | split.nrep_ids == nodes
-        assert not split.rep_ids & split.nrep_ids
+        nodes, edges = random_digraph(rng, max_nodes=8, max_edges=14)
+        retriever = DigraphRetriever(edges)
+        rep, nrep = reachability(retriever, _query("q", QUESTION_NODE, nodes), topk=5)
+        oracle = reachable_from(QUESTION_NODE, nodes, edges)
+        assert rep == oracle
+        assert nrep == nodes - oracle
+        assert sorted(retriever.probes) == sorted([QUESTION_NODE, *rep])
 
 
 def test_recall_by_split_values():
-    split = ReachSplit(rep_ids=frozenset("abcd"), nrep_ids=frozenset("xyz"))
-    rep, nrep = recall_by_split(["a", "b", "c", "x", "q"], split)
+    rep, nrep = recall_by_split(["a", "b", "c", "x", "q"], frozenset("abcd"), frozenset("xyz"))
     assert rep == 0.75
     assert abs(nrep - 1.0 / 3.0) < 1e-12
 
 
 def test_recall_by_split_empty_class_is_none():
-    split = ReachSplit(rep_ids=frozenset("ab"), nrep_ids=frozenset())
-    assert recall_by_split(["a"], split) == (0.5, None)
-    split = ReachSplit(rep_ids=frozenset(), nrep_ids=frozenset("ab"))
-    assert recall_by_split(["a"], split) == (None, 0.5)
+    assert recall_by_split(["a"], frozenset("ab"), frozenset()) == (0.5, None)
+    assert recall_by_split(["a"], frozenset(), frozenset("ab")) == (None, 0.5)
     with pytest.raises(ValueError):
-        recall_by_split(["a"], ReachSplit(frozenset(), frozenset()))
+        recall_by_split(["a"], frozenset(), frozenset())
 
 
 def test_facet_coverage_values():

@@ -757,7 +757,7 @@ def test_output_that_cannot_be_written_is_one_data_error(case, planted, tmp_path
     elif case == "ingest-out-under-a-file":
         blocker.write_text("a file, not a directory\n", encoding="utf-8")
         named = blocker / "corpus.jsonl"
-        argv, reason = [*ingest, str(named)], "File exists"
+        argv, reason = [*ingest, str(named)], "Not a directory"
     else:
         blocker.write_text("a file, not a directory\n", encoding="utf-8")
         named, reason = blocker / "out" / "trace.json", "Not a directory"

@@ -131,6 +131,10 @@ def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
       for value in (None, True, 2.0, ["q2"], {"q": 2})),
     *(("gold_ids", ["p1", value], "each gold_ids item must be a string or an integer")
       for value in (None, False, 3.5, ["p2"], {"p": 2})),
+    *(("short_answers", ["yes", value], "each short_answers item must be a string")
+      for value in (None, 5, True, ["x"], {"x": 1})),
+    *(("facet_of", {"p1": value}, "each facet_of value must be a string")
+      for value in (None, 5, False, ["m"], {"m": 1})),
 ])
 def test_load_queries_rejects_a_badly_typed_id_or_query(field, value, reason, tmp_path):
     path = tmp_path / "queries.jsonl"

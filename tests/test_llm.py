@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -296,7 +297,8 @@ def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, mo
 
 def test_concurrent_misses_on_one_key_get_the_value_the_cache_kept(tmp_path):
     path = tmp_path / "llm.jsonl"
-    adapter = CachingAdapter(NumberingAdapter(), LlmCache(path))
+    backend = NumberingAdapter()
+    adapter = CachingAdapter(backend, LlmCache(path))
     answers = [None, None]
 
     def worker(slot):
@@ -306,6 +308,32 @@ def test_concurrent_misses_on_one_key_get_the_value_the_cache_kept(tmp_path):
     replay = CachingAdapter(NumberingAdapter(), LlmCache(path, strict=True))
     kept = replay.complete(PromptRole.PLAN, "same prompt", {"query": "q"})
     assert answers == [kept, kept]
+    assert backend.backend_calls == 1
+
+
+def test_a_miss_whose_computation_raises_leaves_the_key_to_the_next_waiter(tmp_path):
+    cache = LlmCache(tmp_path / "llm.jsonl")
+    calls = []
+    outcomes = [None] * 4
+
+    def compute():
+        calls.append(None)
+        number = len(calls)
+        time.sleep(0.05)
+        if number == 1:
+            raise RuntimeError("backend down")
+        return f"answer {number}"
+
+    def worker(slot):
+        try:
+            outcomes[slot] = cache.lookup("k", {"role": "plan", "prompt": "p"}, compute)
+        except RuntimeError as exc:
+            outcomes[slot] = str(exc)
+
+    run_together(4, worker)
+    assert len(calls) == 2
+    assert sorted(outcomes) == ["answer 2"] * 3 + ["backend down"]
+    assert LlmCache(tmp_path / "llm.jsonl", strict=True).get("k") == "answer 2"
 
 
 def test_llm_cache_writes_a_lone_surrogate_escaped(tmp_path):
