@@ -73,18 +73,6 @@ def bench_bm25(docs: int, dfs: tuple[int, ...], k: int, seed: int = 7):
     return results
 
 
-def bench_lcs(length: int, vocab: int, seed: int = 11):
-    rng = random.Random(seed)
-    left = array("i", [rng.randrange(vocab) for _ in range(length)])
-    right = array("i", [rng.randrange(vocab) for _ in range(length)])
-    results = {"pure": _time(lambda: fallback.lcs_length(left, right))}
-    if _core is not None:
-        results["compiled"] = _time(lambda: _core.lcs_length(left, right))
-        results["bit_exact"] = (_core.lcs_length(left, right)
-                                == fallback.lcs_length(left, right))
-    return results
-
-
 def main() -> None:
     print(f"active kernel backend: {BACKEND}")
     print()
@@ -94,9 +82,6 @@ def main() -> None:
     _report(bm25["bm25_impacts"])
     print("retrieve, top 10 of the same terms as one query (each backend's topk_indices):")
     _report(bm25["retrieve"])
-    lcs = bench_lcs(length=2_000, vocab=200)
-    print("lcs_length (2000 x 2000 tokens):")
-    _report(lcs)
 
 
 def _report(results: dict) -> None:

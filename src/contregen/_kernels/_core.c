@@ -1,5 +1,4 @@
-/* Compiled hot loops: BM25 impacts, scoring with top-k selection, and LCS
- * length.
+/* Compiled hot loops: BM25 impacts, and scoring with top-k selection.
  *
  * BM25 is split between index build and query time. At build, bm25_impacts
  * turns each posting's term frequency, in place, into its score contribution,
@@ -300,78 +299,17 @@ topk_indices(PyObject *module, PyObject *args)
     return result;
 }
 
-PyDoc_STRVAR(lcs_length_doc,
-"lcs_length(left, right)\n--\n\n"
-"Length of the longest common subsequence of two int-coded sequences.");
-
-static PyObject *
-lcs_length(PyObject *module, PyObject *args)
-{
-    PyObject *left_obj, *right_obj;
-    if (!PyArg_ParseTuple(args, "OO:lcs_length", &left_obj, &right_obj))
-        return NULL;
-
-    Py_buffer left, right;
-    if (get_buffer(left_obj, &left, 'i', 0, "left") < 0)
-        return NULL;
-    if (get_buffer(right_obj, &right, 'i', 0, "right") < 0) {
-        PyBuffer_Release(&left);
-        return NULL;
-    }
-
-    PyObject *result = NULL;
-    Py_ssize_t m = left.shape[0], n = right.shape[0];
-    const int *a = (const int *)left.buf;
-    const int *b = (const int *)right.buf;
-    if (m == 0 || n == 0) {
-        result = PyLong_FromLong(0);
-        goto release;
-    }
-    int *prev = PyMem_Calloc((size_t)n + 1, sizeof(int));
-    int *curr = PyMem_Calloc((size_t)n + 1, sizeof(int));
-    if (prev == NULL || curr == NULL) {
-        PyMem_Free(prev);
-        PyMem_Free(curr);
-        PyErr_NoMemory();
-        goto release;
-    }
-    for (Py_ssize_t i = 1; i <= m; i++) {
-        int ai = a[i - 1];
-        curr[0] = 0;
-        for (Py_ssize_t j = 1; j <= n; j++) {
-            if (ai == b[j - 1])
-                curr[j] = prev[j - 1] + 1;
-            else if (prev[j] >= curr[j - 1])
-                curr[j] = prev[j];
-            else
-                curr[j] = curr[j - 1];
-        }
-        int *tmp = prev;
-        prev = curr;
-        curr = tmp;
-    }
-    result = PyLong_FromLong(prev[n]);
-    PyMem_Free(prev);
-    PyMem_Free(curr);
-
-release:
-    PyBuffer_Release(&right);
-    PyBuffer_Release(&left);
-    return result;
-}
-
 static PyMethodDef core_methods[] = {
     {"bm25_impacts", bm25_impacts, METH_VARARGS, bm25_impacts_doc},
     {"topk_indices", topk_indices, METH_VARARGS, topk_indices_doc},
-    {"lcs_length", lcs_length, METH_VARARGS, lcs_length_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "contregen._kernels._core",
-    .m_doc = "Compiled BM25 impact, scoring with top-k selection, and LCS "
-             "kernels; see fallback.py.",
+    .m_doc = "Compiled BM25 impact and scoring with top-k selection kernels; "
+             "see fallback.py.",
     .m_size = 0,
     .m_methods = core_methods,
 };

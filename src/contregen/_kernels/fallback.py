@@ -1,4 +1,4 @@
-"""Pure-Python kernels: ``bm25_impacts``, ``topk_indices`` and ``lcs_length``.
+"""Pure-Python kernels: ``bm25_impacts`` and ``topk_indices``.
 
 Each has a compiled twin in ``_core.c`` with the same signature and
 bit-identical results: ``bm25_impacts`` keeps the compiled IEEE-double
@@ -176,25 +176,3 @@ def topk_indices(terms: list, n: int, k: int) -> list[tuple[int, float]]:
     # a stable sort keeps equal scores in ascending index order
     candidates.sort(key=exact.__getitem__, reverse=True)
     return [(d, exact[d]) for d in candidates[:k]]
-
-
-def lcs_length(left: array, right: array) -> int:
-    """Length of the longest common subsequence of two int-coded sequences."""
-    m = len(left)
-    n = len(right)
-    if m == 0 or n == 0:
-        return 0
-    prev = [0] * (n + 1)
-    curr = [0] * (n + 1)
-    for i in range(1, m + 1):
-        curr[0] = 0
-        li = left[i - 1]
-        for j in range(1, n + 1):
-            if li == right[j - 1]:
-                curr[j] = prev[j - 1] + 1
-            elif prev[j] >= curr[j - 1]:
-                curr[j] = prev[j]
-            else:
-                curr[j] = curr[j - 1]
-        prev, curr = curr, prev
-    return prev[n]

@@ -3,7 +3,7 @@
 File formats (both UTF-8, one JSON object per line, read and written
 through ``backend_io``):
 
-* passage file: ``{"id": str, "text": str, "meta": {str: str}}`` (meta optional)
+* passage file: ``{"id": str, "text": str, "meta": {str: str}|null}`` (meta optional)
 * query file: ``{"id": str, "query": str, "gold_ids": [str], "reference": str|null,
   "facet_of": {passage_id: str}|null}`` plus an optional ``short_answers``
   list of str used by the string-EM metric.
@@ -125,14 +125,18 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines are errors."""
     store = CorpusStore()
     for line_no, record in read_jsonl(path, {"id", "text"}):
-        meta = record.get("meta") or {}
-        if not isinstance(meta, dict):
+        meta = record.get("meta")
+        if meta is None:
+            meta = {}
+        elif not isinstance(meta, dict):
             raise MalformedRecordError(str(path), line_no, "meta must be an object")
+        elif not all(isinstance(value, str) for value in meta.values()):
+            raise MalformedRecordError(str(path), line_no, "each meta value must be a string")
         text = record["text"]
         if not isinstance(text, str) or not text.strip():
             raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
         store.add(Passage(id=_record_id(record["id"], path, line_no, "id"), text=text,
-                          meta={str(k): str(v) for k, v in meta.items()}))
+                          meta=meta))
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
     else:

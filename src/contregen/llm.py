@@ -163,22 +163,21 @@ class ScriptedAdapter:
 class OpenAiChatAdapter:
     """Chat-completions client pinned to deterministic settings.
 
-    temperature 0, 1024 max new tokens; the API key comes from the
-    environment via the caller, never from config files. Each POST waits up
-    to TIMEOUT_S, with backend_io.ATTEMPTS attempts in all.
+    temperature 0, 1024 max new tokens, posted to ENDPOINT; the API key
+    comes from the environment via the caller, never from config files. Each
+    POST waits up to TIMEOUT_S, with backend_io.ATTEMPTS attempts in all.
     """
 
+    ENDPOINT = "https://api.openai.com/v1/chat/completions"
     TIMEOUT_S = 120.0
 
     def __init__(self, model: str, api_key: str,
-                 endpoint: str = "https://api.openai.com/v1/chat/completions",
                  session: Optional[requests.Session] = None) -> None:
         self.model = model
         self.adapter_id = f"openai:{model}"
         self.backend_calls = 0
         self._lock = threading.Lock()  # guards backend_calls
         self._api_key = api_key
-        self._endpoint = endpoint
         if session is None:
             import requests  # deferred: only network backends pay for loading it
             session = requests.Session()
@@ -194,7 +193,7 @@ class OpenAiChatAdapter:
             "max_tokens": 1024,
         }
         response = post_with_retries(
-            self._session, self._endpoint, payload,
+            self._session, self.ENDPOINT, payload,
             {"Authorization": f"Bearer {self._api_key}"}, self.TIMEOUT_S,
             lambda reason: LlmBackendError(
                 f"generation backend failed ({role.value}): {reason}"))

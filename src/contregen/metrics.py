@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import logging
 import string
-from array import array
-from typing import Iterable, Mapping, Optional, Sequence
-
-from contregen._kernels import lcs_length
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -32,11 +29,21 @@ def recall(retrieved: Iterable[str], gold: Iterable[str]) -> float:
     return len(set(retrieved) & gold_set) / len(gold_set)
 
 
-def _encode(tokens: Sequence[str], vocab: dict[str, int]) -> array:
-    out = array("i")
-    for token in tokens:
-        out.append(vocab.setdefault(token, len(vocab)))
-    return out
+def lcs_length(left: Sequence[Hashable], right: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two token sequences, exact
+    and bit-parallel (Allison & Dix 1986; Hyyrö 2004): ``v`` is one row of the
+    dynamic program over the shorter sequence, a 0 bit where the row steps up."""
+    if len(left) < len(right):
+        left, right = right, left
+    match: dict[Hashable, int] = {}
+    for j, token in enumerate(right):
+        match[token] = match.get(token, 0) | 1 << j
+    full = (1 << len(right)) - 1
+    v = full
+    for token in left:
+        u = v & match.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(right) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -46,8 +53,7 @@ def rouge_l(candidate: str, reference: str) -> float:
     cand_tokens = normalize(candidate).split()
     if not cand_tokens:
         return 0.0
-    vocab: dict[str, int] = {}
-    lcs = lcs_length(_encode(cand_tokens, vocab), _encode(ref_tokens, vocab))
+    lcs = lcs_length(cand_tokens, ref_tokens)
     if lcs == 0:
         return 0.0
     precision = lcs / len(cand_tokens)
@@ -56,13 +62,14 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 
 def string_em(short_answers: Sequence[str], long_answer: str) -> float:
-    """Fraction of normalized short answers appearing verbatim in the
-    normalized long answer."""
-    if not short_answers:
-        raise ValueError("string_em undefined for empty short-answer list")
+    """Fraction of the short answers that normalize to at least one word
+    appearing verbatim in the normalized long answer. An answer that
+    normalizes to nothing is not counted: it is in every long answer."""
+    answers = [answer for answer in map(normalize, short_answers) if answer]
+    if not answers:
+        raise ValueError("string_em undefined without a short answer of at least one word")
     haystack = normalize(long_answer)
-    hits = sum(1 for answer in short_answers if normalize(answer) in haystack)
-    return hits / len(short_answers)
+    return sum(1 for answer in answers if answer in haystack) / len(answers)
 
 
 _METRIC_ORDER = ("recall", "rouge_l", "em")
@@ -88,7 +95,7 @@ def evaluate_run(queries, answers: Mapping[str, str],
         row["rouge_l"] = (rouge_l(answers[record.id], record.reference)
                           if record.reference and normalize(record.reference) else None)
         row["em"] = (string_em(record.short_answers, answers[record.id])
-                     if record.short_answers else None)
+                     if any(map(normalize, record.short_answers or ())) else None)
         per_query[record.id] = row
     for name in _METRIC_ORDER:
         values = [row[name] for row in per_query.values() if row.get(name) is not None]
@@ -119,6 +126,7 @@ def render_table(report: Mapping[str, dict]) -> str:
 
 __all__ = [
     "evaluate_run",
+    "lcs_length",
     "normalize",
     "recall",
     "render_table",

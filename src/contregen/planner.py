@@ -16,8 +16,8 @@ _ITEM_RE = re.compile(r"^\s*(?:\d+[.)]|[-*])\s+(.*\S)\s*$")
 PASSAGE_CHAR_BUDGET = 4000
 
 
-def render_passages(texts: Sequence[str], char_budget: int = PASSAGE_CHAR_BUDGET) -> str:
-    """Numbered passage block for prompts, cut off at a character budget.
+def render_passages(texts: Sequence[str]) -> str:
+    """Numbered passage block for prompts, cut off at PASSAGE_CHAR_BUDGET.
 
     Whole passages are dropped once the budget is reached (never split),
     except that a first passage too large on its own is hard-truncated so
@@ -28,11 +28,11 @@ def render_passages(texts: Sequence[str], char_budget: int = PASSAGE_CHAR_BUDGET
     omitted = 0
     for position, text in enumerate(texts, start=1):
         line = f"[{position}] {text}"
-        if not lines and len(line) > char_budget:
-            lines.append(line[:char_budget] + " [passage truncated]")
+        if not lines and len(line) > PASSAGE_CHAR_BUDGET:
+            lines.append(line[:PASSAGE_CHAR_BUDGET] + " [passage truncated]")
             omitted = len(texts) - position
             break
-        if used + len(line) + 1 > char_budget:
+        if used + len(line) + 1 > PASSAGE_CHAR_BUDGET:
             omitted = len(texts) - position + 1
             break
         lines.append(line)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from contregen import _kernels, retrieval
+from contregen import KERNEL_BACKEND, _kernels, retrieval
 from contregen._kernels import fallback
 from contregen.corpus import CorpusStore, Passage, QueryRecord
 from contregen.retrieval import tokenize
@@ -41,8 +41,20 @@ def _setup_compile_args() -> list[str]:
     raise AssertionError("setup.py passes no extra_compile_args")
 
 
+# What became of the session's compiled fixture, for the terminal summary.
+COMPILED_STATE = pytest.StashKey[str]()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """One line saying which kernels the session ran: the active backend, and
+    whether the compiled kernels were built for the tests that compare them."""
+    state = config.stash.get(COMPILED_STATE, "never requested")
+    terminalreporter.write_line(f"kernels: KERNEL_BACKEND {KERNEL_BACKEND}; "
+                                f"compiled fixture {state}")
+
+
 @pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
+def compiled(tmp_path_factory, pytestconfig):
     """The compiled kernels, built from ``_core.c`` into a temporary directory.
 
     Built with the interpreter's own compile and link flags plus the flags
@@ -52,20 +64,26 @@ def compiled(tmp_path_factory):
     """
     link = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
     include = sysconfig.get_paths()["include"]
+    reason = None
     if not link or shutil.which(link[0]) is None:
-        pytest.skip("no C compiler to build the compiled kernels")
-    if not Path(include, "Python.h").is_file():
-        pytest.skip("no Python.h to build the compiled kernels")
+        reason = "no C compiler to build the compiled kernels"
+    elif not Path(include, "Python.h").is_file():
+        reason = "no Python.h to build the compiled kernels"
+    if reason:
+        pytestconfig.stash[COMPILED_STATE] = f"skipped ({reason})"
+        pytest.skip(reason)
     out = tmp_path_factory.mktemp("core") / ("_core" + sysconfig.get_config_var("EXT_SUFFIX"))
     cmd = [*link, *shlex.split(sysconfig.get_config_var("CFLAGS") or ""),
            *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
            *_setup_compile_args(), "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
            f"-I{include}", str(Path(_kernels.__file__).with_name("_core.c")), "-o", str(out)]
+    pytestconfig.stash[COMPILED_STATE] = "failed to build"
     build = subprocess.run(cmd, capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     spec = importlib.util.spec_from_file_location("_core", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    pytestconfig.stash[COMPILED_STATE] = "built"
     return module
 
 
@@ -286,6 +304,12 @@ def random_digraph(rng: random.Random, max_nodes: int, max_edges: int):
         if source != target:
             edges.add((source, target))
     return nodes, edges
+
+
+def random_half(rng: random.Random, items) -> set:
+    """Each of items with probability 1/2, drawn in sorted order: the order of
+    a set of strings changes with the hash seed, and the draw must not."""
+    return {item for item in sorted(items) if rng.random() < 0.5}
 
 
 class DigraphRetriever:

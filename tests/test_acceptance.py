@@ -5,7 +5,10 @@ import dataclasses
 import json
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from conftest import (
     planted_query,
     random_blueprint,
     random_digraph,
+    random_half,
     rejected_subquestions,
     retgen_fixtures,
     write_fixture_file,
@@ -126,12 +130,27 @@ def test_criterion_3_reachability_matches_closure_oracle():
         assert rep | nrep == nodes
         assert sorted(retriever.probes) == sorted([QUESTION_NODE, *rep])
 
-        retrieved = {pid for pid in nodes if rng.random() < 0.5}
+        retrieved = random_half(rng, nodes)
         rep_recall, nrep_recall = analysis.recall_by_split(retrieved, rep, nrep)
         recombined = ((rep_recall or 0.0) * len(rep)
                       + (nrep_recall or 0.0) * len(nrep)) / len(nodes)
         assert abs(recombined - recall(retrieved, nodes)) <= 1e-12
     _verdict(3, "reachability split vs closure oracle, 100 digraphs", started, 5.0)
+
+
+def test_criterion_3_draw_repeats_under_any_hash_seed():
+    """The recall sample criterion 3 draws from a set of passage ids is the
+    same under every hash seed, so the criterion checks the same data on
+    every run."""
+    probe = ("import random; from conftest import random_half; "
+             "print(sorted(random_half(random.Random(5), {f'n{i}' for i in range(12)})))")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests), str(tests.parent / "src")])
+    draws = {subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": path,
+                                             "PYTHONHASHSEED": seed}).stdout
+             for seed in ("1", "2", "3")}
+    assert len(draws) == 1, draws
 
 
 def test_criterion_4_planted_facet_end_to_end():

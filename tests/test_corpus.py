@@ -112,6 +112,22 @@ def test_ingest_rejects_an_id_that_is_not_a_string_or_an_integer(bad_id, tmp_pat
     assert str(err.value) == f"{path}:2: id must be a string or an integer"
 
 
+@pytest.mark.parametrize("meta, reason", [
+    *((meta, "meta must be an object") for meta in ([], 0, False, "", "x", ["k", "v"])),
+    *(({"facet": "ok", "k": value}, "each meta value must be a string")
+      for value in (None, 1, 1.5, True, {"a": 1}, [1, "x"])),
+])
+def test_ingest_rejects_meta_that_is_not_an_object_of_strings(meta, reason, tmp_path):
+    """A passage's meta is absent, null or an object of strings; any other
+    value is a data error, never kept as the text of its Python repr."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "p1", "text": "fine", "meta": None}) + "\n"
+                    + json.dumps({"id": "p2", "text": "also fine", "meta": meta}) + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        ingest_corpus(path)
+    assert str(err.value) == f"{path}:2: {reason}"
+
+
 def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": 7, "text": "seven"}) + "\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from contregen import _kernels, retrieval
+from contregen import _kernels, metrics, retrieval
 from contregen._kernels import fallback
 from contregen.corpus import CorpusStore, Passage
 
@@ -38,7 +38,7 @@ def _random_term(rng, docs):
     return array("i", chosen), tfs, rng.uniform(0.01, 8.0)
 
 
-_KERNELS = ("bm25_impacts", "topk_indices", "lcs_length")  # one per backend
+_KERNELS = ("bm25_impacts", "topk_indices")  # one per backend
 
 
 def test_backend_constant_matches_import():
@@ -101,10 +101,6 @@ def test_compiled_topk_bitwise_equals_pure_on_one_container(compiled):
             terms.append((doc_idx, impacts, max(impacts)))
         for k in (1, 3, docs, docs + 2):
             assert _selected(compiled, terms, docs, k) == _selected(fallback, terms, docs, k)
-    for _ in range(100):
-        left = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
-        right = array("i", [rng.randrange(6) for _ in range(rng.randint(0, 30))])
-        assert compiled.lcs_length(left, right) == fallback.lcs_length(left, right)
 
 
 def test_compiled_kernels_reject_bad_buffers(compiled):
@@ -170,8 +166,6 @@ def test_compiled_kernels_reject_bad_buffers(compiled):
     with pytest.raises(BufferError):  # not contiguous
         compiled.topk_indices(
             [(memoryview(array("i", [0, 1, 1]))[::2], array("d", [1.0, 2.0]), 2.0)], 2, 1)
-    with pytest.raises(TypeError):
-        compiled.lcs_length(array("d", [1.0]), array("i", [1]))
 
     with pytest.raises(TypeError):
         compiled.topk_indices([good], 2, 1.5)
@@ -395,20 +389,24 @@ def test_pure_selection_skips_a_term_in_every_passage(monkeypatch):
 
 
 def test_lcs_length_matches_full_table_oracle():
+    """metrics.lcs_length equals the full-table oracle in both argument orders,
+    on short sequences over a few symbols and on ones past a 64-bit word."""
     rng = random.Random(99)
-    for _ in range(200):
-        left = [rng.randrange(6) for _ in range(rng.randint(0, 30))]
-        right = [rng.randrange(6) for _ in range(rng.randint(0, 30))]
+    for trial in range(600):
+        longest = 30 if trial < 400 else 300
+        symbols = rng.randint(1, 8) if trial < 400 else rng.choice((2, 6, 40))
+        left = [f"w{rng.randrange(symbols)}" for _ in range(rng.randint(0, longest))]
+        right = [f"w{rng.randrange(symbols)}" for _ in range(rng.randint(0, longest))]
         expected = lcs_len(left, right)
-        assert fallback.lcs_length(array("i", left), array("i", right)) == expected
-        if _core is not None:
-            assert _core.lcs_length(array("i", left), array("i", right)) == expected
+        assert metrics.lcs_length(left, right) == expected
+        assert metrics.lcs_length(right, left) == expected
 
 
 def test_lcs_length_edges():
-    empty = array("i")
-    seq = array("i", [1, 2, 3])
-    assert fallback.lcs_length(empty, seq) == 0
-    assert fallback.lcs_length(seq, empty) == 0
-    assert fallback.lcs_length(seq, seq) == 3
-    assert fallback.lcs_length(array("i", [1, 2]), array("i", [3, 4])) == 0
+    """Empty, identical and disjoint sequences, and runs one bit past a word."""
+    seq = "the cat sat on the mat".split()
+    for left, right, expected in (([], [], 0), ([], seq, 0), (seq, seq, 6),
+                                  (["a", "b"], ["c", "d"], 0), (["x"] * 64, ["x"] * 65, 64),
+                                  (["x", "y"] * 150, ["y"] * 300, 150)):
+        assert lcs_len(left, right) == expected
+        assert metrics.lcs_length(left, right) == metrics.lcs_length(right, left) == expected

@@ -379,6 +379,7 @@ def test_openai_adapter_success():
     assert sent["max_tokens"] == 1024
     assert sent["messages"] == [{"role": "user", "content": "prompt text"}]
     assert session.posts[0]["headers"]["Authorization"] == "Bearer secret"
+    assert session.posts[0]["url"] == "https://api.openai.com/v1/chat/completions"
 
 
 class _RepeatSession:

@@ -97,6 +97,21 @@ def test_string_em_fractions():
         string_em([], "anything")
 
 
+def test_string_em_counts_only_answers_of_at_least_one_word():
+    """An answer that normalizes to nothing is a substring of every answer;
+    it earns no credit and does not count."""
+    for short in (["?"], [""], ["  ", "!?"]):
+        with pytest.raises(ValueError):
+            string_em(short, "completely unrelated answer")
+    assert string_em(["?", "dog"], "the cat") == 0.0
+    assert string_em(["", "cat", "bird"], "the cat") == 0.5
+    queries = [_record("q1", short=("?", "")), _record("q2", short=("...", "alpha"))]
+    report = evaluate_run(queries, {"q1": "anything", "q2": "alpha"}, {})
+    assert report["per_query"]["q1"]["em"] is None
+    assert report["per_query"]["q2"]["em"] == 1.0
+    assert report["aggregates"]["em"] == 1.0
+
+
 def _record(qid, gold=("p1",), reference="ref words", short=None):
     return QueryRecord(id=qid, query="q", gold_ids=frozenset(gold),
                        reference=reference, facet_of=None, short_answers=short)

@@ -1,5 +1,6 @@
 from contregen.llm import LlmGateway, ScriptedAdapter
-from contregen.planner import parse_numbered_list, propose_plan, render_passages
+from contregen.planner import (PASSAGE_CHAR_BUDGET, parse_numbered_list, propose_plan,
+                               render_passages)
 
 
 def test_parse_numbered_list_formats():
@@ -53,17 +54,18 @@ def test_render_passages_numbering():
 
 
 def test_render_passages_budget_omits_whole_passages():
-    texts = ["x" * 50, "y" * 50, "z" * 50]
-    block = render_passages(texts, char_budget=120)
-    assert "[1] " + "x" * 50 in block
-    assert "[2] " + "y" * 50 in block
+    size = PASSAGE_CHAR_BUDGET * 2 // 5 - 5  # a line and its newline take size + 5
+    texts = ["x" * size, "y" * size, "z" * size]  # two fit in the budget, three do not
+    block = render_passages(texts)
+    assert "[1] " + "x" * size in block
+    assert "[2] " + "y" * size in block
     assert "z" not in block
     assert "[1 more passages omitted]" in block
 
 
 def test_render_passages_huge_first_passage_truncated():
-    block = render_passages(["a" * 500, "tail"], char_budget=100)
-    assert block.startswith("[1] " + "a" * 96)
+    block = render_passages(["a" * (2 * PASSAGE_CHAR_BUDGET), "tail"])
+    assert block.startswith("[1] " + "a" * (PASSAGE_CHAR_BUDGET - 4) + " [passage truncated]")
     assert "[passage truncated]" in block
     assert "[1 more passages omitted]" in block
     assert "tail" not in block
