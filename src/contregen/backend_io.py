@@ -10,6 +10,7 @@ it."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import logging
@@ -18,7 +19,7 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterator, Optional, TextIO
 
 from contregen.errors import CacheCorruptionError, DataError, MalformedRecordError, ReplayMissError
 
@@ -91,16 +92,19 @@ def read_json(path: str | Path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
 
-def atomic_write(path: str | Path, text: str) -> None:
-    """Write text to path through a temporary sibling renamed over it, creating
-    parent directories. A target that exists and is not a regular file (/dev/stdout,
-    a FIFO, a symlink) is written in place: a rename would replace it. A path that
-    cannot be written is a DataError naming it."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle whose contents replace path when the block ends
+    without an error: it writes a temporary sibling, renamed over path then, and
+    removed on any failure, creating parent directories. A target that exists
+    and is not a regular file (/dev/stdout, a FIFO, a symlink) is written in
+    place, as far as the block got: a rename would replace it. An OSError in
+    the block, or a path that cannot be written, is a DataError naming it."""
     path = Path(path)
     try:
         if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
             return
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -109,13 +113,19 @@ def atomic_write(path: str | Path, text: str) -> None:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:  # a directory, a path through a regular file, a full disk, ...
         raise DataError(f"cannot write output file {path}: {exc.strerror}") from exc
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path through atomic_writer."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
 
 
 class JsonlCache:
@@ -291,5 +301,5 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     raise error(reason)
 
 
-__all__ = ["JsonlCache", "atomic_write", "post_with_retries", "read_json", "read_jsonl",
-           "read_text"]
+__all__ = ["JsonlCache", "atomic_write", "atomic_writer", "post_with_retries", "read_json",
+           "read_jsonl", "read_text"]

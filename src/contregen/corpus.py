@@ -121,8 +121,22 @@ def _record_id(value: object, path: str | Path, line_no: int, name: str) -> str:
                                    f"{name} must be a string or an integer") from None
 
 
+def _lone_surrogate(fields: Iterable[tuple[str, str]]) -> Optional[str]:
+    """Why the first of the (name, text) fields holding a lone surrogate is
+    bad, or None when none does. JSON can spell one (\\ud800), but UTF-8
+    cannot encode it, so neither a fingerprint nor an output file could take it."""
+    for name, text in fields:
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"{name} holds a lone surrogate, which is not UTF-8 text"
+    return None
+
+
 def ingest_corpus(path: str | Path) -> CorpusStore:
-    """Load a passage file into a store; duplicate ids and malformed lines are errors."""
+    """Load a passage file into a store; duplicate ids and malformed lines,
+    a lone surrogate in an id, text or meta among them, are errors."""
     store = CorpusStore()
     for line_no, record in read_jsonl(path, {"id", "text"}):
         meta = record.get("meta")
@@ -135,8 +149,13 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
         text = record["text"]
         if not isinstance(text, str) or not text.strip():
             raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
-        store.add(Passage(id=_record_id(record["id"], path, line_no, "id"), text=text,
-                          meta=meta))
+        passage_id = _record_id(record["id"], path, line_no, "id")
+        if meta or not (passage_id.isascii() and text.isascii()):  # ASCII holds no surrogate
+            fault = _lone_surrogate((("id", passage_id), ("text", text),
+                                     *(("meta", part) for item in meta.items() for part in item)))
+            if fault:
+                raise MalformedRecordError(str(path), line_no, fault)
+        store.add(Passage(id=passage_id, text=text, meta=meta))
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
     else:
@@ -225,8 +244,8 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
     "steps"}]}`` and the single-method ``{"title", "summary", "steps": [...]}``,
     which becomes one method titled as the article. An optional ``id`` field, a
     string or an integer, overrides the positional article id. Every title,
-    summary and step must be a string; any other value is a DataError naming
-    the record.
+    summary and step must be a string, and no field may hold a lone
+    surrogate; any other value is a DataError naming the record.
     """
     try:
         array = read_json(path, "input file")
@@ -256,6 +275,11 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
             article_id = id_text(obj["id"]) if "id" in obj else None
         except ValueError:
             raise DataError(f"{where}: id must be a string or an integer") from None
+        fault = _lone_surrogate((("id", article_id or ""), ("title", title), ("summary", summary),
+                                 *(("method title", method_title) for method_title, _ in methods),
+                                 *(("step", step) for _, steps in methods for step in steps)))
+        if fault:
+            raise DataError(f"{where}: {fault}")
         dumps.append(ArticleDump(title=title, summary=summary, methods=methods,
                                  article_id=article_id))
     return dumps

@@ -32,11 +32,12 @@ def render_passages(texts: Sequence[str]) -> str:
             lines.append(line[:PASSAGE_CHAR_BUDGET] + " [passage truncated]")
             omitted = len(texts) - position
             break
-        if used + len(line) + 1 > PASSAGE_CHAR_BUDGET:
+        cost = len(line) + 1 if lines else len(line)  # the newline that joins it
+        if used + cost > PASSAGE_CHAR_BUDGET:
             omitted = len(texts) - position + 1
             break
         lines.append(line)
-        used += len(line) + 1
+        used += cost
     if omitted:
         lines.append(f"[{omitted} more passages omitted]")
     return "\n".join(lines)

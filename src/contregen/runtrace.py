@@ -17,12 +17,12 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import yaml
 
 from contregen import baselines
-from contregen.backend_io import atomic_write, read_json, read_text
+from contregen.backend_io import atomic_write, atomic_writer, read_json, read_text
 from contregen.corpus import CorpusStore, QueryRecord, ingest_corpus, load_queries, validate_queries
 from contregen.errors import ConfigError, ContregenError, DataError
 from contregen.llm import (
@@ -180,6 +180,28 @@ class QueryRun:
     error: Optional[str] = None
 
 
+def _section_dict(q: QueryRun) -> dict:
+    """A query's section of the trace, as serialized."""
+    return {
+        "method": q.method,
+        "answer": q.answer,
+        "retrieved_ids": list(q.retrieved_ids),
+        "llm_calls": [
+            {"role": c.role, "prompt": c.prompt, "response": c.response,
+             "node_path": c.node_path, "approx_tokens": c.approx_tokens}
+            for c in q.llm_calls
+        ],
+        "retrieval_calls": [
+            {"query": c.query, "topk": c.topk,
+             "hit_ids": list(c.hit_ids), "backend": c.backend}
+            for c in q.retrieval_calls
+        ],
+        "tree": q.tree,
+        "rounds": q.rounds,
+        "error": q.error,
+    }
+
+
 @dataclass
 class RunTrace:
     """One run: the config snapshot, a section per query and the report, all
@@ -193,29 +215,25 @@ class RunTrace:
     def to_dict(self) -> dict:
         return {
             "config": self.config_snapshot,
-            "queries": {
-                qid: {
-                    "method": q.method,
-                    "answer": q.answer,
-                    "retrieved_ids": list(q.retrieved_ids),
-                    "llm_calls": [
-                        {"role": c.role, "prompt": c.prompt, "response": c.response,
-                         "node_path": c.node_path, "approx_tokens": c.approx_tokens}
-                        for c in q.llm_calls
-                    ],
-                    "retrieval_calls": [
-                        {"query": c.query, "topk": c.topk,
-                         "hit_ids": list(c.hit_ids), "backend": c.backend}
-                        for c in q.retrieval_calls
-                    ],
-                    "tree": q.tree,
-                    "rounds": q.rounds,
-                    "error": q.error,
-                }
-                for qid, q in sorted(self.queries.items())
-            },
+            "queries": {qid: _section_dict(q) for qid, q in sorted(self.queries.items())},
             "report": self.report,
         }
+
+    def json_pieces(self) -> Iterator[str]:
+        """canonical_json(self.to_dict()) + "\n" in pieces: the config head,
+        one piece per query section in query id order (the order sort_keys
+        gives), then the report tail. Only one section is serialized at once."""
+        yield '{"config":' + canonical_json(self.config_snapshot) + ',"queries":{'
+        separator = ""
+        for qid, q in sorted(self.queries.items()):
+            yield separator + canonical_json(qid) + ":" + canonical_json(_section_dict(q))
+            separator = ","
+        yield '},"report":' + canonical_json(self.report) + "}\n"
+
+    def write_json(self, path: str | Path) -> None:
+        """Write json_pieces to path through atomic_writer."""
+        with atomic_writer(path) as fh:
+            fh.writelines(self.json_pieces())
 
 
 def canonical_json(obj) -> str:
@@ -304,7 +322,7 @@ def run(config: RunConfig) -> RunTrace:
                                     "retrieval_backend_calls": backend.backend_calls})
 
     out_dir = Path(config.out_dir)
-    atomic_write(out_dir / "trace.json", canonical_json(trace.to_dict()) + "\n")
+    trace.write_json(out_dir / "trace.json")
     atomic_write(out_dir / "report.json", canonical_json(report) + "\n")
     outputs = "".join(
         canonical_json({"id": qid, "answer": q.answer, "error": q.error}) + "\n"

@@ -769,6 +769,32 @@ def test_output_that_cannot_be_written_is_one_data_error(case, planted, tmp_path
     assert [path.name for path in tmp_path.rglob(".*.tmp")] == []
 
 
+@pytest.mark.parametrize("command", ["ingest", "run", "build-wikihow"])
+def test_a_lone_surrogate_in_passage_input_is_one_data_error(command, planted, tmp_path, capsys):
+    """A passage text holding a lone surrogate once died in the corpus
+    fingerprint (run) or the output writer (ingest, build-wikihow)."""
+    out = tmp_path / "out"
+    source = tmp_path / "input.jsonl"
+    if command == "build-wikihow":
+        source.write_text(json.dumps(_article("how to x", ["alpha \ud800 beta"])) + "\n",
+                          encoding="utf-8")
+        argv = [command, "--articles", str(source), "--out-corpus", str(out / "corpus.jsonl"),
+                "--out-queries", str(out / "queries.jsonl")]
+        where = f"{source}:1: step"
+    else:
+        source.write_text(json.dumps({"id": "a1", "text": "alpha \ud800 beta"}) + "\n",
+                          encoding="utf-8")
+        argv = ([command, "--corpus", str(source), "--out", str(out / "corpus.jsonl")]
+                if command == "ingest" else
+                [command, "--corpus", str(source), "--queries", str(planted["queries"]),
+                 "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+                 "--out-dir", str(out)])
+        where = f"{source}:1: text"
+    line = _one_data_error(argv, capsys)
+    assert line == f"data error: {where} holds a lone surrogate, which is not UTF-8 text"
+    assert not out.exists()
+
+
 def test_data_error_line_counts_blank_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n\n  \nnot json\n",
@@ -891,6 +917,37 @@ def test_parallel_misses_on_one_question_replay_byte_identical(planted, tmp_path
                      "--fixtures", str(tmp_path / "retgen.json"),
                      "--cache-dir", cache, "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "trace.json").read_bytes() == cold
+
+
+def test_parallel_replay_matches_its_cold_run_byte_for_byte(planted, tmp_path, monkeypatch,
+                                                           index_builds, capsys):
+    """Eight queries, several asking one question, run four at a time against
+    a model that never repeats itself; a strict replay, four at a time too,
+    makes no backend call and writes the cold run's bytes."""
+    questions = [ROOT_QUERY] * 4 + ["how to find a lost phone"] * 2 + [
+        "how to fix a bike", "how to boil eggs"]
+    queries = tmp_path / "eight.jsonl"
+    queries.write_text("".join(
+        json.dumps({"id": f"q{n}", "query": question, "gold_ids": ["a1"]}) + "\n"
+        for n, question in enumerate(questions)), encoding="utf-8")
+    adapters = []
+    monkeypatch.setattr("contregen.runtrace._build_adapter",
+                        lambda config: adapters.append(NumberingAdapter()) or adapters[-1])
+    cache = str(tmp_path / "cache")
+    out_dir = _run_cli({**planted, "queries": queries}, tmp_path, retgen_fixtures(),
+                       method="retgen", extra=("--parallel", "4", "--cache-dir", cache))
+    names = ("trace.json", "report.json", "outputs.jsonl")
+    cold = {name: (out_dir / name).read_bytes() for name in names}
+    assert len({section["answer"] for section in json.loads(cold["trace.json"])["queries"]
+                .values()}) == 4  # one answer per distinct question
+    assert dispatch(["replay", "--method", "retgen", "--parallel", "4",
+                     "--corpus", str(planted["corpus"]), "--queries", str(queries),
+                     "--fixtures", str(tmp_path / "retgen.json"),
+                     "--cache-dir", cache, "--out-dir", str(out_dir)]) == 0
+    assert adapters[0].backend_calls == 4
+    assert adapters[1].backend_calls == 0
+    assert len(index_builds) == 1  # the replay retrieved nothing
+    assert {name: (out_dir / name).read_bytes() for name in names} == cold
 
 
 _IMPORT_PROBE = """

@@ -128,6 +128,25 @@ def test_ingest_rejects_meta_that_is_not_an_object_of_strings(meta, reason, tmp_
     assert str(err.value) == f"{path}:2: {reason}"
 
 
+@pytest.mark.parametrize("record, name", [
+    ({"id": "p2", "text": "alpha \ud800 beta"}, "text"),
+    ({"id": "p\udc00", "text": "also fine"}, "id"),
+    ({"id": "p2", "text": "also fine", "meta": {"facet": "x\udfff"}}, "meta"),
+    ({"id": "p2", "text": "also fine", "meta": {"\ud800": "x"}}, "meta"),
+])
+def test_ingest_rejects_a_lone_surrogate(record, name, tmp_path):
+    """JSON can spell a lone surrogate, but UTF-8 cannot encode it, so the
+    corpus fingerprint and ingest --out could not take the passage."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "p1", "text": "smile \ud83d\ude00"}) + "\n"
+                    + json.dumps(record) + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        ingest_corpus(path)
+    assert str(err.value) == f"{path}:2: {name} holds a lone surrogate, which is not UTF-8 text"
+    path.write_text(json.dumps({"id": "p1", "text": "smile \ud83d\ude00"}) + "\n")
+    assert ingest_corpus(path).text("p1") == "smile \U0001f600"  # a pair is one character
+
+
 def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": 7, "text": "seven"}) + "\n")
@@ -233,6 +252,21 @@ def test_load_article_dumps_rejects_a_badly_typed_field(field, value, reason, tm
     with pytest.raises(DataError) as err:
         load_article_dumps(path)
     assert str(err.value) == f"{path}:2: {reason}"
+
+
+@pytest.mark.parametrize("article, name", [
+    ({**_ARTICLE, "id": "a\ud800"}, "id"),
+    ({**_ARTICLE, "title": "how to \udc00"}, "title"),
+    ({**_ARTICLE, "summary": "s\udfff"}, "summary"),
+    ({**_ARTICLE, "steps": ["fine", "step \ud800"]}, "step"),
+    ({"title": "t", "methods": [{"title": "m\ud800", "steps": ["x"]}]}, "method title"),
+])
+def test_load_article_dumps_rejects_a_lone_surrogate(article, name, tmp_path):
+    path = tmp_path / "articles.jsonl"
+    path.write_text(json.dumps(_ARTICLE) + "\n" + json.dumps(article) + "\n")
+    with pytest.raises(DataError) as err:
+        load_article_dumps(path)
+    assert str(err.value) == f"{path}:2: {name} holds a lone surrogate, which is not UTF-8 text"
 
 
 def test_build_wikihow_ids_and_facets():

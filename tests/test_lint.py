@@ -6,9 +6,12 @@ fallback import), not inside a function or class. Its name is used when the
 module loads it anywhere or lists it in ``__all__``; ``from __future__``
 imports are skipped.
 
-Only ``contregen.backend_io`` opens, reads or writes files: no other package
-module calls ``open`` or a method named ``open``, ``read_text``,
-``read_bytes``, ``write_text`` or ``write_bytes``.
+Only ``contregen.backend_io`` opens, reads, writes, renames or removes files:
+no other package module calls ``open``, a method named ``open``,
+``read_text``, ``read_bytes``, ``write_text``, ``write_bytes``, ``mkdir``,
+``unlink``, ``rmdir``, ``touch``, ``truncate`` or ``rename``, or
+``os.replace`` or ``os.remove`` (a temporary file renamed over its target is
+built from these; ``str.replace`` and ``list.remove`` are spared).
 
 Every function, method and class of the package is read somewhere that
 ships or measures it: its name is loaded, as a name or an attribute, by a
@@ -90,11 +93,14 @@ def test_scan_flags_an_unused_import_and_spares_used_ones(tmp_path):
     assert unused_imports(module) == [(2, "os")]
 
 
-_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+_FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes",
+                 "mkdir", "unlink", "rmdir", "touch", "truncate", "rename"}
+_OS_FILE_FUNCTIONS = {"replace", "remove"}  # os.<name> only: not str.replace, list.remove
 
 
 def file_io_calls(path: Path) -> list[tuple[int, str]]:
-    """(line, name) of each call of open or of a file method in path."""
+    """(line, name) of each call of open, of a file method or of an os file
+    function in path."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     calls = []
     for node in ast.walk(tree):
@@ -103,7 +109,10 @@ def file_io_calls(path: Path) -> list[tuple[int, str]]:
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
             calls.append((node.lineno, "open"))
-        elif isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS:
+        elif isinstance(func, ast.Attribute) and (
+                func.attr in _FILE_METHODS
+                or (func.attr in _OS_FILE_FUNCTIONS
+                    and isinstance(func.value, ast.Name) and func.value.id == "os")):
             calls.append((node.lineno, func.attr))
     return sorted(calls)
 
@@ -119,15 +128,30 @@ def test_only_backend_io_touches_files():
 def test_file_io_scan_flags_each_call_form(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
+        "import os\n"
         "from pathlib import Path\n"
         "from contregen.backend_io import read_text\n"
         "open('a')\n"
         "Path('a').open()\n"
         "Path('a').read_text()\n"
         "Path('a').write_bytes(b'')\n"
-        "read_text('a', 'file')\n", encoding="utf-8")
-    assert file_io_calls(module) == [(3, "open"), (4, "open"), (5, "read_text"),
-                                     (6, "write_bytes")]
+        "read_text('a', 'file')\n"
+        "Path('a').parent.mkdir(parents=True)\n"
+        "Path('a').unlink(missing_ok=True)\n"
+        "Path('a').rmdir()\n"
+        "Path('a').touch()\n"
+        "fh.truncate(0)\n"
+        "os.replace('a', 'b')\n"
+        "os.rename('a', 'b')\n"
+        "os.remove('a')\n"
+        "os.unlink('a')\n"
+        "Path('a').rename('b')\n"
+        "'a-b'.replace('-', '_')\n"
+        "[1].remove(1)\n", encoding="utf-8")
+    assert file_io_calls(module) == [
+        (4, "open"), (5, "open"), (6, "read_text"), (7, "write_bytes"), (9, "mkdir"),
+        (10, "unlink"), (11, "rmdir"), (12, "touch"), (13, "truncate"), (14, "replace"),
+        (15, "rename"), (16, "remove"), (17, "unlink"), (18, "rename")]
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

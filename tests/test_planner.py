@@ -1,3 +1,5 @@
+import pytest
+
 from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.planner import (PASSAGE_CHAR_BUDGET, parse_numbered_list, propose_plan,
                                render_passages)
@@ -69,3 +71,20 @@ def test_render_passages_huge_first_passage_truncated():
     assert "[passage truncated]" in block
     assert "[1 more passages omitted]" in block
     assert "tail" not in block
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_render_passages_keeps_a_first_passage_at_the_budget(extra):
+    """A first line one under, at or one over the budget is kept or truncated,
+    never omitted: no newline comes before it, so none is charged."""
+    line = "[1] " + "x" * (PASSAGE_CHAR_BUDGET - len("[1] ") + extra)
+    kept = line if extra <= 0 else line[:PASSAGE_CHAR_BUDGET] + " [passage truncated]"
+    assert render_passages([line[4:]]) == kept
+    assert render_passages([line[4:], "tail"]) == kept + "\n[1 more passages omitted]"
+
+
+def test_render_passages_fills_the_budget_exactly():
+    first = "[1] " + "a" * 1996
+    second = "[2] " + "b" * (PASSAGE_CHAR_BUDGET - len(first) - 1 - 4)
+    assert len(render_passages([first[4:], second[4:]])) == PASSAGE_CHAR_BUDGET
+    assert "omitted" in render_passages([first[4:], second[4:] + "b"])

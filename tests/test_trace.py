@@ -1,15 +1,19 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
+from contregen.backend_io import atomic_writer
 from contregen.cli import dispatch
 from contregen.errors import ConfigError, DataError
 from contregen.llm import LlmCall
 from contregen.retrieval import RetrievalCall
 from contregen.runtrace import (
+    QueryRun,
     RunConfig,
+    RunTrace,
     atomic_write,
     canonical_json,
     diff_traces,
@@ -125,6 +129,87 @@ def test_atomic_write_writes_through_a_link_in_place(tmp_path):
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def _section(qid, method="contregen", calls=1, prompt="p", **fields):
+    section = QueryRun(query_id=qid, method=method, answer="an answer",
+                       retrieved_ids=("a1", "b2"), **fields)
+    section.llm_calls += [LlmCall(role="plan", prompt=prompt, response=f"r{n}",
+                                  node_path="0" if method == "contregen" else method,
+                                  approx_tokens=n) for n in range(calls)]
+    section.retrieval_calls.append(RetrievalCall(query="q", topk=2, hit_ids=("a1", "b2"),
+                                                 backend="lexical"))
+    return section
+
+
+def _run_trace(*sections):
+    return RunTrace(config_snapshot={"method": "contregen", "topk": 2},
+                    queries={section.query_id: section for section in sections},
+                    report={"aggregates": {"recall": 0.5}, "per_query": {}},
+                    backend_stats={"llm_backend_calls": 3})
+
+
+@pytest.mark.parametrize("sections", [
+    (),
+    (_section('q"uo\\te caf\u00e9 \u2603'),),
+    (_section("b-tree", tree={"query": "q", "children": []}),
+     _section("a-failed", error="ReplayMissError: no cached response"),
+     _section("c-chain", method="retgen", rounds=[["a1"], []]),
+     _section("10"), _section("9")),
+], ids=["no-queries", "escaped-id", "failed-tree-chain"])
+def test_json_pieces_join_to_the_canonical_trace(sections):
+    trace = _run_trace(*sections)
+    pieces = list(trace.json_pieces())
+    assert "".join(pieces) == canonical_json(trace.to_dict()) + "\n"
+    assert len(pieces) == len(sections) + 2  # head, one per section, tail
+
+
+def test_writing_a_trace_holds_one_section_at_a_time(tmp_path):
+    """40 sections of about 42 KB each, 45 calls apiece: the write's peak is a
+    few times one section, not the 1.7 MB trace. json.dumps holds its list of
+    chunks, an object for each key and value, beside the joined string, so the
+    peak is about 3 sections on Python 3.11; serializing the whole trace as one
+    string peaked at 119."""
+    words = " ".join(f"w{n}" for n in range(190))
+    trace = _run_trace(*(_section(f"q{n:02d}", calls=45, prompt=f"{n} {words}")
+                         for n in range(40)))
+    largest = max(len(piece) for piece in trace.json_pieces())
+    assert 40_000 < largest < 45_000
+    target = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace.write_json(target)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * largest
+    assert target.read_text(encoding="ascii") == canonical_json(trace.to_dict()) + "\n"
+
+
+def test_an_error_while_the_pieces_stream_leaves_the_old_file(tmp_path):
+    target = tmp_path / "trace.json"
+    _run_trace(_section("q1")).write_json(target)
+    old = target.read_bytes()
+    broken = _run_trace(_section("q1"), _section("q2", tree={"unserializable": object()}))
+    with pytest.raises(TypeError):
+        broken.write_json(target)
+    assert target.read_bytes() == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["trace.json"]
+
+
+def test_atomic_writer_renames_only_a_finished_block(tmp_path):
+    target = tmp_path / "out.txt"
+    with atomic_writer(target) as fh:
+        fh.write("first")
+        assert not target.exists()  # the text lands in a temporary sibling
+    assert target.read_text(encoding="utf-8") == "first"
+    with pytest.raises(DataError, match=r"^cannot write output file .*out\.txt: No space"):
+        with atomic_writer(target) as fh:
+            fh.write("second")
+            raise OSError(28, "No space left on device")
+    assert target.read_text(encoding="utf-8") == "first"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
 
 
 def _trace_with_calls(path, *node_paths):
