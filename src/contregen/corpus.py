@@ -206,6 +206,14 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
         if short and not all(isinstance(answer, str) for answer in short):
             raise MalformedRecordError(str(path), line_no,
                                        "each short_answers item must be a string")
+        fault = _lone_surrogate((("id", qid), ("query", obj["query"]),
+                                 ("reference", obj.get("reference") or ""),
+                                 *(("gold_ids", g) for g in gold),
+                                 *(("short_answers", answer) for answer in short or ()),
+                                 *(("facet_of", part) for item in (facet_of or {}).items()
+                                   for part in item)))
+        if fault:
+            raise MalformedRecordError(str(path), line_no, fault)
         records[qid] = QueryRecord(
             id=qid,
             query=obj["query"],

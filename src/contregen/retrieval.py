@@ -6,10 +6,12 @@ ln(1 + (N - df + 0.5) / (df + 0.5)), duplicate query terms counted once in
 first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
-from the cache builds none. The build appends each posting's term frequency
-to its term's arrays, then ``bm25_impacts`` turns it in place into its BM25
-impact, its whole contribution to its document's score, so a retrieval only
-adds stored impacts; each term also keeps its largest impact, its bound. A
+from the cache builds none. The build groups the corpus's tokens by term, one
+array of document indices per term with an entry per occurrence, then counts
+each term's array into its ascending document indices and term frequencies,
+and ``bm25_impacts`` turns each frequency in place into its BM25 impact, its
+whole contribution to its document's score, so a retrieval only adds stored
+impacts; each term also keeps its largest impact, its bound. A
 retrieval gathers its terms' (document indices, impacts, bound) tuples in a
 plain list and makes one call to the active kernel backend's
 ``topk_indices(terms, n, k)`` (``contregen._kernels``), which scores them and
@@ -27,8 +29,10 @@ import re
 import sys
 import threading
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from contregen._kernels import bm25_impacts, topk_indices
@@ -113,8 +117,11 @@ class LexicalIndex:
     indices, one of weights (term frequencies, which ``bm25_impacts`` turns in
     place into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``)
     and the largest impact, are built by the first retrieve, exactly once even
-    when threads call it together, and never change after. A run whose
-    retrievals all come from the cache builds none.
+    when threads call it together, and never change after. The build runs no
+    Python statement per posting: C-level iteration appends each token's
+    document index to its term's array, and a ``Counter`` over that array
+    gives the term's documents and frequencies; every array is sized
+    exactly. A run whose retrievals all come from the cache builds none.
     Internal document indices are assigned in ascending passage-id order, so
     the (-score, index) order of ``topk_indices`` realizes the id tie-break.
     """
@@ -137,27 +144,30 @@ class LexicalIndex:
     def _build(self) -> dict[str, tuple[array, array, float]]:
         """The postings, term -> (document indices, BM25 impacts, largest impact)."""
         lens = array("i")
-        postings: dict[str, tuple[array, array]] = {}
+        # each term's document index once per occurrence, so ascending; the
+        # appends run in C, from map and a deque that keeps nothing
+        occurrences = defaultdict(partial(array, "i"))
+        group = occurrences.__getitem__
         for index, pid in enumerate(self.doc_ids):
             tokens = tokenize(self._corpus.text(pid))
             lens.append(len(tokens))
-            for term, tf in Counter(tokens).items():
-                bucket = postings.get(term)
-                if bucket is None:
-                    bucket = postings[term] = (array("i"), array("d"))
-                bucket[0].append(index)
-                bucket[1].append(tf)
+            deque(map(array.append, map(group, tokens), repeat(index)), 0)
         # with no token in any passage there are no postings, and any avgdl serves
         avgdl = sum(lens) / self.doc_count or 1.0
         # each document's length normalization, the denominator's constant part
         doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
                                 for dl in lens))
-        for doc_indices, weights in postings.values():
+        for term, indices in occurrences.items():
+            tfs = Counter(indices)  # ascending document index -> term frequency
+            # built from lists, so sized exactly (an iterator grows them with slack)
+            doc_indices = array("i", [*tfs])
+            impacts = array("d", [*tfs.values()])
             df = len(doc_indices)
             idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            bm25_impacts(weights, doc_indices, doc_norms, idf, BM25_K1)
-        return {term: (doc_indices, impacts, max(impacts))
-                for term, (doc_indices, impacts) in postings.items()}
+            bm25_impacts(impacts, doc_indices, doc_norms, idf, BM25_K1)
+            # in place of the occurrences, so they are freed term by term
+            occurrences[term] = (doc_indices, impacts, max(impacts))
+        return dict(occurrences)  # a plain dict: looking up a missing term adds nothing
 
     def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:

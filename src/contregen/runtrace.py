@@ -19,11 +19,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
 
-import yaml
-
 from contregen import baselines
 from contregen.backend_io import atomic_write, atomic_writer, read_json, read_text
-from contregen.corpus import CorpusStore, QueryRecord, ingest_corpus, load_queries, validate_queries
+from contregen.corpus import (
+    CorpusStore,
+    QueryRecord,
+    _lone_surrogate,
+    ingest_corpus,
+    load_queries,
+    validate_queries,
+)
 from contregen.errors import ConfigError, ContregenError, DataError
 from contregen.llm import (
     Adapter,
@@ -147,6 +152,7 @@ def load_config(path: Optional[str] = None,
     """Defaults, then the config file, then flag overrides."""
     values: dict = {}
     if path is not None:
+        import yaml  # deferred: only a run with a config file pays for loading it
         try:  # an unreadable file is a ConfigError, as a missing one is
             loaded = yaml.safe_load(read_text(path, "config file")) or {}
         except DataError as exc:
@@ -395,6 +401,11 @@ def load_trace(path: str | Path) -> dict:
                        and _SCORES(report.get("aggregates", {}))):
         raise DataError(f"trace file {path}: report per_query must map query ids to "
                         "objects of numbers, and aggregates must be an object of numbers")
+    # load_queries rejects such an id, but a trace from a version that took one may hold it
+    fault = _lone_surrogate(("query id", qid) for qid in
+                            [*queries, *(report or {}).get("per_query", {})])
+    if fault:
+        raise DataError(f"trace file {path}: {fault}")
     return data
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 from contregen.llm import PromptRole
 
@@ -55,6 +56,29 @@ def bm25_rank(corpus: dict[str, str], query: str, topk: int) -> list[tuple[str, 
             scored.append((pid, score))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:topk]
+
+
+def bm25_postings(texts: list[str]) -> dict[str, tuple[list[int], list[float]]]:
+    """The index of texts, document d being texts[d]: term -> (ascending
+    document indices, BM25 impacts), each document's tokens counted with a
+    Counter and each impact computed in one expression, in the engine's
+    operation order."""
+    counts = [Counter(toks(text)) for text in texts]
+    lens = [sum(count.values()) for count in counts]
+    n_docs = len(texts)
+    avgdl = sum(lens) / n_docs or 1.0
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for d, count in enumerate(counts):
+        for term, tf in count.items():
+            postings.setdefault(term, []).append((d, tf))
+    index = {}
+    for term, pairs in postings.items():
+        df = len(pairs)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        index[term] = ([d for d, _ in pairs],
+                       [idf * (tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * (lens[d] / avgdl))))
+                        for d, tf in pairs])
+    return index
 
 
 def lcs_len(left: list, right: list) -> int:

@@ -795,6 +795,34 @@ def test_a_lone_surrogate_in_passage_input_is_one_data_error(command, planted, t
     assert not out.exists()
 
 
+def test_a_lone_surrogate_in_a_query_id_is_one_data_error(planted, tmp_path, capsys):
+    """A query id holding a lone surrogate once reached the trace, and eval
+    died encoding its table; run now rejects the query file, and eval an
+    older trace that holds such an id."""
+    queries = tmp_path / "surrogate-queries.jsonl"
+    record = json.loads(planted["queries"].read_text(encoding="utf-8"))
+    queries.write_text(json.dumps({**record, "id": "q\ud800"}) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--corpus", str(planted["corpus"]), "--queries", str(queries),
+            "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+            "--out-dir", str(out)]
+    line = _one_data_error(argv, capsys)
+    assert line == f"data error: {queries}:1: id holds a lone surrogate, which is not UTF-8 text"
+    assert not out.exists()
+
+    trace = _run_cli(planted, tmp_path, contregen_fixtures()) / "trace.json"
+    capsys.readouterr()
+    data = json.loads(trace.read_text(encoding="utf-8"))
+    for where in ("queries", "per_query"):
+        older = json.loads(json.dumps(data))
+        table = older["queries"] if where == "queries" else older["report"]["per_query"]
+        table["q\ud800"] = table.pop("q-planted")
+        trace.write_text(json.dumps(older), encoding="utf-8")
+        line = _one_data_error(["eval", "--trace", str(trace)], capsys)
+        assert line == (f"data error: trace file {trace}: "
+                        "query id holds a lone surrogate, which is not UTF-8 text")
+
+
 def test_data_error_line_counts_blank_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n\n  \nnot json\n",
@@ -954,35 +982,56 @@ _IMPORT_PROBE = """
 import json, sys
 from contregen.cli import dispatch
 
-def network_modules():
-    return sorted({"requests", "urllib3", "charset_normalizer"} & set(sys.modules))
+def deferred_modules():
+    return sorted({"requests", "urllib3", "charset_normalizer", "yaml"} & set(sys.modules))
 
-seen = [network_modules()]
+seen = [deferred_modules()]
 assert dispatch(sys.argv[2:]) == 0
-seen.append(network_modules())
+seen.append(deferred_modules())
 if sys.argv[1] == "remote":
     from contregen.retrieval import RemoteRetriever
     RemoteRetriever("http://localhost:9/search")
-else:
+elif sys.argv[1] == "openai":
     from contregen.llm import OpenAiChatAdapter
     OpenAiChatAdapter(model="m", api_key="k")
-seen.append(network_modules())
+seen.append(deferred_modules())
 print(json.dumps(seen))
 """
 
 
-@pytest.mark.parametrize("client", ["remote", "openai"])
-def test_requests_is_loaded_only_by_a_network_client(client, planted, tmp_path):
-    cache = str(tmp_path / "cache")
-    _run_cli(planted, tmp_path, contregen_fixtures(), extra=("--cache-dir", cache))
+def _probe_imports(client: str, argv: list[str]) -> list[list[str]]:
+    """The deferred modules loaded after importing the CLI, after running
+    argv through it, and after constructing client ("remote", "openai" or
+    "none"), in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(contregen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    printed = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, client, *argv],
+                             env=env, capture_output=True, check=True, timeout=60).stdout
+    return json.loads(printed.splitlines()[-1])
+
+
+@pytest.mark.parametrize("client", ["remote", "openai"])
+def test_requests_is_loaded_only_by_a_network_client(client, planted, tmp_path):
+    """A flag-only replay loads neither the network stack nor yaml."""
+    cache = str(tmp_path / "cache")
+    _run_cli(planted, tmp_path, contregen_fixtures(), extra=("--cache-dir", cache))
     replay = ["replay", "--corpus", str(planted["corpus"]),
               "--queries", str(planted["queries"]),
               "--fixtures", str(tmp_path / "contregen.json"), "--cache-dir", cache,
               "--out-dir", str(tmp_path / "replayed")]
-    printed = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, client, *replay],
-                             env=env, capture_output=True, check=True, timeout=60).stdout
-    after_import, after_replay, after_client = json.loads(printed.splitlines()[-1])
+    after_import, after_replay, after_client = _probe_imports(client, replay)
     assert after_import == after_replay == []
     assert "requests" in after_client
+    assert "yaml" not in after_client
+
+
+def test_yaml_is_loaded_only_to_read_a_config_file(planted, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("topk: 5\n", encoding="utf-8")
+    argv = ["run", "--config", str(config), "--corpus", str(planted["corpus"]),
+            "--queries", str(planted["queries"]),
+            "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+            "--out-dir", str(tmp_path / "out")]
+    after_import, after_run, _ = _probe_imports("none", argv)
+    assert after_import == []
+    assert after_run == ["yaml"]

@@ -180,6 +180,28 @@ def test_load_queries_rejects_a_badly_typed_id_or_query(field, value, reason, tm
     assert str(err.value) == f"{path}:2: {reason}"
 
 
+@pytest.mark.parametrize("record, name", [
+    ({"id": "q\ud800", "query": "x"}, "id"),
+    ({"id": "q2", "query": "alpha \udc00"}, "query"),
+    ({"id": "q2", "query": "x", "reference": "ref \udfff"}, "reference"),
+    ({"id": "q2", "query": "x", "gold_ids": ["p\ud800"]}, "gold_ids"),
+    ({"id": "q2", "query": "x", "short_answers": ["yes", "n\ud800"]}, "short_answers"),
+    ({"id": "q2", "query": "x", "gold_ids": ["p1"], "facet_of": {"p1": "m\ud800"}}, "facet_of"),
+])
+def test_load_queries_rejects_a_lone_surrogate(record, name, tmp_path):
+    """A query id holding a lone surrogate once reached the trace and killed
+    eval's text table; every text field of a query follows the corpus's rule."""
+    path = tmp_path / "queries.jsonl"
+    fine = {"id": "q1", "query": "smile \ud83d\ude00", "reference": "caf\u00e9",
+            "short_answers": ["\u65e5\u672c"], "gold_ids": ["p1"], "facet_of": {"p1": "m\u00fc"}}
+    path.write_text(json.dumps(fine) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        load_queries(path)
+    assert str(err.value) == f"{path}:2: {name} holds a lone surrogate, which is not UTF-8 text"
+    path.write_text(json.dumps(fine) + "\n")
+    assert load_queries(path)[0].query == "smile \U0001f600"  # a pair is one character
+
+
 def test_load_queries_rejects_facet_outside_gold(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text(json.dumps({

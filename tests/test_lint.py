@@ -13,6 +13,11 @@ no other package module calls ``open``, a method named ``open``,
 ``os.replace`` or ``os.remove`` (a temporary file renamed over its target is
 built from these; ``str.replace`` and ``list.remove`` are spared).
 
+No package module imports ``yaml`` or ``requests`` when it is itself
+imported: an import of either (or of a submodule) sits inside a function, or
+in an ``if TYPE_CHECKING:`` block, so only a command that reads a config file
+or talks to a network backend pays for loading it.
+
 Every function, method and class of the package is read somewhere that
 ships or measures it: its name is loaded, as a name or an attribute, by a
 package module or a ``perfbench/`` file, or it is part of a perfbench target
@@ -152,6 +157,67 @@ def test_file_io_scan_flags_each_call_form(tmp_path):
         (4, "open"), (5, "open"), (6, "read_text"), (7, "write_bytes"), (9, "mkdir"),
         (10, "unlink"), (11, "rmdir"), (12, "touch"), (13, "truncate"), (14, "replace"),
         (15, "rename"), (16, "remove"), (17, "unlink"), (18, "rename")]
+
+
+_DEFERRED_MODULES = {"yaml", "requests"}
+
+
+def eager_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of each import of a deferred module that runs when path
+    is imported: one outside every function and every ``if TYPE_CHECKING:``
+    body."""
+    found = []
+    pending = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            pending += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] in _DEFERRED_MODULES]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] in _DEFERRED_MODULES):
+            found.append((node.lineno, node.module))
+        pending += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_yaml_and_requests_are_imported_only_where_used():
+    modules = sorted((ROOT / "src" / "contregen").rglob("*.py"))
+    assert len(modules) > 10  # the scan found the package
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in modules for line, name in eager_imports(path)] == []
+
+
+def test_eager_import_scan_spares_functions_and_type_checking(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import yaml\n"
+        "import requests.adapters as ra, json\n"
+        "from requests import Session\n"
+        "from .yaml import local\n"
+        "import yamlish\n"
+        "if TYPE_CHECKING:\n"
+        "    import requests\n"
+        "else:\n"
+        "    import yaml\n"
+        "try:\n"
+        "    import requests\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def load():\n"
+        "    import yaml\n"
+        "class Client:\n"
+        "    import requests\n"
+        "    def __init__(self):\n"
+        "        from requests import Session\n", encoding="utf-8")
+    assert eager_imports(module) == [
+        (2, "yaml"), (3, "requests.adapters"), (4, "requests"), (10, "yaml"),
+        (12, "requests"), (18, "requests")]
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,7 +1,9 @@
 import email.utils
 import json
 import random
+import sys
 import time
+from array import array
 
 import pytest
 
@@ -22,7 +24,7 @@ from contregen.retrieval import (
 )
 
 from conftest import run_together
-from oracles import bm25_rank
+from oracles import bm25_postings, bm25_rank
 
 
 def _store(texts: dict) -> CorpusStore:
@@ -99,6 +101,50 @@ def test_ranking_matches_oracle_on_zipf_corpus(kernels):
         ranked = tuple(bm25_rank(texts, query, len(texts) + 3))  # the oracle cuts by slicing
         for topk in (1, 5, len(texts) + 3):
             assert index.retrieve(query, topk) == ranked[:topk]
+
+
+# Tokens that lower to ascii ("\u212a", the Kelvin sign, to "k"; "\u0130" to
+# "i" and a combining dot), digits, mixed case, and punctuation or non-ascii
+# text that gives no token.
+_BUILD_WORDS = ["alpha", "Alpha", "ALPHA", "beta", "GaMmA", "x9", "2024", "007", "k",
+                "\u212a", "\u0130", "\u0130stanbul", "i", "don't", "caf\u00e9", "!!!",
+                "\u65e5\u672c\u8a9e", "--"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_matches_a_counter_oracle(seed, kernels):
+    """The postings equal a per-document Counter build on either kernel
+    backend: the same terms, ascending unique document indices, impacts
+    equal to the direct formula bit for bit, and each bound the largest."""
+    assert tokenize("\u212a \u0130") == ["k", "i"]
+    rng = random.Random(seed)
+    texts = {}
+    for i in rng.sample(range(1000), rng.randint(20, 120)):  # ids not in index order
+        if rng.random() < 0.15:
+            texts[f"p{i:03d}"] = rng.choice(["!!!", "\u65e5\u672c\u8a9e", "!!! \u65e5\u672c -- ?"])
+        else:  # repeated tokens: few words, up to 40 draws
+            texts[f"p{i:03d}"] = " ".join(rng.choices(_BUILD_WORDS, k=rng.randint(1, 40)))
+    built = LexicalIndex(_store(texts))._build()
+    expected = bm25_postings([texts[pid] for pid in sorted(texts)])
+    assert built.keys() == expected.keys()
+    for term, (doc_indices, impacts, bound) in built.items():
+        assert list(doc_indices) == sorted(set(doc_indices)) == expected[term][0]
+        assert [w.hex() for w in impacts] == [w.hex() for w in expected[term][1]]
+        assert bound == max(impacts)
+
+
+def test_posting_arrays_are_sized_exactly(kernels):
+    """No posting array keeps the slack an appended array grows with."""
+    rng = random.Random(99)
+    vocab = [f"w{rank}" for rank in range(1, 201)]
+    texts = {f"p{i:04d}": " ".join(rng.choices(vocab, [1.0 / r for r in range(1, 201)],
+                                               k=rng.randint(5, 60)))
+             for i in range(500)}
+    built = LexicalIndex(_store(texts))._build()
+    arrays = [a for doc_indices, impacts, _ in built.values() for a in (doc_indices, impacts)]
+    assert max(len(a) for a in arrays) > 400  # long enough to have grown
+    assert [sys.getsizeof(a) - sys.getsizeof(array(a.typecode)) for a in arrays] == \
+        [a.itemsize * len(a) for a in arrays]
 
 
 def test_zero_score_documents_never_returned():
