@@ -59,46 +59,59 @@ class ArticleDump:
 
 
 class CorpusStore:
-    """Immutable-after-ingestion passage store; safe for concurrent readers."""
+    """Immutable-after-ingestion passage store; safe for concurrent readers.
+
+    It keeps one id -> text dict, in insertion order, and the meta of only the
+    passages whose meta is not empty, so a passage costs the store its two
+    strings and a dict entry. ``get`` and iteration build each ``Passage`` on
+    demand, with the stored meta or a fresh empty one.
+    """
 
     def __init__(self, passages: Iterable[Passage] = ()) -> None:
-        self._by_id: dict[str, Passage] = {}  # in insertion order
+        self._texts: dict[str, str] = {}  # in insertion order
+        self._meta: dict[str, Mapping[str, str]] = {}  # only the non-empty ones
         for passage in passages:
             self.add(passage)
 
+    def _put(self, passage_id: str, text: str, meta: Mapping[str, str]) -> None:
+        if passage_id in self._texts:
+            raise DuplicateIdError(passage_id)
+        self._texts[passage_id] = text
+        if meta:
+            self._meta[passage_id] = meta
+
     def add(self, passage: Passage) -> None:
-        if passage.id in self._by_id:
-            raise DuplicateIdError(passage.id)
         if not passage.text.strip():
             raise DataError(f"passage {passage.id!r} has empty text")
-        self._by_id[passage.id] = passage
+        self._put(passage.id, passage.text, passage.meta)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._texts)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._by_id
+        return passage_id in self._texts
 
     def __iter__(self) -> Iterator[Passage]:
-        return iter(self._by_id.values())
+        return map(self.get, self._texts)
 
     def get(self, passage_id: str) -> Passage:
+        meta = self._meta.get(passage_id)
+        return Passage(id=passage_id, text=self.text(passage_id),
+                       meta={} if meta is None else meta)
+
+    def text(self, passage_id: str) -> str:
         try:
-            return self._by_id[passage_id]
+            return self._texts[passage_id]
         except KeyError:
             raise DataError(f"unknown passage id: {passage_id}") from None
 
-    def text(self, passage_id: str) -> str:
-        return self.get(passage_id).text
-
     def ids(self) -> list[str]:
-        return list(self._by_id)
+        return list(self._texts)
 
     def fingerprint(self) -> str:
         """sha256 over the (id, text) pairs in id order, NUL-separated."""
         digest = hashlib.sha256()
-        for pid in sorted(self._by_id):
-            text = self._by_id[pid].text
+        for pid, text in sorted(self._texts.items()):
             digest.update(b"%s\0%s\0" % (pid.encode("utf-8"), text.encode("utf-8")))
         return digest.hexdigest()
 
@@ -155,7 +168,7 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
                                      *(("meta", part) for item in meta.items() for part in item)))
             if fault:
                 raise MalformedRecordError(str(path), line_no, fault)
-        store.add(Passage(id=passage_id, text=text, meta=meta))
+        store._put(passage_id, text, meta)
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
     else:

@@ -47,10 +47,20 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# A-Z to a-z, and every other ASCII character outside [a-z0-9] to a space
+_ASCII_TOKENS = str.maketrans({c: c.lower() if c.isalnum() else " "
+                               for c in map(chr, range(128))})
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split into ascii-alphanumeric runs (punctuation acts as whitespace)."""
+    """Lowercase and split into ascii-alphanumeric runs (punctuation acts as whitespace).
+
+    ASCII text takes one ``str.translate`` and a split. Other text keeps the
+    regular expression over the lowered text: ``str.translate`` is fast only
+    on ASCII input, and ``str.lower`` turns some non-ASCII characters into
+    ASCII letters (the Kelvin sign into "k"). Both give the same tokens."""
+    if text.isascii():
+        return text.translate(_ASCII_TOKENS).split()
     return _TOKEN_RE.findall(text.lower())
 
 

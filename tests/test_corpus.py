@@ -1,4 +1,7 @@
 import json
+import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -72,6 +75,86 @@ def test_ingest_empty_file_warns(tmp_path, caplog):
         store = ingest_corpus(path)
     assert len(store) == 0
     assert any("no passages" in r.message for r in caplog.records)
+
+
+# Inserted out of id order, with an id read as an integer, non-ASCII text
+# and one passage with meta; the fingerprint is part of every retrieval
+# cache key, so its bytes are pinned.
+_PINNED_RECORDS = [
+    {"id": "p10", "text": "Ten sorts after p1 and before p2"},
+    {"id": 7, "text": "an integer id, read as its decimal string"},
+    {"id": "p2", "text": "na\u00efve caf\u00e9 \u2014 \u65e5\u672c\u8a9e, \u212a",
+     "meta": {"lang": "fr", "note": "\u00fcn\u00ef"}},
+    {"id": "a", "text": "first in id order", "meta": None},
+]
+_PINNED_FINGERPRINT = "464d190f0cd3531b10d4f12d64ec8073b9387e9f1c0c5ab1ef0533a8687119df"
+
+
+def test_fingerprint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
+                            for record in _PINNED_RECORDS), encoding="utf-8")
+    ingested = ingest_corpus(path)
+    built = CorpusStore(Passage(id=str(record["id"]), text=record["text"],
+                                meta=record.get("meta") or {})
+                        for record in _PINNED_RECORDS)
+    assert ingested.ids() == built.ids() == ["p10", "7", "p2", "a"]
+    assert ingested.fingerprint() == built.fingerprint() == _PINNED_FINGERPRINT
+
+
+def test_store_builds_passages_equal_to_those_added():
+    added = [Passage(id="z", text="no meta"),
+             Passage(id="m", text="with meta", meta={"facet": "f", "step": "0"}),
+             Passage(id="a", text="empty meta", meta={})]
+    store = CorpusStore(added)
+    assert [store.get(p.id) for p in added] == added
+    assert list(store) == added  # insertion order, not id order
+    assert store.get("m").meta == {"facet": "f", "step": "0"}
+    bare = store.get("z")
+    bare.meta["k"] = "v"  # a fresh dict each time, so the store does not change
+    assert store.get("z").meta == {} and store.get("a").meta == {}
+    with pytest.raises(DataError, match="unknown passage id: q"):
+        store.get("q")
+
+
+def test_store_add_rejects_empty_text_and_duplicate_id():
+    store = CorpusStore([Passage(id="x", text="something")])
+    with pytest.raises(DataError, match="^passage 'y' has empty text$"):
+        store.add(Passage(id="y", text=" \n"))
+    with pytest.raises(DuplicateIdError, match="^duplicate id: x$"):
+        store.add(Passage(id="x", text="other"))
+    assert store.ids() == ["x"] and store.text("x") == "something"
+
+
+def test_ingest_rejects_empty_text_and_duplicate_id(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "p1", "text": "fine"}\n{"id": "p2", "text": " "}\n')
+    with pytest.raises(MalformedRecordError,
+                       match=f"^{re.escape(str(path))}:2: text must be a non-empty string$"):
+        ingest_corpus(path)
+    path.write_text('{"id": "p1", "text": "fine"}\n{"id": "p1", "text": "again"}\n')
+    with pytest.raises(DuplicateIdError, match="^duplicate id: p1$"):
+        ingest_corpus(path)
+
+
+def test_store_keeps_little_per_passage_beyond_its_strings(tmp_path):
+    """An ingested passage costs the store its id and text strings and about
+    one dict entry (20-45 bytes); a record object per passage with an empty
+    meta dict of its own costs 180-195 bytes more."""
+    count = 2000
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"id": f"p{i:05d}", "text": f"passage {i} text"}) + "\n"
+                            for i in range(count)))
+    ingest_corpus(path)  # first-use allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = ingest_corpus(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    strings = sum(sys.getsizeof(pid) + sys.getsizeof(store.text(pid)) for pid in store.ids())
+    assert (retained - strings) / count < 100
 
 
 def test_load_queries_and_validation(tmp_path):

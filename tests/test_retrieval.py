@@ -24,7 +24,7 @@ from contregen.retrieval import (
 )
 
 from conftest import run_together
-from oracles import bm25_postings, bm25_rank
+from oracles import bm25_postings, bm25_rank, toks
 
 
 def _store(texts: dict) -> CorpusStore:
@@ -43,6 +43,28 @@ def test_tokenize():
     assert tokenize("Hello, World! x9") == ["hello", "world", "x9"]
     assert tokenize("don't-stop") == ["don", "t", "stop"]
     assert tokenize("   ") == []
+
+
+# Characters that lower to ASCII letters (the Kelvin sign, dotted capital I),
+# that fold or title-case oddly, and non-ASCII whitespace that str.split
+# would take as a separator
+_NON_ASCII = ["\u212a", "\u0130", "\u00df", "\u01c5", "\u00a0", "\x85", "\u2028",
+              "\u65e5\u672c\u8a9e"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tokenize_matches_the_regular_expression_oracle(seed):
+    """Every ASCII code point, the controls str.split takes as whitespace
+    among them, alone and mixed with non-ASCII cases, tokenizes as the
+    regular expression does over the lowered text."""
+    rng = random.Random(seed)
+    ascii_points = [chr(c) for c in range(128)]
+    cases = ["".join(ascii_points), *ascii_points, *_NON_ASCII]
+    for _ in range(300):
+        pool = ascii_points + (_NON_ASCII if rng.random() < 0.3 else [])
+        cases.append("".join(rng.choices(pool, k=rng.randint(0, 40))))
+    for text in cases:
+        assert tokenize(text) == toks(text), text
 
 
 def test_normalize_query():
