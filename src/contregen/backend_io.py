@@ -144,6 +144,12 @@ class JsonlCache:
     miss is a ReplayMissError. An append that cannot be written is a
     DataError naming the file, and the entry is not kept; any part of it that
     landed is cut off before the next append.
+
+    The first put opens the file for appending and keeps the handle until
+    close(), or until an append fails, when the next put opens it again.
+    Each append seeks to the file's end first, so the point a failed append
+    is cut back to holds even when another writer appended meanwhile, and
+    flushes its line.
     """
 
     value_field: str
@@ -158,6 +164,7 @@ class JsonlCache:
         # key -> [its lock, the callers holding or waiting for it] while a miss computes
         self._flights: dict[str, list] = {}
         self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
+        self._fh: Optional[TextIO] = None  # the append handle, opened by the first put
         self._load()
 
     def _load(self) -> None:
@@ -200,22 +207,42 @@ class JsonlCache:
             if key in self._entries:
                 return self._entries[key]
             try:  # the repair is idempotent, so it is kept until an append lands
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                # a lone surrogate cannot be UTF-8; it can stand only inside a
-                # JSON string, where backslashreplace writes it as its \u escape
-                with self.path.open("a", encoding="utf-8", errors="backslashreplace") as fh:
-                    if self._repair is None:  # cut this append off if it lands in part
-                        self._repair = (fh.tell(), "")
-                    else:
-                        fh.truncate(self._repair[0])
-                    fh.write(self._repair[1] + json.dumps(
-                        {"key": key, **context, self.value_field: value},
-                        ensure_ascii=False) + "\n")
+                if self._fh is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    # a lone surrogate cannot be UTF-8; it can stand only inside a
+                    # JSON string, where backslashreplace writes it as its \u escape
+                    self._fh = self.path.open("a", encoding="utf-8",
+                                              errors="backslashreplace")
+                fh = self._fh
+                # the file's real end, past any line another writer appended
+                end = fh.seek(0, os.SEEK_END)
+                if self._repair is None:  # cut this append off if it lands in part
+                    self._repair = (end, "")
+                else:
+                    fh.truncate(self._repair[0])
+                fh.write(self._repair[1] + json.dumps(
+                    {"key": key, **context, self.value_field: value},
+                    ensure_ascii=False) + "\n")
+                fh.flush()
             except OSError as exc:  # a directory, a full disk, no write permission, ...
+                self._drop_handle()  # the next put reopens the file and repairs it
                 raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
             self._repair = None
             self._entries[key] = value
             return value
+
+    def _drop_handle(self) -> None:
+        """Close the append handle, if open, under the caller's lock. Every
+        landed line was flushed, so a close that fails loses nothing."""
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            with contextlib.suppress(OSError):
+                fh.close()
+
+    def close(self) -> None:
+        """Close the append handle; a later put opens the file again."""
+        with self._lock:
+            self._drop_handle()
 
     def lookup(self, key: str, context: dict, compute: Callable, *args):
         """The cached value for key. On a miss a strict cache raises

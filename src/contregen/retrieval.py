@@ -7,17 +7,20 @@ first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
 from the cache builds none. The build groups the corpus's tokens by term, one
-array of document indices per term with an entry per occurrence, then counts
-each term's array into its ascending document indices and term frequencies,
-and ``bm25_impacts`` turns each frequency in place into its BM25 impact, its
-whole contribution to its document's score, so a retrieval only adds stored
-impacts; each term also keeps its largest impact, its bound. A
-retrieval gathers its terms' (document indices, impacts, bound) tuples in a
-plain list and makes one call to the active kernel backend's
-``topk_indices(terms, n, k)`` (``contregen._kernels``), which scores them and
-returns (index, score) pairs: the compiled one adds every posting, the pure
-one lets the bounds skip the terms that cannot change the top k. Both return
-the same hits and scores.
+array of document indices per term with an entry per occurrence. Finalizing
+a term counts its array into its ascending document indices and term
+frequencies, and ``bm25_impacts`` turns each frequency in place into its
+BM25 impact, its whole contribution to its document's score, so a retrieval
+only adds stored impacts; each term also keeps its largest impact, its
+bound. The build finalizes each term with more than N >> 8 occurrences (N
+passages); a rarer term keeps its occurrence array until the first
+retrieval that names it finalizes it, so the many rare terms no query names
+cost only their grouping. A retrieval gathers its terms' (document indices,
+impacts, bound) tuples in a plain list and makes one call to the active
+kernel backend's ``topk_indices(terms, n, k)`` (``contregen._kernels``),
+which scores them and returns (index, score) pairs: the compiled one adds
+every posting, the pure one lets the bounds skip the terms that cannot
+change the top k. Both return the same hits and scores.
 """
 
 from __future__ import annotations
@@ -127,11 +130,16 @@ class LexicalIndex:
     indices, one of weights (term frequencies, which ``bm25_impacts`` turns in
     place into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``)
     and the largest impact, are built by the first retrieve, exactly once even
-    when threads call it together, and never change after. The build runs no
-    Python statement per posting: C-level iteration appends each token's
-    document index to its term's array, and a ``Counter`` over that array
-    gives the term's documents and frequencies; every array is sized
-    exactly. A run whose retrievals all come from the cache builds none.
+    when threads call it together. The build runs no Python statement per
+    posting: C-level iteration appends each token's document index to its
+    term's occurrence array, and ``_finalize`` counts that array with a
+    ``Counter`` into the term's documents and frequencies, every array sized
+    exactly. The build finalizes only the terms with more than
+    ``doc_count >> 8`` occurrences (every term below 256 passages); the first
+    retrieve that names a rarer term replaces its occurrence array with the
+    finished tuple, under the lock, so each term is finalized once and a
+    finished tuple never changes. Either way a term gets the same bits. A
+    run whose retrievals all come from the cache builds none.
     Internal document indices are assigned in ascending passage-id order, so
     the (-score, index) order of ``topk_indices`` realizes the id tie-break.
     """
@@ -147,12 +155,16 @@ class LexicalIndex:
         self.doc_count = len(self.doc_ids)
         self.backend_calls = 0
         self.corpus_fingerprint = corpus.fingerprint()
-        self._lock = threading.Lock()  # guards backend_calls and the build
-        # the postings, published once complete
-        self._built: Optional[dict[str, tuple[array, array, float]]] = None
+        self._lock = threading.Lock()  # guards backend_calls, the build and finalization
+        # the postings, published once built; a rare term's occurrence array
+        # is replaced by its finished tuple when a query first names it
+        self._built: Optional[dict[str, tuple[array, array, float] | array]] = None
+        self._doc_norms: Optional[array] = None  # set by the build
 
-    def _build(self) -> dict[str, tuple[array, array, float]]:
-        """The postings, term -> (document indices, BM25 impacts, largest impact)."""
+    def _build(self) -> dict[str, tuple[array, array, float] | array]:
+        """The postings, term -> (document indices, BM25 impacts, largest
+        impact), except that a rare term keeps its occurrence array for
+        ``retrieve`` to finalize. Sets the document norms ``_finalize`` reads."""
         lens = array("i")
         # each term's document index once per occurrence, so ascending; the
         # appends run in C, from map and a deque that keeps nothing
@@ -165,34 +177,46 @@ class LexicalIndex:
         # with no token in any passage there are no postings, and any avgdl serves
         avgdl = sum(lens) / self.doc_count or 1.0
         # each document's length normalization, the denominator's constant part
-        doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
-                                for dl in lens))
+        self._doc_norms = array("d", (BM25_K1 * (1.0 - BM25_B + BM25_B * (dl / avgdl))
+                                      for dl in lens))
+        rare = self.doc_count >> 8
         for term, indices in occurrences.items():
-            tfs = Counter(indices)  # ascending document index -> term frequency
-            # built from lists, so sized exactly (an iterator grows them with slack)
-            doc_indices = array("i", [*tfs])
-            impacts = array("d", [*tfs.values()])
-            df = len(doc_indices)
-            idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
-            bm25_impacts(impacts, doc_indices, doc_norms, idf, BM25_K1)
-            # in place of the occurrences, so they are freed term by term
-            occurrences[term] = (doc_indices, impacts, max(impacts))
+            if len(indices) > rare:
+                # in place of the occurrences, so they are freed term by term
+                occurrences[term] = self._finalize(indices)
         return dict(occurrences)  # a plain dict: looking up a missing term adds nothing
+
+    def _finalize(self, indices: array) -> tuple[array, array, float]:
+        """A term's (document indices, BM25 impacts, largest impact) from its
+        ascending occurrence array."""
+        tfs = Counter(indices)  # ascending document index -> term frequency
+        # built from lists, so sized exactly (an iterator grows them with slack)
+        doc_indices = array("i", [*tfs])
+        impacts = array("d", [*tfs.values()])
+        df = len(doc_indices)
+        idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+        bm25_impacts(impacts, doc_indices, self._doc_norms, idf, BM25_K1)
+        return doc_indices, impacts, max(impacts)
 
     def retrieve(self, query_text: str, topk: int) -> Hits:
         if topk < 1:
             raise ValueError("topk must be >= 1")
-        # every call takes the lock for the counter, so the build check rides
-        # inside it: the first caller builds, concurrent ones wait for it
+        query_terms = dict.fromkeys(tokenize(query_text))
+        terms: list[tuple[array, array, float]] = []
+        # every call takes the lock for the counter, so the build and the
+        # finalization of rare terms ride inside it: the first caller builds,
+        # concurrent ones wait for it, and each term is finalized once
         with self._lock:
             self.backend_calls += 1
             if self._built is None:
                 self._built = self._build()
-        postings = self._built
-        terms: list[tuple[array, array, float]] = []
-        for term in dict.fromkeys(tokenize(query_text)):
-            bucket = postings.get(term)
-            if bucket is not None:
+            postings = self._built
+            for term in query_terms:
+                bucket = postings.get(term)
+                if bucket is None:
+                    continue
+                if isinstance(bucket, array):  # a rare term, first named now
+                    bucket = postings[term] = self._finalize(bucket)
                 bm25_accumulate(terms, *bucket)
         return tuple((self.doc_ids[i], score)
                      for i, score in topk_indices(terms, self.doc_count, topk))

@@ -299,25 +299,31 @@ def run(config: RunConfig) -> RunTrace:
 
     adapter = _build_adapter(config)
     backend = _build_backend(config, store)
-    retrieval_cache = None
+    retrieval_cache = llm_cache = None
     if config.cache_dir:
         cache_dir = Path(config.cache_dir)
         retrieval_cache = RetrievalCache(cache_dir / "retrieval.jsonl", strict=config.replay)
-        adapter = CachingAdapter(adapter, LlmCache(cache_dir / "llm.jsonl", strict=config.replay))
+        llm_cache = LlmCache(cache_dir / "llm.jsonl", strict=config.replay)
+        adapter = CachingAdapter(adapter, llm_cache)
     elif config.replay:
         raise ConfigError("replay mode needs cache_dir")
 
     ordered = sorted(records, key=lambda r: r.id)
-    if config.parallel > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            sections = list(pool.map(
-                lambda rec: _run_one(config, rec, adapter, backend, store,
-                                     templates, retrieval_cache),
-                ordered))
-    else:
-        sections = [_run_one(config, rec, adapter, backend, store,
-                             templates, retrieval_cache)
-                    for rec in ordered]
+    try:
+        if config.parallel > 1:
+            with ThreadPoolExecutor(max_workers=config.parallel) as pool:
+                sections = list(pool.map(
+                    lambda rec: _run_one(config, rec, adapter, backend, store,
+                                         templates, retrieval_cache),
+                    ordered))
+        else:
+            sections = [_run_one(config, rec, adapter, backend, store,
+                                 templates, retrieval_cache)
+                        for rec in ordered]
+    finally:
+        for cache in (retrieval_cache, llm_cache):
+            if cache is not None:
+                cache.close()
     queries = {section.query_id: section for section in sections}
 
     answers = {qid: q.answer for qid, q in queries.items() if q.error is None}

@@ -81,6 +81,15 @@ def bm25_postings(texts: list[str]) -> dict[str, tuple[list[int], list[float]]]:
     return index
 
 
+def forced_postings(index) -> dict:
+    """A LexicalIndex's postings with every term finalized: a first retrieval
+    builds the index if it is not built yet, and one naming every term
+    finalizes each rare term the way a query naming it first does."""
+    index.retrieve("x", 1)  # builds the index, so its terms can be named
+    index.retrieve(" ".join(index._built), 1)
+    return dict(index._built)
+
+
 def lcs_len(left: list, right: list) -> int:
     """Full-table dynamic program, no shared code with the kernels."""
     rows = len(left)

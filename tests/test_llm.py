@@ -257,34 +257,37 @@ def test_llm_cache_append_failure_is_data_error_and_not_kept(tmp_path):
 
 
 class _FullDisk:
-    """An append handle whose write lands the first half of its text, then
-    fails as a full disk does."""
+    """An append handle whose first write lands, and whose second lands the
+    first half of its text, then fails as a full disk does."""
 
     def __init__(self, fh):
         self.fh = fh
+        self.writes = 0
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.fh.close()
-
-    def __getattr__(self, name):  # tell, truncate
+    def __getattr__(self, name):  # seek, truncate, flush, close
         return getattr(self.fh, name)
 
     def write(self, text):
+        self.writes += 1
+        if self.writes == 1:
+            return self.fh.write(text)
         self.fh.write(text[:len(text) // 2])
         self.fh.flush()
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, monkeypatch):
-    path = tmp_path / "llm.jsonl"
-    cache = LlmCache(path)
-    cache.put("k1", "one", role="plan", prompt="p")
+def _full_disk_on_open(monkeypatch) -> None:
+    """Every append handle opened until monkeypatch.undo() is a _FullDisk."""
     real_open = Path.open
     monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs:
                         _FullDisk(real_open(self, *args, **kwargs)))
+
+
+def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, monkeypatch):
+    path = tmp_path / "llm.jsonl"
+    cache = LlmCache(path)
+    _full_disk_on_open(monkeypatch)  # the first put's handle is held: k2 fails through it
+    cache.put("k1", "one", role="plan", prompt="p")
     with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
         cache.put("k2", "two", role="plan", prompt="p")
     monkeypatch.undo()
@@ -293,6 +296,45 @@ def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, mo
     reloaded = LlmCache(path)
     assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("one", None, "three")
     assert len(path.read_bytes().splitlines()) == 2
+
+
+def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_path,
+                                                                        monkeypatch):
+    """Two caches on one file: the repair point of a held handle is the file's
+    real end, not where that handle last wrote, so cutting off its partial
+    line keeps the line the other cache appended in between."""
+    path = tmp_path / "llm.jsonl"
+    first = LlmCache(path)
+    _full_disk_on_open(monkeypatch)
+    first.put("a1", "one", role="plan", prompt="p")
+    monkeypatch.undo()
+    second = LlmCache(path)
+    second.put("b1", "two", role="plan", prompt="p")
+    with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
+        first.put("a2", "three", role="plan", prompt="p")
+    assert not path.read_text(encoding="utf-8").endswith("\n")  # part of a2's line
+    first.put("a3", "four", role="plan", prompt="p")
+    second.put("b2", "five", role="plan", prompt="p")
+    first.close()
+    second.close()
+    reloaded = LlmCache(path)
+    assert [reloaded.get(key) for key in ("a1", "b1", "a2", "a3", "b2")] == \
+        ["one", "two", None, "four", "five"]
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == \
+        ["a1", "b1", "a3", "b2"]
+
+
+def test_a_closed_cache_reopens_its_file_on_the_next_put(tmp_path):
+    path = tmp_path / "sub" / "llm.jsonl"
+    cache = LlmCache(path)
+    cache.close()  # nothing open yet
+    assert not path.parent.exists()  # the first put makes the directory
+    cache.put("k1", "one", role="plan", prompt="p")
+    assert LlmCache(path).get("k1") == "one"  # every line is flushed as it is written
+    cache.close()
+    cache.put("k2", "two", role="plan", prompt="p")
+    cache.close()
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == ["k1", "k2"]
 
 
 def test_concurrent_misses_on_one_key_get_the_value_the_cache_kept(tmp_path):

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from array import array
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ from contregen.retrieval import (
 )
 
 from conftest import run_together
-from oracles import bm25_postings, bm25_rank, toks
+from oracles import bm25_postings, bm25_rank, forced_postings, toks
 
 
 def _store(texts: dict) -> CorpusStore:
@@ -229,6 +230,116 @@ def test_index_is_built_once_by_concurrent_first_retrievals(monkeypatch):
     assert builds == [index]
     assert index.backend_calls == threads * calls
     assert served == [{expected}] * threads
+
+
+def _zipf_texts(seed: int) -> dict:
+    """1024 passages over a Zipf vocabulary of 3000 words: many words occur at
+    most 1024 >> 8 = 4 times, so the build leaves them for a query to finalize."""
+    rng = random.Random(seed)
+    vocab = [f"w{rank}" for rank in range(1, 3001)]
+    weights = [1.0 / rank ** 1.05 for rank in range(1, 3001)]
+    return {f"p{i:04d}": " ".join(rng.choices(vocab, weights, k=rng.randint(3, 40)))
+            for i in rng.sample(range(5000), 1024)}  # ids not in index order
+
+
+def _assert_finalized(bucket, expected) -> None:
+    """A term's (document indices, impacts, bound) equal the oracle's bit for bit."""
+    doc_indices, impacts, bound = bucket
+    assert (doc_indices.typecode, impacts.typecode) == ("i", "d")
+    assert list(doc_indices) == expected[0]
+    assert [w.hex() for w in impacts] == [w.hex() for w in expected[1]]
+    assert bound == max(impacts)
+
+
+def _rare_terms(texts: dict) -> tuple[set, set]:
+    """The (rare, common) terms of texts: those with at most len(texts) >> 8
+    occurrences, and the others."""
+    counts = Counter(token for text in texts.values() for token in toks(text))
+    rare = {term for term, count in counts.items() if count <= len(texts) >> 8}
+    return rare, counts.keys() - rare
+
+
+def test_first_retrieval_leaves_rare_terms_as_occurrences(kernels):
+    texts = _zipf_texts(1)
+    rare, common = _rare_terms(texts)
+    assert len(rare) > 500 and len(common) > 500
+    index = LexicalIndex(_store(texts))
+    assert index.retrieve("absent", 5) == ()
+    expected = bm25_postings([texts[pid] for pid in sorted(texts)])
+    assert index._built.keys() == expected.keys() == rare | common
+    for term in common:
+        _assert_finalized(index._built[term], expected[term])
+    for term in rare:  # ascending document indices, one per occurrence
+        occurrences = index._built[term]
+        assert isinstance(occurrences, array) and occurrences.typecode == "i"
+        assert list(occurrences) == sorted(occurrences)
+        assert sorted(set(occurrences)) == expected[term][0]
+
+
+def test_a_query_finalizes_exactly_the_rare_terms_it_names(kernels):
+    texts = _zipf_texts(2)
+    rare, common = _rare_terms(texts)
+    expected = bm25_postings([texts[pid] for pid in sorted(texts)])
+    index = LexicalIndex(_store(texts))
+    index.retrieve("absent", 5)
+    named = sorted(rare)[:2]
+    query = f"{named[0]} {min(common)} {named[1].upper()} {named[0]}"
+    before = dict(index._built)
+    hits = index.retrieve(query, 5)
+    assert hits == tuple(bm25_rank(texts, query, 5))
+    assert {term for term in before if index._built[term] is not before[term]} == set(named)
+    for term in named:
+        _assert_finalized(index._built[term], expected[term])
+    finalized = dict(index._built)
+    assert index.retrieve(query, 5) == hits
+    assert all(index._built[term] is finalized[term] for term in finalized)  # once each
+
+
+@pytest.mark.parametrize("seed", (3, 4))
+def test_forcing_every_term_gives_the_eager_postings(seed, kernels):
+    texts = _zipf_texts(seed)
+    index = LexicalIndex(_store(texts))
+    index.retrieve("absent", 5)
+    assert sum(isinstance(bucket, array) for bucket in index._built.values()) > 500
+    forced = forced_postings(index)
+    expected = bm25_postings([texts[pid] for pid in sorted(texts)])
+    assert forced.keys() == expected.keys()
+    for term, bucket in forced.items():
+        _assert_finalized(bucket, expected[term])
+
+
+def test_concurrent_queries_finalize_each_shared_rare_term_once(monkeypatch, kernels):
+    texts = _zipf_texts(5)
+    rare, common = _rare_terms(texts)
+    rng = random.Random(5)
+    pool, anchors = rng.sample(sorted(rare), 12), rng.sample(sorted(common), 4)
+    queries = [" ".join([*rng.sample(pool, 3), anchors[n % 4]]) for n in range(16)]
+    serial = LexicalIndex(_store(texts))
+    expected = [serial.retrieve(query, 5) for query in queries]
+    index = LexicalIndex(_store(texts))
+    finalized = []
+    real_finalize = LexicalIndex._finalize
+
+    def slow_recorded_finalize(self, indices):
+        if len(indices) <= self.doc_count >> 8:  # a rare term, not the build's
+            finalized.append(indices)  # kept alive, so no two share an id
+            time.sleep(0.002)  # hold the finalization open while others arrive
+        return real_finalize(self, indices)
+
+    monkeypatch.setattr(LexicalIndex, "_finalize", slow_recorded_finalize)
+    threads = 8
+    served = [[] for _ in range(threads)]
+
+    def worker(slot):
+        order = list(range(len(queries)))
+        random.Random(slot).shuffle(order)
+        results = {n: index.retrieve(queries[n], 5) for n in order}
+        served[slot] = [results[n] for n in range(len(queries))]
+
+    run_together(threads, worker)
+    assert served == [expected] * threads
+    assert len({id(indices) for indices in finalized}) == len(finalized)
+    assert len(finalized) == len({term for query in queries for term in query.split()} & rare)
 
 
 def test_topk_must_be_positive():

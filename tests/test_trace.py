@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -372,6 +374,25 @@ def test_run_determinism_replay_and_diff(planted, tmp_path):
                                     "retrieval_backend_calls": 0}
     assert trace_path.read_bytes() == cold_bytes  # replay flag is not in the snapshot
     assert diff_traces(cold_dict, load_trace(trace_path)) == []
+
+
+@pytest.mark.parametrize("parallel", (1, 2))
+def test_run_leaves_no_cache_file_open(planted, tmp_path, parallel):
+    fixtures = write_fixture_file(planted["dir"], contregen_fixtures())
+    cache_dir = tmp_path / "cache"
+    config = RunConfig(corpus_path=str(planted["corpus"]),
+                       queries_path=str(planted["queries"]),
+                       out_dir=str(tmp_path / "out"), fixtures_path=str(fixtures),
+                       cache_dir=str(cache_dir), parallel=parallel)
+    gc.collect()  # what earlier tests left behind warns before the check, not in it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        trace = run(config)
+        gc.collect()
+    assert trace.backend_stats["llm_backend_calls"] > 0  # both caches were appended to
+    assert trace.backend_stats["retrieval_backend_calls"] > 0
+    assert [str(w.message) for w in caught
+            if w.category is ResourceWarning and str(cache_dir) in str(w.message)] == []
 
 
 def test_replay_against_empty_cache_records_miss(planted, tmp_path):
