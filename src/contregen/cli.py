@@ -18,6 +18,7 @@ import typing
 from contregen import analysis
 from contregen.backend_io import atomic_write
 from contregen.corpus import (
+    _lone_surrogate,
     build_wikihow_benchmark,
     ingest_corpus,
     load_article_dumps,
@@ -306,6 +307,9 @@ def dispatch(argv) -> int:
         if args.format == "structured":
             text = canonical_json(data)
         text = text if text.endswith("\n") else text + "\n"
+        fault = _lone_surrogate((("output", text),))  # a trace may carry one in any string
+        if fault:
+            raise DataError(fault)
         if getattr(args, "out", None):
             atomic_write(args.out, text)
         else:

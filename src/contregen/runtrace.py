@@ -1,7 +1,10 @@
 """Run configuration, deterministic traces, persistence, replay, diffing.
 
 A trace records every logical generation and retrieval call with enough
-context to re-run or audit a run. Serialization is canonical (sorted keys,
+context to re-run or audit a run. Each record's dataclass is the only
+definition of its format: a section, a call or a tree node serializes as its
+own fields, and QueryRun's field metadata holds the checks load_trace makes
+and the wording diff_traces uses. Serialization is canonical (sorted keys,
 fixed separators, ascii) so equal runs produce byte-identical files.
 Physical backend invocation counts live on the backend objects, never in
 the trace: a warm-cache rerun must serialize identically to the original.
@@ -173,45 +176,72 @@ def load_config(path: Optional[str] = None,
     return config
 
 
+def _is(*kinds):
+    """A check that a value is of one of kinds; None among them admits null."""
+    types = tuple(type(None) if kind is None else kind for kind in kinds)
+    return lambda value: isinstance(value, types)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _dict_of(check):
+    return lambda value: isinstance(value, dict) and all(map(check, value.values()))
+
+
+# Tree calls sit at "" or "0", "0.1", ...; chain calls at "<method>[.<round>|.final]".
+_NODE_PATH_RE = re.compile(r"|0(\.[0-9]+)*|(%s)(\.([0-9]+|final))?" % "|".join(
+    name for name, runner in METHODS.items() if runner is not _run_tree))
+
+
+def _llm_call(call) -> bool:
+    """An object whose node_path, when present, is a tree or chain method path."""
+    path = call.get("node_path", "") if isinstance(call, dict) else None
+    return isinstance(path, str) and _NODE_PATH_RE.fullmatch(path) is not None
+
+
+def _field(check, kind: str, differs: Optional[str], **default) -> dataclasses.Field:
+    """A QueryRun field whose metadata holds the check load_trace makes, how it
+    names a bad value, and what diff_traces says when two traces differ in it
+    (None: the llm calls, compared one by one)."""
+    return field(metadata={"check": check, "kind": kind, "differs": differs}, **default)
+
+
 @dataclass
 class QueryRun:
-    query_id: str
-    method: str
-    answer: str = ""
-    retrieved_ids: tuple[str, ...] = ()
-    llm_calls: list[LlmCall] = field(default_factory=list)
-    retrieval_calls: list[RetrievalCall] = field(default_factory=list)
-    tree: Optional[dict] = None
-    rounds: Optional[list[list[str]]] = None
-    error: Optional[str] = None
+    """A query's section of the trace, keyed by its query id. The fields are
+    the section's keys, in diff order, and each carries its own load_trace
+    check and diff_traces wording; calls serialize as their own fields."""
+
+    method: str = _field(_is(str), "a string", "method differs")
+    answer: str = _field(_is(str), "a string", "answer differs", default="")
+    retrieved_ids: tuple[str, ...] = _field(_list_of(_is(str)), "a list of strings",
+                                            "retrieved ids differ", default=())
+    llm_calls: list[LlmCall] = _field(
+        _list_of(_llm_call), "a list of objects whose node_path is a tree or chain method path",
+        None, default_factory=list)
+    retrieval_calls: list[RetrievalCall] = _field(
+        _list_of(_is(dict)), "a list of objects", "retrieval calls differ", default_factory=list)
+    tree: Optional[dict] = _field(_is(dict, None), "null or an object", "tree differs",
+                                  default=None)
+    rounds: Optional[list[list[str]]] = _field(
+        lambda v: v is None or _list_of(_list_of(_is(str)))(v),
+        "null or a list of lists of strings", "rounds differ", default=None)
+    error: Optional[str] = _field(_is(str, None), "null or a string", "error field differs",
+                                  default=None)
 
 
 def _section_dict(q: QueryRun) -> dict:
     """A query's section of the trace, as serialized."""
-    return {
-        "method": q.method,
-        "answer": q.answer,
-        "retrieved_ids": list(q.retrieved_ids),
-        "llm_calls": [
-            {"role": c.role, "prompt": c.prompt, "response": c.response,
-             "node_path": c.node_path, "approx_tokens": c.approx_tokens}
-            for c in q.llm_calls
-        ],
-        "retrieval_calls": [
-            {"query": c.query, "topk": c.topk,
-             "hit_ids": list(c.hit_ids), "backend": c.backend}
-            for c in q.retrieval_calls
-        ],
-        "tree": q.tree,
-        "rounds": q.rounds,
-        "error": q.error,
-    }
+    return {**vars(q), "llm_calls": [vars(c) for c in q.llm_calls],
+            "retrieval_calls": [vars(c) for c in q.retrieval_calls]}
 
 
 @dataclass
 class RunTrace:
     """One run: the config snapshot, a section per query and the report, all
-    serialized by to_dict, plus physical backend call counts, which are not."""
+    serialized by json_pieces, plus physical backend call counts, which are not."""
 
     config_snapshot: dict
     queries: dict[str, QueryRun]
@@ -219,16 +249,13 @@ class RunTrace:
     backend_stats: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config_snapshot,
-            "queries": {qid: _section_dict(q) for qid, q in sorted(self.queries.items())},
-            "report": self.report,
-        }
+        """The trace as json_pieces writes it, parsed back."""
+        return json.loads("".join(self.json_pieces()))
 
     def json_pieces(self) -> Iterator[str]:
-        """canonical_json(self.to_dict()) + "\n" in pieces: the config head,
-        one piece per query section in query id order (the order sort_keys
-        gives), then the report tail. Only one section is serialized at once."""
+        """The canonical trace file in pieces: the config head, one piece per
+        query section in query id order (the order sort_keys gives), then the
+        report tail. Only one section is serialized at once."""
         yield '{"config":' + canonical_json(self.config_snapshot) + ',"queries":{'
         separator = ""
         for qid, q in sorted(self.queries.items()):
@@ -265,7 +292,7 @@ def _build_backend(config: RunConfig, store: CorpusStore):
 def _run_one(config: RunConfig, record: QueryRecord, adapter: Adapter,
              backend, store: CorpusStore, templates,
              retrieval_cache: Optional[RetrievalCache]) -> QueryRun:
-    section = QueryRun(query_id=record.id, method=config.method)
+    section = QueryRun(method=config.method)
     gateway = LlmGateway(adapter, templates, on_call=section.llm_calls.append)
     handle = RetrieverHandle(backend, store, cache=retrieval_cache,
                              on_call=section.retrieval_calls.append)
@@ -324,7 +351,7 @@ def run(config: RunConfig) -> RunTrace:
         for cache in (retrieval_cache, llm_cache):
             if cache is not None:
                 cache.close()
-    queries = {section.query_id: section for section in sections}
+    queries = {record.id: section for record, section in zip(ordered, sections)}
 
     answers = {qid: q.answer for qid, q in queries.items() if q.error is None}
     retrieved = {qid: q.retrieved_ids for qid, q in queries.items()}
@@ -343,46 +370,6 @@ def run(config: RunConfig) -> RunTrace:
     return trace
 
 
-def _is(*kinds):
-    """A check that a value is of one of kinds; None among them admits null."""
-    types = tuple(type(None) if kind is None else kind for kind in kinds)
-    return lambda value: isinstance(value, types)
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-def _dict_of(check):
-    return lambda value: isinstance(value, dict) and all(map(check, value.values()))
-
-
-# Tree calls sit at "" or "0", "0.1", ...; chain calls at "<method>[.<round>|.final]".
-_NODE_PATH_RE = re.compile(r"|0(\.[0-9]+)*|(%s)(\.([0-9]+|final))?" % "|".join(
-    name for name, runner in METHODS.items() if runner is not _run_tree))
-
-
-def _llm_call(call) -> bool:
-    """An object whose node_path, when present, is a tree or chain method path."""
-    path = call.get("node_path", "") if isinstance(call, dict) else None
-    return isinstance(path, str) and _NODE_PATH_RE.fullmatch(path) is not None
-
-
-# The fields a trace section may carry, in diff order: the check load_trace
-# makes, how it names a bad value, and what diff_traces says when two traces
-# differ in it (llm calls are compared one by one).
-_SECTION_FIELDS = {
-    "method": (_is(str), "a string", "method differs"),
-    "answer": (_is(str), "a string", "answer differs"),
-    "retrieved_ids": (_list_of(_is(str)), "a list of strings", "retrieved ids differ"),
-    "llm_calls": (_list_of(_llm_call),
-                  "a list of objects whose node_path is a tree or chain method path", None),
-    "retrieval_calls": (_list_of(_is(dict)), "a list of objects", "retrieval calls differ"),
-    "tree": (_is(dict, None), "null or an object", "tree differs"),
-    "rounds": (lambda v: v is None or _list_of(_list_of(_is(str)))(v),
-               "null or a list of lists of strings", "rounds differ"),
-    "error": (_is(str, None), "null or a string", "error field differs"),
-}
 _SCORES = _dict_of(_is(int, float, None))
 
 
@@ -397,9 +384,10 @@ def load_trace(path: str | Path) -> dict:
     if not _dict_of(_is(dict))(queries):
         raise DataError(f"trace file {path}: queries must map query ids to objects")
     for qid, section in queries.items():
-        for name, (valid, kind, _) in _SECTION_FIELDS.items():
-            if name in section and not valid(section[name]):
-                raise DataError(f"trace file {path}: query {qid}: {name} must be {kind}")
+        for f in dataclasses.fields(QueryRun):
+            if f.name in section and not f.metadata["check"](section[f.name]):
+                raise DataError(f"trace file {path}: query {qid}: "
+                                f"{f.name} must be {f.metadata['kind']}")
     report = data.get("report")
     if not _is(dict, None)(report):
         raise DataError(f"trace file {path}: report must be an object")
@@ -430,7 +418,8 @@ def diff_traces(da: dict, db: dict) -> list[str]:
             diffs.append(f"query {qid}: only in {where} trace")
             continue
         sa, sb = qa[qid], qb[qid]
-        for name, (_, _, differs) in _SECTION_FIELDS.items():
+        for f in dataclasses.fields(QueryRun):
+            name, differs = f.name, f.metadata["differs"]
             if differs is None:  # the llm calls, one by one
                 calls_a, calls_b = sa.get(name, []), sb.get(name, [])
                 if len(calls_a) != len(calls_b):

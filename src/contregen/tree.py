@@ -103,16 +103,10 @@ def collect_passages(root: QueryTreeNode, dedup: bool = True) -> list[str]:
 
 
 def export_tree(root: QueryTreeNode) -> dict:
-    """JSON-ready nested structure; import_tree round-trips it."""
-    return {
-        "query": root.query,
-        "original_query": root.original_query,
-        "depth": root.depth,
-        "path": root.path,
-        "retrieved": [[pid, score] for pid, score in root.retrieved],
-        "summary": root.summary,
-        "children": [export_tree(child) for child in root.children],
-    }
+    """JSON-ready nested structure: the node's fields, with retrieved as
+    [pid, score] lists and children exported likewise; import_tree round-trips it."""
+    return {**vars(root), "retrieved": [list(hit) for hit in root.retrieved],
+            "children": [export_tree(child) for child in root.children]}
 
 
 def import_tree(data: dict) -> QueryTreeNode:
@@ -148,7 +142,7 @@ def to_dot(root: QueryTreeNode) -> str:
     lines = ["digraph querytree {", "  rankdir=TB;"]
     for node in root.walk():
         label = node.query if len(node.query) <= 40 else node.query[:37] + "..."
-        text = label.replace('"', r'\"')
+        text = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  "{node.path}" [label="{text}"];')
         for child in node.children:
             lines.append(f'  "{node.path}" -> "{child.path}";')

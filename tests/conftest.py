@@ -28,7 +28,8 @@ import pytest
 from contregen import KERNEL_BACKEND, _kernels, retrieval
 from contregen._kernels import fallback
 from contregen.corpus import CorpusStore, Passage, QueryRecord
-from contregen.retrieval import tokenize
+from contregen.llm import LlmCache
+from contregen.retrieval import RetrievalCache, tokenize
 from contregen.verifier import parse_yes_no
 
 
@@ -96,6 +97,28 @@ def kernels(request, monkeypatch):
     for name in ("bm25_impacts", "topk_indices"):
         monkeypatch.setattr(retrieval, name, getattr(module, name))
     return module
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.fixture(autouse=True)
+def close_test_caches(monkeypatch):
+    """Close, when a test ends, every cache the test's own code built, so that
+    no append handle is left for the garbage collector to find during a later
+    test. A cache the engine builds is not tracked: the engine must close it,
+    or the ResourceWarning filter fails the test."""
+    opened = []
+    for cache_class in (LlmCache, RetrievalCache):  # each holds its own __init__
+        def tracked(self, *args, _init=cache_class.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            if Path(sys._getframe(1).f_code.co_filename).parent == TESTS:
+                opened.append(self)
+
+        monkeypatch.setattr(cache_class, "__init__", tracked)
+    yield
+    for cache in opened:
+        cache.close()
 
 
 ROOT_QUERY = "how to detect hidden cameras and microphones"

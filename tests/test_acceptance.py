@@ -318,8 +318,7 @@ def test_criterion_9_full_backend_schema_and_monotone_curves(tmp_path):
 
     chained = run(dataclasses.replace(base, method="iterretgen",
                                       out_dir=str(tmp_path / "iterretgen")))
-    records = {q.query_id: q for q in chained.queries.values()}
-    for qid, section in records.items():
+    for qid, section in chained.queries.items():
         assert section.rounds, f"{qid} recorded no rounds"
         sizes = [len(set(ids)) for ids in section.rounds]
         assert sizes == sorted(sizes), f"{qid} evidence set shrank"

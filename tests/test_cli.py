@@ -823,6 +823,32 @@ def test_a_lone_surrogate_in_a_query_id_is_one_data_error(planted, tmp_path, cap
                         "query id holds a lone surrogate, which is not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", ["export-tree", "diff"])
+def test_a_lone_surrogate_in_printed_output_is_one_data_error(command, planted, tmp_path,
+                                                              capsys):
+    """load_trace accepts a lone surrogate inside a tree query or a call's role,
+    but no output can encode it: stdout gets nothing and --out keeps its bytes."""
+    trace = _run_cli(planted, tmp_path, contregen_fixtures()) / "trace.json"
+    capsys.readouterr()
+    data = json.loads(trace.read_text(encoding="utf-8"))
+    odd = tmp_path / "odd.json"
+    section = data["queries"]["q-planted"]
+    if command == "export-tree":
+        section["tree"]["query"] = "q\ud800"
+        argv = ["export-tree", "--trace", str(odd), "--query", "q-planted", "--dot"]
+    else:
+        section["llm_calls"][0]["role"] = "plan\ud800"
+        argv = ["diff", "--a", str(odd), "--b", str(trace)]
+    odd.write_text(json.dumps(data), encoding="utf-8")
+    message = "data error: output holds a lone surrogate, which is not UTF-8 text"
+    assert _one_data_error(argv, capsys) == message
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert _one_data_error([*argv, "--out", str(out)], capsys) == message
+    assert out.read_bytes() == b"earlier output\n"
+    assert not list(tmp_path.glob(".out.txt.*"))  # no temporary sibling left
+
+
 def test_data_error_line_counts_blank_lines(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n\n  \nnot json\n",

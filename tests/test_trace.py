@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -134,19 +135,19 @@ def test_atomic_write_writes_through_a_link_in_place(tmp_path):
 
 
 def _section(qid, method="contregen", calls=1, prompt="p", **fields):
-    section = QueryRun(query_id=qid, method=method, answer="an answer",
-                       retrieved_ids=("a1", "b2"), **fields)
+    section = QueryRun(method=method, answer="an answer", retrieved_ids=("a1", "b2"),
+                       **fields)
     section.llm_calls += [LlmCall(role="plan", prompt=prompt, response=f"r{n}",
                                   node_path="0" if method == "contregen" else method,
                                   approx_tokens=n) for n in range(calls)]
     section.retrieval_calls.append(RetrievalCall(query="q", topk=2, hit_ids=("a1", "b2"),
                                                  backend="lexical"))
-    return section
+    return qid, section
 
 
 def _run_trace(*sections):
     return RunTrace(config_snapshot={"method": "contregen", "topk": 2},
-                    queries={section.query_id: section for section in sections},
+                    queries=dict(sections),
                     report={"aggregates": {"recall": 0.5}, "per_query": {}},
                     backend_stats={"llm_backend_calls": 3})
 
@@ -230,6 +231,42 @@ def test_trace_validates_node_paths(tmp_path):
         path = _trace_with_calls(tmp_path / "bad.json", bad)
         with pytest.raises(DataError, match=r"bad\.json: query q: llm_calls must be"):
             load_trace(path)
+
+
+# A valid value of each QueryRun field that differs from _section's.
+_CHANGED = {"method": "retgen", "answer": "another answer", "retrieved_ids": [],
+            "llm_calls": [], "retrieval_calls": [], "tree": {}, "rounds": [],
+            "error": "ReplayMissError: no cached response"}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(QueryRun), ids=lambda f: f.name)
+def test_every_section_field_is_checked_diffed_and_written(field, planted, tmp_path):
+    """QueryRun's fields are the section schema: load_trace rejects a bad value
+    in each, diff_traces names a change to each, and run() writes exactly them."""
+    path = tmp_path / "trace.json"
+    _run_trace(_section("q")).write_json(path)
+    original = load_trace(path)
+    changed = copy.deepcopy(original)
+    changed["queries"]["q"][field.name] = _CHANGED[field.name]
+    path.write_text(canonical_json(changed), encoding="utf-8")
+    differs = field.metadata["differs"] or "1 vs 0 llm calls"
+    assert diff_traces(original, load_trace(path)) == [f"query q: {differs}"]
+
+    changed["queries"]["q"][field.name] = 5
+    path.write_text(canonical_json(changed), encoding="utf-8")
+    message = f"trace file {path}: query q: {field.name} must be {field.metadata['kind']}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_trace(path)
+
+    config = RunConfig(corpus_path=str(planted["corpus"]),
+                       queries_path=str(planted["queries"]),
+                       fixtures_path=str(write_fixture_file(planted["dir"],
+                                                            contregen_fixtures())),
+                       out_dir=str(tmp_path / "out"))
+    run(config)
+    written = json.loads((tmp_path / "out" / "trace.json").read_text(encoding="utf-8"))
+    (section,) = written["queries"].values()
+    assert set(section) == {f.name for f in dataclasses.fields(QueryRun)}
 
 
 def test_trace_records_every_call_field(planted, tmp_path):

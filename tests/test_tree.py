@@ -6,6 +6,7 @@ from contregen.errors import LlmBackendError
 from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.tree import (
+    QueryTreeNode,
     TreeConfig,
     build_tree,
     collect_passages,
@@ -124,6 +125,13 @@ def test_to_dot_lists_every_edge():
     for node in root.walk():
         for child in node.children:
             assert f'"{node.path}" -> "{child.path}"' in dot
+
+
+@pytest.mark.parametrize("query, label", [
+    ("a\\", r"a\\"), ("C:\\new", r"C:\\new"), ('say "hi"', r'say \"hi\"')])
+def test_to_dot_escapes_backslashes_before_quotes(query, label):
+    root = QueryTreeNode(query=query, original_query=query, depth=0, path="0")
+    assert f'  "0" [label="{label}"];' in to_dot(root).splitlines()
 
 
 class _FailingAdapter:
