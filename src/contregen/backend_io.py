@@ -4,9 +4,17 @@ article dumps, fixture tables, traces, config files and prompt templates are
 read, and every output written, only here; a bad input file is a DataError
 naming it (``path:line``, counting blank lines, for JSONL), as is one that is
 missing, a directory, unreadable or not UTF-8. Callers check the shape of
-each record. ``requests`` is imported
-only when a POST is made, so a run that calls no network backend never loads
-it."""
+each record.
+
+All JSON is parsed by ``_parse_json``: a JSONL line, a cache line and a whole
+JSON file alike. It gives the value or the error ``json.loads`` gives, but
+parses a line once with the decoder's C scanner where ``json.loads`` adds
+Python frames and whitespace matches around it. A value nested deeper than
+the recursion limit, or an integer longer than Python converts, is a
+ValueError like any other bad JSON, and so a data error naming its file.
+
+``requests`` is imported only when a POST is made, so a run that calls no
+network backend never loads it."""
 
 from __future__ import annotations
 
@@ -53,20 +61,46 @@ def _strict_utf8(text: str) -> str:
     return text
 
 
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, with its defaults
+
+
+def _parse_json(text: str):
+    """json.loads(text): the same value, or the same error. A value nested
+    deeper than the recursion limit is a ValueError too, not a RecursionError.
+
+    A text whose value starts at its first character and ends it, or is
+    followed by exactly one "\n", is parsed once by the scanner; any other
+    text (leading or other trailing whitespace, a BOM, extra data) and every
+    error is parsed again by json.loads, which has the last word."""
+    try:
+        try:
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError):  # no value at 0, or a bad one
+            pass
+        else:
+            rest = len(text) - end
+            if not rest or (rest == 1 and text[end] == "\n"):
+                return value
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+
+
 def read_jsonl(path: str | Path,
                required: AbstractSet[str] = frozenset()) -> Iterator[tuple[int, dict]]:
     """(physical line number, object) for each nonblank line of a JSONL file; a line
     that is not a JSON object carrying every required key is a MalformedRecordError."""
     with _open_text(path, "input file") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():  # a line is never empty, so this is `not line.strip()`
                 continue
             try:
-                record = json.loads(_strict_utf8(line))
+                record = _parse_json(_strict_utf8(line))
             except UnicodeDecodeError as exc:
                 raise MalformedRecordError(str(path), line_no, f"not UTF-8 text ({exc.reason})")
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(str(path), line_no, f"invalid JSON ({exc.msg})")
+            except ValueError as exc:  # too deep or too long is no JSONDecodeError
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise MalformedRecordError(str(path), line_no, f"invalid JSON ({reason})")
             if not isinstance(record, dict) or not record.keys() >= required:
                 raise MalformedRecordError(str(path), line_no, (
                     f"record must carry {' and '.join(sorted(required))}" if required
@@ -87,7 +121,7 @@ def read_text(path: str | Path, what: str) -> str:
 def read_json(path: str | Path, what: str):
     """The JSON value of a whole file; what names the file in errors."""
     try:
-        return json.loads(read_text(path, what))
+        return _parse_json(read_text(path, what))
     except ValueError as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
@@ -174,10 +208,10 @@ class JsonlCache:
         line = ""
         with fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
+                if line.isspace():
                     continue
                 try:  # UnicodeDecodeError is a ValueError
-                    entry = json.loads(_strict_utf8(line))
+                    entry = _parse_json(_strict_utf8(line))
                 except ValueError as exc:
                     if line.endswith("\n"):
                         raise CacheCorruptionError(

@@ -58,6 +58,9 @@ class ArticleDump:
     article_id: Optional[str] = None
 
 
+_FINGERPRINT_CHUNK = 1024  # (id, text) pairs joined into one string per sha256 update
+
+
 class CorpusStore:
     """Immutable-after-ingestion passage store; safe for concurrent readers.
 
@@ -109,10 +112,17 @@ class CorpusStore:
         return list(self._texts)
 
     def fingerprint(self) -> str:
-        """sha256 over the (id, text) pairs in id order, NUL-separated."""
+        """sha256 over the (id, text) pairs in id order, NUL-separated: the
+        bytes of id, NUL, text, NUL for each pair, hashed a chunk of
+        _FINGERPRINT_CHUNK pairs at a time."""
         digest = hashlib.sha256()
-        for pid, text in sorted(self._texts.items()):
-            digest.update(b"%s\0%s\0" % (pid.encode("utf-8"), text.encode("utf-8")))
+        ids = sorted(self._texts)  # ids are unique: the order of the pairs
+        parts = [""] * (2 * len(ids))  # id, text, id, text, ...
+        parts[::2] = ids
+        parts[1::2] = map(self._texts.__getitem__, ids)
+        for start in range(0, len(parts), 2 * _FINGERPRINT_CHUNK):
+            digest.update("\0".join(parts[start:start + 2 * _FINGERPRINT_CHUNK]).encode("utf-8"))
+            digest.update(b"\0")
         return digest.hexdigest()
 
 
@@ -160,9 +170,12 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
         elif not all(isinstance(value, str) for value in meta.values()):
             raise MalformedRecordError(str(path), line_no, "each meta value must be a string")
         text = record["text"]
-        if not isinstance(text, str) or not text.strip():
+        # `not text or text.isspace()` is `not text.strip()` without the copy
+        if not isinstance(text, str) or not text or text.isspace():
             raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
-        passage_id = _record_id(record["id"], path, line_no, "id")
+        passage_id = record["id"]
+        if type(passage_id) is not str:
+            passage_id = _record_id(passage_id, path, line_no, "id")
         if meta or not (passage_id.isascii() and text.isascii()):  # ASCII holds no surrogate
             fault = _lone_surrogate((("id", passage_id), ("text", text),
                                      *(("meta", part) for item in meta.items() for part in item)))

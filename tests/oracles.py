@@ -9,6 +9,7 @@ as the engine so that agreement can be exact, not approximate.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from collections import Counter
@@ -88,6 +89,15 @@ def forced_postings(index) -> dict:
     index.retrieve("x", 1)  # builds the index, so its terms can be named
     index.retrieve(" ".join(index._built), 1)
     return dict(index._built)
+
+
+def corpus_fingerprint(texts: dict[str, str]) -> str:
+    """The corpus fingerprint as first written: one sha256 update per
+    (id, text) pair in id order, id and text each followed by a NUL."""
+    digest = hashlib.sha256()
+    for pid, text in sorted(texts.items()):
+        digest.update(b"%s\0%s\0" % (pid.encode("utf-8"), text.encode("utf-8")))
+    return digest.hexdigest()
 
 
 def lcs_len(left: list, right: list) -> int:

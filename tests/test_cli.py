@@ -857,6 +857,29 @@ def test_data_error_line_counts_blank_lines(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {corpus}:4: invalid JSON (")
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("[" * 100_000, "nested too deeply"),
+    ('{"id": "a", "text": "t", "n": 1%s}' % ("0" * 5000), "Exceeds the limit ("),
+], ids=["too-deep", "too-long"])
+def test_json_too_deep_or_too_long_is_one_data_error(line, reason, tmp_path, capsys):
+    if reason.startswith("Exceeds") and not 0 < sys.get_int_max_str_digits() <= 5000:
+        pytest.skip("this interpreter converts a 5001-digit integer")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n" + line + "\n",
+                      encoding="utf-8")
+    assert dispatch(["ingest", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {corpus}:2: invalid JSON ({reason}")
+
+
+def test_eval_of_a_trace_nested_too_deeply_is_a_data_error(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    trace.write_text('{"queries": ' + "[" * 100_000, encoding="utf-8")
+    assert dispatch(["eval", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: trace file {trace} is not valid JSON: nested too deeply\n")
+
+
 def test_curve_over_non_nested_rounds_is_data_error(planted, tmp_path, capsys):
     trace = tmp_path / "trace.json"
     trace.write_text(json.dumps({"queries": {"q-planted": {

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -18,6 +19,8 @@ from contregen.corpus import (
     write_queries,
 )
 from contregen.errors import DataError, DuplicateIdError, MalformedRecordError
+
+from oracles import corpus_fingerprint
 
 
 def test_store_add_get_order():
@@ -100,6 +103,22 @@ def test_fingerprint_bytes_are_pinned(tmp_path):
                         for record in _PINNED_RECORDS)
     assert ingested.ids() == built.ids() == ["p10", "7", "p2", "a"]
     assert ingested.fingerprint() == built.fingerprint() == _PINNED_FINGERPRINT
+
+
+# 1024 pairs are hashed per chunk: sizes on each side of one and two chunks
+@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 2048, 2049, 2500])
+def test_fingerprint_matches_the_per_pair_formula_across_chunks(size, tmp_path):
+    rng = random.Random(size)
+    texts = {}
+    while len(texts) < size:
+        pid = "".join(rng.choice("ab\u00e9\u4e2d\U0001f600") for _ in range(rng.randint(1, 8)))
+        texts[pid] = "".join(rng.choice("xy \u00ef\u2014\u65e5\t\0")
+                             for _ in range(rng.randint(0, 40))) + "z"
+    path = tmp_path / "corpus.jsonl"
+    write_passages((Passage(id=pid, text=text) for pid, text in texts.items()), path)
+    store = ingest_corpus(path)
+    assert len(store) == size
+    assert store.fingerprint() == corpus_fingerprint(texts)
 
 
 def test_store_builds_passages_equal_to_those_added():

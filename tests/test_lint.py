@@ -27,6 +27,11 @@ in ``__all__`` do not count; dunder methods, which Python calls, are spared.
 Every attribute a package class stores as ``self.<name> = ...`` is loaded as
 an attribute by a package module or a ``perfbench/`` file; reads from
 ``tests/`` do not count.
+
+Only ``contregen.backend_io`` parses JSON: no other package module calls
+``json.loads`` or ``json.load``, under any name it imports them by, so every
+parse maps too deep or too long a value to a data error. ``RunTrace.to_dict``
+is spared by name: it parses only the trace its own class serialized.
 """
 
 import ast
@@ -349,3 +354,74 @@ def test_attribute_scan_flags_self_stores_nothing_reads(tmp_path):
     found = unread_attributes([module], [bench])
     assert [(line, name) for _, line, name in found] == [
         (5, "Store.hits"), (7, "Store.unread"), (9, "Store.hits")]
+
+
+_JSON_PARSERS = {"load", "loads"}
+_JSON_PARSE_SPARED = {"RunTrace.to_dict"}  # parses only what its own class wrote
+
+
+def json_parse_calls(path: Path) -> list[tuple[int, str]]:
+    """(line, enclosing "Class.function" or "<module>") of each call of
+    json.loads or json.load in path, through ``import json [as name]`` or
+    ``from json import loads [as name]``, outside _JSON_PARSE_SPARED."""
+    tree = _parse(path)
+    modules, functions = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and not node.level:
+            functions |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in _JSON_PARSERS}
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                visit(child, (*scope, child.name))
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if ((isinstance(func, ast.Name) and func.id in functions)
+                    or (isinstance(func, ast.Attribute) and func.attr in _JSON_PARSERS
+                        and isinstance(func.value, ast.Name) and func.value.id in modules)):
+                where = ".".join(scope) or "<module>"
+                if where not in _JSON_PARSE_SPARED:
+                    calls.append((child.lineno, where))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(calls)
+
+
+def test_only_backend_io_parses_json():
+    package = ROOT / "src" / "contregen"
+    modules = sorted(path for path in package.rglob("*.py") if path.name != "backend_io.py")
+    assert len(modules) > 10  # the scan found the package
+    assert [f"{path.relative_to(ROOT)}:{line}: {where}"
+            for path in modules for line, where in json_parse_calls(path)] == []
+
+
+def test_json_parse_scan_flags_each_call_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import json\n"
+        "import json as j\n"
+        "from json import loads, load as read_all\n"
+        "json.loads('1')\n"
+        "json.load(fh)\n"
+        "j.loads('1')\n"
+        "loads('1')\n"
+        "read_all(fh)\n"
+        "json.dumps(1)\n"
+        "yaml.load(fh)\n"
+        "other.loads('1')\n"
+        "class RunTrace:\n"
+        "    def to_dict(self):\n"
+        "        return json.loads('1')\n"
+        "    def from_text(self, text):\n"
+        "        return [json.loads(t) for t in text]\n"
+        "def to_dict():\n"
+        "    return j.load(fh)\n", encoding="utf-8")
+    assert json_parse_calls(module) == [
+        (4, "<module>"), (5, "<module>"), (6, "<module>"), (7, "<module>"), (8, "<module>"),
+        (16, "RunTrace.from_text"), (18, "to_dict")]
