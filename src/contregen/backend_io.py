@@ -11,7 +11,10 @@ JSON file alike. It gives the value or the error ``json.loads`` gives, but
 parses a line once with the decoder's C scanner where ``json.loads`` adds
 Python frames and whitespace matches around it. A value nested deeper than
 the recursion limit, or an integer longer than Python converts, is a
-ValueError like any other bad JSON, and so a data error naming its file.
+ValueError like any other bad JSON, and so a data error naming its file; the
+long integer's message keeps its digit counts and drops json.loads's advice
+to call ``sys.set_int_max_str_digits``, which a data file's author cannot
+follow.
 
 ``requests`` is imported only when a POST is made, so a run that calls no
 network backend never loads it."""
@@ -66,7 +69,9 @@ _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, with i
 
 def _parse_json(text: str):
     """json.loads(text): the same value, or the same error. A value nested
-    deeper than the recursion limit is a ValueError too, not a RecursionError.
+    deeper than the recursion limit is a ValueError too, not a RecursionError,
+    and an integer longer than Python converts keeps json.loads's message up to
+    "value has N digits", without its advice to call sys.set_int_max_str_digits.
 
     A text whose value starts at its first character and ends it, or is
     followed by exactly one "\n", is parsed once by the scanner; any other
@@ -84,6 +89,11 @@ def _parse_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("nested too deeply") from None
+    except ValueError as exc:
+        message, advice, _ = str(exc).partition("; use sys.set_int_max_str_digits()")
+        if not advice:
+            raise
+        raise ValueError(message) from None
 
 
 def read_jsonl(path: str | Path,

@@ -65,7 +65,8 @@ def test_parser_makes_too_deep_and_too_long_values_value_errors():
         json.loads(long_int)
     with pytest.raises(ValueError) as parse_error:
         _parse_json(long_int)
-    assert str(parse_error.value) == str(loads_error.value)
+    assert (str(parse_error.value) + "; use sys.set_int_max_str_digits() to increase the limit"
+            == str(loads_error.value))
     assert "Exceeds the limit" in str(parse_error.value)
 
 
@@ -114,6 +115,22 @@ def test_input_line_too_deep_or_too_long_is_malformed(tmp_path):
                     % ("0" * _int_digit_limit()), encoding="utf-8")
     with pytest.raises(MalformedRecordError, match=r":2: invalid JSON \(Exceeds the limit"):
         ingest_corpus(path)
+
+
+def test_too_long_integer_error_drops_the_interpreter_advice(tmp_path):
+    digits = _int_digit_limit() + 1
+    path = tmp_path / "data.jsonl"
+    path.write_text('{"key": "k", "response": 1%s}\n' % ("0" * (digits - 1)), encoding="utf-8")
+    errors = []
+    for read in (lambda: next(read_jsonl(path)), lambda: read_json(path, "data file"),
+                 lambda: LlmCache(path)):
+        with pytest.raises(DataError) as err:
+            read()
+        errors.append(str(err.value))
+    for message in errors:
+        assert f"Exceeds the limit ({digits - 1} digits)" in message
+        assert f"value has {digits} digits" in message
+        assert "set_int_max_str_digits" not in message
 
 
 def test_json_file_too_deep_is_a_data_error(tmp_path):

@@ -40,6 +40,10 @@ def test_parse_followup():
     assert parse_followup("") is None
 
 
+def test_parse_followup_skips_blank_first_lines():
+    assert parse_followup("\n  \nFollow up: x") == "x"
+
+
 def test_parse_followup_unparseable_stops(caplog):
     with caplog.at_level("WARNING"):
         assert parse_followup("I think we are done here") is None
@@ -102,6 +106,13 @@ def test_iterretgen_rejects_zero_iterations():
     gateway, handle, _ = _setup(iterretgen_fixtures())
     with pytest.raises(ValueError):
         run_iterretgen(gateway, handle, ROOT_QUERY, topk=5, max_iterations=0)
+
+
+def test_selfask_rejects_zero_iterations():
+    gateway, handle, adapter = _setup(selfask_fixtures())
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        run_selfask(gateway, handle, ROOT_QUERY, topk=5, max_iterations=0)
+    assert adapter.backend_calls == 0
 
 
 def test_selfask_covers_all_facets_by_round_three():

@@ -196,6 +196,22 @@ def test_curve(planted, tmp_path, capsys):
     assert by_name["mean"].split(",") == rounds
 
 
+def test_curve_mean_pads_a_shorter_curve_with_its_last_value(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(json.dumps(record) + "\n" for record in [
+        {"id": "q-long", "query": "long", "gold_ids": ["a", "b"]},
+        {"id": "q-short", "query": "short", "gold_ids": ["c", "d"]}]), encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"queries": {
+        "q-long": {"rounds": [["a"], ["a"], ["a", "b"]]},
+        "q-short": {"rounds": [["c"], ["c", "d"]]}}}), encoding="utf-8")
+    assert dispatch(["curve", "--trace", str(trace), "--queries", str(queries),
+                     "--format", "structured"]) == 0
+    curves = json.loads(capsys.readouterr().out)
+    assert curves == {"q-long": [0.5, 0.5, 1.0], "q-short": [0.5, 1.0],
+                      "mean": [0.5, 0.75, 1.0]}
+
+
 def test_export_tree(planted, tmp_path, capsys):
     out_dir = _run_cli(planted, tmp_path, contregen_fixtures())
     capsys.readouterr()
@@ -872,6 +888,17 @@ def test_json_too_deep_or_too_long_is_one_data_error(line, reason, tmp_path, cap
         f"data error: {corpus}:2: invalid JSON ({reason}")
 
 
+@pytest.mark.parametrize("line", ['["p2", "text"]', '{"id": "p2"}'],
+                         ids=["array", "no-text"])
+def test_corpus_record_without_id_and_text_is_one_data_error(line, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n" + line + "\n",
+                      encoding="utf-8")
+    assert dispatch(["ingest", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {corpus}:2: record must carry id and text\n")
+
+
 def test_eval_of_a_trace_nested_too_deeply_is_a_data_error(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     trace.write_text('{"queries": ' + "[" * 100_000, encoding="utf-8")
@@ -917,9 +944,16 @@ def test_out_dev_stdout_prints(planted, tmp_path):
     argv = [sys.executable, "-m", "contregen.cli", "eval",
             "--trace", str(out_dir / "trace.json"), "--format", "structured"]
     printed = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    assert json.loads(printed)["per_query"]["q-planted"]["recall"] == 1.0
+    # A writer that renamed over a special file would replace this link, and
+    # fail here, before the run below could replace the real /dev/stdout.
+    link = tmp_path / "stdout-link"
+    link.symlink_to("/dev/stdout")
+    via_link = subprocess.run([*argv, "--out", str(link)], env=env,
+                              capture_output=True, check=True).stdout
+    assert via_link == printed
     to_stdout = subprocess.run([*argv, "--out", "/dev/stdout"], env=env,
                                capture_output=True, check=True).stdout
-    assert json.loads(printed)["per_query"]["q-planted"]["recall"] == 1.0
     assert to_stdout == printed
 
 

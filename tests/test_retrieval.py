@@ -516,6 +516,20 @@ def test_remote_retriever_parses_hits(monkeypatch):
     assert sent["headers"]["Authorization"] == "Bearer tok"
 
 
+def test_remote_retriever_without_a_token_sends_no_authorization():
+    session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])])
+    RemoteRetriever("http://retriever.test", session=session).retrieve("q", 1)
+    assert "Authorization" not in session.requests[0]["headers"]
+
+
+def test_remote_retriever_rejects_more_hits_than_topk():
+    session = _FakeSession([_FakeResponse(200, [
+        {"id": "p1", "score": 3.0}, {"id": "p2", "score": 2.0}, {"id": "p3", "score": 1.0}])])
+    remote = RemoteRetriever("http://retriever.test", session=session)
+    with pytest.raises(RetrieverUnavailableError, match=r"\(ValueError: 3 hits for topk=2\)$"):
+        remote.retrieve("q", 2)
+
+
 def test_remote_retriever_retries_then_fails(monkeypatch):
     import contregen.backend_io as backend_io
     sleeps = []

@@ -1,7 +1,7 @@
 from contregen.llm import LlmGateway, ScriptedAdapter
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.synthesis import synthesize
-from contregen.tree import TreeConfig, build_tree
+from contregen.tree import QueryTreeNode, TreeConfig, build_tree
 
 from conftest import ACCT_LEAVES, ACCT_ROOT, ACCT_S1, ACCT_S2, accounting_corpus, accounting_fixtures
 
@@ -89,3 +89,39 @@ def test_single_overlong_summary_truncated_with_warning(caplog):
     assert result.answer == "root out"
     assert result.fold_merges >= 1  # folding ran out of pairs first
     assert any("over-budget summary at 0" in r.message for r in caplog.records)
+
+
+def _root_over_leaves(summaries, merge, char_budget):
+    """Synthesize a root whose leaf children summarize to the given texts;
+    the root's fold merges return merge. Gives the calls made."""
+    root = QueryTreeNode("root", "root", 0, "0", children=[
+        QueryTreeNode(f"leaf {i}", f"leaf {i}", 1, f"0.{i}")
+        for i in range(len(summaries))])
+    calls = []
+    gateway = LlmGateway(ScriptedAdapter({
+        "summarize_leaf": {f"leaf {i}": text for i, text in enumerate(summaries)},
+        "merge_intermediate": {"root": merge},
+        "generate_root": {"root": "answer"},
+    }), on_call=calls.append)
+    synthesize(gateway, root, lambda pid: pid, char_budget=char_budget)
+    return calls
+
+
+def test_fold_over_three_summaries_merges_the_two_longest():
+    short, longest, middle = "a" * 30, "b" * 50, "c" * 40
+    calls = _root_over_leaves([short, longest, middle], "folded", char_budget=100)
+    folds = [c for c in calls if c.role == "merge_intermediate"]
+    assert len(folds) == 1
+    assert longest in folds[0].prompt and middle in folds[0].prompt
+    assert short not in folds[0].prompt
+    # the merged summary takes the earlier of the pair's places
+    assert f"- {short}\n- folded\n" in calls[-1].prompt
+
+
+def test_single_overlong_summary_reaches_the_root_cut_to_the_budget():
+    summary = "abcdefghij" * 30
+    calls = _root_over_leaves([summary], "unused", char_budget=50)
+    root_prompt = calls[-1].prompt
+    assert calls[-1].role == "generate_root"
+    assert f"- {summary[:50]}\n" in root_prompt
+    assert summary[:51] not in root_prompt
