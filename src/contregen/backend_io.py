@@ -16,6 +16,9 @@ long integer's message keeps its digit counts and drops json.loads's advice
 to call ``sys.set_int_max_str_digits``, which a data file's author cannot
 follow.
 
+Both caches key their entries with ``JsonlCache.digest``, the sha256 of the
+JSON array of the key parts, written without building a JSON encoder.
+
 ``requests`` is imported only when a POST is made, so a run that calls no
 network backend never loads it."""
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -65,6 +69,7 @@ def _strict_utf8(text: str) -> str:
 
 
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, with its defaults
+_ascii_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 
 
 def _parse_json(text: str):
@@ -181,13 +186,13 @@ class JsonlCache:
     error; an unterminated final line that does not parse as JSON (an append
     cut short) is dropped with a warning and cut off before the next append,
     while one that parses but holds a bad entry is a hard error too.
-    Subclasses give the key function and the record shape: the value field,
-    its decoder (which rejects a value of the wrong type) and the
-    replay-miss message; the caller of lookup gives the context fields
-    recorded beside the value. A strict cache (replay) never computes: a
-    miss is a ReplayMissError. An append that cannot be written is a
-    DataError naming the file, and the entry is not kept; any part of it that
-    landed is cut off before the next append.
+    Subclasses give the key function, which passes its key parts to digest,
+    and the record shape: the value field, its decoder (which rejects a
+    value of the wrong type) and the replay-miss message; the caller of
+    lookup gives the context fields recorded beside the value. A strict
+    cache (replay) never computes: a miss is a ReplayMissError. An append
+    that cannot be written is a DataError naming the file, and the entry is
+    not kept; any part of it that landed is cut off before the next append.
 
     The first put opens the file for appending and keeps the handle until
     close(), or until an append fails, when the next put opens it again.
@@ -240,6 +245,20 @@ class JsonlCache:
                         f"{self.path}:{line_no}: unreadable cache entry ({exc})")
         if line and not line.endswith("\n"):
             self._repair = (self.path.stat().st_size, "\n")
+
+    @staticmethod
+    def digest(*parts) -> str:
+        """The sha256 hex digest of json.dumps(list(parts), ensure_ascii=True),
+        the one definition of both caches' keys. A str or a plain int part is
+        written directly (encode_basestring_ascii, int.__repr__), which gives
+        the text json.dumps gives without building an encoder per call; a part
+        of any other type, such as a bool or a str subclass, is written by
+        json.dumps itself, so no key can change."""
+        material = ", ".join([
+            _ascii_json_str(part) if type(part) is str
+            else int.__repr__(part) if type(part) is int
+            else json.dumps(part) for part in parts])
+        return hashlib.sha256(f"[{material}]".encode()).hexdigest()
 
     def get(self, key: str):
         return self._entries.get(key)

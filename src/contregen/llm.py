@@ -3,18 +3,19 @@
 Every generation call goes through one funnel, LlmGateway.complete, which
 renders the role template, invokes the adapter, and records a logical call
 with its tree location. Adapters carry a physical invocation counter
-(backend_calls) so replay can prove it touched no backend.
+(backend_calls) so replay can prove it touched no backend. A template is
+split into literal and slot pieces once, when it is built, so a render only
+fills slots and joins; the replay cache's key is backend_io's one cache
+digest, so a replayed call costs a render, a hash and a dict lookup.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol
 
@@ -63,21 +64,29 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 class PromptTemplate:
     """A role's prompt text with {slot} placeholders and a one-shot exemplar.
 
-    Substitution is a single regex pass, so braces inside slot values (which
-    come from arbitrary passage text) are never re-interpreted.
+    The text is split once, when the template is built, into alternating
+    literal and slot-name pieces (literal, name, literal, ..., literal); a
+    render fills the names in order and joins the pieces. Slot values (which
+    come from arbitrary passage text) are never re-read, so braces inside
+    them are never re-interpreted, and the first slot missing in template
+    order is the one a TemplateRenderError names.
     """
 
     role: PromptRole
     text: str
+    _pieces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_pieces", tuple(_PLACEHOLDER_RE.split(self.text)))
 
     def render(self, slots: Mapping[str, str]) -> str:
-        def fill(match: re.Match) -> str:
-            name = match.group(1)
+        pieces = list(self._pieces)
+        for i in range(1, len(pieces), 2):
+            name = pieces[i]
             if name not in slots:
                 raise TemplateRenderError(self.role.value, name)
-            return str(slots[name])
-
-        return _PLACEHOLDER_RE.sub(fill, self.text)
+            pieces[i] = str(slots[name])
+        return "".join(pieces)
 
 
 def load_templates(override_dir: Optional[str | Path] = None) -> dict[PromptRole, PromptTemplate]:
@@ -208,7 +217,7 @@ class OpenAiChatAdapter:
 
 
 class LlmCache(JsonlCache):
-    """Model responses keyed by hash(adapter-id, role, full prompt)."""
+    """Model responses keyed by the cache digest of (adapter-id, role, full prompt)."""
 
     value_field = "response"
     miss_message = "generation cache has no entry for role {role}"
@@ -223,8 +232,7 @@ class LlmCache(JsonlCache):
 
     @staticmethod
     def key(adapter_id: str, role: str, prompt: str) -> str:
-        material = json.dumps([adapter_id, role, prompt], ensure_ascii=True)
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return JsonlCache.digest(adapter_id, role, prompt)
 
 
 class CachingAdapter:

@@ -25,8 +25,6 @@ change the top k. Both return the same hits and scores.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import re
 import sys
@@ -280,7 +278,8 @@ class RemoteRetriever:
 
 
 class RetrievalCache(JsonlCache):
-    """Hit lists keyed by hash(backend-id, corpus fingerprint, normalized query, topk)."""
+    """Hit lists keyed by the cache digest of (backend-id, corpus fingerprint,
+    normalized query, topk)."""
 
     value_field = "hits"
     miss_message = "retrieval cache has no entry for query {query!r} (topk={topk})"
@@ -291,9 +290,8 @@ class RetrievalCache(JsonlCache):
     @staticmethod
     def key(backend_id: str, corpus_fingerprint: str, query_text: str, topk: int,
             case_sensitive: bool = False) -> str:
-        material = json.dumps([backend_id, corpus_fingerprint,
-                               normalize_query(query_text, case_sensitive), topk])
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
+        return JsonlCache.digest(backend_id, corpus_fingerprint,
+                                 normalize_query(query_text, case_sensitive), topk)
 
 
 class RetrieverHandle:

@@ -45,7 +45,9 @@ def synthesize(gateway: LlmGateway, root: QueryTreeNode, lookup,
 
         Picks the two longest entries (ties resolved to the earlier index);
         the merged summary replaces the earlier one, keeping child order
-        stable otherwise.
+        stable otherwise. A lone summary still over the budget is cut so that
+        its block, "- " included, fits; a budget under 2 cannot hold even the
+        prefix, so there the block is "- " alone.
         """
         nonlocal fold_merges
         while len(_block(summaries)) > char_budget and len(summaries) >= 2:
@@ -63,7 +65,7 @@ def synthesize(gateway: LlmGateway, root: QueryTreeNode, lookup,
             del summaries[second]
         if summaries and len(_block(summaries)) > char_budget:
             logger.warning("hard-truncating an over-budget summary at %s", node.path)
-            summaries[0] = summaries[0][:char_budget]
+            summaries[0] = summaries[0][:max(char_budget - 2, 0)]
         return summaries
 
     def visit(node: QueryTreeNode, is_root: bool) -> str:

@@ -10,10 +10,12 @@ as the engine so that agreement can be exact, not approximate.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
 from collections import Counter
 
+from contregen.errors import TemplateRenderError
 from contregen.llm import PromptRole
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -162,6 +164,25 @@ def count_calls(calls) -> dict[str, int]:
 def slot_names(template) -> frozenset[str]:
     """The {slot} placeholders a PromptTemplate's text names."""
     return frozenset(_PLACEHOLDER_RE.findall(template.text))
+
+
+def render(template, slots) -> str:
+    """A PromptTemplate's text with its placeholders filled in one regex pass,
+    a callback per placeholder; the first missing slot in template order is a
+    TemplateRenderError."""
+
+    def fill(match: re.Match) -> str:
+        name = match.group(1)
+        if name not in slots:
+            raise TemplateRenderError(template.role.value, name)
+        return str(slots[name])
+
+    return _PLACEHOLDER_RE.sub(fill, template.text)
+
+
+def cache_key(*parts) -> str:
+    """A cache key: the sha256 of the key parts as one JSON array."""
+    return hashlib.sha256(json.dumps(list(parts), ensure_ascii=True).encode("utf-8")).hexdigest()
 
 
 def per_round_sets(run) -> list[set[str]]:

@@ -161,6 +161,18 @@ def test_analyze_reach(planted, tmp_path, capsys):
     assert "recall rep=1.0000 nrep=1.0000" in line
 
 
+def test_analyze_reach_warns_about_and_leaves_out_a_query_without_gold(
+        planted, tmp_path, capsys, caplog):
+    queries = tmp_path / "queries-with-no-gold.jsonl"
+    queries.write_text(planted["queries"].read_text(encoding="utf-8") + json.dumps(
+        {"id": "q-no-gold", "query": "inspect fixtures"}) + "\n", encoding="utf-8")
+    assert dispatch(["analyze-reach", "--corpus", str(planted["corpus"]),
+                     "--queries", str(queries), "--format", "structured"]) == 0
+    rows = json.loads(capsys.readouterr().out)["queries"]
+    assert [row["query"] for row in rows] == ["q-planted"]
+    assert "query q-no-gold has no gold passages; skipped" in caplog.messages
+
+
 def test_analyze_facets(planted, tmp_path, capsys):
     out_dir = _run_cli(planted, tmp_path, contregen_fixtures())
     capsys.readouterr()
@@ -210,6 +222,32 @@ def test_curve_mean_pads_a_shorter_curve_with_its_last_value(tmp_path, capsys):
     curves = json.loads(capsys.readouterr().out)
     assert curves == {"q-long": [0.5, 0.5, 1.0], "q-short": [0.5, 1.0],
                       "mean": [0.5, 0.75, 1.0]}
+
+
+def test_curve_skips_a_query_without_rounds(tmp_path, capsys, caplog):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("".join(json.dumps(record) + "\n" for record in [
+        {"id": "q-rounds", "query": "with", "gold_ids": ["a", "b"]},
+        {"id": "q-none", "query": "without", "gold_ids": ["c"]}]), encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"queries": {
+        "q-rounds": {"rounds": [["a"], ["a", "b"]]},
+        "q-none": {"rounds": None}}}), encoding="utf-8")
+    assert dispatch(["curve", "--trace", str(trace), "--queries", str(queries),
+                     "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"q-rounds": [0.5, 1.0],
+                                                   "mean": [0.5, 1.0]}
+    assert "query q-none has no per-round data; skipped" in caplog.messages
+
+
+def test_curve_where_no_query_has_rounds_prints_only_the_header(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"id": "q", "query": "x", "gold_ids": ["a"]}) + "\n",
+                       encoding="utf-8")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"queries": {"q": {"rounds": []}}}), encoding="utf-8")
+    assert dispatch(["curve", "--trace", str(trace), "--queries", str(queries)]) == 0
+    assert capsys.readouterr().out == "method,\n"
 
 
 def test_export_tree(planted, tmp_path, capsys):
@@ -521,6 +559,9 @@ _BAD_TRACES = {
         "curve --trace {trace.json} --queries {queries}",
         _trace_text({"rounds": 3}),
         "query q-planted: rounds must be null or a list of lists of strings"),
+    "export-tree-no-tree": (
+        "export-tree --trace {trace.json} --query q-planted",
+        _trace_text(_SECTION), "query q-planted: no tree (baseline run?)"),
     "export-tree-list-tree": (
         "export-tree --trace {trace.json} --query q-planted",
         _trace_text({**_SECTION, "tree": []}), "query q-planted: tree must be null or an object"),
@@ -584,6 +625,9 @@ _BAD_TRACES = {
     "diff-number-method": (
         "diff --a {trace.json} --b {trace.json}",
         _trace_text({**_SECTION, "method": 5}), "query q-planted: method must be a string"),
+    "eval-string-report": (
+        "eval --trace {trace.json}", _trace_text(_SECTION, "a report"),
+        "report must be an object"),
     "eval-number-per-query": (
         "eval --trace {trace.json}", _trace_text(_SECTION, {"per_query": 3}),
         "report per_query must map query ids to objects of numbers"),

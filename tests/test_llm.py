@@ -2,11 +2,13 @@ import errno
 import json
 import math
 import os
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from contregen.backend_io import JsonlCache
 from contregen.errors import (
     CacheCorruptionError,
     ConfigError,
@@ -29,7 +31,7 @@ from contregen.llm import (
 )
 
 from conftest import NumberingAdapter, run_together
-from oracles import count_calls, slot_names
+from oracles import cache_key, count_calls, render, slot_names
 
 
 def test_all_roles_have_templates_with_exemplars():
@@ -53,6 +55,69 @@ def test_render_missing_slot_raises():
     with pytest.raises(TemplateRenderError) as err:
         template.render({"query": "x"})
     assert str(err.value) == "unfilled slot {missing} rendering template for role plan"
+
+
+# Text that JSON escapes or that a placeholder scan could trip on: quotes,
+# backslashes, control characters, DEL, non-ASCII, astral and lone-surrogate
+# text, and braces that are, are not, or only look like a placeholder
+_AWKWARD = ['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "\u00e9", "\u65e5",
+            "\U0001f600", "\ud800", "\udfff", "{", "}", "{}", "{Not_a_slot}", "{9}",
+            "{{query}}", "plain words ", " "]
+_SLOTS = ["query", "passages", "main_query", "child_summaries", "missing"]
+
+
+def _awkward_text(rng: random.Random, placeholders: bool) -> str:
+    pieces = _AWKWARD + ["{%s}" % name for name in _SLOTS] * placeholders
+    return "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 12)))
+
+
+def _outcome(fn):
+    try:
+        return "text", fn()
+    except TemplateRenderError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_render_matches_the_regex_oracle(seed):
+    rng = random.Random(seed)
+    fixed = ["{query}", "{query}{query}", "{query}{passages}", "x{query}", "{query}x",
+             "{query} and {query}", "{missing}{query}", "{query}{missing}", "", "no slots"]
+    texts = fixed + [_awkward_text(rng, placeholders=True) for _ in range(300)]
+    for text in texts:
+        template = PromptTemplate(role=rng.choice(list(PromptRole)), text=text)
+        names = rng.sample(_SLOTS, rng.randrange(len(_SLOTS) + 1))
+        slots = {name: _awkward_text(rng, placeholders=True) for name in names}
+        assert _outcome(lambda: template.render(slots)) == _outcome(
+            lambda: render(template, slots)), (text, slots)
+
+
+class _Text(str):
+    pass
+
+
+def _key_part(rng: random.Random):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice([0, -1, 7, 2 ** 70, -(10 ** 30)])
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return _Text(_awkward_text(rng, placeholders=False))
+    return _awkward_text(rng, placeholders=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cache_keys_match_the_json_dumps_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        parts = [_key_part(rng) for _ in range(rng.randrange(1, 5))]
+        assert JsonlCache.digest(*parts) == cache_key(*parts), parts
+        adapter_id, role, prompt = (_awkward_text(rng, placeholders=True) for _ in range(3))
+        assert LlmCache.key(adapter_id, role, prompt) == cache_key(adapter_id, role, prompt)
+    # the prompts of the replay cache are long; a key covers every character
+    prompt = _awkward_text(rng, placeholders=True) * 500
+    assert LlmCache.key("scripted", "plan", prompt) == cache_key("scripted", "plan", prompt)
 
 
 def test_template_override_dir(tmp_path):
@@ -351,6 +416,7 @@ def test_concurrent_misses_on_one_key_get_the_value_the_cache_kept(tmp_path):
     kept = replay.complete(PromptRole.PLAN, "same prompt", {"query": "q"})
     assert answers == [kept, kept]
     assert backend.backend_calls == 1
+    assert adapter.cache._flights == {}  # the key's single-flight entry left with its callers
 
 
 def test_a_miss_whose_computation_raises_leaves_the_key_to_the_next_waiter(tmp_path):
@@ -376,6 +442,18 @@ def test_a_miss_whose_computation_raises_leaves_the_key_to_the_next_waiter(tmp_p
     assert len(calls) == 2
     assert sorted(outcomes) == ["answer 2"] * 3 + ["backend down"]
     assert LlmCache(tmp_path / "llm.jsonl", strict=True).get("k") == "answer 2"
+    assert cache._flights == {}
+
+
+def test_put_of_a_held_key_returns_the_held_value_and_appends_nothing(tmp_path):
+    path = tmp_path / "llm.jsonl"
+    cache = LlmCache(path)
+    assert cache.put("k", "first", role="plan", prompt="p") == "first"
+    size = path.stat().st_size
+    assert cache.put("k", "second", role="plan", prompt="p") == "first"
+    cache.close()
+    assert path.stat().st_size == size
+    assert LlmCache(path).get("k") == "first"
 
 
 def test_llm_cache_writes_a_lone_surrogate_escaped(tmp_path):

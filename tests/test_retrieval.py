@@ -25,7 +25,7 @@ from contregen.retrieval import (
 )
 
 from conftest import run_together
-from oracles import bm25_postings, bm25_rank, forced_postings, toks
+from oracles import bm25_postings, bm25_rank, cache_key, forced_postings, toks
 
 
 def _store(texts: dict) -> CorpusStore:
@@ -342,10 +342,19 @@ def test_concurrent_queries_finalize_each_shared_rare_term_once(monkeypatch, ker
     assert len(finalized) == len({term for query in queries for term in query.split()} & rare)
 
 
+class _UnusedSession:
+    def post(self, *args, **kwargs):
+        pytest.fail("a retrieval with topk < 1 reached the endpoint")
+
+
 def test_topk_must_be_positive():
     index = LexicalIndex(_store({"p1": "alpha"}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="topk must be >= 1"):
         index.retrieve("alpha", 0)
+    remote = RemoteRetriever("http://retriever.test", session=_UnusedSession())
+    with pytest.raises(ValueError, match="topk must be >= 1"):
+        remote.retrieve("alpha", 0)
+    assert remote.backend_calls == 0
 
 
 def test_cache_round_trip_and_persistence(tmp_path):
@@ -375,6 +384,18 @@ def test_lexical_cache_key_is_stable():
     # the key of a cache written before remote keys kept case; old caches must keep hitting
     assert (RetrievalCache.key("lexical", "fp", "  The   CAT \n sat ", 5)
             == "b78a0f884c82380edc7682549d37fabff9f17f7a745db0d85a3ec1df66e07d28")
+
+
+@pytest.mark.parametrize("case_sensitive", [False, True])
+def test_cache_key_is_the_json_digest_of_its_parts(case_sensitive):
+    for backend_id, fingerprint, query, topk in [
+            ("lexical", "fp", "  The \"CAT\" \\ sat ", 5),
+            ("remote:http://x/\u00e9", "", "caf\u00e9 \U0001f600 \ud800 {q}", 1),
+            ("lexical", "f\x00p", "\x7f\t{}", 2 ** 40),
+            ("lexical", "fp", "q", True)]:
+        assert (RetrievalCache.key(backend_id, fingerprint, query, topk, case_sensitive)
+                == cache_key(backend_id, fingerprint, normalize_query(query, case_sensitive),
+                             topk))
 
 
 def test_cache_never_serves_another_corpus(tmp_path):

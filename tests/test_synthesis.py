@@ -121,7 +121,8 @@ def test_fold_over_three_summaries_merges_the_two_longest():
 def test_single_overlong_summary_reaches_the_root_cut_to_the_budget():
     summary = "abcdefghij" * 30
     calls = _root_over_leaves([summary], "unused", char_budget=50)
-    root_prompt = calls[-1].prompt
     assert calls[-1].role == "generate_root"
-    assert f"- {summary[:50]}\n" in root_prompt
-    assert summary[:51] not in root_prompt
+    # the generate_root template places the block between these two lines
+    block = calls[-1].prompt.rpartition("Aspect answers:\n")[2].rpartition("\nAnswer:")[0]
+    assert len(block) <= 50
+    assert block == f"- {summary[:48]}"

@@ -510,6 +510,14 @@ def test_diff_traces_names_what_changed(planted, tmp_path):
     assert "query q1: only in first trace" in diff_traces(original, missing)
 
 
+def test_diff_traces_names_config_report_and_other_differences():
+    base = {"config": {"method": "retgen"}, "queries": {}, "report": None}
+    assert diff_traces(base, {**base, "config": {"method": "iterretgen"}}) == ["config differs"]
+    assert diff_traces(base, {**base, "report": {"per_query": {}}}) == ["report differs"]
+    # a top-level field no other check compares
+    assert diff_traces(base, {**base, "version": 2}) == ["traces differ in serialization"]
+
+
 def test_load_trace_errors(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_trace(tmp_path / "absent.json")
