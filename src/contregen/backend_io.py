@@ -17,7 +17,9 @@ to call ``sys.set_int_max_str_digits``, which a data file's author cannot
 follow.
 
 Both caches key their entries with ``JsonlCache.digest``, the sha256 of the
-JSON array of the key parts, written without building a JSON encoder.
+JSON array of the key parts, written without building a JSON encoder. A
+prefix from ``JsonlCache.digest_prefix`` lets it hash only the part of a
+key's last part after a known head.
 
 ``requests`` is imported only when a POST is made, so a run that calls no
 network backend never loads it."""
@@ -70,6 +72,16 @@ def _strict_utf8(text: str) -> str:
 
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, with its defaults
 _ascii_json_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
+
+
+def _key_text(parts) -> str:
+    """The JSON array of a cache key's parts, as json.dumps(list(parts),
+    ensure_ascii=True) writes it (see JsonlCache.digest)."""
+    material = ", ".join([
+        _ascii_json_str(part) if type(part) is str
+        else int.__repr__(part) if type(part) is int
+        else json.dumps(part) for part in parts])
+    return f"[{material}]"
 
 
 def _parse_json(text: str):
@@ -247,18 +259,41 @@ class JsonlCache:
             self._repair = (self.path.stat().st_size, "\n")
 
     @staticmethod
-    def digest(*parts) -> str:
+    def digest(*parts, prefix: Optional[tuple] = None) -> str:
         """The sha256 hex digest of json.dumps(list(parts), ensure_ascii=True),
         the one definition of both caches' keys. A str or a plain int part is
         written directly (encode_basestring_ascii, int.__repr__), which gives
         the text json.dumps gives without building an encoder per call; a part
         of any other type, such as a bool or a str subclass, is written by
-        json.dumps itself, so no key can change."""
-        material = ", ".join([
-            _ascii_json_str(part) if type(part) is str
-            else int.__repr__(part) if type(part) is int
-            else json.dumps(part) for part in parts])
-        return hashlib.sha256(f"[{material}]".encode()).hexdigest()
+        json.dumps itself, so no key can change.
+
+        A prefix from digest_prefix skips what it has hashed already: when
+        the leading parts equal its own in type and value and the last part
+        is a plain str that starts with its head, only the rest of the last
+        part is escaped and hashed. JSON escapes a str one character at a
+        time, so the digest is the same either way; any other key is hashed
+        whole."""
+        if prefix is not None:
+            leading, types, head, state = prefix
+            first, last = parts[:-1], parts[-1]
+            if (type(last) is str and last.startswith(head) and first == leading
+                    and tuple(map(type, first)) == types):
+                state = state.copy()
+                state.update(f"{_ascii_json_str(last[len(head):])[1:]}]".encode())
+                return state.hexdigest()
+        return hashlib.sha256(_key_text(parts).encode()).hexdigest()
+
+    @staticmethod
+    def digest_prefix(*parts) -> tuple:
+        """A prefix for digest: parts are a key's leading parts, then a str
+        head that its last part starts with. It holds the sha256 state after
+        the key's text up to the end of the head's escape."""
+        *leading, head = parts
+        if type(head) is not str:
+            raise TypeError(f"a key head must be a str, not {type(head).__name__}")
+        text = _key_text(parts)  # ends with the head's closing quote and "]"
+        return (tuple(leading), tuple(map(type, leading)), head,
+                hashlib.sha256(text[:-2].encode()))
 
     def get(self, key: str):
         return self._entries.get(key)

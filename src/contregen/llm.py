@@ -6,7 +6,9 @@ with its tree location. Adapters carry a physical invocation counter
 (backend_calls) so replay can prove it touched no backend. A template is
 split into literal and slot pieces once, when it is built, so a render only
 fills slots and joins; the replay cache's key is backend_io's one cache
-digest, so a replayed call costs a render, a hash and a dict lookup.
+digest, so a replayed call costs a render, a hash and a dict lookup. The
+hash covers only the part of the prompt after its template's head: the
+caching adapter hashes each head once, and the key is the same.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class ScriptedAdapter:
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         key = str(slots.get(KEY_SLOT[role], ""))
-        table = self._fixtures.get(role.value)
+        table = self._fixtures.get(role._value_)
         value = table.get(key) if table is not None else None
         with self._lock:
             self.backend_calls += 1
@@ -231,29 +233,46 @@ class LlmCache(JsonlCache):
         return response
 
     @staticmethod
-    def key(adapter_id: str, role: str, prompt: str) -> str:
-        return JsonlCache.digest(adapter_id, role, prompt)
+    def key(adapter_id: str, role: str, prompt: str, prefix: Optional[tuple] = None) -> str:
+        """The digest of (adapter_id, role, prompt); prefix, from
+        JsonlCache.digest_prefix(adapter_id, role, head), lets it hash only
+        the part of a prompt after the head, with the same result."""
+        return JsonlCache.digest(adapter_id, role, prompt, prefix=prefix)
 
 
 class CachingAdapter:
-    """Wraps an adapter with the replay cache; a strict cache forbids misses."""
+    """Wraps an adapter with the replay cache; a strict cache forbids misses.
 
-    def __init__(self, inner: Adapter, cache: LlmCache) -> None:
+    With the templates the prompts are rendered from, a key hashes only the
+    part of each prompt after its template's head (the literal text before
+    the first slot), the head's share of the hash being computed once per
+    role; a prompt that does not start with its head, or an adapter built
+    without templates, hashes the whole key. The keys are the same either way.
+    """
+
+    def __init__(self, inner: Adapter, cache: LlmCache,
+                 templates: Optional[Mapping[PromptRole, PromptTemplate]] = None) -> None:
         self.inner = inner
         self.cache = cache
         self.adapter_id = inner.adapter_id
+        self._prefixes = {  # role name -> the key prefix of its template's head
+            role.value: JsonlCache.digest_prefix(self.adapter_id, role.value,
+                                                 template._pieces[0])
+            for role, template in (templates or {}).items()}
 
     @property
     def backend_calls(self) -> int:
         return self.inner.backend_calls
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
-        return self.cache.lookup(self.cache.key(self.adapter_id, role.value, prompt),
-                                 {"role": role.value, "prompt": prompt},
-                                 self.inner.complete, role, prompt, slots)
+        name = role._value_  # what role.value returns, without its descriptor
+        cache = self.cache
+        return cache.lookup(cache.key(self.adapter_id, name, prompt, self._prefixes.get(name)),
+                            {"role": name, "prompt": prompt},
+                            self.inner.complete, role, prompt, slots)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LlmCall:
     """One logical generation call as recorded in a trace."""
 
@@ -278,7 +297,7 @@ class LlmGateway:
                  node_path: str = "") -> str:
         prompt = self.templates[role].render(slots)
         response = self.adapter.complete(role, prompt, slots)
-        call = LlmCall(role=role.value, prompt=prompt, response=response,
+        call = LlmCall(role=role._value_, prompt=prompt, response=response,
                        node_path=node_path,
                        approx_tokens=math.ceil((len(prompt) + len(response)) / 4))
         if self.on_call is not None:

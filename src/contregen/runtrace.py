@@ -331,7 +331,7 @@ def run(config: RunConfig) -> RunTrace:
         cache_dir = Path(config.cache_dir)
         retrieval_cache = RetrievalCache(cache_dir / "retrieval.jsonl", strict=config.replay)
         llm_cache = LlmCache(cache_dir / "llm.jsonl", strict=config.replay)
-        adapter = CachingAdapter(adapter, llm_cache)
+        adapter = CachingAdapter(adapter, llm_cache, templates)
     elif config.replay:
         raise ConfigError("replay mode needs cache_dir")
 

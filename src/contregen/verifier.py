@@ -35,7 +35,7 @@ def parse_yes_no(text: str) -> Optional[bool]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationOutcome:
     subquestion: str
     rewritten: str

@@ -255,13 +255,18 @@ def selfask_fixtures() -> dict:
 @pytest.fixture
 def planted(tmp_path):
     """File layout for CLI and run() tests over the planted-facet corpus."""
-    corpus_path = tmp_path / "corpus.jsonl"
+    return write_planted(tmp_path)
+
+
+def write_planted(directory: Path) -> dict:
+    """The planted-facet corpus and query files, written into directory."""
+    corpus_path = directory / "corpus.jsonl"
     with corpus_path.open("w", encoding="utf-8") as fh:
         for table in (FACET_A, FACET_B, FACET_C, DISTRACTORS):
             for pid in sorted(table):
                 fh.write(json.dumps({"id": pid, "text": table[pid]}) + "\n")
     record = planted_query()
-    queries_path = tmp_path / "queries.jsonl"
+    queries_path = directory / "queries.jsonl"
     with queries_path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps({
             "id": record.id,
@@ -270,7 +275,7 @@ def planted(tmp_path):
             "reference": record.reference,
             "facet_of": record.facet_of,
         }) + "\n")
-    return {"corpus": corpus_path, "queries": queries_path, "dir": tmp_path}
+    return {"corpus": corpus_path, "queries": queries_path, "dir": directory}
 
 
 def run_together(threads: int, worker) -> None:

@@ -32,6 +32,10 @@ Only ``contregen.backend_io`` parses JSON: no other package module calls
 ``json.loads`` or ``json.load``, under any name it imports them by, so every
 parse maps too deep or too long a value to a data error. ``RunTrace.to_dict``
 is spared by name: it parses only the trace its own class serialized.
+
+Only ``contregen.backend_io`` (the cache keys) and ``contregen.corpus`` (the
+corpus fingerprint) import ``hashlib``, at any depth, so a cache key has one
+writer, ``JsonlCache.digest``, and no fast path grows a second.
 """
 
 import ast
@@ -425,3 +429,43 @@ def test_json_parse_scan_flags_each_call_form(tmp_path):
     assert json_parse_calls(module) == [
         (4, "<module>"), (5, "<module>"), (6, "<module>"), (7, "<module>"), (8, "<module>"),
         (16, "RunTrace.from_text"), (18, "to_dict")]
+
+
+_HASHING_MODULES = {"backend_io.py", "corpus.py"}
+
+
+def hashlib_imports(path: Path) -> list[int]:
+    """The line of each ``import hashlib`` or ``from hashlib import ...`` in
+    path, at module level or inside a function or class."""
+    return sorted(node.lineno for node in ast.walk(_parse(path))
+                  if (isinstance(node, ast.Import)
+                      and any(alias.name == "hashlib" for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom) and not node.level
+                      and node.module == "hashlib"))
+
+
+def test_only_backend_io_and_corpus_import_hashlib():
+    package = ROOT / "src" / "contregen"
+    modules = sorted(path for path in package.rglob("*.py")
+                     if path.name not in _HASHING_MODULES)
+    assert len(modules) > 10  # the scan found the package
+    assert all(hashlib_imports(package / name) for name in _HASHING_MODULES)
+    assert [f"{path.relative_to(ROOT)}:{line}"
+            for path in modules for line in hashlib_imports(path)] == []
+
+
+def test_hashlib_scan_flags_each_import_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import hashlib\n"
+        "import os, hashlib as h\n"
+        "from hashlib import sha256\n"
+        "from .hashlib import local\n"
+        "import hashlibx\n"
+        "from hmac import digest\n"
+        "def key(text):\n"
+        "    import hashlib\n"
+        "    return hashlib.sha256(text).hexdigest()\n"
+        "class Cache:\n"
+        "    from hashlib import sha1\n", encoding="utf-8")
+    assert hashlib_imports(module) == [1, 2, 3, 8, 11]

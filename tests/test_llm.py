@@ -120,6 +120,87 @@ def test_cache_keys_match_the_json_dumps_oracle(seed):
     assert LlmCache.key("scripted", "plan", prompt) == cache_key("scripted", "plan", prompt)
 
 
+# Characters whose JSON escape differs from themselves, or whose UTF-16 form
+# is a pair: a split next to each must not change the key
+_SPLIT_AT = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\U0001f600", "\ud800",
+             "\udfff"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_prefixed_keys_match_the_json_dumps_oracle(seed):
+    """A key hashed from a head's prefix equals the json.dumps key, whether or
+    not the prompt starts with the head."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        adapter_id, role, head = (_awkward_text(rng, placeholders=True) for _ in range(3))
+        rest = _awkward_text(rng, placeholders=True)
+        prompt = rng.choice([head + rest, head, rest, rest + head, head[:-1] + rest])
+        prefix = JsonlCache.digest_prefix(adapter_id, role, head)
+        assert (LlmCache.key(adapter_id, role, prompt, prefix)
+                == cache_key(adapter_id, role, prompt)), (head, prompt)
+    for left in _SPLIT_AT:
+        for right in _SPLIT_AT:
+            head = f"head {left}"
+            prefix = JsonlCache.digest_prefix("scripted", "plan", head)
+            for prompt in (head + right, head + right + " tail", head, right + head):
+                assert (LlmCache.key("scripted", "plan", prompt, prefix)
+                        == cache_key("scripted", "plan", prompt)), prompt
+    empty = JsonlCache.digest_prefix("scripted", "plan", "")
+    for prompt in ("", '"', "x" * 1000):
+        assert LlmCache.key("scripted", "plan", prompt, empty) == cache_key(
+            "scripted", "plan", prompt)
+
+
+def test_a_prefix_for_other_leading_parts_falls_back():
+    """A prefix whose leading parts differ from the key's, in value or only
+    in type (1 for True, a str for a str subclass), hashes the key whole."""
+    head, prompt = "Answer {", "Answer {the question}"
+    prefix = JsonlCache.digest_prefix("scripted", "plan", head)
+    for adapter_id, role in (("openai:x", "plan"), ("scripted", "rewrite"),
+                             (_Text("scripted"), "plan"), ("scripted", _Text("plan"))):
+        assert LlmCache.key(adapter_id, role, prompt, prefix) == cache_key(
+            adapter_id, role, prompt)
+    assert LlmCache.key("scripted", "plan", _Text(prompt), prefix) == cache_key(
+        "scripted", "plan", prompt)
+    one = JsonlCache.digest_prefix(1, head)
+    assert JsonlCache.digest(True, prompt, prefix=one) == cache_key(True, prompt)
+    assert JsonlCache.digest(1, prompt, prefix=one) == cache_key(1, prompt)
+    assert JsonlCache.digest(1, 2, prompt, prefix=one) == cache_key(1, 2, prompt)
+    assert JsonlCache.digest(prompt, prefix=one) == cache_key(prompt)
+    with pytest.raises(TypeError):
+        JsonlCache.digest_prefix("scripted", 1)
+
+
+class _EchoAdapter:
+    adapter_id = "echo"
+
+    def __init__(self) -> None:
+        self.backend_calls = 0
+
+    def complete(self, role, prompt, slots) -> str:
+        self.backend_calls += 1
+        return f"{role.value}: {prompt[-40:]}"
+
+
+def test_caching_adapter_with_templates_hits_the_keys_written_without(tmp_path):
+    """A strict cache behind an adapter built with the templates serves every
+    prompt an adapter built without them cached, from its head's prefix or,
+    for a prompt that does not start with its head, from the whole key."""
+    templates = load_templates()
+    cache_path = tmp_path / "llm.jsonl"
+    writer = CachingAdapter(_EchoAdapter(), LlmCache(cache_path))
+    written = {}
+    for role, template in templates.items():
+        prompt = template.render({name: f'{name} "\u00e9\\ \ud800'
+                                  for name in slot_names(template)})
+        for text in (prompt, f"x{prompt}"):
+            written[role, text] = writer.complete(role, text, {})
+    writer.cache.close()
+    reader = CachingAdapter(_EchoAdapter(), LlmCache(cache_path, strict=True), templates)
+    assert {call: reader.complete(*call, {}) for call in written} == written
+    assert len(written) == 2 * len(templates) and reader.backend_calls == 0
+
+
 def test_template_override_dir(tmp_path):
     (tmp_path / "plan.txt").write_text("custom plan prompt {query}")
     templates = load_templates(tmp_path)
