@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -67,12 +68,18 @@ class CorpusStore:
     It keeps one id -> text dict, in insertion order, and the meta of only the
     passages whose meta is not empty, so a passage costs the store its two
     strings and a dict entry. ``get`` and iteration build each ``Passage`` on
-    demand, with the stored meta or a fresh empty one.
+    demand, with the stored meta or a fresh empty one. The fingerprint is
+    hashed when first asked for, not at ingestion, and kept until the store
+    grows.
     """
 
     def __init__(self, passages: Iterable[Passage] = ()) -> None:
         self._texts: dict[str, str] = {}  # in insertion order
         self._meta: dict[str, Mapping[str, str]] = {}  # only the non-empty ones
+        # (passage count, digest) of the last fingerprint; a store only grows
+        # and its ids are unique, so an equal count means the same passages
+        self._fingerprint: tuple[int, str] = (-1, "")
+        self._fingerprint_lock = threading.Lock()
         for passage in passages:
             self.add(passage)
 
@@ -113,8 +120,17 @@ class CorpusStore:
 
     def fingerprint(self) -> str:
         """sha256 over the (id, text) pairs in id order, NUL-separated: the
-        bytes of id, NUL, text, NUL for each pair, hashed a chunk of
-        _FINGERPRINT_CHUNK pairs at a time."""
+        bytes of id, NUL, text, NUL for each pair. Hashed at most once while
+        the store does not grow, under a lock, so threads asking together
+        hash it once between them."""
+        with self._fingerprint_lock:
+            if self._fingerprint[0] != len(self._texts):
+                self._fingerprint = (len(self._texts), self._digest())
+            return self._fingerprint[1]
+
+    def _digest(self) -> str:
+        """The fingerprint hashed afresh, a chunk of _FINGERPRINT_CHUNK pairs
+        per sha256 update."""
         digest = hashlib.sha256()
         ids = sorted(self._texts)  # ids are unique: the order of the pairs
         parts = [""] * (2 * len(ids))  # id, text, id, text, ...

@@ -32,7 +32,7 @@ import threading
 from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
@@ -112,6 +112,10 @@ class RetrievalCall:
 
 
 class Retriever(Protocol):
+    """A retrieval backend. Its ``corpus_fingerprint``, part of every
+    retrieval cache key, is that of the local corpus its hit ids resolve
+    against, read from the store when a cache key first asks for it."""
+
     backend_id: str
     backend_calls: int
     corpus_fingerprint: str  # part of every retrieval cache key
@@ -120,14 +124,24 @@ class Retriever(Protocol):
     def retrieve(self, query_text: str, topk: int) -> Hits: ...
 
 
+def _local_fingerprint(retriever) -> str:
+    """The fingerprint of the local corpus a retriever's hit ids resolve
+    against: hashed by the store when the first cache key asks for it, at
+    most once per store, and then kept on the retriever as a plain attribute."""
+    return retriever._corpus.fingerprint()
+
+
 class LexicalIndex:
     """Inverted BM25 index over a corpus, built on first use.
 
-    Construction checks the corpus and takes its fingerprint, which every
-    cache key needs. The postings, per term an ascending array of document
-    indices, one of weights (term frequencies, which ``bm25_impacts`` turns in
-    place into impacts ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``)
-    and the largest impact, are built by the first retrieve, exactly once even
+    Construction only checks that the corpus is not empty; it does no work
+    per passage. The corpus fingerprint, which only cache keys need, is read
+    from the store by the first key that asks for it, so a run without a
+    retrieval cache never hashes the corpus. The postings, per term an
+    ascending array of document indices, one of weights (term frequencies,
+    which ``bm25_impacts`` turns in place into impacts
+    ``idf * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)))``) and the
+    largest impact, are built by the first retrieve, exactly once even
     when threads call it together. The build runs no Python statement per
     posting: C-level iteration appends each token's document index to its
     term's occurrence array, and ``_finalize`` counts that array with a
@@ -138,31 +152,37 @@ class LexicalIndex:
     finished tuple, under the lock, so each term is finalized once and a
     finished tuple never changes. Either way a term gets the same bits. A
     run whose retrievals all come from the cache builds none.
-    Internal document indices are assigned in ascending passage-id order, so
-    the (-score, index) order of ``topk_indices`` realizes the id tie-break.
+    Internal document indices are assigned by the build in ascending
+    passage-id order, so the (-score, index) order of ``topk_indices``
+    realizes the id tie-break.
     """
 
     backend_id = "lexical"
     case_sensitive = False  # the tokenizer lowercases
+    corpus_fingerprint = cached_property(_local_fingerprint)
 
     def __init__(self, corpus: CorpusStore) -> None:
         if len(corpus) == 0:
             raise DataError("cannot build an index over an empty corpus")
         self._corpus = corpus
-        self.doc_ids: list[str] = sorted(corpus.ids())
-        self.doc_count = len(self.doc_ids)
         self.backend_calls = 0
-        self.corpus_fingerprint = corpus.fingerprint()
         self._lock = threading.Lock()  # guards backend_calls, the build and finalization
         # the postings, published once built; a rare term's occurrence array
         # is replaced by its finished tuple when a query first names it
         self._built: Optional[dict[str, tuple[array, array, float] | array]] = None
-        self._doc_norms: Optional[array] = None  # set by the build
+        # set by the build: passage ids by document index, their count, and
+        # the document norms _finalize reads
+        self.doc_ids: list[str] = []
+        self.doc_count = 0
+        self._doc_norms: Optional[array] = None
 
     def _build(self) -> dict[str, tuple[array, array, float] | array]:
         """The postings, term -> (document indices, BM25 impacts, largest
         impact), except that a rare term keeps its occurrence array for
-        ``retrieve`` to finalize. Sets the document norms ``_finalize`` reads."""
+        ``retrieve`` to finalize. Sets the document ids, their count and the
+        document norms ``_finalize`` reads."""
+        self.doc_ids = sorted(self._corpus.ids())
+        self.doc_count = len(self.doc_ids)
         lens = array("i")
         # each term's document index once per occurrence, so ascending; the
         # appends run in C, from map and a deque that keeps nothing
@@ -231,16 +251,19 @@ class RemoteRetriever:
 
     The auth token, when required, comes from the environment (never from
     configuration files). The remote corpus cannot be fingerprinted from
-    here, so its cache entries are keyed by the endpoint alone.
+    here, but the hit ids resolve against the local corpus, so cache keys
+    carry the endpoint and the local corpus's fingerprint, read from the
+    store as the lexical index reads it: a swapped local corpus misses.
     """
 
-    corpus_fingerprint = ""
     case_sensitive = True  # a dense encoder may read case
+    corpus_fingerprint = cached_property(_local_fingerprint)
     TIMEOUT_S = 30.0
 
-    def __init__(self, endpoint: str, token: Optional[str] = None,
+    def __init__(self, endpoint: str, corpus: CorpusStore, token: Optional[str] = None,
                  session: Optional[requests.Session] = None) -> None:
         self.endpoint = endpoint
+        self._corpus = corpus
         self.backend_id = f"remote:{endpoint}"
         self.backend_calls = 0
         self._lock = threading.Lock()  # guards backend_calls

@@ -286,7 +286,7 @@ def _build_backend(config: RunConfig, store: CorpusStore):
     if config.retriever_backend == "lexical":
         return LexicalIndex(store)
     token = os.environ.get("CONTREGEN_RETRIEVER_TOKEN")
-    return RemoteRetriever(config.remote_endpoint, token=token)
+    return RemoteRetriever(config.remote_endpoint, store, token=token)
 
 
 def _run_one(config: RunConfig, record: QueryRecord, adapter: Adapter,

@@ -1116,8 +1116,9 @@ seen = [deferred_modules()]
 assert dispatch(sys.argv[2:]) == 0
 seen.append(deferred_modules())
 if sys.argv[1] == "remote":
+    from contregen.corpus import CorpusStore
     from contregen.retrieval import RemoteRetriever
-    RemoteRetriever("http://localhost:9/search")
+    RemoteRetriever("http://localhost:9/search", CorpusStore())
 elif sys.argv[1] == "openai":
     from contregen.llm import OpenAiChatAdapter
     OpenAiChatAdapter(model="m", api_key="k")

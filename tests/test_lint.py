@@ -36,6 +36,10 @@ is spared by name: it parses only the trace its own class serialized.
 Only ``contregen.backend_io`` (the cache keys) and ``contregen.corpus`` (the
 corpus fingerprint) import ``hashlib``, at any depth, so a cache key has one
 writer, ``JsonlCache.digest``, and no fast path grows a second.
+
+Only ``contregen.retrieval`` reads an attribute named ``fingerprint``, to call
+it or otherwise, so the corpus is hashed only when a retrieval cache key asks
+for its fingerprint, and no constructor or command hashes it eagerly.
 """
 
 import ast
@@ -469,3 +473,39 @@ def test_hashlib_scan_flags_each_import_form(tmp_path):
         "class Cache:\n"
         "    from hashlib import sha1\n", encoding="utf-8")
     assert hashlib_imports(module) == [1, 2, 3, 8, 11]
+
+
+def fingerprint_reads(path: Path) -> list[int]:
+    """The line of each read of an attribute named ``fingerprint`` in path: a
+    call of the method, or the bound method taken to call later."""
+    return sorted(node.lineno for node in ast.walk(_parse(path))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr == "fingerprint")
+
+
+def test_only_retrieval_reads_the_corpus_fingerprint():
+    package = ROOT / "src" / "contregen"
+    modules = sorted(path for path in package.rglob("*.py") if path.name != "retrieval.py")
+    assert len(modules) > 10  # the scan found the package
+    assert fingerprint_reads(package / "retrieval.py")
+    assert [f"{path.relative_to(ROOT)}:{line}"
+            for path in modules for line in fingerprint_reads(path)] == []
+
+
+def test_fingerprint_scan_flags_each_read(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "store.fingerprint()\n"
+        "self._corpus.fingerprint()\n"
+        "CorpusStore.fingerprint(store)\n"
+        "read = store.fingerprint\n"
+        "fingerprint(store)\n"
+        "index.corpus_fingerprint\n"
+        "store.fingerprint = None\n"
+        "class CorpusStore:\n"
+        "    def fingerprint(self):\n"
+        "        return self._digest()\n"
+        "def key(index):\n"
+        "    return (index._corpus\n"
+        "            .fingerprint())\n", encoding="utf-8")
+    assert fingerprint_reads(module) == [1, 2, 3, 4, 12]

@@ -351,7 +351,7 @@ def test_topk_must_be_positive():
     index = LexicalIndex(_store({"p1": "alpha"}))
     with pytest.raises(ValueError, match="topk must be >= 1"):
         index.retrieve("alpha", 0)
-    remote = RemoteRetriever("http://retriever.test", session=_UnusedSession())
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=_UnusedSession())
     with pytest.raises(ValueError, match="topk must be >= 1"):
         remote.retrieve("alpha", 0)
     assert remote.backend_calls == 0
@@ -515,7 +515,7 @@ class _RepeatSession:
 
 def test_remote_retriever_counts_every_call_across_threads():
     threads, calls = 8, 200
-    remote = RemoteRetriever("http://retriever.test", session=_RepeatSession(
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=_RepeatSession(
         _FakeResponse(200, [{"id": "p1", "score": 1.0}])))
 
     def worker(slot):
@@ -528,7 +528,7 @@ def test_remote_retriever_counts_every_call_across_threads():
 
 def test_remote_retriever_parses_hits(monkeypatch):
     session = _FakeSession([_FakeResponse(200, [{"id": "p9", "score": 2.5}])])
-    remote = RemoteRetriever("http://retriever.test/search", token="tok",
+    remote = RemoteRetriever("http://retriever.test/search", CorpusStore(), token="tok",
                              session=session)
     assert remote.retrieve("a query", 3) == (("p9", 2.5),)
     assert remote.backend_id == "remote:http://retriever.test/search"
@@ -539,14 +539,14 @@ def test_remote_retriever_parses_hits(monkeypatch):
 
 def test_remote_retriever_without_a_token_sends_no_authorization():
     session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])])
-    RemoteRetriever("http://retriever.test", session=session).retrieve("q", 1)
+    RemoteRetriever("http://retriever.test", CorpusStore(), session=session).retrieve("q", 1)
     assert "Authorization" not in session.requests[0]["headers"]
 
 
 def test_remote_retriever_rejects_more_hits_than_topk():
     session = _FakeSession([_FakeResponse(200, [
         {"id": "p1", "score": 3.0}, {"id": "p2", "score": 2.0}, {"id": "p3", "score": 1.0}])])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     with pytest.raises(RetrieverUnavailableError, match=r"\(ValueError: 3 hits for topk=2\)$"):
         remote.retrieve("q", 2)
 
@@ -557,7 +557,7 @@ def test_remote_retriever_retries_then_fails(monkeypatch):
     monkeypatch.setattr(backend_io.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse(503, {}), _FakeResponse(503, {}),
                             _FakeResponse(503, {})])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     with pytest.raises(RetrieverUnavailableError):
         remote.retrieve("q", 1)
     assert len(session.requests) == 3
@@ -598,7 +598,7 @@ def test_remote_retriever_bad_payload(monkeypatch):
     import contregen.backend_io as backend_io
     monkeypatch.setattr(backend_io.time, "sleep", lambda s: None)
     session = _FakeSession([_FakeResponse(200, {"unexpected": True})])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     with pytest.raises(RetrieverUnavailableError):
         remote.retrieve("q", 1)
 
@@ -627,21 +627,34 @@ def test_remote_retriever_bad_payload(monkeypatch):
         "integer-and-string-id"])
 def test_remote_retriever_malformed_reply_is_unavailable(payload):
     session = _FakeSession([_FakeResponse(200, payload)])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     with pytest.raises(RetrieverUnavailableError, match="malformed reply"):
         remote.retrieve("q", 2)
 
 
 def test_remote_retriever_serves_an_integer_id_as_its_string():
     session = _FakeSession([_FakeResponse(200, [{"id": 5, "score": 1.0}])])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     assert remote.retrieve("q", 1) == (("5", 1.0),)
 
 
 def test_remote_retriever_reads_hits_object():
     session = _FakeSession([_FakeResponse(200, {"hits": [{"id": "p1", "score": 2}]})])
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     assert remote.retrieve("q", 1) == (("p1", 2.0),)
+
+
+def test_remote_cache_never_serves_another_local_corpus(tmp_path):
+    """Remote hit ids resolve against the local corpus, so an entry cached
+    over one local corpus misses once its texts are swapped."""
+    session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])] * 2)
+    cache_path = tmp_path / "remote.jsonl"
+    for corpus in (_store({"p1": "alpha beta", "p2": "gamma delta"}),
+                   _store({"p1": "gamma delta", "p2": "alpha beta"})):
+        remote = RemoteRetriever("http://retriever.test", corpus, session=session)
+        handle = RetrieverHandle(remote, corpus, cache=RetrievalCache(cache_path))
+        assert handle.retrieve("alpha", 1) == (("p1", 1.0),)
+    assert len(session.requests) == 2
 
 
 def test_cache_key_keeps_case_for_remote_only(tmp_path):
@@ -652,7 +665,7 @@ def test_cache_key_keeps_case_for_remote_only(tmp_path):
     assert index.backend_calls == 1
 
     session = _FakeSession([_FakeResponse(200, [{"id": "p1", "score": 1.0}])] * 2)
-    remote = RemoteRetriever("http://retriever.test", session=session)
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
     remote_cache = RetrievalCache(tmp_path / "remote.jsonl")
     _cached(remote_cache, remote, "Alpha Beta", 1)
     _cached(remote_cache, remote, "  Alpha   Beta ", 1)  # whitespace still collapses
