@@ -11,6 +11,7 @@ ingest, build-wikihow, run and replay print their summary to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 import typing
@@ -296,8 +297,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The stderr prefix and exit code of each kind of error, the first that matches.
+_FAILURES = ((ConfigError, "error", 1), (DataError, "data error", 2),
+             (BackendError, "backend error", 3), (ContregenError, "error", 2))
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser dispatch uses, built once per process: parsing leaves a
+    parser unchanged, and its usage and help are formatted when printed."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
@@ -318,18 +331,13 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         code = exc.code
         return int(code) if code else 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return 3
     except ContregenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix, code = next((prefix, code) for kind, prefix, code in _FAILURES
+                            if isinstance(exc, kind))
+        # escaped, since an input's value in the message may hold a lone surrogate
+        line = f"{prefix}: {exc}".encode("utf-8", "backslashreplace").decode("utf-8")
+        print(line, file=sys.stderr)
+        return code
 
 
 def main() -> None:

@@ -93,6 +93,9 @@ class CorpusStore:
     def add(self, passage: Passage) -> None:
         if not passage.text.strip():
             raise DataError(f"passage {passage.id!r} has empty text")
+        fault = _nul((("id", passage.id), ("text", passage.text)))
+        if fault:
+            raise DataError(f"passage {passage.id!r}: {fault}")
         self._put(passage.id, passage.text, passage.meta)
 
     def __len__(self) -> int:
@@ -120,7 +123,8 @@ class CorpusStore:
 
     def fingerprint(self) -> str:
         """sha256 over the (id, text) pairs in id order, NUL-separated: the
-        bytes of id, NUL, text, NUL for each pair. Hashed at most once while
+        bytes of id, NUL, text, NUL for each pair (neither holds a NUL, so
+        the pairs are told apart). Hashed at most once while
         the store does not grow, under a lock, so threads asking together
         hash it once between them."""
         with self._fingerprint_lock:
@@ -173,9 +177,20 @@ def _lone_surrogate(fields: Iterable[tuple[str, str]]) -> Optional[str]:
     return None
 
 
+def _nul(fields: Iterable[tuple[str, str]]) -> Optional[str]:
+    """Why the first of the (name, text) fields holding a NUL is bad, or None
+    when none does. The corpus fingerprint separates passage ids and texts
+    with NUL, so one inside them would let two corpora share it."""
+    for name, text in fields:
+        if "\0" in text:
+            return f"{name} holds a NUL, which the corpus fingerprint uses as a separator"
+    return None
+
+
 def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines,
-    a lone surrogate in an id, text or meta among them, are errors."""
+    a lone surrogate in an id, text or meta or a NUL in an id or text among
+    them, are errors."""
     store = CorpusStore()
     for line_no, record in read_jsonl(path, {"id", "text"}):
         meta = record.get("meta")
@@ -197,6 +212,9 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
                                      *(("meta", part) for item in meta.items() for part in item)))
             if fault:
                 raise MalformedRecordError(str(path), line_no, fault)
+        if "\0" in text or "\0" in passage_id:
+            raise MalformedRecordError(str(path), line_no,
+                                       _nul((("id", passage_id), ("text", text))))
         store._put(passage_id, text, meta)
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
@@ -294,8 +312,9 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
     "steps"}]}`` and the single-method ``{"title", "summary", "steps": [...]}``,
     which becomes one method titled as the article. An optional ``id`` field, a
     string or an integer, overrides the positional article id. Every title,
-    summary and step must be a string, and no field may hold a lone
-    surrogate; any other value is a DataError naming the record.
+    summary and step must be a string, no field may hold a lone surrogate,
+    and an id or step, which become passage ids and texts, may not hold a
+    NUL; any other value is a DataError naming the record.
     """
     try:
         array = read_json(path, "input file")
@@ -325,9 +344,11 @@ def load_article_dumps(path: str | Path) -> list[ArticleDump]:
             article_id = id_text(obj["id"]) if "id" in obj else None
         except ValueError:
             raise DataError(f"{where}: id must be a string or an integer") from None
-        fault = _lone_surrogate((("id", article_id or ""), ("title", title), ("summary", summary),
+        id_field = ("id", article_id or "")
+        step_fields = [("step", step) for _, steps in methods for step in steps]
+        fault = _lone_surrogate((id_field, ("title", title), ("summary", summary),
                                  *(("method title", method_title) for method_title, _ in methods),
-                                 *(("step", step) for _, steps in methods for step in steps)))
+                                 *step_fields)) or _nul((id_field, *step_fields))
         if fault:
             raise DataError(f"{where}: {fault}")
         dumps.append(ArticleDump(title=title, summary=summary, methods=methods,

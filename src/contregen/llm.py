@@ -272,7 +272,7 @@ class CachingAdapter:
                             self.inner.complete, role, prompt, slots)
 
 
-@dataclass
+@dataclass(slots=True)
 class LlmCall:
     """One logical generation call as recorded in a trace."""
 

@@ -101,7 +101,7 @@ def _checked_hits(pairs) -> Hits:
     return tuple(hits)
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalCall:
     """One logical retrieval as recorded in a trace."""
 

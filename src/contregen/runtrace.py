@@ -15,12 +15,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import operator
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from contregen import baselines
 from contregen.backend_io import atomic_write, atomic_writer, read_json, read_text
@@ -150,6 +151,19 @@ class RunConfig:
         return data
 
 
+def _yaml_fault(exc: Exception) -> str:
+    """Why yaml.safe_load raised exc, in one line: the problem and where it
+    is, or the first line of another error. A ValueError is a value its tag
+    cannot take (a date out of range, an integer longer than Python
+    converts), and a RecursionError nesting deeper than the recursion limit."""
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None and exc.problem:
+        return f"{exc.problem} (line {mark.line + 1}, column {mark.column + 1})"
+    return str(exc).partition("\n")[0].partition("; use sys.set_int_max_str_digits()")[0]
+
+
 def load_config(path: Optional[str] = None,
                 overrides: Optional[Mapping[str, object]] = None) -> RunConfig:
     """Defaults, then the config file, then flag overrides."""
@@ -160,8 +174,9 @@ def load_config(path: Optional[str] = None,
             loaded = yaml.safe_load(read_text(path, "config file")) or {}
         except DataError as exc:
             raise ConfigError(str(exc)) from None
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path} is not valid YAML: {exc}")
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: {_yaml_fault(exc)}") \
+                from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
         values.update(loaded)
@@ -232,10 +247,22 @@ class QueryRun:
                                   default=None)
 
 
+def _fields_getter(cls) -> Callable[[object], dict]:
+    """A function from a cls instance to a new dict of its fields, read by
+    attribute, so that no instance dict is made or kept."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    values = operator.attrgetter(*names)
+    return lambda obj: dict(zip(names, values(obj)))
+
+
+_query_run_dict = _fields_getter(QueryRun)
+_llm_call_dict, _retrieval_call_dict = _fields_getter(LlmCall), _fields_getter(RetrievalCall)
+
+
 def _section_dict(q: QueryRun) -> dict:
     """A query's section of the trace, as serialized."""
-    return {**vars(q), "llm_calls": [vars(c) for c in q.llm_calls],
-            "retrieval_calls": [vars(c) for c in q.retrieval_calls]}
+    return {**_query_run_dict(q), "llm_calls": list(map(_llm_call_dict, q.llm_calls)),
+            "retrieval_calls": list(map(_retrieval_call_dict, q.retrieval_calls))}
 
 
 @dataclass
@@ -274,6 +301,11 @@ def canonical_json(obj) -> str:
 
 
 def _build_adapter(config: RunConfig) -> Adapter:
+    """The configured adapter. A strict replay's cache never calls it, so
+    there it reads no fixture table and no API key; its id is the same."""
+    if config.replay:
+        return (ScriptedAdapter({}) if config.adapter == "scripted"
+                else OpenAiChatAdapter(model=config.model, api_key=""))
     if config.adapter == "scripted":
         return ScriptedAdapter.from_file(config.fixtures_path)
     api_key = os.environ.get("OPENAI_API_KEY", "")

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import contregen
+from contregen import cli
 from contregen.cli import _config_from_args, build_parser, dispatch
 from contregen.errors import ConfigError, DataError
 from contregen.retrieval import LexicalIndex
-from contregen.runtrace import METHODS, RunConfig, load_trace
+from contregen.runtrace import METHODS, RunConfig, load_trace, run
 
 from conftest import (
     ROOT_QUERY,
@@ -48,6 +49,24 @@ def test_no_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "command" in capsys.readouterr().out
+
+
+def test_dispatch_builds_its_parser_once_and_prints_the_same_help(monkeypatch, capsys):
+    """dispatch keeps the parser it builds. Usage and help are formatted when
+    printed, so they read as a fresh parser's."""
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    runs = (["run", "--help"], ["eval", "--bogus"], [], ["--help"], ["run", "--help"])
+
+    def printed():
+        return [(dispatch(argv), *capsys.readouterr()) for argv in runs]
+
+    cached = printed()
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build_parser)  # a fresh parser per call
+    assert printed() == cached
+    assert [code for code, _, _ in cached] == [0, 1, 1, 0, 0]
 
 
 def test_unknown_command_and_bad_flag_exit_one(capsys):
@@ -721,6 +740,48 @@ def test_unreadable_config_or_template_is_one_line_error_naming_it(
     assert line.startswith(reason.format(path=path))
 
 
+@pytest.mark.parametrize("content, reason", [
+    ("topk: 5\nqueries_pat", "could not find expected ':' (line 2, column 12)"),
+    ("topk: [5\n", "expected ',' or ']', but got '<stream end>' (line 2, column 1)"),
+    ("topk: !!python/name:os.getcwd\n", "could not determine a constructor for the tag "
+                                         "'tag:yaml.org,2002:python/name:os.getcwd' "
+                                         "(line 1, column 7)"),
+    ("topk: " + "[" * 600 + "]" * 600 + "\n", "nested too deeply"),
+    ("topk: " + "9" * 5000 + "\n", "Exceeds the limit (4300 digits) for integer string "
+                                   "conversion: value has 5000 digits"),
+    ("seed_tag: 2001-02-30\n", "day is out of range for month"),
+    ("topk: !!int x\n", "invalid literal for int() with base 10: 'x'"),
+], ids=["cut-short", "open-list", "python-tag", "deep", "long-integer", "bad-date", "int-tag"])
+def test_bad_yaml_config_is_one_error_line(content, reason, planted, tmp_path, capsys):
+    """PyYAML's errors span several lines, with a snippet and a caret, and a
+    long integer, a bad date or deep nesting raised past load_config."""
+    path = tmp_path / "run.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert dispatch(["run", "--config", str(path), "--corpus", str(planted["corpus"]),
+                     "--queries", str(planted["queries"]),
+                     "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file {path} is not valid YAML: {reason}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, line", [
+    ('method: "x\\udfffy"\n', "error: unknown method: x\\udfffy"),
+    ('adapter: "\\ud800"\n', "error: unknown adapter: \\ud800"),
+], ids=["method", "adapter"])
+def test_a_lone_surrogate_in_an_error_line_is_escaped(content, line, planted, tmp_path,
+                                                      capsys):
+    """A config value is quoted in its error, and YAML can spell a lone
+    surrogate, which a stream that encodes strictly (as pytest's does)
+    cannot write."""
+    path = tmp_path / "run.yaml"
+    path.write_text(content, encoding="utf-8")
+    assert dispatch(["run", "--config", str(path), "--corpus", str(planted["corpus"]),
+                     "--queries", str(planted["queries"]), "--fixtures", "f.json"]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
                     reason="file permissions do not stop root from reading")
 def test_input_without_read_permission_is_data_error(planted, tmp_path, capsys):
@@ -853,6 +914,39 @@ def test_a_lone_surrogate_in_passage_input_is_one_data_error(command, planted, t
     line = _one_data_error(argv, capsys)
     assert line == f"data error: {where} holds a lone surrogate, which is not UTF-8 text"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "run", "build-wikihow"])
+@pytest.mark.parametrize("field", ["id", "text"])
+def test_a_nul_in_a_passage_id_or_text_is_one_data_error(command, field, planted, tmp_path,
+                                                        capsys):
+    """The corpus fingerprint separates ids and texts with NUL, so the
+    passage ("a", "b\\0c\\0d") once fingerprinted, and keyed the retrieval
+    cache, as ("a", "b") and ("c", "d") together did."""
+    out = tmp_path / "out"
+    source = tmp_path / "input.jsonl"
+    passage = {"id": "a", "text": "b\0c\0d"} if field == "text" else {"id": "a\0", "text": "b"}
+    if command == "build-wikihow":
+        article = _article("how to x", [passage["text"]], article_id=passage["id"])
+        source.write_text(json.dumps(article) + "\n", encoding="utf-8")
+        argv = [command, "--articles", str(source), "--out-corpus", str(out / "corpus.jsonl"),
+                "--out-queries", str(out / "queries.jsonl")]
+        where = f"{source}:1: {'step' if field == 'text' else 'id'}"
+    else:
+        source.write_text(json.dumps(passage) + "\n", encoding="utf-8")
+        argv = ([command, "--corpus", str(source), "--out", str(out / "corpus.jsonl")]
+                if command == "ingest" else
+                [command, "--corpus", str(source), "--queries", str(planted["queries"]),
+                 "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
+                 "--out-dir", str(out)])
+        where = f"{source}:1: {field}"
+    assert "\\u0000" in source.read_text(encoding="utf-8")
+    assert _one_data_error(argv, capsys) == (
+        f"data error: {where} holds a NUL, which the corpus fingerprint uses as a separator")
+    assert not out.exists()
+    source.write_text(json.dumps({"id": "a", "text": "b"}) + "\n"
+                      + json.dumps({"id": "c", "text": "d"}) + "\n", encoding="utf-8")
+    assert dispatch(["ingest", "--corpus", str(source)]) == 0  # the pair it collided with
 
 
 def test_a_lone_surrogate_in_a_query_id_is_one_data_error(planted, tmp_path, capsys):
@@ -1035,6 +1129,67 @@ def test_cold_run_builds_the_index_once_and_replay_never(method, planted, tmp_pa
     assert {name: (out_dir / name).read_bytes() for name in cold} == cold
     # the replay appended nothing to either cache
     assert {name: (tmp_path / "cache" / name).read_bytes() for name in cached} == cached
+
+
+_RUN_FILES = ("trace.json", "report.json", "outputs.jsonl")
+
+
+@pytest.mark.parametrize("table", [b"{not json", b""], ids=["not-json", "empty"])
+def test_strict_replay_reads_no_fixture_table(table, planted, tmp_path, capsys):
+    """A strict replay's cache answers every call, so the scripted adapter
+    behind it reads no fixture table: a bad one is a data error for run only."""
+    cache = str(tmp_path / "cache")
+    out_dir = _run_cli(planted, tmp_path, contregen_fixtures(), extra=("--cache-dir", cache))
+    cold = {name: (out_dir / name).read_bytes() for name in _RUN_FILES}
+    cached = {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()}
+    fixtures = tmp_path / "contregen.json"
+    fixtures.write_bytes(table)
+    args = ["--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+            "--fixtures", str(fixtures), "--cache-dir", cache, "--out-dir", str(out_dir)]
+    assert dispatch(["replay", *args]) == 0
+    capsys.readouterr()
+    assert {name: (out_dir / name).read_bytes() for name in _RUN_FILES} == cold
+    config = _config_from_args(build_parser().parse_args(["replay", *args]))
+    assert run(config).backend_stats == {"llm_backend_calls": 0, "retrieval_backend_calls": 0}
+    assert _one_data_error(["run", *args], capsys).startswith(
+        f"data error: fixture file {fixtures}")
+    assert {path.name: path.read_bytes() for path in (tmp_path / "cache").iterdir()} == cached
+
+
+class _ChatSession:
+    """A requests session that answers every POST with one chat completion,
+    and counts the POSTs."""
+
+    posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        _ChatSession.posts += 1
+        reply = argparse.Namespace(status_code=200, headers={})
+        reply.json = lambda: {"choices": [{"message": {"content": "Check the fixtures."}}]}
+        return reply
+
+
+def test_strict_openai_replay_needs_no_api_key(planted, tmp_path, monkeypatch, capsys):
+    """A strict replay posts nothing, so it reads no OPENAI_API_KEY, and
+    matches the cold openai run byte for byte."""
+    import requests
+    monkeypatch.setattr(requests, "Session", _ChatSession)
+    monkeypatch.setattr(_ChatSession, "posts", 0)
+    args = ["--method", "retgen", "--adapter", "openai", "--model", "m",
+            "--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+            "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    assert dispatch(["run", *args]) == 0
+    assert _ChatSession.posts == 1
+    cold = {name: (tmp_path / "out" / name).read_bytes() for name in _RUN_FILES}
+    monkeypatch.delenv("OPENAI_API_KEY")
+    assert dispatch(["replay", *args]) == 0
+    assert _ChatSession.posts == 1
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in _RUN_FILES} == cold
+    capsys.readouterr()
+    assert dispatch(["run", *args]) == 1  # a run that may miss still needs the key
+    assert capsys.readouterr().err == (
+        "error: openai adapter needs OPENAI_API_KEY in the environment\n")
 
 
 def test_parallel_run_builds_the_index_once_and_matches_serial_bytes(

@@ -112,7 +112,7 @@ def test_fingerprint_matches_the_per_pair_formula_across_chunks(size, tmp_path):
     texts = {}
     while len(texts) < size:
         pid = "".join(rng.choice("ab\u00e9\u4e2d\U0001f600") for _ in range(rng.randint(1, 8)))
-        texts[pid] = "".join(rng.choice("xy \u00ef\u2014\u65e5\t\0")
+        texts[pid] = "".join(rng.choice("xy \u00ef\u2014\u65e5\t\x01")
                              for _ in range(rng.randint(0, 40))) + "z"
     path = tmp_path / "corpus.jsonl"
     write_passages((Passage(id=pid, text=text) for pid, text in texts.items()), path)
@@ -247,6 +247,44 @@ def test_ingest_rejects_a_lone_surrogate(record, name, tmp_path):
     assert str(err.value) == f"{path}:2: {name} holds a lone surrogate, which is not UTF-8 text"
     path.write_text(json.dumps({"id": "p1", "text": "smile \ud83d\ude00"}) + "\n")
     assert ingest_corpus(path).text("p1") == "smile \U0001f600"  # a pair is one character
+
+
+_NUL_FAULT = "holds a NUL, which the corpus fingerprint uses as a separator"
+
+
+def test_a_nul_in_a_passage_is_rejected_so_no_two_stores_share_a_fingerprint():
+    """The fingerprint joins ids and texts with NUL: one passage whose text
+    spells the join of two others once fingerprinted as those two did."""
+    with pytest.raises(DataError) as err:
+        CorpusStore([Passage("a", "b\0c\0d")])
+    assert str(err.value) == f"passage 'a': text {_NUL_FAULT}"
+    with pytest.raises(DataError) as err:
+        CorpusStore([Passage("a\0b", "c")])
+    assert str(err.value) == f"passage 'a\\x00b': id {_NUL_FAULT}"
+    pair = CorpusStore([Passage("a", "b"), Passage("c", "d")])
+    assert pair.fingerprint() == corpus_fingerprint({"a": "b", "c": "d"})
+
+
+@pytest.mark.parametrize("record, name", [
+    ({"id": "a", "text": "b\u0000c\u0000d"}, "text"),
+    ({"id": "p\u00002", "text": "also fine"}, "id"),
+    ({"id": "p2", "text": "\u0000"}, "text"),
+])
+def test_ingest_rejects_a_nul_in_an_id_or_text(record, name, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    line = json.dumps(record)  # spells each NUL as the \u0000 escape
+    assert "\\u0000" in line
+    path.write_text(json.dumps({"id": "p1", "text": "fine"}) + "\n" + line + "\n")
+    with pytest.raises(MalformedRecordError) as err:
+        ingest_corpus(path)
+    assert str(err.value) == f"{path}:2: {name} {_NUL_FAULT}"
+
+
+def test_ingest_takes_a_nul_in_meta(tmp_path):
+    """meta is not part of the fingerprint, so it may hold a NUL."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "p1", "text": "fine", "meta": {"k": "a\0b"}}) + "\n")
+    assert ingest_corpus(path).get("p1").meta == {"k": "a\0b"}
 
 
 def test_integer_ids_stand_for_their_decimal_strings(tmp_path):
@@ -391,6 +429,23 @@ def test_load_article_dumps_rejects_a_lone_surrogate(article, name, tmp_path):
     with pytest.raises(DataError) as err:
         load_article_dumps(path)
     assert str(err.value) == f"{path}:2: {name} holds a lone surrogate, which is not UTF-8 text"
+
+
+@pytest.mark.parametrize("article, name", [
+    ({**_ARTICLE, "id": "a\0"}, "id"),
+    ({**_ARTICLE, "steps": ["fine", "step \0 two"]}, "step"),
+    ({"title": "t", "methods": [{"title": "m", "steps": ["x"]}, {"steps": ["\0"]}]}, "step"),
+])
+def test_load_article_dumps_rejects_a_nul_in_an_id_or_step(article, name, tmp_path):
+    """An article id and its steps become passage ids and texts."""
+    path = tmp_path / "articles.jsonl"
+    path.write_text(json.dumps(_ARTICLE) + "\n" + json.dumps(article) + "\n")
+    with pytest.raises(DataError) as err:
+        load_article_dumps(path)
+    assert str(err.value) == f"{path}:2: {name} {_NUL_FAULT}"
+    titled = {**_ARTICLE, "title": "how to \0", "summary": "s\0"}
+    path.write_text(json.dumps(titled) + "\n")
+    assert load_article_dumps(path)[0].title == "how to \0"
 
 
 def test_build_wikihow_ids_and_facets():

@@ -190,6 +190,29 @@ def test_writing_a_trace_holds_one_section_at_a_time(tmp_path):
     assert target.read_text(encoding="ascii") == canonical_json(trace.to_dict()) + "\n"
 
 
+def test_call_records_have_no_instance_dict():
+    _, section = _section("q")
+    for call in (*section.llm_calls, *section.retrieval_calls):
+        assert not hasattr(call, "__dict__")
+
+
+def test_writing_a_trace_leaves_its_records_as_they_were(tmp_path):
+    """A section is serialized from its fields, read by attribute; vars()
+    once gave each section and call a dict that it then kept."""
+    _run_trace(_section("warm")).write_json(tmp_path / "warm.json")  # one-time allocations
+    trace = _run_trace(*(_section(f"q{n:02d}", calls=45) for n in range(40)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace.write_json(tmp_path / "trace.json")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000  # 40 sections of 46 records: a dict kept by each is 120 KB
+
+
 def test_an_error_while_the_pieces_stream_leaves_the_old_file(tmp_path):
     target = tmp_path / "trace.json"
     _run_trace(_section("q1")).write_json(target)
