@@ -404,7 +404,6 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     import requests  # deferred: only network backends pay for loading it
 
     reason = "no attempt made"
-    delay = 0.0
     for attempt in range(ATTEMPTS):
         if attempt:
             time.sleep(delay)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from contregen.errors import INT_FLOORS
 from contregen.llm import LlmGateway, PromptRole
 from contregen.planner import render_passages
 from contregen.retrieval import Hits, RetrieverHandle
@@ -57,12 +58,12 @@ def run_retgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
 
 
 def run_iterretgen(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
-                   topk: int, max_iterations: int = 5) -> BaselineRun:
+                   topk: int, max_iterations: int) -> BaselineRun:
     """Round 1 retrieves with the question; later rounds prepend the previous
     response to it. Every round regenerates, so the call count equals the
     iteration count."""
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if max_iterations < INT_FLOORS["max_iterations"]:
+        raise ValueError(f"max_iterations must be >= {INT_FLOORS['max_iterations']}")
     accumulated: list[str] = []
     seen: set[str] = set()
     rounds: list[tuple[str, ...]] = []
@@ -101,7 +102,7 @@ def parse_followup(response: str) -> Optional[str]:
 
 
 def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
-                topk: int, max_iterations: int = 5) -> BaselineRun:
+                topk: int, max_iterations: int) -> BaselineRun:
     """Seed retrieval with the question, then one follow-up call per round.
 
     Each follow-up question retrieves the next hit set; the call's response
@@ -109,8 +110,8 @@ def run_selfask(gateway: LlmGateway, retriever: RetrieverHandle, query: str,
     A final generation over all accumulated context closes the run, so the
     call count is rounds + 1.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if max_iterations < INT_FLOORS["max_iterations"]:
+        raise ValueError(f"max_iterations must be >= {INT_FLOORS['max_iterations']}")
     accumulated: list[str] = []
     seen: set[str] = set()
     _extend(accumulated, seen, retriever.retrieve(query, topk))

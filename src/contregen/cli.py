@@ -28,12 +28,11 @@ from contregen.corpus import (
     write_passages,
     write_queries,
 )
-from contregen.errors import BackendError, ConfigError, ContregenError, DataError
+from contregen.errors import INT_FLOORS, BackendError, ConfigError, ContregenError, DataError
 from contregen.metrics import evaluate_run, render_table
 from contregen.retrieval import LexicalIndex, RetrieverHandle
 from contregen.runtrace import (
     CHOICES,
-    INT_FLOORS,
     RunConfig,
     canonical_json,
     diff_traces,
@@ -269,7 +268,7 @@ def build_parser() -> _Parser:
                        help="reachability split of gold passages per query")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=int, default=RunConfig.topk)
     p.add_argument("--trace", help="also score this run's retrieved ids per class")
     _add_output(p, _cmd_analyze_reach)
 

@@ -91,9 +91,14 @@ class CorpusStore:
             self._meta[passage_id] = meta
 
     def add(self, passage: Passage) -> None:
+        """Store passage; a DataError for a field that is not a string or that
+        ingest_corpus rejects."""
+        if not all(isinstance(part, str) for part in (passage.id, passage.text, *passage.meta,
+                                                      *passage.meta.values())):
+            raise DataError(f"passage {passage.id!r}: id, text and meta must be strings")
         if not passage.text.strip():
             raise DataError(f"passage {passage.id!r} has empty text")
-        fault = _nul((("id", passage.id), ("text", passage.text)))
+        fault = _passage_fault(passage.id, passage.text, passage.meta)
         if fault:
             raise DataError(f"passage {passage.id!r}: {fault}")
         self._put(passage.id, passage.text, passage.meta)
@@ -187,6 +192,14 @@ def _nul(fields: Iterable[tuple[str, str]]) -> Optional[str]:
     return None
 
 
+def _passage_fault(passage_id: str, text: str, meta: Mapping[str, str]) -> Optional[str]:
+    """Why a passage of string fields is bad, or None: a lone surrogate in
+    any field, or a NUL in the id or text."""
+    return (_lone_surrogate((("id", passage_id), ("text", text),
+                             *(("meta", part) for item in meta.items() for part in item)))
+            or _nul((("id", passage_id), ("text", text))))
+
+
 def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines,
     a lone surrogate in an id, text or meta or a NUL in an id or text among
@@ -207,14 +220,11 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
         passage_id = record["id"]
         if type(passage_id) is not str:
             passage_id = _record_id(passage_id, path, line_no, "id")
-        if meta or not (passage_id.isascii() and text.isascii()):  # ASCII holds no surrogate
-            fault = _lone_surrogate((("id", passage_id), ("text", text),
-                                     *(("meta", part) for item in meta.items() for part in item)))
+        if (meta or not (passage_id.isascii() and text.isascii())  # ASCII holds no surrogate
+                or "\0" in text or "\0" in passage_id):
+            fault = _passage_fault(passage_id, text, meta)
             if fault:
                 raise MalformedRecordError(str(path), line_no, fault)
-        if "\0" in text or "\0" in passage_id:
-            raise MalformedRecordError(str(path), line_no,
-                                       _nul((("id", passage_id), ("text", text))))
         store._put(passage_id, text, meta)
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)

@@ -1,10 +1,19 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the floors of the integer run parameters.
 
 The CLI maps these onto its exit codes: ConfigError -> 1, DataError -> 2,
 BackendError -> 3.
 """
 
 from __future__ import annotations
+
+# The least value of each integer run parameter; RunConfig holds the defaults.
+INT_FLOORS = {"topk": 1, "max_depth": 0, "max_plan_size": 1, "max_iterations": 1,
+              "char_budget": 1, "parallel": 1}
+
+
+def below_floor(values: dict[str, int]) -> str | None:
+    """The name of the first of values below its INT_FLOORS floor, or None."""
+    return next((name for name, value in values.items() if value < INT_FLOORS[name]), None)
 
 
 class ContregenError(Exception):

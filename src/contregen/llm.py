@@ -187,16 +187,16 @@ class OpenAiChatAdapter:
         self.model = model
         self.adapter_id = f"openai:{model}"
         self.backend_calls = 0
-        self._lock = threading.Lock()  # guards backend_calls
+        self._lock = threading.Lock()  # guards backend_calls and the session's creation
         self._api_key = api_key
-        if session is None:
-            import requests  # deferred: only network backends pay for loading it
-            session = requests.Session()
         self._session = session
 
     def complete(self, role: PromptRole, prompt: str, slots: Mapping[str, str]) -> str:
         with self._lock:
             self.backend_calls += 1
+            if self._session is None:
+                import requests  # deferred: only a POST pays for loading it
+                self._session = requests.Session()
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

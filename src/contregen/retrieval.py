@@ -266,11 +266,8 @@ class RemoteRetriever:
         self._corpus = corpus
         self.backend_id = f"remote:{endpoint}"
         self.backend_calls = 0
-        self._lock = threading.Lock()  # guards backend_calls
+        self._lock = threading.Lock()  # guards backend_calls and the session's creation
         self._token = token
-        if session is None:
-            import requests  # deferred: only network backends pay for loading it
-            session = requests.Session()
         self._session = session
 
     def retrieve(self, query_text: str, topk: int) -> Hits:
@@ -278,6 +275,9 @@ class RemoteRetriever:
             raise ValueError("topk must be >= 1")
         with self._lock:
             self.backend_calls += 1
+            if self._session is None:
+                import requests  # deferred: only a POST pays for loading it
+                self._session = requests.Session()
         headers = {"Content-Type": "application/json"}
         if self._token:
             headers["Authorization"] = f"Bearer {self._token}"

@@ -33,7 +33,7 @@ from contregen.corpus import (
     load_queries,
     validate_queries,
 )
-from contregen.errors import ConfigError, ContregenError, DataError
+from contregen.errors import INT_FLOORS, ConfigError, ContregenError, DataError, below_floor
 from contregen.llm import (
     Adapter,
     CachingAdapter,
@@ -90,14 +90,12 @@ METHODS = {
                                        config.max_iterations)),
 }
 
-# Allowed values and integer floors of RunConfig fields, for validate() and the CLI.
+# Allowed values of RunConfig fields, for validate() and the CLI.
 CHOICES = {
     "method": tuple(METHODS),
     "adapter": ("scripted", "openai"),
     "retriever_backend": ("lexical", "remote"),
 }
-INT_FLOORS = {"topk": 1, "max_depth": 0, "max_plan_size": 1, "max_iterations": 1,
-              "char_budget": 1, "parallel": 1}
 
 
 @dataclass(frozen=True)
@@ -137,9 +135,9 @@ class RunConfig:
             raise ConfigError("openai adapter needs a model name")
         if self.retriever_backend == "remote" and not self.remote_endpoint:
             raise ConfigError("remote retriever needs remote_endpoint")
-        for name, floor in INT_FLOORS.items():
-            if getattr(self, name) < floor:
-                raise ConfigError(f"{name} must be an integer >= {floor}")
+        name = below_floor({field: getattr(self, field) for field in INT_FLOORS})
+        if name:
+            raise ConfigError(f"{name} must be an integer >= {INT_FLOORS[name]}")
 
     def snapshot(self) -> dict:
         """The part of the config that defines the experiment; execution
@@ -470,7 +468,6 @@ def diff_traces(da: dict, db: dict) -> list[str]:
 
 __all__ = [
     "CHOICES",
-    "INT_FLOORS",
     "METHODS",
     "QueryRun",
     "RunConfig",

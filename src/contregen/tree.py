@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from contregen.errors import DataError
+from contregen.errors import INT_FLOORS, DataError, below_floor
 from contregen.llm import LlmGateway
 from contregen.planner import propose_plan, render_passages
 from contregen.retrieval import RetrieverHandle, _checked_hits
@@ -22,17 +22,14 @@ from contregen.verifier import verify
 
 @dataclass(frozen=True)
 class TreeConfig:
-    max_depth: int = 2
-    max_plan_size: int = 5
-    topk: int = 5
+    max_depth: int
+    max_plan_size: int
+    topk: int
 
     def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.max_plan_size < 1:
-            raise ValueError("max_plan_size must be >= 1")
-        if self.topk < 1:
-            raise ValueError("topk must be >= 1")
+        name = below_floor(vars(self))
+        if name:
+            raise ValueError(f"{name} must be >= {INT_FLOORS[name]}")
 
 
 @dataclass

@@ -86,7 +86,7 @@ def test_criterion_1_tree_invariants_hold_on_randomized_builds():
     for _ in range(1000):
         rng = random.Random(master.randrange(2**32))
         config = TreeConfig(max_depth=rng.randint(0, 3),
-                            max_plan_size=rng.randint(1, 5))
+                            max_plan_size=rng.randint(1, 5), topk=5)
         root_query, expected, fixtures = random_blueprint(
             rng, config.max_depth, config.max_plan_size)
         calls = []
@@ -165,7 +165,8 @@ def test_criterion_4_planted_facet_end_to_end():
     assert root_hits & set(GOLD_IDS) == set(FACET_A)
 
     gateway = LlmGateway(ScriptedAdapter(contregen_fixtures()), TEMPLATES)
-    root = build_tree(gateway, handle, ROOT_QUERY, TreeConfig())
+    root = build_tree(gateway, handle, ROOT_QUERY,
+                      TreeConfig(max_depth=2, max_plan_size=5, topk=5))
     synthesize(gateway, root, handle.text)
     assert recall(collect_passages(root), record.gold_ids) == 1.0
 
@@ -190,7 +191,8 @@ def test_criterion_5_call_accounting():
     calls = []
     gateway = LlmGateway(ScriptedAdapter(accounting_fixtures()), TEMPLATES,
                          on_call=calls.append)
-    root = build_tree(gateway, handle, ACCT_ROOT, TreeConfig(max_depth=2))
+    root = build_tree(gateway, handle, ACCT_ROOT,
+                      TreeConfig(max_depth=2, max_plan_size=5, topk=5))
     synthesize(gateway, root, handle.text)
     counts = count_calls(calls)
     assert counts["total"] == 28

@@ -167,7 +167,7 @@ def test_recall_curve_nested_rounds():
 
 
 def test_recall_curve_rejects_non_nested_rounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^round 1 is not a superset of round 0$"):
         recall_curve([{"a", "b"}, {"b"}], ["a", "b"])
 
 

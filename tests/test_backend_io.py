@@ -20,7 +20,7 @@ _PARITY_LINES = [
     'NaN', '-Infinity\n', '1e400', '12', '-0\n', 'true\n', 'tru\n',
     '"\\ud800"\n', '{"\\udfff": "\\ud83d\\ude00"}', '{"t": "na\u00efve \u65e5\u672c \U0001f600"}\n',
     '{}{}\n', '{} {}', '[1] x\n', '{"a":', '{"a":\n', '{"a": 1,}\n', '[1,]',
-    '[]\n', '[]', '"s"', '"s"\n', 'null', 'null\n', '', '\n', ' ', '"\\x"\n',
+    '[]\n', '[]', '"s"', '"s"\n', 'null', 'null\n', '', '\n', ' ', '"\\x"\n', '1x', '1\nx',
     '"ctrl\x01"\n', '{"k": "v", "k": "w"}\n', '{"a": [1, {"b": null, "c": [true, false]}]}\n',
 ]
 
@@ -45,6 +45,12 @@ def _outcome(parse, text):
 @pytest.mark.parametrize("text", _PARITY_LINES)
 def test_parser_matches_json_loads(text):
     assert _outcome(_parse_json, text) == _outcome(json.loads, text)
+
+
+def test_a_lone_miss_leaves_no_single_flight_entry(tmp_path):
+    cache = LlmCache(tmp_path / "llm.jsonl")
+    assert cache.lookup("k", {"role": "plan", "prompt": "p"}, lambda: "v") == "v"
+    assert cache._flights == {}
 
 
 def _int_digit_limit() -> int:

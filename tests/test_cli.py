@@ -1263,6 +1263,7 @@ def test_parallel_replay_matches_its_cold_run_byte_for_byte(planted, tmp_path, m
 _IMPORT_PROBE = """
 import json, sys
 from contregen.cli import dispatch
+from contregen.errors import BackendError
 
 def deferred_modules():
     return sorted({"requests", "urllib3", "charset_normalizer", "yaml"} & set(sys.modules))
@@ -1270,13 +1271,26 @@ def deferred_modules():
 seen = [deferred_modules()]
 assert dispatch(sys.argv[2:]) == 0
 seen.append(deferred_modules())
+post = None
 if sys.argv[1] == "remote":
+    from contregen import retrieval
     from contregen.corpus import CorpusStore
-    from contregen.retrieval import RemoteRetriever
-    RemoteRetriever("http://localhost:9/search", CorpusStore())
+    client = retrieval.RemoteRetriever("http://localhost:9/search", CorpusStore())
+    module, post = retrieval, lambda: client.retrieve("q", 1)
 elif sys.argv[1] == "openai":
-    from contregen.llm import OpenAiChatAdapter
-    OpenAiChatAdapter(model="m", api_key="k")
+    from contregen import llm
+    client = llm.OpenAiChatAdapter(model="m", api_key="k")
+    module, post = llm, lambda: client.complete(llm.PromptRole.PLAN, "p", {})
+seen.append(deferred_modules())
+if post is not None:
+    def refuse(session, url, payload, headers, timeout, error):
+        raise error(f"refused a {type(session).__module__} session")
+    module.post_with_retries = refuse
+    try:
+        post()
+        raise AssertionError("the refused POST returned")
+    except BackendError as exc:
+        assert str(exc).endswith("refused a requests.sessions session"), exc
 seen.append(deferred_modules())
 print(json.dumps(seen))
 """
@@ -1284,8 +1298,9 @@ print(json.dumps(seen))
 
 def _probe_imports(client: str, argv: list[str]) -> list[list[str]]:
     """The deferred modules loaded after importing the CLI, after running
-    argv through it, and after constructing client ("remote", "openai" or
-    "none"), in a fresh interpreter."""
+    argv through it, after constructing client ("remote", "openai" or
+    "none"), and after its first POST, which is refused, in a fresh
+    interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(contregen.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     printed = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, client, *argv],
@@ -1302,10 +1317,23 @@ def test_requests_is_loaded_only_by_a_network_client(client, planted, tmp_path):
               "--queries", str(planted["queries"]),
               "--fixtures", str(tmp_path / "contregen.json"), "--cache-dir", cache,
               "--out-dir", str(tmp_path / "replayed")]
-    after_import, after_replay, after_client = _probe_imports(client, replay)
-    assert after_import == after_replay == []
-    assert "requests" in after_client
-    assert "yaml" not in after_client
+    after_import, after_replay, after_client, after_post = _probe_imports(client, replay)
+    assert after_import == after_replay == after_client == []
+    assert "requests" in after_post
+    assert "yaml" not in after_post
+
+
+def test_a_strict_openai_replay_loads_no_requests(planted, tmp_path, monkeypatch):
+    import requests
+    monkeypatch.setattr(requests, "Session", _ChatSession)
+    monkeypatch.setenv("OPENAI_API_KEY", "k")
+    args = ["--method", "retgen", "--adapter", "openai", "--model", "m",
+            "--corpus", str(planted["corpus"]), "--queries", str(planted["queries"]),
+            "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+    assert dispatch(["run", *args]) == 0
+    cold = (tmp_path / "out" / "trace.json").read_bytes()
+    assert _probe_imports("none", ["replay", *args])[:2] == [[], []]
+    assert (tmp_path / "out" / "trace.json").read_bytes() == cold
 
 
 def test_yaml_is_loaded_only_to_read_a_config_file(planted, tmp_path):
@@ -1315,6 +1343,6 @@ def test_yaml_is_loaded_only_to_read_a_config_file(planted, tmp_path):
             "--queries", str(planted["queries"]),
             "--fixtures", str(write_fixture_file(tmp_path, contregen_fixtures())),
             "--out-dir", str(tmp_path / "out")]
-    after_import, after_run, _ = _probe_imports("none", argv)
+    after_import, after_run, *_ = _probe_imports("none", argv)
     assert after_import == []
     assert after_run == ["yaml"]

@@ -105,8 +105,8 @@ def test_fingerprint_bytes_are_pinned(tmp_path):
     assert ingested.fingerprint() == built.fingerprint() == _PINNED_FINGERPRINT
 
 
-# 1024 pairs are hashed per chunk: sizes on each side of one and two chunks
-@pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 2048, 2049, 2500])
+# 1024 pairs are hashed per chunk: no pairs, and sizes on each side of one and two chunks
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025, 2048, 2049, 2500])
 def test_fingerprint_matches_the_per_pair_formula_across_chunks(size, tmp_path):
     rng = random.Random(size)
     texts = {}
@@ -143,6 +143,35 @@ def test_store_add_rejects_empty_text_and_duplicate_id():
     with pytest.raises(DuplicateIdError, match="^duplicate id: x$"):
         store.add(Passage(id="x", text="other"))
     assert store.ids() == ["x"] and store.text("x") == "something"
+
+
+_TYPE_FAULT = "id, text and meta must be strings"
+
+
+@pytest.mark.parametrize("passage, message", [
+    (Passage(id="a", text="x\ud800y"),
+     "passage 'a': text holds a lone surrogate, which is not UTF-8 text"),
+    (Passage(id="\udc80", text="x"),
+     "passage '\\udc80': id holds a lone surrogate, which is not UTF-8 text"),
+    (Passage(id="a", text="x", meta={"k": "\ud800"}),
+     "passage 'a': meta holds a lone surrogate, which is not UTF-8 text"),
+    (Passage(id=5, text="abc"), f"passage 5: {_TYPE_FAULT}"),
+    (Passage(id="a", text=b"abc"), f"passage 'a': {_TYPE_FAULT}"),
+    (Passage(id="a", text="abc", meta={"k": 1}), f"passage 'a': {_TYPE_FAULT}"),
+    (Passage(id="a", text="abc", meta={2: "v"}), f"passage 'a': {_TYPE_FAULT}"),
+], ids=["surrogate-text", "surrogate-id", "surrogate-meta", "int-id", "bytes-text",
+        "int-meta-value", "int-meta-key"])
+def test_store_add_rejects_what_ingest_rejects(passage, message):
+    """A store built in code takes no passage a passage file could not carry,
+    so its fingerprint never meets text UTF-8 cannot encode."""
+    with pytest.raises(DataError) as err:
+        CorpusStore([passage])
+    assert str(err.value) == message
+    store = CorpusStore([Passage(id="b", text="fine")])
+    with pytest.raises(DataError):
+        store.add(passage)
+    assert store.ids() == ["b"]
+    assert store.fingerprint() == corpus_fingerprint({"b": "fine"})
 
 
 def test_ingest_rejects_empty_text_and_duplicate_id(tmp_path):

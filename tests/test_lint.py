@@ -40,6 +40,14 @@ writer, ``JsonlCache.digest``, and no fast path grows a second.
 Only ``contregen.retrieval`` reads an attribute named ``fingerprint``, to call
 it or otherwise, so the corpus is hashed only when a retrieval cache key asks
 for its fingerprint, and no constructor or command hashes it eagerly.
+
+``INT_FLOORS`` is assigned, or has an item assigned, exactly once in the
+package, so each run parameter's floor has one home.
+
+No function or class field in ``tree``, ``baselines``, ``planner`` or
+``verifier`` gives a default to a parameter named ``topk``, ``max_depth``,
+``max_plan_size`` or ``max_iterations``, so ``RunConfig`` is the one home of
+their defaults and the engine API takes each of them explicitly.
 """
 
 import ast
@@ -509,3 +517,91 @@ def test_fingerprint_scan_flags_each_read(tmp_path):
         "    return (index._corpus\n"
         "            .fingerprint())\n", encoding="utf-8")
     assert fingerprint_reads(module) == [1, 2, 3, 4, 12]
+
+
+def int_floors_assignments(path: Path) -> list[int]:
+    """The line of each store to a name or attribute ``INT_FLOORS``, or to an
+    item of it, in path, at any depth."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "INT_FLOORS"
+    return sorted(node.lineno for node in ast.walk(_parse(path))
+                  if isinstance(getattr(node, "ctx", None), ast.Store)
+                  and (named(node) or isinstance(node, ast.Subscript) and named(node.value)))
+
+
+def test_int_floors_is_assigned_once():
+    package = ROOT / "src" / "contregen"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10  # the scan found the package
+    assert [path.name for path in modules for _ in int_floors_assignments(path)] == [
+        "errors.py"]
+
+
+def test_int_floors_scan_flags_each_store(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "INT_FLOORS = {'topk': 1}\n"
+        "from contregen.errors import INT_FLOORS\n"
+        "INT_FLOORS['topk'] = 2\n"
+        "INT_FLOORS |= {}\n"
+        "errors.INT_FLOORS = {}\n"
+        "floor = INT_FLOORS['topk']\n"
+        "FLOORS = INT_FLOORS\n"
+        "def f():\n"
+        "    INT_FLOORS: dict = {}\n"
+        "    for INT_FLOORS in ():\n"
+        "        pass\n", encoding="utf-8")
+    assert int_floors_assignments(module) == [1, 3, 4, 5, 9, 10]
+
+
+_RUN_PARAMETERS = {"topk", "max_depth", "max_plan_size", "max_iterations"}
+_ENGINE_MODULES = ("tree.py", "baselines.py", "planner.py", "verifier.py")
+
+
+def run_parameter_defaults(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each default given to a run parameter in path: to a
+    function's parameter, positional or keyword-only, or to a class field,
+    which a dataclass makes a constructor parameter."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            found += [(arg.lineno, arg.arg) for arg, default in (
+                *zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                *zip(args.kwonlyargs, args.kw_defaults))
+                      if default is not None and arg.arg in _RUN_PARAMETERS]
+        elif isinstance(node, ast.ClassDef):
+            found += [(stmt.lineno, stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                      and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id in _RUN_PARAMETERS]
+    return sorted(found)
+
+
+def test_no_engine_function_defaults_a_run_parameter():
+    package = ROOT / "src" / "contregen"
+    assert all((package / name).is_file() for name in _ENGINE_MODULES)
+    assert [f"src/contregen/{name}:{line}: {parameter}" for name in _ENGINE_MODULES
+            for line, parameter in run_parameter_defaults(package / name)] == []
+
+
+def test_run_parameter_default_scan_flags_each_form(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def a(gateway, topk, max_depth=2, node_path=''):\n"
+        "    pass\n"
+        "def b(topk, /, max_plan_size=5, *, max_iterations=5, other=1):\n"
+        "    pass\n"
+        "def c(query, *, topk, max_iterations):\n"
+        "    pass\n"
+        "run = lambda topk=5: topk\n"
+        "class TreeConfig:\n"
+        "    max_depth: int = 2\n"
+        "    topk: int\n"
+        "    label: str = ''\n"
+        "    def method(self, max_iterations=1):\n"
+        "        topk = 5\n", encoding="utf-8")
+    assert run_parameter_defaults(module) == [
+        (1, "max_depth"), (3, "max_iterations"), (3, "max_plan_size"), (7, "topk"),
+        (9, "max_depth"), (12, "max_iterations")]

@@ -166,6 +166,7 @@ def test_a_prefix_for_other_leading_parts_falls_back():
     assert JsonlCache.digest(True, prompt, prefix=one) == cache_key(True, prompt)
     assert JsonlCache.digest(1, prompt, prefix=one) == cache_key(1, prompt)
     assert JsonlCache.digest(1, 2, prompt, prefix=one) == cache_key(1, 2, prompt)
+    assert JsonlCache.digest(1, 2, prefix=one) == cache_key(1, 2)
     assert JsonlCache.digest(prompt, prefix=one) == cache_key(prompt)
     with pytest.raises(TypeError):
         JsonlCache.digest_prefix("scripted", 1)

@@ -49,6 +49,14 @@ def test_plan_unparseable_yields_empty(caplog):
     assert any("no list items" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("response, plan", [("1. alpha\n2. beta", ("alpha", "beta")),
+                                            (" \n", ())], ids=["items", "blank"])
+def test_plan_warns_of_no_list_items_only_for_prose(caplog, response, plan):
+    with caplog.at_level("WARNING"):
+        assert _plan(response) == plan
+    assert not any("no list items" in r.message for r in caplog.records)
+
+
 def test_render_passages_numbering():
     block = render_passages(["first text", "second text"])
     assert block == "[1] first text\n[2] second text"

@@ -496,7 +496,7 @@ class _FakeSession:
         self.requests = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+        self.requests.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         reply = self.responses.pop(0)
         if isinstance(reply, Exception):
             raise reply
@@ -564,6 +564,21 @@ def test_remote_retriever_retries_then_fails(monkeypatch):
     assert sleeps == [0.5, 1.0]  # no sleep after the final attempt
 
 
+@pytest.mark.parametrize("status", [429, 500, 502, 503, 504, 400])
+def test_a_post_retries_429_and_the_server_errors_it_names(status, monkeypatch):
+    import contregen.backend_io as backend_io
+    monkeypatch.setattr(backend_io.time, "sleep", lambda seconds: None)
+    session = _FakeSession([_FakeResponse(status, {}), _FakeResponse(200, [])])
+    remote = RemoteRetriever("http://retriever.test", CorpusStore(), session=session)
+    if status == 400:
+        with pytest.raises(RetrieverUnavailableError, match="HTTP 400$"):
+            remote.retrieve("q", 1)
+    else:
+        assert remote.retrieve("q", 1) == ()
+    assert len(session.requests) == (1 if status == 400 else 2)
+    assert {request["timeout"] for request in session.requests} == {30.0}
+
+
 def test_retries_sleep_what_retry_after_asks_up_to_the_cap(monkeypatch):
     import contregen.backend_io as backend_io
     sleeps = []
@@ -589,7 +604,7 @@ def test_retries_sleep_what_retry_after_asks_up_to_the_cap(monkeypatch):
     response = backend_io.post_with_retries(session, "http://retriever.test", {}, {},
                                             1.0, RetrieverUnavailableError)
     assert response.status_code == 200
-    cap = backend_io.RETRY_AFTER_MAX_S
+    cap = 10.0
     # each unhonoured wait is the backoff, 0.5 s doubled per attempt made
     assert sleeps == [3.0, cap, 0.0, 5.0, cap, 16.0, 32.0, 64.0]
 

@@ -12,7 +12,8 @@ def _built(fixtures=None):
     adapter = ScriptedAdapter(fixtures or accounting_fixtures())
     calls = []
     gateway = LlmGateway(adapter, on_call=calls.append)
-    root = build_tree(gateway, handle, ACCT_ROOT, TreeConfig())
+    root = build_tree(gateway, handle, ACCT_ROOT,
+                      TreeConfig(max_depth=2, max_plan_size=5, topk=5))
     return root, gateway, handle, calls
 
 

@@ -99,6 +99,12 @@ def test_config_validation():
     RunConfig(fixtures_path="f", max_depth=0).validate()  # depth zero is legal
 
 
+def test_run_config_holds_the_documented_defaults():
+    config = RunConfig()
+    assert (config.topk, config.max_depth, config.max_plan_size, config.max_iterations,
+            config.parallel) == (5, 2, 5, 5, 1)
+
+
 def test_snapshot_excludes_execution_knobs():
     config = RunConfig(fixtures_path="f", replay=True, parallel=4, topk=7)
     snap = config.snapshot()

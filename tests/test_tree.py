@@ -91,6 +91,14 @@ def test_max_plan_size_truncates_children():
     assert [c.query for c in root.children] == [ACCT_S1]
 
 
+def test_a_tree_builds_at_the_least_topk():
+    config = TreeConfig(max_depth=2, max_plan_size=5, topk=1)
+    root, _, _ = _build(config=config)
+    check_invariants(root, config)
+    assert root.children
+    assert all(len(node.retrieved) == 1 for node in root.walk())
+
+
 def test_children_reuse_probe_hits():
     root, _, _ = _build()
     store = accounting_corpus()
@@ -134,6 +142,13 @@ def test_to_dot_escapes_backslashes_before_quotes(query, label):
     assert f'  "0" [label="{label}"];' in to_dot(root).splitlines()
 
 
+@pytest.mark.parametrize("query, label", [("q" * 40, "q" * 40), ("q" * 41, "q" * 37 + "...")],
+                         ids=["40", "41"])
+def test_to_dot_cuts_only_a_query_over_40_characters(query, label):
+    root = QueryTreeNode(query=query, original_query=query, depth=0, path="0")
+    assert f'  "0" [label="{label}"];' in to_dot(root).splitlines()
+
+
 class _FailingAdapter:
     adapter_id = "failing"
 
@@ -154,14 +169,15 @@ def test_backend_failure_during_the_build_raises_the_backend_error():
     handle = RetrieverHandle(LexicalIndex(store), store)
     gateway = LlmGateway(_FailingAdapter(fail_after=7))
     with pytest.raises(LlmBackendError) as err:
-        build_tree(gateway, handle, ACCT_ROOT, TreeConfig())
+        build_tree(gateway, handle, ACCT_ROOT,
+                   TreeConfig(max_depth=2, max_plan_size=5, topk=5))
     assert str(err.value) == "backend went away"
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TreeConfig(max_depth=-1)
-    with pytest.raises(ValueError):
-        TreeConfig(max_plan_size=0)
-    with pytest.raises(ValueError):
-        TreeConfig(topk=0)
+    with pytest.raises(ValueError, match="^max_depth must be >= 0$"):
+        TreeConfig(max_depth=-1, max_plan_size=5, topk=5)
+    with pytest.raises(ValueError, match="^max_plan_size must be >= 1$"):
+        TreeConfig(max_depth=2, max_plan_size=0, topk=5)
+    with pytest.raises(ValueError, match="^topk must be >= 1$"):
+        TreeConfig(max_depth=2, max_plan_size=5, topk=0)
