@@ -21,6 +21,10 @@ JSON array of the key parts, written without building a JSON encoder. A
 prefix from ``JsonlCache.digest_prefix`` lets it hash only the part of a
 key's last part after a known head.
 
+Each cache file may have a snapshot beside it (``llm.jsonl.snapshot``): the
+file's length and sha256 and the entries of exactly those bytes, which a
+cache takes instead of parsing the file when both still match.
+
 ``requests`` is imported only when a POST is made, so a run that calls no
 network backend never loads it."""
 
@@ -189,6 +193,10 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+# The read size of a cache file hashed to check its snapshot.
+_SNAPSHOT_CHUNK = 1 << 20
+
+
 class JsonlCache:
     """Append-only JSONL file of {"key", <context fields>, <value field>} lines.
 
@@ -205,6 +213,18 @@ class JsonlCache:
     cache (replay) never computes: a miss is a ReplayMissError. An append
     that cannot be written is a DataError naming the file, and the entry is
     not kept; any part of it that landed is cut off before the next append.
+
+    A snapshot beside the file (its name plus ".snapshot") is ASCII JSON of
+    {"bytes", "sha256", "entries"}: a byte length, the sha256 of that many
+    bytes, and the {key: value} entries a full parse of those bytes gives.
+    The load takes the entries from it, through decode like a line's, when
+    the file has exactly that length and digest; a snapshot that is missing,
+    stale, unreadable or bad in any way is passed over for the full parse.
+    Only a non-strict cache writes one, at close(), when its entries are not
+    those of a valid snapshot (it appended, or it parsed the file), and only
+    when it truncated nothing. It describes the bytes this cache read and
+    then appended, hashed as they went, so an append by another writer makes
+    it match no file, and deleting it costs one full parse.
 
     The first put opens the file for appending and keeps the handle until
     close(), or until an append fails, when the next put opens it again.
@@ -226,35 +246,83 @@ class JsonlCache:
         self._flights: dict[str, list] = {}
         self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
         self._fh: Optional[TextIO] = None  # the append handle, opened by the first put
+        self._snapshot = self.path.with_name(f"{self.path.name}.snapshot")
+        # The sha256 and length of the bytes this cache read and appended, for
+        # the snapshot close() writes; no hash when it may write none.
+        self._hash = None if strict else hashlib.sha256()
+        self._size = 0
+        self._snapshot_due = False  # the entries are not those of a valid snapshot
         self._load()
 
     def _load(self) -> None:
         fh = _open_text(self.path, "cache file", newline="\n", missing_ok=True)
         if fh is None:
             return
-        line = ""
         with fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                try:  # UnicodeDecodeError is a ValueError
-                    entry = _parse_json(_strict_utf8(line))
-                except ValueError as exc:
-                    if line.endswith("\n"):
-                        raise CacheCorruptionError(
-                            f"{self.path}:{line_no}: unreadable cache entry ({exc})")
-                    logger.warning("%s:%d: dropping torn final line", self.path, line_no)
-                    self._repair = (self.path.stat().st_size
-                                    - len(line.encode("utf-8", "surrogateescape")), "")
-                    return
-                try:  # an append cut short never parses, so this line is whole
-                    key = entry["key"]
-                    if not isinstance(key, str):  # no lookup could reach it
-                        raise TypeError(f"key {key!r} is not a string")
-                    self._entries[key] = self.decode(entry[self.value_field])
-                except (ValueError, KeyError, TypeError) as exc:
+            if not self._load_snapshot(fh.buffer):
+                fh.seek(0)
+                self._parse(fh)
+
+    def _load_snapshot(self, raw) -> bool:
+        """Whether the entries came from a snapshot of exactly the bytes of
+        raw, the cache file opened for reading; on False nothing is set."""
+        try:
+            snapshot = read_json(self._snapshot, "cache snapshot")
+        except DataError:  # missing, unreadable, not JSON
+            return False
+        size = os.fstat(raw.fileno()).st_size
+        if not (isinstance(snapshot, dict) and isinstance(snapshot.get("entries"), dict)
+                and snapshot.get("bytes") == size):
+            return False
+        hasher, last = hashlib.sha256(), b""
+        while chunk := raw.read(_SNAPSHOT_CHUNK):
+            hasher.update(chunk)
+            last = chunk
+        if hasher.hexdigest() != snapshot.get("sha256"):
+            return False
+        decode = self.decode
+        try:
+            self._entries = {key: decode(value) for key, value in snapshot["entries"].items()}
+        except (ValueError, TypeError):
+            return False
+        if last and not last.endswith(b"\n"):  # the repair the full parse would set
+            self._repair = (size, "\n")
+        if self._hash is not None:
+            self._hash, self._size = hasher, size
+        return True
+
+    def _parse(self, fh: TextIO) -> None:
+        """Load every line of fh, the cache file, each hashed for the
+        snapshot when this cache may write one."""
+        hasher = self._hash
+        self._snapshot_due = True
+        line = ""
+        for line_no, line in enumerate(fh, start=1):
+            if hasher is not None:
+                data = line.encode("utf-8", "surrogateescape")
+                hasher.update(data)
+                self._size += len(data)
+            if line.isspace():
+                continue
+            try:  # UnicodeDecodeError is a ValueError
+                entry = _parse_json(_strict_utf8(line))
+            except ValueError as exc:
+                if line.endswith("\n"):
                     raise CacheCorruptionError(
                         f"{self.path}:{line_no}: unreadable cache entry ({exc})")
+                logger.warning("%s:%d: dropping torn final line", self.path, line_no)
+                self._repair = (self.path.stat().st_size
+                                - len(line.encode("utf-8", "surrogateescape")), "")
+                self._hash = None  # the repair truncates the file
+                return
+            try:  # an append cut short never parses, so this line is whole
+                key = entry["key"]
+                if not isinstance(key, str):  # no lookup could reach it
+                    raise TypeError(f"key {key!r} is not a string")
+                self._entries[key] = self.decode(entry[self.value_field])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CacheCorruptionError(
+                    f"{self.path}:{line_no}: unreadable cache entry ({exc})")
         if line and not line.endswith("\n"):
             self._repair = (self.path.stat().st_size, "\n")
 
@@ -318,15 +386,22 @@ class JsonlCache:
                     self._repair = (end, "")
                 else:
                     fh.truncate(self._repair[0])
-                fh.write(self._repair[1] + json.dumps(
+                line = self._repair[1] + json.dumps(
                     {"key": key, **context, self.value_field: value},
-                    ensure_ascii=False) + "\n")
+                    ensure_ascii=False) + "\n"
+                fh.write(line)
                 fh.flush()
             except OSError as exc:  # a directory, a full disk, no write permission, ...
                 self._drop_handle()  # the next put reopens the file and repairs it
+                self._hash = None  # and the repair truncates it
                 raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
             self._repair = None
             self._entries[key] = value
+            if self._hash is not None:  # the bytes the handle wrote
+                data = line.encode("utf-8", "backslashreplace")
+                self._hash.update(data)
+                self._size += len(data)
+                self._snapshot_due = True
             return value
 
     def _drop_handle(self) -> None:
@@ -338,9 +413,16 @@ class JsonlCache:
                 fh.close()
 
     def close(self) -> None:
-        """Close the append handle; a later put opens the file again."""
+        """Close the append handle, and write the snapshot if one is due; a
+        later put opens the file again."""
         with self._lock:
             self._drop_handle()
+            if self._snapshot_due and self._hash is not None:
+                self._snapshot_due = False
+                snapshot = {"bytes": self._size, "sha256": self._hash.hexdigest(),
+                            "entries": self._entries}
+                with contextlib.suppress(DataError):  # a shortcut only: the file has it all
+                    atomic_write(self._snapshot, json.dumps(snapshot))
 
     def lookup(self, key: str, context: dict, compute: Callable, *args):
         """The cached value for key. On a miss a strict cache raises
@@ -396,11 +478,11 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
 def post_with_retries(session: requests.Session, url: str, payload: dict, headers: dict,
                       timeout: float,
                       error: Callable[[str], Exception]) -> requests.Response:
-    """The first HTTP 200 response to a JSON POST. Connection errors, 429 and
-    5xx are retried, ATTEMPTS attempts in all, sleeping 0.5 s, 1 s, 2 s, ...
-    between them; a 429 or 503 carrying Retry-After sleeps what it asks
-    instead, at most RETRY_AFTER_MAX_S. On failure raises error(reason of the
-    last attempt)."""
+    """The first HTTP 200 response to a JSON POST. Connection errors and HTTP
+    429, 500, 502, 503 and 504 are retried, ATTEMPTS attempts in all, sleeping
+    0.5 s, 1 s, 2 s, ... between them, and any other status fails at once; a
+    429 or 503 carrying Retry-After sleeps what it asks instead, at most
+    RETRY_AFTER_MAX_S. On failure raises error(reason of the last attempt)."""
     import requests  # deferred: only network backends pay for loading it
 
     reason = "no attempt made"

@@ -85,8 +85,9 @@ def _expand(gateway: LlmGateway, retriever: RetrieverHandle,
         _expand(gateway, retriever, child, main_query, config)
 
 
-def collect_passages(root: QueryTreeNode, dedup: bool = True) -> list[str]:
-    """Passage ids over the whole tree in pre-order, first occurrence kept."""
+def collect_passages(root: QueryTreeNode, dedup: bool) -> list[str]:
+    """Passage ids over the whole tree in pre-order; with dedup, only the
+    first occurrence of each."""
     out: list[str] = []
     seen: set[str] = set()
     for node in root.walk():

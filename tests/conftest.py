@@ -16,6 +16,7 @@ import random
 import re
 import shlex
 import shutil
+import socket
 import subprocess
 import sys
 import sysconfig
@@ -100,6 +101,41 @@ def kernels(request, monkeypatch):
 
 
 TESTS = Path(__file__).resolve().parent
+
+_LOOPBACK = {None, "localhost", "127.0.0.1", "::1"}
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "network: the test may reach hosts beyond loopback (a live backend)")
+
+
+@pytest.fixture(autouse=True)
+def loopback_only(request):
+    """Fail the test at once when it looks up or connects to a host beyond
+    loopback, unless it is marked network: every network test injects a
+    fake session, so a real request is a defect. The failure is pytest's
+    own, which no except clause of the package or of requests catches. The
+    guard has its own patcher, so a test's monkeypatch.undo() keeps it."""
+    if request.node.get_closest_marker("network"):
+        yield
+        return
+    getaddrinfo, connect = socket.getaddrinfo, socket.socket.connect
+
+    def guarded_getaddrinfo(host, *args, **kwargs):
+        if host not in _LOOPBACK:
+            pytest.fail(f"tests make no network access: lookup of {host!r}")
+        return getaddrinfo(host, *args, **kwargs)
+
+    def guarded_connect(self, address):
+        if self.family in (socket.AF_INET, socket.AF_INET6) and address[0] not in _LOOPBACK:
+            pytest.fail(f"tests make no network access: connect to {address[0]!r}")
+        return connect(self, address)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socket, "getaddrinfo", guarded_getaddrinfo)
+        patch.setattr(socket.socket, "connect", guarded_connect)
+        yield
 
 
 @pytest.fixture(autouse=True)

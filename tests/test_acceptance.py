@@ -168,7 +168,7 @@ def test_criterion_4_planted_facet_end_to_end():
     root = build_tree(gateway, handle, ROOT_QUERY,
                       TreeConfig(max_depth=2, max_plan_size=5, topk=5))
     synthesize(gateway, root, handle.text)
-    assert recall(collect_passages(root), record.gold_ids) == 1.0
+    assert recall(collect_passages(root, dedup=True), record.gold_ids) == 1.0
 
     gateway = LlmGateway(ScriptedAdapter(retgen_fixtures()), TEMPLATES)
     flat = baselines.run_retgen(gateway, handle, ROOT_QUERY, topk=5)
@@ -298,6 +298,7 @@ _FULL_ENV = ("OPENAI_API_KEY", "CONTREGEN_FULL_MODEL",
              "CONTREGEN_FULL_CORPUS", "CONTREGEN_FULL_QUERIES")
 
 
+@pytest.mark.network
 @pytest.mark.skipif(not all(os.environ.get(name) for name in _FULL_ENV),
                     reason="full-backend run needs " + ", ".join(_FULL_ENV))
 def test_criterion_9_full_backend_schema_and_monotone_curves(tmp_path):

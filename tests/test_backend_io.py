@@ -2,6 +2,7 @@
 against json.loads, blank lines, and JSON too deep or too long for Python."""
 
 import json
+import socket
 import sys
 
 import pytest
@@ -159,3 +160,16 @@ def test_cache_line_too_deep_is_corruption_unless_torn(cache_class, name, tmp_pa
     with caplog.at_level("WARNING"):
         assert cache_class(path).get("k") is not None
     assert "dropping torn final line" in caplog.text
+
+
+def test_tests_reach_no_host_beyond_loopback():
+    """The guard of conftest.py. A UDP connect and a numeric lookup send
+    nothing, so this test reaches no host even without the guard."""
+    refused = pytest.fail.Exception
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        with pytest.raises(refused, match="no network access: connect to '192.0.2.1'"):
+            sock.connect(("192.0.2.1", 9))
+        sock.connect(("127.0.0.1", 9))
+    with pytest.raises(refused, match="no network access: lookup of '192.0.2.1'"):
+        socket.getaddrinfo("192.0.2.1", 9, flags=socket.AI_NUMERICHOST)
+    assert socket.getaddrinfo("127.0.0.1", 9, flags=socket.AI_NUMERICHOST)

@@ -46,8 +46,8 @@ package, so each run parameter's floor has one home.
 
 No function or class field in ``tree``, ``baselines``, ``planner`` or
 ``verifier`` gives a default to a parameter named ``topk``, ``max_depth``,
-``max_plan_size`` or ``max_iterations``, so ``RunConfig`` is the one home of
-their defaults and the engine API takes each of them explicitly.
+``max_plan_size``, ``max_iterations`` or ``dedup``, so ``RunConfig`` is the
+one home of their defaults and the engine API takes each of them explicitly.
 """
 
 import ast
@@ -554,7 +554,7 @@ def test_int_floors_scan_flags_each_store(tmp_path):
     assert int_floors_assignments(module) == [1, 3, 4, 5, 9, 10]
 
 
-_RUN_PARAMETERS = {"topk", "max_depth", "max_plan_size", "max_iterations"}
+_RUN_PARAMETERS = {"topk", "max_depth", "max_plan_size", "max_iterations", "dedup"}
 _ENGINE_MODULES = ("tree.py", "baselines.py", "planner.py", "verifier.py")
 
 
@@ -601,7 +601,11 @@ def test_run_parameter_default_scan_flags_each_form(tmp_path):
         "    topk: int\n"
         "    label: str = ''\n"
         "    def method(self, max_iterations=1):\n"
-        "        topk = 5\n", encoding="utf-8")
+        "        topk = 5\n"
+        "def collect_passages(root, dedup=True):\n"
+        "    pass\n"
+        "def collect(root, dedup):\n"
+        "    dedup = True\n", encoding="utf-8")
     assert run_parameter_defaults(module) == [
         (1, "max_depth"), (3, "max_iterations"), (3, "max_plan_size"), (7, "topk"),
-        (9, "max_depth"), (12, "max_iterations")]
+        (9, "max_depth"), (12, "max_iterations"), (14, "dedup")]
