@@ -40,7 +40,7 @@ import stat
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, AbstractSet, BinaryIO, Callable, Iterator, Optional, TextIO
 
 from contregen.errors import CacheCorruptionError, DataError, MalformedRecordError, ReplayMissError
 
@@ -205,7 +205,9 @@ class JsonlCache:
     file) is a DataError naming it. A bad line inside the file is a hard
     error; an unterminated final line that does not parse as JSON (an append
     cut short) is dropped with a warning and cut off before the next append,
-    while one that parses but holds a bad entry is a hard error too.
+    while one that parses but holds a bad entry is a hard error too. An
+    append writes a newline before its line when the file does not end with
+    one, as read from the file at that append.
     Subclasses give the key function, which passes its key parts to digest,
     and the record shape: the value field, its decoder (which rejects a
     value of the wrong type) and the replay-miss message; the caller of
@@ -221,10 +223,11 @@ class JsonlCache:
     the file has exactly that length and digest; a snapshot that is missing,
     stale, unreadable or bad in any way is passed over for the full parse.
     Only a non-strict cache writes one, at close(), when its entries are not
-    those of a valid snapshot (it appended, or it parsed the file), and only
-    when it truncated nothing. It describes the bytes this cache read and
-    then appended, hashed as they went, so an append by another writer makes
-    it match no file, and deleting it costs one full parse.
+    those of a valid snapshot (it appended, or it parsed the file). It
+    describes the bytes this cache kept of what it read, then appended,
+    hashed as they went; a cut puts the file back to those bytes. So an
+    append by another writer makes it match no file, and deleting it costs
+    one full parse.
 
     The first put opens the file for appending and keeps the handle until
     close(), or until an append fails, when the next put opens it again.
@@ -244,11 +247,13 @@ class JsonlCache:
         self._lock = threading.Lock()
         # key -> [its lock, the callers holding or waiting for it] while a miss computes
         self._flights: dict[str, list] = {}
-        self._repair: Optional[tuple[int, str]] = None  # (truncate to, then write)
-        self._fh: Optional[TextIO] = None  # the append handle, opened by the first put
+        # where the next put truncates the file: the start of a torn final
+        # line, or of an append that failed and may have landed in part
+        self._cut: Optional[int] = None
+        self._fh: Optional[BinaryIO] = None  # the append handle, opened by the first put
         self._snapshot = self.path.with_name(f"{self.path.name}.snapshot")
-        # The sha256 and length of the bytes this cache read and appended, for
-        # the snapshot close() writes; no hash when it may write none.
+        # The sha256 and length of the bytes this cache kept and appended, for
+        # the snapshot close() writes; no hash for a strict cache.
         self._hash = None if strict else hashlib.sha256()
         self._size = 0
         self._snapshot_due = False  # the entries are not those of a valid snapshot
@@ -274,10 +279,9 @@ class JsonlCache:
         if not (isinstance(snapshot, dict) and isinstance(snapshot.get("entries"), dict)
                 and snapshot.get("bytes") == size):
             return False
-        hasher, last = hashlib.sha256(), b""
+        hasher = hashlib.sha256()
         while chunk := raw.read(_SNAPSHOT_CHUNK):
             hasher.update(chunk)
-            last = chunk
         if hasher.hexdigest() != snapshot.get("sha256"):
             return False
         decode = self.decode
@@ -285,46 +289,39 @@ class JsonlCache:
             self._entries = {key: decode(value) for key, value in snapshot["entries"].items()}
         except (ValueError, TypeError):
             return False
-        if last and not last.endswith(b"\n"):  # the repair the full parse would set
-            self._repair = (size, "\n")
         if self._hash is not None:
             self._hash, self._size = hasher, size
         return True
 
     def _parse(self, fh: TextIO) -> None:
-        """Load every line of fh, the cache file, each hashed for the
-        snapshot when this cache may write one."""
+        """Load every line of fh, the cache file, hashing each line it keeps
+        for the snapshot when this cache may write one."""
         hasher = self._hash
         self._snapshot_due = True
-        line = ""
         for line_no, line in enumerate(fh, start=1):
+            if not line.isspace():
+                try:  # UnicodeDecodeError is a ValueError
+                    entry = _parse_json(_strict_utf8(line))
+                except ValueError as exc:
+                    if line.endswith("\n"):
+                        raise CacheCorruptionError(
+                            f"{self.path}:{line_no}: unreadable cache entry ({exc})")
+                    logger.warning("%s:%d: dropping torn final line", self.path, line_no)
+                    self._cut = (self.path.stat().st_size
+                                 - len(line.encode("utf-8", "surrogateescape")))
+                    return
+                try:  # an append cut short never parses, so this line is whole
+                    key = entry["key"]
+                    if not isinstance(key, str):  # no lookup could reach it
+                        raise TypeError(f"key {key!r} is not a string")
+                    self._entries[key] = self.decode(entry[self.value_field])
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheCorruptionError(
+                        f"{self.path}:{line_no}: unreadable cache entry ({exc})")
             if hasher is not None:
                 data = line.encode("utf-8", "surrogateescape")
                 hasher.update(data)
                 self._size += len(data)
-            if line.isspace():
-                continue
-            try:  # UnicodeDecodeError is a ValueError
-                entry = _parse_json(_strict_utf8(line))
-            except ValueError as exc:
-                if line.endswith("\n"):
-                    raise CacheCorruptionError(
-                        f"{self.path}:{line_no}: unreadable cache entry ({exc})")
-                logger.warning("%s:%d: dropping torn final line", self.path, line_no)
-                self._repair = (self.path.stat().st_size
-                                - len(line.encode("utf-8", "surrogateescape")), "")
-                self._hash = None  # the repair truncates the file
-                return
-            try:  # an append cut short never parses, so this line is whole
-                key = entry["key"]
-                if not isinstance(key, str):  # no lookup could reach it
-                    raise TypeError(f"key {key!r} is not a string")
-                self._entries[key] = self.decode(entry[self.value_field])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CacheCorruptionError(
-                    f"{self.path}:{line_no}: unreadable cache entry ({exc})")
-        if line and not line.endswith("\n"):
-            self._repair = (self.path.stat().st_size, "\n")
 
     @staticmethod
     def digest(*parts, prefix: Optional[tuple] = None) -> str:
@@ -372,33 +369,32 @@ class JsonlCache:
         with self._lock:
             if key in self._entries:
                 return self._entries[key]
-            try:  # the repair is idempotent, so it is kept until an append lands
+            # a lone surrogate cannot be UTF-8; it can stand only inside a
+            # JSON string, where backslashreplace writes it as its \u escape
+            data = json.dumps({"key": key, **context, self.value_field: value},
+                              ensure_ascii=False).encode("utf-8", "backslashreplace") + b"\n"
+            try:
                 if self._fh is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
-                    # a lone surrogate cannot be UTF-8; it can stand only inside a
-                    # JSON string, where backslashreplace writes it as its \u escape
-                    self._fh = self.path.open("a", encoding="utf-8",
-                                              errors="backslashreplace")
+                    self._fh = self.path.open("a+b")
                 fh = self._fh
+                if self._cut is not None:
+                    fh.truncate(self._cut)
                 # the file's real end, past any line another writer appended
                 end = fh.seek(0, os.SEEK_END)
-                if self._repair is None:  # cut this append off if it lands in part
-                    self._repair = (end, "")
-                else:
-                    fh.truncate(self._repair[0])
-                line = self._repair[1] + json.dumps(
-                    {"key": key, **context, self.value_field: value},
-                    ensure_ascii=False) + "\n"
-                fh.write(line)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":  # a whole final line left unterminated
+                        data = b"\n" + data
+                self._cut = end  # cut this append off if it lands in part
+                fh.write(data)
                 fh.flush()
             except OSError as exc:  # a directory, a full disk, no write permission, ...
-                self._drop_handle()  # the next put reopens the file and repairs it
-                self._hash = None  # and the repair truncates it
+                self._drop_handle()  # the next put reopens the file and cuts it
                 raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
-            self._repair = None
+            self._cut = None
             self._entries[key] = value
             if self._hash is not None:  # the bytes the handle wrote
-                data = line.encode("utf-8", "backslashreplace")
                 self._hash.update(data)
                 self._size += len(data)
                 self._snapshot_due = True

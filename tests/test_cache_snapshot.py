@@ -1,8 +1,9 @@
 """The snapshot beside a cache file: a cache takes its entries from it only
 when the file's length and sha256 match, a bad or stale one costs a full
-parse and nothing else, and only a non-strict cache that truncated nothing
-writes one."""
+parse and nothing else, and only a non-strict cache writes one, also after
+it cut a torn line or a failed append off the file."""
 
+import hashlib
 import json
 
 import pytest
@@ -51,6 +52,17 @@ def _filled(name, path, entries=None):
 
 def _snapshot(path):
     return path.with_name(path.name + ".snapshot")
+
+
+def _assert_snapshot_of_the_file(cache_class, path, parses, entries) -> None:
+    """The snapshot beside path holds the length and sha256 of its bytes, and
+    a strict load takes exactly entries from it, parsing no line."""
+    data = path.read_bytes()
+    snapshot = json.loads(_snapshot(path).read_bytes())
+    assert (snapshot["bytes"], snapshot["sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
+    before = parses()
+    assert cache_class(path, strict=True)._entries == entries
+    assert parses() - before == 1
 
 
 def _full_parse(cache_class, path) -> dict:
@@ -126,7 +138,8 @@ def test_a_bad_line_beside_a_snapshot_of_the_clean_bytes_is_an_error(name, tmp_p
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))
-def test_a_torn_tail_is_dropped_and_that_session_writes_no_snapshot(name, tmp_path, caplog):
+def test_a_torn_tail_is_dropped_and_that_session_snapshots_the_cut_file(name, tmp_path, caplog,
+                                                                         parses):
     cache_class, entries, context = _CASES[name]
     path = tmp_path / "cache.jsonl"
     _filled(name, path, entries[:2])
@@ -138,8 +151,7 @@ def test_a_torn_tail_is_dropped_and_that_session_writes_no_snapshot(name, tmp_pa
     assert "cache.jsonl:3: dropping torn final line" in caplog.text
     cache.put(*entries[2], **context)
     cache.close()
-    assert not _snapshot(path).exists()
-    assert cache_class(path, strict=True)._entries == dict(entries)
+    _assert_snapshot_of_the_file(cache_class, path, parses, dict(entries))
 
 
 class _FailingHandle:
@@ -157,7 +169,7 @@ class _FailingHandle:
         raise OSError(28, "No space left on device")
 
 
-def test_a_session_that_cut_off_a_failed_append_writes_no_snapshot(tmp_path):
+def test_a_session_that_cut_off_a_failed_append_snapshots_the_cut_file(tmp_path, parses):
     path = tmp_path / "llm.jsonl"
     cache = LlmCache(path)
     cache.put("k1", "one", role="plan", prompt="p")
@@ -171,8 +183,7 @@ def test_a_session_that_cut_off_a_failed_append_writes_no_snapshot(tmp_path):
             cache.put("k2", "two", role="plan", prompt="p")
     cache.put("k3", "three", role="plan", prompt="p")  # cuts k2's half line off first
     cache.close()
-    assert not _snapshot(path).exists()
-    assert LlmCache(path, strict=True)._entries == {"k1": "one", "k3": "three"}
+    _assert_snapshot_of_the_file(LlmCache, path, parses, {"k1": "one", "k3": "three"})
 
 
 def _valid_snapshot(tmp_path, name):

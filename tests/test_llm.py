@@ -471,6 +471,28 @@ def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_pat
         ["a1", "b1", "a3", "b2"]
 
 
+@pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "from-snapshot"])
+def test_a_whole_unterminated_last_line_is_ended_once_keeping_another_writers_line(
+        snapshot, tmp_path):
+    """Two caches load a file whose last line parses but lacks its newline:
+    each append reads the file's last byte, so the first to append ends that
+    line and the other appends after its line instead of cutting it off."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}')
+    if snapshot:
+        LlmCache(path).close()  # a full parse: both caches below load the snapshot
+    first, second = LlmCache(path), LlmCache(path)
+    second.put("kb", "bee", role="plan", prompt="p")
+    first.put("ka", "aye", role="plan", prompt="p")
+    first.close()
+    second.close()
+    reloaded = LlmCache(path, strict=True)
+    assert [reloaded.get(key) for key in ("k0", "ka", "kb")] == ["zero", "aye", "bee"]
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert [json.loads(line)["key"] for line in lines] == ["k0", "kb", "ka"]
+    assert all(line.endswith(b"\n") for line in lines)
+
+
 def test_a_closed_cache_reopens_its_file_on_the_next_put(tmp_path):
     path = tmp_path / "sub" / "llm.jsonl"
     cache = LlmCache(path)
