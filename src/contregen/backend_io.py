@@ -6,8 +6,15 @@ naming it (``path:line``, counting blank lines, for JSONL), as is one that is
 missing, a directory, unreadable or not UTF-8. Callers check the shape of
 each record.
 
-All JSON is parsed by ``_parse_json``: a JSONL line, a cache line and a whole
-JSON file alike. It gives the value or the error ``json.loads`` gives, but
+A JSONL file is read a block of lines at a time (``read_jsonl_blocks``). A
+well-formed line, ASCII without a ``\\u`` escape and holding one JSON object
+that ends at its newline, costs one call of the decoder's C scanner and
+nothing more, so the corpus and query readers take its object without a
+function call per line; any other line is read by ``jsonl_record``, the
+per-line contract that ``read_jsonl`` applies to every line.
+
+Every other parse goes through ``_parse_json``: a JSONL line outside that
+form, a cache line and a whole JSON file alike. It gives the value or the error ``json.loads`` gives, but
 parses a line once with the decoder's C scanner where ``json.loads`` adds
 Python frames and whitespace matches around it. A value nested deeper than
 the recursion limit, or an integer longer than Python converts, is a
@@ -117,26 +124,72 @@ def _parse_json(text: str):
         raise ValueError(message) from None
 
 
+def jsonl_record(path: str | Path, line_no: int, line: str,
+                 required: AbstractSet[str]) -> Optional[dict]:
+    """The object on line line_no of a JSONL file, or None when the line is
+    blank; a line that is not a JSON object carrying every required key is a
+    MalformedRecordError."""
+    if line.isspace():  # a line is never empty, so this is `not line.strip()`
+        return None
+    try:
+        record = _parse_json(_strict_utf8(line))
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(str(path), line_no, f"not UTF-8 text ({exc.reason})")
+    except ValueError as exc:  # too deep or too long is no JSONDecodeError
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise MalformedRecordError(str(path), line_no, f"invalid JSON ({reason})")
+    if not isinstance(record, dict) or not record.keys() >= required:
+        raise MalformedRecordError(str(path), line_no, (
+            f"record must carry {' and '.join(sorted(required))}" if required
+            else "record must be a JSON object"))
+    return record
+
+
+# The characters read_jsonl_blocks reads per block, about: a few lines. Blocks
+# of 64 KB were no faster, and kept more parsed objects alive at once.
+_JSONL_BLOCK = 1 << 12
+
+
+def read_jsonl_blocks(path: str | Path) -> Iterator[tuple[int, list[str], list[Optional[dict]]]]:
+    """A JSONL file a block of lines at a time: the first line's number, the
+    lines, and for each line its object when the line is well-formed, else
+    None. A well-formed line is ASCII without a \\u escape, so no string in
+    its object holds a NUL or a character beyond ASCII, and holds a JSON
+    object that ends at the line's "\\n"; it costs one scanner call, and its
+    object is the one jsonl_record gives when it carries the required keys.
+    A caller reads each other line through jsonl_record, in order, so no
+    line's error comes before those of the lines above it."""
+    scan = _scan_once
+    with _open_text(path, "input file") as fh:
+        first = 1
+        while lines := fh.readlines(_JSONL_BLOCK):
+            records: list[Optional[dict]] = []
+            for line in lines:
+                record = None
+                # a one-character search first: it is far cheaper than "\\u" in line
+                if line.isascii() and ("\\" not in line or "\\u" not in line):
+                    try:
+                        value, end = scan(line, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        pass  # jsonl_record gives the error
+                    else:
+                        if end == len(line) - 1 and line[end] == "\n" and type(value) is dict:
+                            record = value
+                records.append(record)
+            yield first, lines, records
+            first += len(lines)
+
+
 def read_jsonl(path: str | Path,
                required: AbstractSet[str] = frozenset()) -> Iterator[tuple[int, dict]]:
     """(physical line number, object) for each nonblank line of a JSONL file; a line
     that is not a JSON object carrying every required key is a MalformedRecordError."""
-    with _open_text(path, "input file") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():  # a line is never empty, so this is `not line.strip()`
-                continue
-            try:
-                record = _parse_json(_strict_utf8(line))
-            except UnicodeDecodeError as exc:
-                raise MalformedRecordError(str(path), line_no, f"not UTF-8 text ({exc.reason})")
-            except ValueError as exc:  # too deep or too long is no JSONDecodeError
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                raise MalformedRecordError(str(path), line_no, f"invalid JSON ({reason})")
-            if not isinstance(record, dict) or not record.keys() >= required:
-                raise MalformedRecordError(str(path), line_no, (
-                    f"record must carry {' and '.join(sorted(required))}" if required
-                    else "record must be a JSON object"))
-            yield line_no, record
+    for first, lines, records in read_jsonl_blocks(path):
+        for line_no, record in enumerate(records, first):
+            if record is None or not record.keys() >= required:
+                record = jsonl_record(path, line_no, lines[line_no - first], required)
+            if record is not None:
+                yield line_no, record
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -280,8 +333,10 @@ class JsonlCache:
                 and snapshot.get("bytes") == size):
             return False
         hasher = hashlib.sha256()
-        while chunk := raw.read(_SNAPSHOT_CHUNK):
-            hasher.update(chunk)
+        buffer = bytearray(_SNAPSHOT_CHUNK)  # one buffer for every chunk
+        view = memoryview(buffer)
+        while read := raw.readinto(buffer):
+            hasher.update(view[:read])
         if hasher.hexdigest() != snapshot.get("sha256"):
             return False
         decode = self.decode
@@ -503,5 +558,5 @@ def post_with_retries(session: requests.Session, url: str, payload: dict, header
     raise error(reason)
 
 
-__all__ = ["JsonlCache", "atomic_write", "atomic_writer", "post_with_retries", "read_json",
-           "read_jsonl", "read_text"]
+__all__ = ["JsonlCache", "atomic_write", "atomic_writer", "jsonl_record", "post_with_retries",
+           "read_json", "read_jsonl", "read_jsonl_blocks", "read_text"]

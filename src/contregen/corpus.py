@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from contregen.backend_io import atomic_write, read_json, read_jsonl
+from contregen.backend_io import (atomic_write, jsonl_record, read_json, read_jsonl,
+                                  read_jsonl_blocks)
 from contregen.errors import DataError, DuplicateIdError, MalformedRecordError
 
 logger = logging.getLogger(__name__)
@@ -200,32 +201,55 @@ def _passage_fault(passage_id: str, text: str, meta: Mapping[str, str]) -> Optio
             or _nul((("id", passage_id), ("text", text))))
 
 
+_PASSAGE_KEYS = frozenset({"id", "text"})
+_NO_META = (None, {})  # the meta of a passage line checked inline: absent, null or empty
+
+
 def ingest_corpus(path: str | Path) -> CorpusStore:
     """Load a passage file into a store; duplicate ids and malformed lines,
     a lone surrogate in an id, text or meta or a NUL in an id or text among
-    them, are errors."""
+    them, are errors.
+
+    A well-formed line (see read_jsonl_blocks) whose id and text are strings,
+    the text not blank, and whose meta is absent, null or empty goes straight
+    into the store; every other line is read and checked one field at a time."""
     store = CorpusStore()
-    for line_no, record in read_jsonl(path, {"id", "text"}):
-        meta = record.get("meta")
-        if meta is None:
-            meta = {}
-        elif not isinstance(meta, dict):
-            raise MalformedRecordError(str(path), line_no, "meta must be an object")
-        elif not all(isinstance(value, str) for value in meta.values()):
-            raise MalformedRecordError(str(path), line_no, "each meta value must be a string")
-        text = record["text"]
-        # `not text or text.isspace()` is `not text.strip()` without the copy
-        if not isinstance(text, str) or not text or text.isspace():
-            raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
-        passage_id = record["id"]
-        if type(passage_id) is not str:
-            passage_id = _record_id(passage_id, path, line_no, "id")
-        if (meta or not (passage_id.isascii() and text.isascii())  # ASCII holds no surrogate
-                or "\0" in text or "\0" in passage_id):
-            fault = _passage_fault(passage_id, text, meta)
-            if fault:
-                raise MalformedRecordError(str(path), line_no, fault)
-        store._put(passage_id, text, meta)
+    texts = store._texts
+    for first, lines, records in read_jsonl_blocks(path):
+        for line_no, record in enumerate(records, first):
+            # a well-formed line is ASCII without \u escapes: no NUL, no surrogate
+            if record is not None and (
+                    type(passage_id := record.get("id")) is str
+                    and type(text := record.get("text")) is str and text and not text.isspace()
+                    and record.get("meta") in _NO_META):
+                if passage_id in texts:
+                    raise DuplicateIdError(passage_id)
+                texts[passage_id] = text
+                continue
+            if record is None or not record.keys() >= _PASSAGE_KEYS:
+                record = jsonl_record(path, line_no, lines[line_no - first], _PASSAGE_KEYS)
+                if record is None:  # a blank line
+                    continue
+            meta = record.get("meta")
+            if meta is None:
+                meta = {}
+            elif not isinstance(meta, dict):
+                raise MalformedRecordError(str(path), line_no, "meta must be an object")
+            elif not all(isinstance(value, str) for value in meta.values()):
+                raise MalformedRecordError(str(path), line_no, "each meta value must be a string")
+            text = record["text"]
+            # `not text or text.isspace()` is `not text.strip()` without the copy
+            if not isinstance(text, str) or not text or text.isspace():
+                raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
+            passage_id = record["id"]
+            if type(passage_id) is not str:
+                passage_id = _record_id(passage_id, path, line_no, "id")
+            if (meta or not (passage_id.isascii() and text.isascii())  # ASCII holds no surrogate
+                    or "\0" in text or "\0" in passage_id):
+                fault = _passage_fault(passage_id, text, meta)
+                if fault:
+                    raise MalformedRecordError(str(path), line_no, fault)
+            store._put(passage_id, text, meta)
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
     else:
@@ -247,51 +271,81 @@ def write_passages(passages: Iterable[Passage], path: str | Path) -> int:
 # Optional query fields and the JSON type each must have when not null.
 _QUERY_FIELD_TYPES = {"gold_ids": (list, "a list"), "short_answers": (list, "a list"),
                       "facet_of": (dict, "an object"), "reference": (str, "a string")}
+_QUERY_KEYS = frozenset({"id", "query"})
+_ONLY_STR = frozenset({str})
+
+
+def _check_facet_keys(facet_of: dict, gold: frozenset[str], path: str | Path,
+                      line_no: int) -> None:
+    extra = set(facet_of) - gold
+    if extra:
+        raise MalformedRecordError(str(path), line_no,
+                                   f"facet_of keys not in gold_ids: {sorted(extra)}")
 
 
 def load_queries(path: str | Path) -> list[QueryRecord]:
+    """The query records of a query file. A well-formed line (see
+    read_jsonl_blocks) whose id and query are strings, gold_ids a list of
+    strings, short_answers null or one, facet_of null or an object of string
+    values and reference null or a string is checked inline; every other
+    line is checked one field at a time."""
     records: dict[str, QueryRecord] = {}
-    for line_no, obj in read_jsonl(path, {"id", "query"}):
-        for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
-            if obj.get(name) is not None and not isinstance(obj[name], kind):
-                raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
-        qid = _record_id(obj["id"], path, line_no, "id")
-        if qid in records:
-            raise DuplicateIdError(qid)
-        if not isinstance(obj["query"], str):
-            raise MalformedRecordError(str(path), line_no, "query must be a string")
-        gold = frozenset(_record_id(g, path, line_no, "each gold_ids item")
-                         for g in obj.get("gold_ids") or [])
-        facet_of = obj.get("facet_of")
-        if facet_of is not None:
-            if not all(isinstance(facet, str) for facet in facet_of.values()):
-                raise MalformedRecordError(str(path), line_no,
-                                           "each facet_of value must be a string")
-            extra = set(facet_of) - gold
-            if extra:
-                raise MalformedRecordError(
-                    str(path), line_no,
-                    f"facet_of keys not in gold_ids: {sorted(extra)}")
-        short = obj.get("short_answers")
-        if short and not all(isinstance(answer, str) for answer in short):
-            raise MalformedRecordError(str(path), line_no,
-                                       "each short_answers item must be a string")
-        fault = _lone_surrogate((("id", qid), ("query", obj["query"]),
-                                 ("reference", obj.get("reference") or ""),
-                                 *(("gold_ids", g) for g in gold),
-                                 *(("short_answers", answer) for answer in short or ()),
-                                 *(("facet_of", part) for item in (facet_of or {}).items()
-                                   for part in item)))
-        if fault:
-            raise MalformedRecordError(str(path), line_no, fault)
-        records[qid] = QueryRecord(
-            id=qid,
-            query=obj["query"],
-            gold_ids=gold,
-            reference=obj.get("reference"),
-            facet_of=facet_of,
-            short_answers=tuple(short) if short else None,
-        )
+    for first, lines, objs in read_jsonl_blocks(path):
+        for line_no, obj in enumerate(objs, first):
+            well_formed = obj is not None and obj.keys() >= _QUERY_KEYS
+            if not well_formed:
+                obj = jsonl_record(path, line_no, lines[line_no - first], _QUERY_KEYS)
+                if obj is None:  # a blank line
+                    continue
+            qid, query, gold_ids = obj["id"], obj["query"], obj.get("gold_ids")
+            facet_of, short = obj.get("facet_of"), obj.get("short_answers")
+            if (well_formed and type(qid) is str and type(query) is str
+                    and type(gold_ids) is list and set(map(type, gold_ids)) <= _ONLY_STR
+                    and (short is None
+                         or type(short) is list and set(map(type, short)) <= _ONLY_STR)
+                    and (facet_of is None or type(facet_of) is dict
+                         and set(map(type, facet_of.values())) <= _ONLY_STR)
+                    and type(obj.get("reference")) in (str, type(None))):
+                if qid in records:  # an ASCII line without \u escapes holds no surrogate
+                    raise DuplicateIdError(qid)
+                gold = frozenset(gold_ids)
+                if facet_of:
+                    _check_facet_keys(facet_of, gold, path, line_no)
+            else:
+                for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
+                    if obj.get(name) is not None and not isinstance(obj[name], kind):
+                        raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
+                qid = _record_id(qid, path, line_no, "id")
+                if qid in records:
+                    raise DuplicateIdError(qid)
+                if not isinstance(query, str):
+                    raise MalformedRecordError(str(path), line_no, "query must be a string")
+                gold = frozenset(_record_id(g, path, line_no, "each gold_ids item")
+                                 for g in gold_ids or [])
+                if facet_of is not None:
+                    if not all(isinstance(facet, str) for facet in facet_of.values()):
+                        raise MalformedRecordError(str(path), line_no,
+                                                   "each facet_of value must be a string")
+                    _check_facet_keys(facet_of, gold, path, line_no)
+                if short and not all(isinstance(answer, str) for answer in short):
+                    raise MalformedRecordError(str(path), line_no,
+                                               "each short_answers item must be a string")
+                fault = _lone_surrogate((("id", qid), ("query", query),
+                                         ("reference", obj.get("reference") or ""),
+                                         *(("gold_ids", g) for g in gold),
+                                         *(("short_answers", answer) for answer in short or ()),
+                                         *(("facet_of", part) for item in (facet_of or {}).items()
+                                           for part in item)))
+                if fault:
+                    raise MalformedRecordError(str(path), line_no, fault)
+            records[qid] = QueryRecord(
+                id=qid,
+                query=query,
+                gold_ids=gold,
+                reference=obj.get("reference"),
+                facet_of=facet_of,
+                short_answers=tuple(short) if short else None,
+            )
     return list(records.values())
 
 

@@ -15,7 +15,9 @@ import math
 import re
 from collections import Counter
 
-from contregen.errors import TemplateRenderError
+from contregen.backend_io import _parse_json
+from contregen.corpus import Passage, QueryRecord
+from contregen.errors import DuplicateIdError, MalformedRecordError, TemplateRenderError
 from contregen.llm import PromptRole
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -208,3 +210,117 @@ def check_invariants(root, config) -> None:
         for index, child in enumerate(node.children):
             assert child.depth == node.depth + 1
             assert child.path == f"{node.path}.{index}"
+
+
+def read_jsonl(path, required=frozenset()):
+    """(line number, object) for each nonblank line of a JSONL file, each
+    line parsed and checked on its own, as the readers did before they took
+    a well-formed line from one scanner call."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _parse_json(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(str(path), line_no, f"not UTF-8 text ({exc.reason})")
+            except ValueError as exc:
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise MalformedRecordError(str(path), line_no, f"invalid JSON ({reason})")
+            if not isinstance(record, dict) or not record.keys() >= required:
+                raise MalformedRecordError(str(path), line_no, (
+                    f"record must carry {' and '.join(sorted(required))}" if required
+                    else "record must be a JSON object"))
+            yield line_no, record
+
+
+def _record_id(value, path, line_no, name) -> str:
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, str):
+        raise MalformedRecordError(str(path), line_no, f"{name} must be a string or an integer")
+    return value
+
+
+def _lone_surrogate(fields):
+    for name, text in fields:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"{name} holds a lone surrogate, which is not UTF-8 text"
+    return None
+
+
+def ingest_corpus(path) -> list[Passage]:
+    """The passages of a passage file in file order, every field of every
+    line checked in turn."""
+    passages: dict[str, Passage] = {}
+    for line_no, record in read_jsonl(path, {"id", "text"}):
+        meta = record.get("meta")
+        if meta is None:
+            meta = {}
+        elif not isinstance(meta, dict):
+            raise MalformedRecordError(str(path), line_no, "meta must be an object")
+        elif not all(isinstance(value, str) for value in meta.values()):
+            raise MalformedRecordError(str(path), line_no, "each meta value must be a string")
+        text = record["text"]
+        if not isinstance(text, str) or not text.strip():
+            raise MalformedRecordError(str(path), line_no, "text must be a non-empty string")
+        passage_id = _record_id(record["id"], path, line_no, "id")
+        fault = _lone_surrogate((("id", passage_id), ("text", text),
+                                 *(("meta", part) for item in meta.items() for part in item)))
+        nul = [name for name, value in (("id", passage_id), ("text", text)) if "\0" in value]
+        if not fault and nul:
+            fault = f"{nul[0]} holds a NUL, which the corpus fingerprint uses as a separator"
+        if fault:
+            raise MalformedRecordError(str(path), line_no, fault)
+        if passage_id in passages:
+            raise DuplicateIdError(passage_id)
+        passages[passage_id] = Passage(id=passage_id, text=text, meta=meta)
+    return list(passages.values())
+
+
+_QUERY_FIELD_TYPES = {"gold_ids": (list, "a list"), "short_answers": (list, "a list"),
+                      "facet_of": (dict, "an object"), "reference": (str, "a string")}
+
+
+def load_queries(path) -> list[QueryRecord]:
+    """The query records of a query file, every field of every line checked
+    in turn."""
+    records: dict[str, QueryRecord] = {}
+    for line_no, obj in read_jsonl(path, {"id", "query"}):
+        for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
+            if obj.get(name) is not None and not isinstance(obj[name], kind):
+                raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
+        qid = _record_id(obj["id"], path, line_no, "id")
+        if qid in records:
+            raise DuplicateIdError(qid)
+        if not isinstance(obj["query"], str):
+            raise MalformedRecordError(str(path), line_no, "query must be a string")
+        gold = frozenset(_record_id(g, path, line_no, "each gold_ids item")
+                         for g in obj.get("gold_ids") or [])
+        facet_of = obj.get("facet_of")
+        if facet_of is not None:
+            if not all(isinstance(facet, str) for facet in facet_of.values()):
+                raise MalformedRecordError(str(path), line_no,
+                                           "each facet_of value must be a string")
+            extra = set(facet_of) - gold
+            if extra:
+                raise MalformedRecordError(str(path), line_no,
+                                           f"facet_of keys not in gold_ids: {sorted(extra)}")
+        short = obj.get("short_answers")
+        if short and not all(isinstance(answer, str) for answer in short):
+            raise MalformedRecordError(str(path), line_no,
+                                       "each short_answers item must be a string")
+        fault = _lone_surrogate((("id", qid), ("query", obj["query"]),
+                                 ("reference", obj.get("reference") or ""),
+                                 *(("gold_ids", g) for g in gold),
+                                 *(("short_answers", answer) for answer in short or ()),
+                                 *(("facet_of", part) for item in (facet_of or {}).items()
+                                   for part in item)))
+        if fault:
+            raise MalformedRecordError(str(path), line_no, fault)
+        records[qid] = QueryRecord(id=qid, query=obj["query"], gold_ids=gold,
+                                   reference=obj.get("reference"), facet_of=facet_of,
+                                   short_answers=tuple(short) if short else None)
+    return list(records.values())

@@ -29,9 +29,11 @@ an attribute by a package module or a ``perfbench/`` file; reads from
 ``tests/`` do not count.
 
 Only ``contregen.backend_io`` parses JSON: no other package module calls
-``json.loads`` or ``json.load``, under any name it imports them by, so every
-parse maps too deep or too long a value to a data error. ``RunTrace.to_dict``
-is spared by name: it parses only the trace its own class serialized.
+``json.loads`` or ``json.load``, under any name it imports them by, or
+names the decoder's scanner (``JSONDecoder``, ``scan_once``, ``_scan_once``,
+``make_scanner``) in an import, a name or an attribute, so every parse maps
+too deep or too long a value to a data error. ``RunTrace.to_dict`` is spared
+by name: it parses only the trace its own class serialized.
 
 Only ``contregen.backend_io`` (the cache keys) and ``contregen.corpus`` (the
 corpus fingerprint) import ``hashlib``, at any depth, so a cache key has one
@@ -373,13 +375,15 @@ def test_attribute_scan_flags_self_stores_nothing_reads(tmp_path):
 
 
 _JSON_PARSERS = {"load", "loads"}
+_JSON_SCANNERS = {"JSONDecoder", "scan_once", "_scan_once", "make_scanner"}
 _JSON_PARSE_SPARED = {"RunTrace.to_dict"}  # parses only what its own class wrote
 
 
 def json_parse_calls(path: Path) -> list[tuple[int, str]]:
     """(line, enclosing "Class.function" or "<module>") of each call of
     json.loads or json.load in path, through ``import json [as name]`` or
-    ``from json import loads [as name]``, outside _JSON_PARSE_SPARED."""
+    ``from json import loads [as name]``, and of each import, name or
+    attribute of the decoder's scanner, outside _JSON_PARSE_SPARED."""
     tree = _parse(path)
     modules, functions = set(), set()
     for node in ast.walk(tree):
@@ -399,7 +403,10 @@ def json_parse_calls(path: Path) -> list[tuple[int, str]]:
             func = child.func if isinstance(child, ast.Call) else None
             if ((isinstance(func, ast.Name) and func.id in functions)
                     or (isinstance(func, ast.Attribute) and func.attr in _JSON_PARSERS
-                        and isinstance(func.value, ast.Name) and func.value.id in modules)):
+                        and isinstance(func.value, ast.Name) and func.value.id in modules)
+                    or getattr(child, "id", getattr(child, "attr", None)) in _JSON_SCANNERS
+                    or (isinstance(child, (ast.Import, ast.ImportFrom))
+                        and any(alias.name in _JSON_SCANNERS for alias in child.names))):
                 where = ".".join(scope) or "<module>"
                 if where not in _JSON_PARSE_SPARED:
                     calls.append((child.lineno, where))
@@ -441,6 +448,32 @@ def test_json_parse_scan_flags_each_call_form(tmp_path):
     assert json_parse_calls(module) == [
         (4, "<module>"), (5, "<module>"), (6, "<module>"), (7, "<module>"), (8, "<module>"),
         (16, "RunTrace.from_text"), (18, "to_dict")]
+
+
+def test_json_parse_scan_flags_each_form_of_the_scanner(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import json\n"
+        "import json.scanner\n"
+        "from json import JSONDecoder\n"
+        "from json.decoder import JSONDecoder as Decoder\n"
+        "from contregen.backend_io import _scan_once\n"
+        "from json.scanner import make_scanner\n"
+        "json.JSONDecoder()\n"
+        "json.decoder.JSONDecoder().raw_decode('1')\n"
+        "decoder.scan_once('1', 0)\n"
+        "scan = _scan_once\n"
+        "json.scanner.make_scanner(context)\n"
+        "json.dumps(1)\n"
+        "json.JSONEncoder()\n"
+        "def read(text, scan_once=None):\n"
+        "    return JSONDecoder().decode(text)\n"
+        "class RunTrace:\n"
+        "    def to_dict(self):\n"
+        "        return json.JSONDecoder().decode('1')\n", encoding="utf-8")
+    assert json_parse_calls(module) == [
+        (3, "<module>"), (4, "<module>"), (5, "<module>"), (6, "<module>"), (7, "<module>"),
+        (8, "<module>"), (9, "<module>"), (10, "<module>"), (11, "<module>"), (15, "read")]
 
 
 _HASHING_MODULES = {"backend_io.py", "corpus.py"}
