@@ -8,20 +8,17 @@ each record.
 
 A JSONL file is read a block of lines at a time (``read_jsonl_blocks``). A
 well-formed line, ASCII without a ``\\u`` escape and holding one JSON object
-that ends at its newline, costs one call of the decoder's C scanner and
-nothing more, so the corpus and query readers take its object without a
-function call per line; any other line is read by ``jsonl_record``, the
-per-line contract that ``read_jsonl`` applies to every line.
+that ends at its newline, costs one call of the decoder's C scanner; any
+other line is read by ``jsonl_record``, the per-line contract that
+``read_jsonl`` applies to every line.
 
 Every other parse goes through ``_parse_json``: a JSONL line outside that
-form, a cache line and a whole JSON file alike. It gives the value or the error ``json.loads`` gives, but
-parses a line once with the decoder's C scanner where ``json.loads`` adds
-Python frames and whitespace matches around it. A value nested deeper than
-the recursion limit, or an integer longer than Python converts, is a
-ValueError like any other bad JSON, and so a data error naming its file; the
-long integer's message keeps its digit counts and drops json.loads's advice
-to call ``sys.set_int_max_str_digits``, which a data file's author cannot
-follow.
+form, a cache line, a snapshot and a whole JSON file alike. It is
+``json.loads``, except that a value nested deeper than the recursion limit,
+or an integer longer than Python converts, is a ValueError like any other
+bad JSON, and so a data error naming its file; the long integer's message
+keeps its digit counts and drops json.loads's advice to call
+``sys.set_int_max_str_digits``, which a data file's author cannot follow.
 
 Both caches key their entries with ``JsonlCache.digest``, the sha256 of the
 JSON array of the key parts, written without building a JSON encoder. A
@@ -99,21 +96,8 @@ def _parse_json(text: str):
     """json.loads(text): the same value, or the same error. A value nested
     deeper than the recursion limit is a ValueError too, not a RecursionError,
     and an integer longer than Python converts keeps json.loads's message up to
-    "value has N digits", without its advice to call sys.set_int_max_str_digits.
-
-    A text whose value starts at its first character and ends it, or is
-    followed by exactly one "\n", is parsed once by the scanner; any other
-    text (leading or other trailing whitespace, a BOM, extra data) and every
-    error is parsed again by json.loads, which has the last word."""
+    "value has N digits", without its advice to call sys.set_int_max_str_digits."""
     try:
-        try:
-            value, end = _scan_once(text, 0)
-        except (StopIteration, ValueError):  # no value at 0, or a bad one
-            pass
-        else:
-            rest = len(text) - end
-            if not rest or (rest == 1 and text[end] == "\n"):
-                return value
         return json.loads(text)
     except RecursionError:
         raise ValueError("nested too deeply") from None
@@ -305,8 +289,8 @@ class JsonlCache:
         self._cut: Optional[int] = None
         self._fh: Optional[BinaryIO] = None  # the append handle, opened by the first put
         self._snapshot = self.path.with_name(f"{self.path.name}.snapshot")
-        # The sha256 and length of the bytes this cache kept and appended, for
-        # the snapshot close() writes; no hash for a strict cache.
+        # The length of the bytes this cache kept and appended, and their
+        # sha256 for the snapshot close() writes; no hash for a strict cache.
         self._hash = None if strict else hashlib.sha256()
         self._size = 0
         self._snapshot_due = False  # the entries are not those of a valid snapshot
@@ -333,10 +317,8 @@ class JsonlCache:
                 and snapshot.get("bytes") == size):
             return False
         hasher = hashlib.sha256()
-        buffer = bytearray(_SNAPSHOT_CHUNK)  # one buffer for every chunk
-        view = memoryview(buffer)
-        while read := raw.readinto(buffer):
-            hasher.update(view[:read])
+        while chunk := raw.read(_SNAPSHOT_CHUNK):
+            hasher.update(chunk)
         if hasher.hexdigest() != snapshot.get("sha256"):
             return False
         decode = self.decode
@@ -344,13 +326,16 @@ class JsonlCache:
             self._entries = {key: decode(value) for key, value in snapshot["entries"].items()}
         except (ValueError, TypeError):
             return False
+        self._size = size
         if self._hash is not None:
-            self._hash, self._size = hasher, size
+            self._hash = hasher
         return True
 
     def _parse(self, fh: TextIO) -> None:
-        """Load every line of fh, the cache file, hashing each line it keeps
-        for the snapshot when this cache may write one."""
+        """Load every line of fh, the cache file, counting the bytes of each
+        line it keeps and hashing them for the snapshot when this cache may
+        write one. A torn final line is cut at that count, the bytes read
+        before it, which no other writer's append can move."""
         hasher = self._hash
         self._snapshot_due = True
         for line_no, line in enumerate(fh, start=1):
@@ -362,8 +347,7 @@ class JsonlCache:
                         raise CacheCorruptionError(
                             f"{self.path}:{line_no}: unreadable cache entry ({exc})")
                     logger.warning("%s:%d: dropping torn final line", self.path, line_no)
-                    self._cut = (self.path.stat().st_size
-                                 - len(line.encode("utf-8", "surrogateescape")))
+                    self._cut = self._size
                     return
                 try:  # an append cut short never parses, so this line is whole
                     key = entry["key"]
@@ -373,10 +357,10 @@ class JsonlCache:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheCorruptionError(
                         f"{self.path}:{line_no}: unreadable cache entry ({exc})")
+            data = line.encode("utf-8", "surrogateescape")
+            self._size += len(data)
             if hasher is not None:
-                data = line.encode("utf-8", "surrogateescape")
                 hasher.update(data)
-                self._size += len(data)
 
     @staticmethod
     def digest(*parts, prefix: Optional[tuple] = None) -> str:

@@ -244,11 +244,9 @@ def ingest_corpus(path: str | Path) -> CorpusStore:
             passage_id = record["id"]
             if type(passage_id) is not str:
                 passage_id = _record_id(passage_id, path, line_no, "id")
-            if (meta or not (passage_id.isascii() and text.isascii())  # ASCII holds no surrogate
-                    or "\0" in text or "\0" in passage_id):
-                fault = _passage_fault(passage_id, text, meta)
-                if fault:
-                    raise MalformedRecordError(str(path), line_no, fault)
+            fault = _passage_fault(passage_id, text, meta)
+            if fault:
+                raise MalformedRecordError(str(path), line_no, fault)
             store._put(passage_id, text, meta)
     if len(store) == 0:
         logger.warning("corpus file %s contained no passages", path)
@@ -272,72 +270,52 @@ def write_passages(passages: Iterable[Passage], path: str | Path) -> int:
 _QUERY_FIELD_TYPES = {"gold_ids": (list, "a list"), "short_answers": (list, "a list"),
                       "facet_of": (dict, "an object"), "reference": (str, "a string")}
 _QUERY_KEYS = frozenset({"id", "query"})
-_ONLY_STR = frozenset({str})
-
-
-def _check_facet_keys(facet_of: dict, gold: frozenset[str], path: str | Path,
-                      line_no: int) -> None:
-    extra = set(facet_of) - gold
-    if extra:
-        raise MalformedRecordError(str(path), line_no,
-                                   f"facet_of keys not in gold_ids: {sorted(extra)}")
 
 
 def load_queries(path: str | Path) -> list[QueryRecord]:
-    """The query records of a query file. A well-formed line (see
-    read_jsonl_blocks) whose id and query are strings, gold_ids a list of
-    strings, short_answers null or one, facet_of null or an object of string
-    values and reference null or a string is checked inline; every other
-    line is checked one field at a time."""
+    """The query records of a query file, each line checked one field at a
+    time. A well-formed line (see read_jsonl_blocks) is ASCII without a \\u
+    escape, so it holds no lone surrogate and skips only that check."""
     records: dict[str, QueryRecord] = {}
     for first, lines, objs in read_jsonl_blocks(path):
         for line_no, obj in enumerate(objs, first):
-            well_formed = obj is not None and obj.keys() >= _QUERY_KEYS
-            if not well_formed:
+            scanned = obj is not None
+            if not scanned or not obj.keys() >= _QUERY_KEYS:
                 obj = jsonl_record(path, line_no, lines[line_no - first], _QUERY_KEYS)
                 if obj is None:  # a blank line
                     continue
-            qid, query, gold_ids = obj["id"], obj["query"], obj.get("gold_ids")
-            facet_of, short = obj.get("facet_of"), obj.get("short_answers")
-            if (well_formed and type(qid) is str and type(query) is str
-                    and type(gold_ids) is list and set(map(type, gold_ids)) <= _ONLY_STR
-                    and (short is None
-                         or type(short) is list and set(map(type, short)) <= _ONLY_STR)
-                    and (facet_of is None or type(facet_of) is dict
-                         and set(map(type, facet_of.values())) <= _ONLY_STR)
-                    and type(obj.get("reference")) in (str, type(None))):
-                if qid in records:  # an ASCII line without \u escapes holds no surrogate
-                    raise DuplicateIdError(qid)
-                gold = frozenset(gold_ids)
-                if facet_of:
-                    _check_facet_keys(facet_of, gold, path, line_no)
-            else:
-                for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
-                    if obj.get(name) is not None and not isinstance(obj[name], kind):
-                        raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
-                qid = _record_id(qid, path, line_no, "id")
-                if qid in records:
-                    raise DuplicateIdError(qid)
-                if not isinstance(query, str):
-                    raise MalformedRecordError(str(path), line_no, "query must be a string")
-                gold = frozenset(_record_id(g, path, line_no, "each gold_ids item")
-                                 for g in gold_ids or [])
-                if facet_of is not None:
-                    if not all(isinstance(facet, str) for facet in facet_of.values()):
-                        raise MalformedRecordError(str(path), line_no,
-                                                   "each facet_of value must be a string")
-                    _check_facet_keys(facet_of, gold, path, line_no)
-                if short and not all(isinstance(answer, str) for answer in short):
+            for name, (kind, noun) in _QUERY_FIELD_TYPES.items():
+                if obj.get(name) is not None and not isinstance(obj[name], kind):
+                    raise MalformedRecordError(str(path), line_no, f"{name} must be {noun}")
+            qid = _record_id(obj["id"], path, line_no, "id")
+            if qid in records:
+                raise DuplicateIdError(qid)
+            query = obj["query"]
+            if not isinstance(query, str):
+                raise MalformedRecordError(str(path), line_no, "query must be a string")
+            gold = frozenset(g if type(g) is str
+                             else _record_id(g, path, line_no, "each gold_ids item")
+                             for g in obj.get("gold_ids") or ())
+            facet_of = obj.get("facet_of")
+            if facet_of is not None:
+                if not all(isinstance(facet, str) for facet in facet_of.values()):
                     raise MalformedRecordError(str(path), line_no,
-                                               "each short_answers item must be a string")
-                fault = _lone_surrogate((("id", qid), ("query", query),
-                                         ("reference", obj.get("reference") or ""),
-                                         *(("gold_ids", g) for g in gold),
-                                         *(("short_answers", answer) for answer in short or ()),
-                                         *(("facet_of", part) for item in (facet_of or {}).items()
-                                           for part in item)))
-                if fault:
-                    raise MalformedRecordError(str(path), line_no, fault)
+                                               "each facet_of value must be a string")
+                extra = set(facet_of) - gold
+                if extra:
+                    raise MalformedRecordError(
+                        str(path), line_no, f"facet_of keys not in gold_ids: {sorted(extra)}")
+            short = obj.get("short_answers")
+            if short and not all(isinstance(answer, str) for answer in short):
+                raise MalformedRecordError(str(path), line_no,
+                                           "each short_answers item must be a string")
+            fault = not scanned and _lone_surrogate((
+                ("id", qid), ("query", query), ("reference", obj.get("reference") or ""),
+                *(("gold_ids", g) for g in gold),
+                *(("short_answers", answer) for answer in short or ()),
+                *(("facet_of", part) for item in (facet_of or {}).items() for part in item)))
+            if fault:
+                raise MalformedRecordError(str(path), line_no, fault)
             records[qid] = QueryRecord(
                 id=qid,
                 query=query,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from contregen import backend_io
 from contregen.backend_io import JsonlCache
 from contregen.errors import (
     CacheCorruptionError,
@@ -469,6 +470,30 @@ def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_pat
         ["one", "two", None, "four", "five"]
     assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == \
         ["a1", "b1", "a3", "b2"]
+
+
+def test_a_torn_line_is_cut_where_the_load_read_it_past_another_writers_append(
+        tmp_path, monkeypatch):
+    """A cache cuts a torn final line off at the bytes it read before that
+    line, so a line another writer appends while it loads cannot move the cut
+    into the middle of a line."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n{"key": "t')
+    other = LlmCache(path)
+    warning = backend_io.logger.warning
+
+    def append_meanwhile(*args):  # the other cache appends as this one drops the torn line
+        other.put("kb", "a line longer than the torn one", role="plan", prompt="p")
+        other.close()
+        warning(*args)
+
+    monkeypatch.setattr(backend_io.logger, "warning", append_meanwhile)
+    cache = LlmCache(path)
+    monkeypatch.undo()
+    cache.put("ka", "aye", role="plan", prompt="p")
+    reloaded = LlmCache(path, strict=True)  # a full parse: the other's snapshot is stale
+    cache.close()
+    assert (reloaded.get("k0"), reloaded.get("ka")) == ("zero", "aye")
 
 
 @pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "from-snapshot"])
