@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import fcntl
 import hashlib
 import json
 import logging
@@ -230,8 +231,36 @@ def atomic_write(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-# The read size of a cache file hashed to check its snapshot.
-_SNAPSHOT_CHUNK = 1 << 20
+# The read size of a cache file hashed to check its snapshot, or searched
+# back for the start of its last line.
+_CHUNK = 1 << 20
+
+
+def _last_line_start(fh: BinaryIO, end: int) -> int:
+    """Where the last line of fh, a file of end bytes, starts: end itself
+    when the file is empty or ends with a newline."""
+    pos, step = end, 1  # the last byte alone first: almost always a newline
+    while pos:
+        step = min(pos, step)
+        fh.seek(pos - step)
+        newline = fh.read(step).rfind(b"\n")
+        if newline >= 0:
+            return pos - step + newline + 1
+        pos -= step
+        step = _CHUNK
+    return 0
+
+
+def _is_torn(line: bytes) -> bool:
+    """Whether an unterminated last line is an append cut short: neither
+    blank nor JSON, as a cache's load reads it."""
+    try:  # UnicodeDecodeError is a ValueError
+        text = line.decode("utf-8")
+        if not text.isspace():
+            _parse_json(text)
+    except ValueError:
+        return True
+    return False
 
 
 class JsonlCache:
@@ -241,17 +270,15 @@ class JsonlCache:
     append; one that cannot be read (a directory, a path through a regular
     file) is a DataError naming it. A bad line inside the file is a hard
     error; an unterminated final line that does not parse as JSON (an append
-    cut short) is dropped with a warning and cut off before the next append,
-    while one that parses but holds a bad entry is a hard error too. An
-    append writes a newline before its line when the file does not end with
-    one, as read from the file at that append.
+    cut short) is dropped with a warning, while one that parses but holds a
+    bad entry is a hard error too.
     Subclasses give the key function, which passes its key parts to digest,
     and the record shape: the value field, its decoder (which rejects a
     value of the wrong type) and the replay-miss message; the caller of
     lookup gives the context fields recorded beside the value. A strict
     cache (replay) never computes: a miss is a ReplayMissError. An append
     that cannot be written is a DataError naming the file, and the entry is
-    not kept; any part of it that landed is cut off before the next append.
+    not kept.
 
     A snapshot beside the file (its name plus ".snapshot") is ASCII JSON of
     {"bytes", "sha256", "entries"}: a byte length, the sha256 of that many
@@ -268,9 +295,15 @@ class JsonlCache:
 
     The first put opens the file for appending and keeps the handle until
     close(), or until an append fails, when the next put opens it again.
-    Each append seeks to the file's end first, so the point a failed append
-    is cut back to holds even when another writer appended meanwhile, and
-    flushes its line.
+    Each append holds an exclusive ``flock`` on the file while it writes, so
+    no other writer that locks is inside an append then, and it decides from
+    the file as it finds it under the lock: an unterminated last line that
+    parses (or is blank) gets a newline before the new line, and one that
+    does not (another writer's append, cut short by a crash) is cut off
+    first. The line is flushed before the lock is released; a write that
+    fails truncates the file back to where it began, under the same lock, and
+    whatever of it a failed truncate leaves is cut off by the next append.
+    The lock is advisory, and a network file system may not honour it.
     """
 
     value_field: str
@@ -284,13 +317,10 @@ class JsonlCache:
         self._lock = threading.Lock()
         # key -> [its lock, the callers holding or waiting for it] while a miss computes
         self._flights: dict[str, list] = {}
-        # where the next put truncates the file: the start of a torn final
-        # line, or of an append that failed and may have landed in part
-        self._cut: Optional[int] = None
         self._fh: Optional[BinaryIO] = None  # the append handle, opened by the first put
         self._snapshot = self.path.with_name(f"{self.path.name}.snapshot")
         # The length of the bytes this cache kept and appended, and their
-        # sha256 for the snapshot close() writes; no hash for a strict cache.
+        # sha256, for the snapshot close() writes; neither for a strict cache.
         self._hash = None if strict else hashlib.sha256()
         self._size = 0
         self._snapshot_due = False  # the entries are not those of a valid snapshot
@@ -317,7 +347,7 @@ class JsonlCache:
                 and snapshot.get("bytes") == size):
             return False
         hasher = hashlib.sha256()
-        while chunk := raw.read(_SNAPSHOT_CHUNK):
+        while chunk := raw.read(_CHUNK):
             hasher.update(chunk)
         if hasher.hexdigest() != snapshot.get("sha256"):
             return False
@@ -326,16 +356,15 @@ class JsonlCache:
             self._entries = {key: decode(value) for key, value in snapshot["entries"].items()}
         except (ValueError, TypeError):
             return False
-        self._size = size
         if self._hash is not None:
-            self._hash = hasher
+            self._hash, self._size = hasher, size
         return True
 
     def _parse(self, fh: TextIO) -> None:
-        """Load every line of fh, the cache file, counting the bytes of each
-        line it keeps and hashing them for the snapshot when this cache may
-        write one. A torn final line is cut at that count, the bytes read
-        before it, which no other writer's append can move."""
+        """Load every line of fh, the cache file, counting and hashing the
+        bytes of each line it keeps for the snapshot when this cache may write
+        one. A torn final line is neither kept nor counted; the next append
+        cuts it off."""
         hasher = self._hash
         self._snapshot_due = True
         for line_no, line in enumerate(fh, start=1):
@@ -347,7 +376,6 @@ class JsonlCache:
                         raise CacheCorruptionError(
                             f"{self.path}:{line_no}: unreadable cache entry ({exc})")
                     logger.warning("%s:%d: dropping torn final line", self.path, line_no)
-                    self._cut = self._size
                     return
                 try:  # an append cut short never parses, so this line is whole
                     key = entry["key"]
@@ -357,9 +385,9 @@ class JsonlCache:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise CacheCorruptionError(
                         f"{self.path}:{line_no}: unreadable cache entry ({exc})")
-            data = line.encode("utf-8", "surrogateescape")
-            self._size += len(data)
             if hasher is not None:
+                data = line.encode("utf-8", "surrogateescape")
+                self._size += len(data)
                 hasher.update(data)
 
     @staticmethod
@@ -417,21 +445,16 @@ class JsonlCache:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     self._fh = self.path.open("a+b")
                 fh = self._fh
-                if self._cut is not None:
-                    fh.truncate(self._cut)
-                # the file's real end, past any line another writer appended
-                end = fh.seek(0, os.SEEK_END)
-                if end:
-                    fh.seek(end - 1)
-                    if fh.read(1) != b"\n":  # a whole final line left unterminated
-                        data = b"\n" + data
-                self._cut = end  # cut this append off if it lands in part
-                fh.write(data)
-                fh.flush()
-            except OSError as exc:  # a directory, a full disk, no write permission, ...
-                self._drop_handle()  # the next put reopens the file and cuts it
+                fcntl.flock(fh, fcntl.LOCK_EX)
+                data = self._append(fh, data)
+                fcntl.flock(fh, fcntl.LOCK_UN)
+            except BaseException as exc:
+                # closing the handle releases the lock, after any bytes it still buffers
+                self._drop_handle()
+                if not isinstance(exc, OSError):
+                    raise
+                # a directory, a full disk, no write permission, ...
                 raise DataError(f"cannot write cache file {self.path}: {exc.strerror}") from exc
-            self._cut = None
             self._entries[key] = value
             if self._hash is not None:  # the bytes the handle wrote
                 self._hash.update(data)
@@ -439,9 +462,33 @@ class JsonlCache:
                 self._snapshot_due = True
             return value
 
+    @staticmethod
+    def _append(fh: BinaryIO, data: bytes) -> bytes:
+        """Append data, one line, to fh, the locked append handle, after
+        ending or cutting off an unterminated last line; the bytes written.
+        A write that fails is truncated off before its OSError propagates."""
+        end = fh.seek(0, os.SEEK_END)
+        start = _last_line_start(fh, end)
+        if start < end:  # no writer is inside an append, so this line is whole or torn
+            fh.seek(start)
+            if _is_torn(fh.read(end - start)):
+                fh.truncate(start)
+                end = start
+            else:
+                data = b"\n" + data
+        try:
+            fh.write(data)
+            fh.flush()
+        except OSError:
+            with contextlib.suppress(OSError):  # else the next append cuts it off
+                fh.truncate(end)
+            raise
+        return data
+
     def _drop_handle(self) -> None:
-        """Close the append handle, if open, under the caller's lock. Every
-        landed line was flushed, so a close that fails loses nothing."""
+        """Close the append handle, if open, under the caller's lock, which
+        also releases its file lock. Every landed line was flushed, so a close
+        that fails loses nothing."""
         fh, self._fh = self._fh, None
         if fh is not None:
             with contextlib.suppress(OSError):

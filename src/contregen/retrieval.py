@@ -7,20 +7,22 @@ first-occurrence order, ties broken by ascending passage id. Only passages
 scoring > 0 are returned, so a query with no term overlap yields no hits.
 The index is built by its first retrieval, once, so a run served entirely
 from the cache builds none. The build groups the corpus's tokens by term, one
-array of document indices per term with an entry per occurrence. Finalizing
+array of document indices per term with an entry per occurrence, in a
+dict that then holds the postings, its default factory cleared. Finalizing
 a term counts its array into its ascending document indices and term
-frequencies, and ``bm25_impacts`` turns each frequency in place into its
-BM25 impact, its whole contribution to its document's score, so a retrieval
-only adds stored impacts; each term also keeps its largest impact, its
-bound. The build finalizes each term with more than N >> 8 occurrences (N
-passages); a rarer term keeps its occurrence array until the first
-retrieval that names it finalizes it, so the many rare terms no query names
-cost only their grouping. A retrieval gathers its terms' (document indices,
-impacts, bound) tuples in a plain list and makes one call to the active
-kernel backend's ``topk_indices(terms, n, k)`` (``contregen._kernels``),
-which scores them and returns (index, score) pairs: the compiled one adds
-every posting, the pure one lets the bounds skip the terms that cannot
-change the top k. Both return the same hits and scores.
+frequencies, frees the count, and has ``bm25_impacts`` turn each frequency
+in place into its BM25 impact, its whole contribution to its document's
+score, so a retrieval only adds stored impacts; each term also keeps its
+largest impact, its bound. The build finalizes each term with more than
+N >> 8 occurrences (N passages); a rarer term keeps its occurrence array
+until the first retrieval that names it finalizes it, so the many rare
+terms no query names cost only their grouping. A retrieval gathers its
+terms' (document indices, impacts, bound) tuples in a plain list and makes
+one call to the active kernel backend's ``topk_indices(terms, n, k)``
+(``contregen._kernels``), which scores them and returns (index, score)
+pairs: the compiled one adds every posting, the pure one lets the bounds
+skip the terms that cannot change the top k. Both return the same hits and
+scores.
 """
 
 from __future__ import annotations
@@ -146,12 +148,16 @@ class LexicalIndex:
     posting: C-level iteration appends each token's document index to its
     term's occurrence array, and ``_finalize`` counts that array with a
     ``Counter`` into the term's documents and frequencies, every array sized
-    exactly. The build finalizes only the terms with more than
-    ``doc_count >> 8`` occurrences (every term below 256 passages); the first
-    retrieve that names a rarer term replaces its occurrence array with the
-    finished tuple, under the lock, so each term is finalized once and a
-    finished tuple never changes. Either way a term gets the same bits. A
-    run whose retrievals all come from the cache builds none.
+    exactly, and frees the ``Counter`` before the impacts are computed, so
+    the term's lasting objects do not land in the memory it leaves. That
+    grouping dict, its default factory cleared, holds the postings: a
+    lookup of a missing term adds nothing. The build finalizes only the
+    terms with more than ``doc_count >> 8`` occurrences (every term below
+    256 passages); the first retrieve that names a rarer term replaces its
+    occurrence array with the finished tuple, under the lock, so each term
+    is finalized once and a finished tuple never changes. Either way a term
+    gets the same bits. A run whose retrievals all come from the cache
+    builds none.
     Internal document indices are assigned by the build in ascending
     passage-id order, so the (-score, index) order of ``topk_indices``
     realizes the id tie-break.
@@ -179,7 +185,8 @@ class LexicalIndex:
     def _build(self) -> dict[str, tuple[array, array, float] | array]:
         """The postings, term -> (document indices, BM25 impacts, largest
         impact), except that a rare term keeps its occurrence array for
-        ``retrieve`` to finalize. Sets the document ids, their count and the
+        ``retrieve`` to finalize: the dict that grouped the occurrences, with
+        no default factory. Sets the document ids, their count and the
         document norms ``_finalize`` reads."""
         self.doc_ids = sorted(self._corpus.ids())
         self.doc_count = len(self.doc_ids)
@@ -202,15 +209,20 @@ class LexicalIndex:
             if len(indices) > rare:
                 # in place of the occurrences, so they are freed term by term
                 occurrences[term] = self._finalize(indices)
-        return dict(occurrences)  # a plain dict: looking up a missing term adds nothing
+        # kept, not copied: with no factory, looking up a missing term adds nothing
+        occurrences.default_factory = None
+        return occurrences
 
     def _finalize(self, indices: array) -> tuple[array, array, float]:
         """A term's (document indices, BM25 impacts, largest impact) from its
-        ascending occurrence array."""
+        ascending occurrence array. Its count is freed before the impacts'
+        floats and the tuple are made, so they reuse that memory instead of
+        landing beside it."""
         tfs = Counter(indices)  # ascending document index -> term frequency
         # built from lists, so sized exactly (an iterator grows them with slack)
         doc_indices = array("i", [*tfs])
         impacts = array("d", [*tfs.values()])
+        del tfs  # its table and boxed indices, before the impacts are made
         df = len(doc_indices)
         idf = math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
         bm25_impacts(impacts, doc_indices, self._doc_norms, idf, BM25_K1)

@@ -6,12 +6,13 @@ fallback import), not inside a function or class. Its name is used when the
 module loads it anywhere or lists it in ``__all__``; ``from __future__``
 imports are skipped.
 
-Only ``contregen.backend_io`` opens, reads, writes, renames or removes files:
-no other package module calls ``open``, a method named ``open``,
+Only ``contregen.backend_io`` opens, reads, writes, locks, renames or removes
+files: no other package module calls ``open``, a method named ``open``,
 ``read_text``, ``read_bytes``, ``write_text``, ``write_bytes``, ``mkdir``,
-``unlink``, ``rmdir``, ``touch``, ``truncate`` or ``rename``, or
-``os.replace`` or ``os.remove`` (a temporary file renamed over its target is
-built from these; ``str.replace`` and ``list.remove`` are spared).
+``unlink``, ``rmdir``, ``touch``, ``truncate``, ``rename``, ``flock`` or
+``lockf``, or ``os.replace`` or ``os.remove`` (a temporary file renamed over
+its target is built from these; ``str.replace`` and ``list.remove`` are
+spared).
 
 No package module imports ``yaml`` or ``requests`` when it is itself
 imported: an import of either (or of a submodule) sits inside a function, or
@@ -122,7 +123,7 @@ def test_scan_flags_an_unused_import_and_spares_used_ones(tmp_path):
 
 
 _FILE_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes",
-                 "mkdir", "unlink", "rmdir", "touch", "truncate", "rename"}
+                 "mkdir", "unlink", "rmdir", "touch", "truncate", "rename", "flock", "lockf"}
 _OS_FILE_FUNCTIONS = {"replace", "remove"}  # os.<name> only: not str.replace, list.remove
 
 
@@ -175,11 +176,14 @@ def test_file_io_scan_flags_each_call_form(tmp_path):
         "os.unlink('a')\n"
         "Path('a').rename('b')\n"
         "'a-b'.replace('-', '_')\n"
-        "[1].remove(1)\n", encoding="utf-8")
+        "[1].remove(1)\n"
+        "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+        "fcntl.lockf(fh.fileno(), fcntl.LOCK_UN)\n", encoding="utf-8")
     assert file_io_calls(module) == [
         (4, "open"), (5, "open"), (6, "read_text"), (7, "write_bytes"), (9, "mkdir"),
         (10, "unlink"), (11, "rmdir"), (12, "touch"), (13, "truncate"), (14, "replace"),
-        (15, "rename"), (16, "remove"), (17, "unlink"), (18, "rename")]
+        (15, "rename"), (16, "remove"), (17, "unlink"), (18, "rename"), (21, "flock"),
+        (22, "lockf")]
 
 
 _DEFERRED_MODULES = {"yaml", "requests"}

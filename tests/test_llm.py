@@ -3,6 +3,9 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -431,7 +434,7 @@ def _full_disk_on_open(monkeypatch) -> None:
                         _FullDisk(real_open(self, *args, **kwargs)))
 
 
-def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, monkeypatch):
+def test_llm_cache_append_that_lands_in_part_is_cut_off_at_once(tmp_path, monkeypatch):
     path = tmp_path / "llm.jsonl"
     cache = LlmCache(path)
     _full_disk_on_open(monkeypatch)  # the first put's handle is held: k2 fails through it
@@ -439,18 +442,20 @@ def test_llm_cache_append_that_lands_in_part_is_cut_off_by_the_next(tmp_path, mo
     with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
         cache.put("k2", "two", role="plan", prompt="p")
     monkeypatch.undo()
-    assert not path.read_text(encoding="utf-8").endswith("\n")  # part of k2's line
+    # the part of k2's line that landed is gone
+    assert path.read_bytes() == \
+        b'{"key": "k1", "role": "plan", "prompt": "p", "response": "one"}\n'
     cache.put("k3", "three", role="plan", prompt="p")
     reloaded = LlmCache(path)
     assert (reloaded.get("k1"), reloaded.get("k2"), reloaded.get("k3")) == ("one", None, "three")
     assert len(path.read_bytes().splitlines()) == 2
 
 
-def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_path,
-                                                                        monkeypatch):
-    """Two caches on one file: the repair point of a held handle is the file's
-    real end, not where that handle last wrote, so cutting off its partial
-    line keeps the line the other cache appended in between."""
+def test_append_that_lands_in_part_is_cut_off_at_once_past_another_writers_lines(
+        tmp_path, monkeypatch):
+    """Two caches on one file: a failed append is cut back to the file's
+    real end when it began, not to where that handle last wrote, so cutting
+    off its partial line keeps the line the other cache appended in between."""
     path = tmp_path / "llm.jsonl"
     first = LlmCache(path)
     _full_disk_on_open(monkeypatch)
@@ -458,9 +463,10 @@ def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_pat
     monkeypatch.undo()
     second = LlmCache(path)
     second.put("b1", "two", role="plan", prompt="p")
+    before = path.read_bytes()
     with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
         first.put("a2", "three", role="plan", prompt="p")
-    assert not path.read_text(encoding="utf-8").endswith("\n")  # part of a2's line
+    assert path.read_bytes() == before  # the part of a2's line that landed is gone
     first.put("a3", "four", role="plan", prompt="p")
     second.put("b2", "five", role="plan", prompt="p")
     first.close()
@@ -472,11 +478,57 @@ def test_append_that_lands_in_part_is_cut_off_past_another_writers_lines(tmp_pat
         ["a1", "b1", "a3", "b2"]
 
 
+# another writer's unterminated last line -> the keys of the file's lines after
+# a failed append, then after the next one
+_OTHER_TAILS = {
+    "whole": (b'{"key": "kx", "response": "ex"}', ["k1", "kx"], ["k1", "kx", "k3"]),
+    "torn": (b'{"key": "kx", "resp', ["k1"], ["k1", "k3"]),
+}
+
+
+@pytest.mark.parametrize("tail", sorted(_OTHER_TAILS))
+def test_a_failed_append_after_another_writers_unterminated_line_leaves_whole_lines(
+        tail, tmp_path, monkeypatch):
+    """Another writer leaves a line without its newline; an append that fails
+    after writing part of its own line is cut back to the file as the lock
+    found it, less a torn line, and the next append ends a whole one."""
+    data, after_failure, after_next = _OTHER_TAILS[tail]
+    path = tmp_path / "llm.jsonl"
+    cache = LlmCache(path)
+    _full_disk_on_open(monkeypatch)
+    cache.put("k1", "one", role="plan", prompt="p")
+    monkeypatch.undo()
+    with path.open("ab") as fh:
+        fh.write(data)
+    with pytest.raises(DataError, match=r"llm\.jsonl: No space left on device$"):
+        cache.put("k2", "two", role="plan", prompt="p")
+    kept = path.read_bytes()
+    assert [json.loads(line)["key"] for line in kept.splitlines()] == after_failure
+    assert kept.endswith(b"\n") == (tail == "torn")
+    cache.put("k3", "three", role="plan", prompt="p")
+    cache.close()
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == after_next
+
+
+def test_a_blank_unterminated_last_line_is_ended_as_the_load_kept_it(tmp_path):
+    """The load skips a blank line and hashes it, so an append ends it with
+    a newline, as it does a whole line, and the snapshot matches the file."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n \t')
+    cache = LlmCache(path)
+    cache.put("ka", "aye", role="plan", prompt="p")
+    cache.close()
+    data = path.read_bytes()
+    assert data.startswith(b'{"key": "k0", "response": "zero"}\n \t\n{"key": "ka"')
+    snapshot = json.loads(path.with_name("llm.jsonl.snapshot").read_bytes())
+    assert snapshot["bytes"] == len(data)
+
+
 def test_a_torn_line_is_cut_where_the_load_read_it_past_another_writers_append(
         tmp_path, monkeypatch):
-    """A cache cuts a torn final line off at the bytes it read before that
-    line, so a line another writer appends while it loads cannot move the cut
-    into the middle of a line."""
+    """A line another writer appends while a cache loads, after it read a
+    torn final line, is kept: the cache's next append cuts off only what is
+    torn when it holds the lock, so no cut lands in the middle of a line."""
     path = tmp_path / "llm.jsonl"
     path.write_bytes(b'{"key": "k0", "response": "zero"}\n{"key": "t')
     other = LlmCache(path)
@@ -516,6 +568,92 @@ def test_a_whole_unterminated_last_line_is_ended_once_keeping_another_writers_li
     lines = path.read_bytes().splitlines(keepends=True)
     assert [json.loads(line)["key"] for line in lines] == ["k0", "kb", "ka"]
     assert all(line.endswith(b"\n") for line in lines)
+
+
+@pytest.mark.parametrize("torn", [b'{"key": "torn", "resp', b'{"key": "torn", "response": "\xc3'],
+                         ids=["in-a-string", "in-a-character"])
+def test_another_writers_torn_append_is_cut_off_by_the_next_put(torn, tmp_path):
+    """A cache loads a clean file, then another writer dies inside its
+    append: the cache's next put cuts the torn line off instead of ending it
+    with a newline, which would make every later load fail."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n')
+    cache = LlmCache(path)
+    with path.open("ab") as fh:
+        fh.write(torn)
+    cache.put("ka", "aye", role="plan", prompt="p")
+    cache.close()
+    reloaded = LlmCache(path, strict=True)
+    assert [reloaded.get(key) for key in ("k0", "ka", "torn")] == ["zero", "aye", None]
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == ["k0", "ka"]
+
+
+def test_two_caches_that_load_one_torn_tail_keep_both_their_lines(tmp_path):
+    """The first to append cuts the torn line off; the second finds the file
+    ending in the first one's line and keeps it."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n{"key": "torn", "resp')
+    first, second = LlmCache(path), LlmCache(path)
+    first.put("ka", "aye", role="plan", prompt="p")
+    second.put("kb", "bee", role="plan", prompt="p")
+    first.close()
+    second.close()
+    reloaded = LlmCache(path, strict=True)
+    assert [reloaded.get(key) for key in ("k0", "ka", "kb")] == ["zero", "aye", "bee"]
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == \
+        ["k0", "ka", "kb"]
+
+
+# A process that puts a 1 MB line into the cache file named by its argument,
+# lands half of it, says so, and waits to be killed.
+_DYING_WRITER = """
+import sys, time
+from pathlib import Path
+from contregen.llm import LlmCache
+
+class Stalls:
+    def __init__(self, fh):
+        self.fh = fh
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        print("half written", flush=True)
+        time.sleep(60)
+
+real_open = Path.open
+Path.open = lambda self, *args, **kwargs: Stalls(real_open(self, *args, **kwargs))
+LlmCache(sys.argv[1]).put("dying", "x" * 1_000_000, role="plan", prompt="p")
+"""
+
+
+def test_a_put_waits_for_a_writer_killed_inside_its_append_then_cuts_its_line(tmp_path):
+    """Another process is killed in the middle of writing a large line. Until
+    it dies, a put waits for the lock its append holds; then it cuts the torn
+    line off and appends its own."""
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n')
+    cache = LlmCache(path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(backend_io.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    put = threading.Thread(target=cache.put, args=("ka", "aye"),
+                           kwargs={"role": "plan", "prompt": "p"})
+    with subprocess.Popen([sys.executable, "-c", _DYING_WRITER, str(path)], env=env,
+                          stdout=subprocess.PIPE, text=True) as writer:
+        try:
+            assert writer.stdout.readline() == "half written\n"
+            put.start()
+            put.join(0.3)
+            assert put.is_alive()  # waiting for the writer's lock
+        finally:
+            writer.kill()
+    put.join(10)
+    assert not put.is_alive()
+    cache.close()
+    reloaded = LlmCache(path, strict=True)
+    assert [reloaded.get(key) for key in ("k0", "ka", "dying")] == ["zero", "aye", None]
+    assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == ["k0", "ka"]
 
 
 def test_a_closed_cache_reopens_its_file_on_the_next_put(tmp_path):

@@ -3,11 +3,14 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from array import array
 from collections import Counter
 
 import pytest
 
+from contregen import retrieval
+from contregen._kernels import fallback
 from contregen.corpus import CorpusStore, Passage
 from contregen.errors import (
     CacheCorruptionError,
@@ -168,6 +171,49 @@ def test_posting_arrays_are_sized_exactly(kernels):
     assert max(len(a) for a in arrays) > 400  # long enough to have grown
     assert [sys.getsizeof(a) - sys.getsizeof(array(a.typecode)) for a in arrays] == \
         [a.itemsize * len(a) for a in arrays]
+
+
+def _traced_peak(work) -> int:
+    """The most bytes work() held allocated at once, its result included."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _count(indices: array) -> tuple:
+    """_finalize's counting phase alone: the Counter and the two arrays."""
+    tfs = Counter(indices)
+    return tfs, array("i", [*tfs]), array("d", [*tfs.values()])
+
+
+def test_finalize_frees_the_counter_before_making_the_impacts(monkeypatch):
+    """A term in every one of 20k documents: _finalize's peak stays near that
+    of counting its occurrences, because the Counter (its table and its boxed
+    document indices) is freed before the pure kernel makes a float per
+    posting. A missing term's lookup adds nothing to the postings."""
+    monkeypatch.setattr(retrieval, "bm25_impacts", fallback.bm25_impacts)
+    rng = random.Random(2020)
+    texts = {f"p{i:05d}": " ".join(["every"] * rng.randint(1, 3)
+                                   + rng.choices(["some", "words", "x9"], k=rng.randint(0, 4)))
+             for i in range(20_000)}
+    index = LexicalIndex(_store(texts))
+    assert index.retrieve("absent", 5) == ()
+    postings = dict(index._built)
+    with pytest.raises(KeyError):
+        index._built["absent"]
+    assert index._built == postings
+    occurrences = array("i", [d for d, pid in enumerate(index.doc_ids)
+                              for _ in range(texts[pid].split().count("every"))])
+    counting = _traced_peak(lambda: _count(occurrences))
+    finalizing = _traced_peak(lambda: index._finalize(occurrences))
+    assert counting > 20_000 * 32  # the boxed indices alone
+    assert finalizing <= 1.1 * counting
+    doc_indices, impacts, bound = index._finalize(occurrences)
+    assert list(doc_indices) == list(range(20_000))
+    assert [w.hex() for w in impacts] == [w.hex() for w in postings["every"][1]]
 
 
 def test_zero_score_documents_never_returned():
