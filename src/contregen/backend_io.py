@@ -21,9 +21,9 @@ keeps its digit counts and drops json.loads's advice to call
 ``sys.set_int_max_str_digits``, which a data file's author cannot follow.
 
 Both caches key their entries with ``JsonlCache.digest``, the sha256 of the
-JSON array of the key parts, written without building a JSON encoder. A
-prefix from ``JsonlCache.digest_prefix`` lets it hash only the part of a
-key's last part after a known head.
+JSON array of the key parts, written without building a JSON encoder.
+``JsonlCache.digest_prefix`` binds a key's leading parts and a known head of
+its last part once, and returns a key function that hashes only the rest.
 
 Each cache file may have a snapshot beside it (``llm.jsonl.snapshot``): the
 file's length and sha256 and the entries of exactly those bytes, which a
@@ -277,8 +277,8 @@ class JsonlCache:
     value of the wrong type) and the replay-miss message; the caller of
     lookup gives the context fields recorded beside the value. A strict
     cache (replay) never computes: a miss is a ReplayMissError. An append
-    that cannot be written is a DataError naming the file, and the entry is
-    not kept.
+    that cannot be written, or that waits LOCK_WAIT_S for another writer's
+    lock, is a DataError naming the file, and the entry is not kept.
 
     A snapshot beside the file (its name plus ".snapshot") is ASCII JSON of
     {"bytes", "sha256", "entries"}: a byte length, the sha256 of that many
@@ -391,41 +391,30 @@ class JsonlCache:
                 hasher.update(data)
 
     @staticmethod
-    def digest(*parts, prefix: Optional[tuple] = None) -> str:
+    def digest(*parts) -> str:
         """The sha256 hex digest of json.dumps(list(parts), ensure_ascii=True),
         the one definition of both caches' keys. A str or a plain int part is
         written directly (encode_basestring_ascii, int.__repr__), which gives
         the text json.dumps gives without building an encoder per call; a part
         of any other type, such as a bool or a str subclass, is written by
-        json.dumps itself, so no key can change.
-
-        A prefix from digest_prefix skips what it has hashed already: when
-        the leading parts equal its own in type and value and the last part
-        is a plain str that starts with its head, only the rest of the last
-        part is escaped and hashed. JSON escapes a str one character at a
-        time, so the digest is the same either way; any other key is hashed
-        whole."""
-        if prefix is not None:
-            leading, types, head, state = prefix
-            first, last = parts[:-1], parts[-1]
-            if (type(last) is str and last.startswith(head) and first == leading
-                    and tuple(map(type, first)) == types):
-                state = state.copy()
-                state.update(f"{_ascii_json_str(last[len(head):])[1:]}]".encode())
-                return state.hexdigest()
+        json.dumps itself, so no key can change."""
         return hashlib.sha256(_key_text(parts).encode()).hexdigest()
 
     @staticmethod
-    def digest_prefix(*parts) -> tuple:
-        """A prefix for digest: parts are a key's leading parts, then a str
-        head that its last part starts with. It holds the sha256 state after
-        the key's text up to the end of the head's escape."""
+    def digest_prefix(*parts) -> Callable[[object], str]:
+        """key, where key(last) is digest(*parts[:-1], last), hashing the str
+        head parts[-1] once, here: a plain str last part that starts with it
+        has only its rest escaped and hashed (JSON escapes a str one character
+        at a time, so the digest is the same); any other is hashed whole."""
         *leading, head = parts
-        if type(head) is not str:
-            raise TypeError(f"a key head must be a str, not {type(head).__name__}")
-        text = _key_text(parts)  # ends with the head's closing quote and "]"
-        return (tuple(leading), tuple(map(type, leading)), head,
-                hashlib.sha256(text[:-2].encode()))
+        state = hashlib.sha256(_key_text(parts)[:-2].encode())  # up to the head's closing quote
+        def key(last) -> str:
+            if type(last) is not str or not last.startswith(head):
+                return JsonlCache.digest(*leading, last)
+            hasher = state.copy()
+            hasher.update(f"{_ascii_json_str(last[len(head):])[1:]}]".encode())
+            return hasher.hexdigest()
+        return key
 
     def get(self, key: str):
         return self._entries.get(key)
@@ -444,10 +433,7 @@ class JsonlCache:
                 if self._fh is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
                     self._fh = self.path.open("a+b")
-                fh = self._fh
-                fcntl.flock(fh, fcntl.LOCK_EX)
-                data = self._append(fh, data)
-                fcntl.flock(fh, fcntl.LOCK_UN)
+                data = self._append(self._fh, data)
             except BaseException as exc:
                 # closing the handle releases the lock, after any bytes it still buffers
                 self._drop_handle()
@@ -464,9 +450,20 @@ class JsonlCache:
 
     @staticmethod
     def _append(fh: BinaryIO, data: bytes) -> bytes:
-        """Append data, one line, to fh, the locked append handle, after
-        ending or cutting off an unterminated last line; the bytes written.
-        A write that fails is truncated off before its OSError propagates."""
+        """Append data, one line, to fh, the append handle, under an exclusive
+        flock, after ending or cutting off an unterminated last line; the bytes
+        written. Waiting LOCK_WAIT_S for the lock is a TimeoutError, and a write
+        that fails is truncated off before its OSError propagates; on an error
+        the caller closes fh, which releases the lock."""
+        deadline = time.monotonic() + LOCK_WAIT_S
+        while True:  # one flock call when no other writer holds the lock
+            with contextlib.suppress(BlockingIOError):
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            if time.monotonic() >= deadline:
+                raise TimeoutError(errno.ETIMEDOUT,
+                                   f"another writer held its lock for {LOCK_WAIT_S:g} s")
+            time.sleep(0.01)
         end = fh.seek(0, os.SEEK_END)
         start = _last_line_start(fh, end)
         if start < end:  # no writer is inside an append, so this line is whole or torn
@@ -483,6 +480,7 @@ class JsonlCache:
             with contextlib.suppress(OSError):  # else the next append cuts it off
                 fh.truncate(end)
             raise
+        fcntl.flock(fh, fcntl.LOCK_UN)
         return data
 
     def _drop_handle(self) -> None:
@@ -532,6 +530,9 @@ class JsonlCache:
                 if not flight[1]:
                     del self._flights[key]
 
+
+# The longest a cache put waits for another writer's lock on the file.
+LOCK_WAIT_S = 10.0
 
 # Attempts a backend call makes before it fails, and the longest sleep a
 # Retry-After header can ask for, so that a call's sleeps stay bounded by

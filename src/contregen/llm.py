@@ -233,21 +233,19 @@ class LlmCache(JsonlCache):
         return response
 
     @staticmethod
-    def key(adapter_id: str, role: str, prompt: str, prefix: Optional[tuple] = None) -> str:
-        """The digest of (adapter_id, role, prompt); prefix, from
-        JsonlCache.digest_prefix(adapter_id, role, head), lets it hash only
-        the part of a prompt after the head, with the same result."""
-        return JsonlCache.digest(adapter_id, role, prompt, prefix=prefix)
+    def key(adapter_id: str, role: str, prompt: str, prefix: Optional[Callable] = None) -> str:
+        """The digest of (adapter_id, role, prompt); given prefix, the key function
+        of JsonlCache.digest_prefix(adapter_id, role, head), it is prefix(prompt)."""
+        return JsonlCache.digest(adapter_id, role, prompt) if prefix is None else prefix(prompt)
 
 
 class CachingAdapter:
     """Wraps an adapter with the replay cache; a strict cache forbids misses.
 
-    With the templates the prompts are rendered from, a key hashes only the
-    part of each prompt after its template's head (the literal text before
-    the first slot), the head's share of the hash being computed once per
-    role; a prompt that does not start with its head, or an adapter built
-    without templates, hashes the whole key. The keys are the same either way.
+    With the templates the prompts are rendered from, each role's keys come
+    from the key function of its template's head (the literal text before the
+    first slot), which hashes the head once; they are the keys LlmCache.key
+    gives without it.
     """
 
     def __init__(self, inner: Adapter, cache: LlmCache,
@@ -255,7 +253,7 @@ class CachingAdapter:
         self.inner = inner
         self.cache = cache
         self.adapter_id = inner.adapter_id
-        self._prefixes = {  # role name -> the key prefix of its template's head
+        self._prefixes = {  # role name -> the key function of its template's head
             role.value: JsonlCache.digest_prefix(self.adapter_id, role.value,
                                                  template._pieces[0])
             for role, template in (templates or {}).items()}

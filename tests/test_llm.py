@@ -132,48 +132,43 @@ _SPLIT_AT = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\U0001f600", "\ud80
 
 @pytest.mark.parametrize("seed", range(4))
 def test_prefixed_keys_match_the_json_dumps_oracle(seed):
-    """A key hashed from a head's prefix equals the json.dumps key, whether or
-    not the prompt starts with the head."""
+    """The key function of a head gives the json.dumps key, whether or not
+    the prompt starts with the head."""
     rng = random.Random(seed)
     for _ in range(300):
         adapter_id, role, head = (_awkward_text(rng, placeholders=True) for _ in range(3))
         rest = _awkward_text(rng, placeholders=True)
         prompt = rng.choice([head + rest, head, rest, rest + head, head[:-1] + rest])
-        prefix = JsonlCache.digest_prefix(adapter_id, role, head)
-        assert (LlmCache.key(adapter_id, role, prompt, prefix)
-                == cache_key(adapter_id, role, prompt)), (head, prompt)
+        key = JsonlCache.digest_prefix(adapter_id, role, head)
+        assert key(prompt) == cache_key(adapter_id, role, prompt), (head, prompt)
+        assert LlmCache.key(adapter_id, role, prompt, key) == key(prompt)
     for left in _SPLIT_AT:
         for right in _SPLIT_AT:
             head = f"head {left}"
-            prefix = JsonlCache.digest_prefix("scripted", "plan", head)
+            key = JsonlCache.digest_prefix("scripted", "plan", head)
             for prompt in (head + right, head + right + " tail", head, right + head):
-                assert (LlmCache.key("scripted", "plan", prompt, prefix)
-                        == cache_key("scripted", "plan", prompt)), prompt
+                assert key(prompt) == cache_key("scripted", "plan", prompt), prompt
     empty = JsonlCache.digest_prefix("scripted", "plan", "")
     for prompt in ("", '"', "x" * 1000):
-        assert LlmCache.key("scripted", "plan", prompt, empty) == cache_key(
-            "scripted", "plan", prompt)
-
-
-def test_a_prefix_for_other_leading_parts_falls_back():
-    """A prefix whose leading parts differ from the key's, in value or only
-    in type (1 for True, a str for a str subclass), hashes the key whole."""
+        assert empty(prompt) == cache_key("scripted", "plan", prompt)
     head, prompt = "Answer {", "Answer {the question}"
-    prefix = JsonlCache.digest_prefix("scripted", "plan", head)
-    for adapter_id, role in (("openai:x", "plan"), ("scripted", "rewrite"),
-                             (_Text("scripted"), "plan"), ("scripted", _Text("plan"))):
-        assert LlmCache.key(adapter_id, role, prompt, prefix) == cache_key(
-            adapter_id, role, prompt)
-    assert LlmCache.key("scripted", "plan", _Text(prompt), prefix) == cache_key(
-        "scripted", "plan", prompt)
-    one = JsonlCache.digest_prefix(1, head)
-    assert JsonlCache.digest(True, prompt, prefix=one) == cache_key(True, prompt)
-    assert JsonlCache.digest(1, prompt, prefix=one) == cache_key(1, prompt)
-    assert JsonlCache.digest(1, 2, prompt, prefix=one) == cache_key(1, 2, prompt)
-    assert JsonlCache.digest(1, 2, prefix=one) == cache_key(1, 2)
-    assert JsonlCache.digest(prompt, prefix=one) == cache_key(prompt)
-    with pytest.raises(TypeError):
-        JsonlCache.digest_prefix("scripted", 1)
+    key = JsonlCache.digest_prefix("scripted", "plan", head)
+    for last in (_Text(prompt), 7, True, None):  # hashed whole
+        assert key(last) == cache_key("scripted", "plan", last), last
+
+
+def test_each_roles_key_function_gives_the_keys_of_its_rendered_prompts():
+    """For every packaged role, the key function of its template's head gives
+    the key of each prompt rendered from that template."""
+    rng = random.Random(0)
+    for role, template in load_templates().items():
+        for adapter_id in ("scripted", "openai:m1", _awkward_text(rng, placeholders=True)):
+            key = JsonlCache.digest_prefix(adapter_id, role.value, template._pieces[0])
+            for _ in range(40):
+                prompt = template.render({name: _awkward_text(rng, placeholders=True)
+                                          for name in slot_names(template)})
+                assert key(prompt) == LlmCache.key(adapter_id, role.value, prompt), (
+                    role, prompt)
 
 
 class _EchoAdapter:
@@ -654,6 +649,49 @@ def test_a_put_waits_for_a_writer_killed_inside_its_append_then_cuts_its_line(tm
     reloaded = LlmCache(path, strict=True)
     assert [reloaded.get(key) for key in ("k0", "ka", "dying")] == ["zero", "aye", None]
     assert [json.loads(line)["key"] for line in path.read_bytes().splitlines()] == ["k0", "ka"]
+
+
+def test_a_put_gives_up_on_a_stalled_writers_lock_while_hits_are_served(tmp_path, monkeypatch):
+    """Another process stalls inside its append. A put waits LOCK_WAIT_S for
+    the lock, then fails with a DataError naming the file and leaves its
+    bytes as they were; a lookup of a key already cached is served while the
+    put waits."""
+    monkeypatch.setattr(backend_io, "LOCK_WAIT_S", 0.5)
+    path = tmp_path / "llm.jsonl"
+    path.write_bytes(b'{"key": "k0", "response": "zero"}\n')
+    cache = LlmCache(path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(backend_io.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    errors, served = [], []
+
+    def put():
+        try:
+            cache.put("ka", "aye", role="plan", prompt="p")
+        except DataError as exc:
+            errors.append(exc)
+
+    putter = threading.Thread(target=put)
+    lookup = threading.Thread(target=lambda: served.append(
+        cache.lookup("k0", {"role": "plan", "prompt": "p"}, pytest.fail, "computed")))
+    with subprocess.Popen([sys.executable, "-c", _DYING_WRITER, str(path)], env=env,
+                          stdout=subprocess.PIPE, text=True) as writer:
+        try:
+            assert writer.stdout.readline() == "half written\n"
+            held = path.read_bytes()
+            putter.start()
+            deadline = time.monotonic() + 5
+            while not cache._lock.locked() and time.monotonic() < deadline:
+                time.sleep(0.001)  # until the put holds the cache's lock
+            lookup.start()
+            lookup.join(5)
+            assert served == ["zero"] and putter.is_alive()
+            putter.join(5)
+            assert not putter.is_alive()
+            assert path.read_bytes() == held
+        finally:
+            writer.kill()
+    assert len(errors) == 1 and str(path) in str(errors[0]) and "lock" in str(errors[0])
+    assert cache.get("ka") is None
 
 
 def test_a_closed_cache_reopens_its_file_on_the_next_put(tmp_path):
